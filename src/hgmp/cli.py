@@ -15,7 +15,7 @@ import sys
 from . import typecheck
 from .parser import MODES, ParseError, parse_term
 from .reduction import (
-    DEFAULT_FUEL, Derivation, EvalError, derivation_to_json, eval_ct,
+    DEFAULT_FUEL, Derivation, EvalError, _fuel, derivation_to_json, eval_ct,
     eval_dl, eval_rt, eval_ul, render_derivation, run_pipeline, term_to_json,
 )
 from .syntax import Term, alpha_eq, pretty, pretty_type
@@ -364,11 +364,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_argparser()
     args = parser.parse_args(argv)
     if args.fuel is None:
-        env = os.environ.get("HGMP_FUEL")
         try:
-            args.fuel = int(env) if env else DEFAULT_FUEL
-        except ValueError:
-            print(f"HGMP_FUEL is not an integer: {env!r}", file=sys.stderr)
+            args.fuel = _fuel(None)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
             return 2
     if args.fuel < 1:
         print("fuel must be at least 1", file=sys.stderr)

@@ -15,22 +15,22 @@ names follow the conventional bracketed names for these relations.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
+    AST_CTOR_OF_TAG, CLASS_OF_TAG,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, TypeExpr, UpML, Var,
     free_vars, mk_ast, pretty, pretty_type, subst,
 )
-from . import typecheck
+from . import signature, typecheck
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
 
 DEFAULT_FUEL = 100_000
 
 RELATIONS = ("ct", "dl", "ul", "rt")
-
-_OPNAME = {"add": "Add", "sub": "Sub", "mul": "Mul", "eq": "Eq"}
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,38 @@ def _type_premise(run: _Run, term: Term, ty: TypeExpr) -> Optional[Derivation]:
     return Derivation("Type", "type", term, ty)
 
 
+def _rule_name(m: Term, relation: str) -> str:
+    """A rule's name from the constructor of the term it is about: `App ct`,
+    or a bare `Add` in rt. Interned: every derivation node holds one."""
+    if isinstance(m, AstCtor):
+        stem = "Promote" if m.tag.name == "promote" else "Ast_c"
+    else:
+        stem = m.ctor.capitalize()
+    return sys.intern(stem if relation == "rt" else f"{stem} {relation}")
+
+
+def _each(relation, terms, run: _Run):
+    """relation applied to each of terms in order: outputs, derivations."""
+    outs, derivs = [], []
+    for t in terms:
+        out, d = relation(t, run)
+        outs.append(out)
+        derivs.append(d)
+    return outs, derivs
+
+
+def _rule_by_tag(run: _Run, relation: str, m: Term, out: Term, derivs=()):
+    """The result of a rule named after a constructor (`App ct`, `Int dl`,
+    `Add`) whose premises are `derivs`. The name comes from the side that
+    is not an AST (the output, for dl); the derivation is built only when
+    tracing."""
+    if not run.trace:
+        return out, None
+    named = out if relation == "dl" else m
+    return out, Derivation(_rule_name(named, relation), relation, m, out,
+                           tuple(derivs))
+
+
 ### compile time
 
 def _ct(m: Term, run: _Run):
@@ -116,43 +148,6 @@ def _ct(m: Term, run: _Run):
             return m, _d(run, "Const ct", "ct", m, m)
         case TagLit():
             return m, _d(run, "Tag ct", "ct", m, m)
-        case App(fn, arg):
-            a, d1 = _ct(fn, run)
-            b, d2 = _ct(arg, run)
-            out = App(a, b)
-            return out, _d(run, "App ct", "ct", m, out, d1, d2)
-        case Lam(param, body, annot):
-            a, d1 = _ct(body, run)
-            out = Lam(param, a, annot)
-            return out, _d(run, "Lam ct", "ct", m, out, d1)
-        case Rec(self_name, param, body, annot):
-            a, d1 = _ct(body, run)
-            out = Rec(self_name, param, a, annot)
-            return out, _d(run, "Rec ct", "ct", m, out, d1)
-        case BinOp(op, lhs, rhs):
-            a, d1 = _ct(lhs, run)
-            b, d2 = _ct(rhs, run)
-            out = BinOp(op, a, b)
-            return out, _d(run, f"{_OPNAME[op]} ct", "ct", m, out, d1, d2)
-        case If(cond, then, orelse):
-            a, d1 = _ct(cond, run)
-            b, d2 = _ct(then, run)
-            c, d3 = _ct(orelse, run)
-            out = If(a, b, c)
-            return out, _d(run, "If ct", "ct", m, out, d1, d2, d3)
-        case AstCtor(tag, args):
-            pairs = [_ct(a, run) for a in args]
-            out = AstCtor(tag, tuple(p[0] for p in pairs))
-            rule = "Promote ct" if tag.name == "promote" else "Ast_c ct"
-            return out, _d(run, rule, "ct", m, out, *(p[1] for p in pairs))
-        case Eval(body, annot):
-            a, d1 = _ct(body, run)
-            out = Eval(a, annot)
-            return out, _d(run, "Eval ct", "ct", m, out, d1)
-        case Lift(body):
-            a, d1 = _ct(body, run)
-            out = Lift(a)
-            return out, _d(run, "Lift ct", "ct", m, out, d1)
         case UpML(body):
             a, d1 = _ul(body, run)
             return a, _d(run, "UpML ct", "ct", m, a, d1)
@@ -185,7 +180,9 @@ def _ct(m: Term, run: _Run):
             c, d3 = _ct(subst(body, b, name), run)
             premises.append(d3)
             return c, _d(run, "Let ct", "ct", m, c, *premises)
-    raise TypeError(f"not a Term: {m!r}")
+    # Every other constructor compiles its children and is rebuilt.
+    outs, derivs = _each(_ct, m.children(), run)
+    return _rule_by_tag(run, "ct", m, m.rebuild(outs), derivs)
 
 
 ### down one meta-level
@@ -198,54 +195,27 @@ def _dl(m: Term, run: _Run):
         _stuck("dl", m, "term is not an AST value")
     tag, args = m.tag, m.args
     name, count = tag.name, len(m.args)
+    cls = CLASS_OF_TAG.get(name)
     if name == "var" and count == 1 and isinstance(args[0], StrLit):
         out = Var(args[0].value)
         return out, _d(run, "Var dl", "dl", m, out)
-    if name == "int" and count == 1 and isinstance(args[0], IntLit):
-        return args[0], _d(run, "Int dl", "dl", m, args[0])
-    if name == "string" and count == 1 and isinstance(args[0], StrLit):
-        return args[0], _d(run, "String dl", "dl", m, args[0])
-    if name == "bool" and count == 1 and isinstance(args[0], BoolLit):
-        return args[0], _d(run, "Bool dl", "dl", m, args[0])
-    if name == "app" and count == 2:
-        a, d1 = _dl(args[0], run)
-        b, d2 = _dl(args[1], run)
-        out = App(a, b)
-        return out, _d(run, "App dl", "dl", m, out, d1, d2)
-    if name in _OPNAME and count == 2:
-        a, d1 = _dl(args[0], run)
-        b, d2 = _dl(args[1], run)
-        out = BinOp(name, a, b)
-        return out, _d(run, f"{_OPNAME[name]} dl", "dl", m, out, d1, d2)
-    if name == "if" and count == 3:
-        a, d1 = _dl(args[0], run)
-        b, d2 = _dl(args[1], run)
-        c, d3 = _dl(args[2], run)
-        out = If(a, b, c)
-        return out, _d(run, "If dl", "dl", m, out, d1, d2, d3)
-    if name == "lam" and count == 2:
-        s, d1 = _dl(args[0], run)
-        if not isinstance(s, StrLit):
-            _stuck("dl", m, "astLam binder did not reduce to a string")
-        b, d2 = _dl(args[1], run)
-        out = Lam(s.value, b)
-        return out, _d(run, "Lam dl", "dl", m, out, d1, d2)
-    if name == "rec" and count == 3:
-        g, d1 = _dl(args[0], run)
-        x, d2 = _dl(args[1], run)
-        if not (isinstance(g, StrLit) and isinstance(x, StrLit)):
-            _stuck("dl", m, "astRec binders did not reduce to strings")
-        b, d3 = _dl(args[2], run)
-        out = Rec(g.value, x.value, b)
-        return out, _d(run, "Rec dl", "dl", m, out, d1, d2, d3)
-    if name == "eval" and count == 1:
-        a, d1 = _dl(args[0], run)
-        out = Eval(a, tag.eval_annot)
-        return out, _d(run, "Eval dl", "dl", m, out, d1)
-    if name == "lift" and count == 1:
-        a, d1 = _dl(args[0], run)
-        out = Lift(a)
-        return out, _d(run, "Lift dl", "dl", m, out, d1)
+    if (name in ("int", "string", "bool") and count == 1
+            and isinstance(args[0], cls)):
+        return _rule_by_tag(run, "dl", m, args[0])
+    if cls is not None and cls.kids and signature.check_arity(name, count):
+        bound = len(cls.binds)  # the row's binder positions
+        if not bound:
+            outs, derivs = _each(_dl, args, run)
+            return _rule_by_tag(run, "dl", m, cls.from_ast(tag, outs), derivs)
+        # Bound names come first and must convert down to strings.
+        names, derivs = _each(_dl, args[:bound], run)
+        if not all(isinstance(s, StrLit) for s in names):
+            what = ("binder did not reduce to a string" if bound == 1
+                    else "binders did not reduce to strings")
+            _stuck("dl", m, f"{AST_CTOR_OF_TAG[name]} {what}")
+        outs, kid_derivs = _each(_dl, args[bound:], run)
+        out = cls.from_ast(tag, [s.value for s in names] + outs)
+        return _rule_by_tag(run, "dl", m, out, derivs + kid_derivs)
     if name == "promote" and count >= 1:
         head, d0 = _dl(args[0], run)
         if not isinstance(head, TagLit):
@@ -254,17 +224,16 @@ def _dl(m: Term, run: _Run):
             # Children move down with it; the rebuilt constructor is not
             # arity-checked here -- a later stage (dl again, or a type
             # check) owns rejecting a malformed result.
-            pairs = [_dl(a, run) for a in args[1:]]
-            out = AstCtor(head.tag, tuple(p[0] for p in pairs))
-            return out, _d(run, "Promote dl 1", "dl", m, out, d0,
-                           *(p[1] for p in pairs))
+            outs, derivs = _each(_dl, args[1:], run)
+            out = AstCtor(head.tag, tuple(outs))
+            return out, _d(run, "Promote dl 1", "dl", m, out, d0, *derivs)
         if count >= 2:
             inner, d1 = _dl(args[1], run)
             if isinstance(inner, TagLit):
-                pairs = [_dl(a, run) for a in args[2:]]
-                out = AstCtor(tag, (inner,) + tuple(p[0] for p in pairs))
+                outs, derivs = _each(_dl, args[2:], run)
+                out = AstCtor(tag, (inner, *outs))
                 return out, _d(run, "Promote dl 2", "dl", m, out, d0, d1,
-                               *(p[1] for p in pairs))
+                               *derivs)
         _stuck("dl", m, "promoted astPromote needs a tag in second position")
     _stuck("dl", m,
            f"no down-level rule for ast constructor {name} "
@@ -279,55 +248,14 @@ def _ul(m: Term, run: _Run):
         case Var(name):
             out = mk_ast("var", StrLit(name))
             return out, _d(run, "Var ul", "ul", m, out)
-        case StrLit():
-            out = mk_ast("string", m)
-            return out, _d(run, "String ul", "ul", m, out)
-        case IntLit():
-            out = mk_ast("int", m)
-            return out, _d(run, "Int ul", "ul", m, out)
-        case BoolLit():
-            out = mk_ast("bool", m)
-            return out, _d(run, "Bool ul", "ul", m, out)
+        case IntLit() | StrLit() | BoolLit():
+            return _rule_by_tag(run, "ul", m, AstCtor(m.ast_tag(), (m,)))
         case TagLit():
             return m, _d(run, "Tag ul", "ul", m, m)
-        case App(fn, arg):
-            a, d1 = _ul(fn, run)
-            b, d2 = _ul(arg, run)
-            out = mk_ast("app", a, b)
-            return out, _d(run, "App ul", "ul", m, out, d1, d2)
-        case Lam(param, body):
-            a, d1 = _ul(body, run)
-            out = mk_ast("lam", mk_ast("string", StrLit(param)), a)
-            return out, _d(run, "Lam ul", "ul", m, out, d1)
-        case Rec(self_name, param, body):
-            a, d1 = _ul(body, run)
-            out = mk_ast("rec", mk_ast("string", StrLit(self_name)),
-                         mk_ast("string", StrLit(param)), a)
-            return out, _d(run, "Rec ul", "ul", m, out, d1)
-        case BinOp(op, lhs, rhs):
-            a, d1 = _ul(lhs, run)
-            b, d2 = _ul(rhs, run)
-            out = mk_ast(op, a, b)
-            return out, _d(run, f"{_OPNAME[op]} ul", "ul", m, out, d1, d2)
-        case If(cond, then, orelse):
-            a, d1 = _ul(cond, run)
-            b, d2 = _ul(then, run)
-            c, d3 = _ul(orelse, run)
-            out = mk_ast("if", a, b, c)
-            return out, _d(run, "If ul", "ul", m, out, d1, d2, d3)
-        case Eval(body, annot):
-            a, d1 = _ul(body, run)
-            out = AstCtor(Tag("eval", annot), (a,))
-            return out, _d(run, "Eval ul", "ul", m, out, d1)
-        case Lift(body):
-            a, d1 = _ul(body, run)
-            out = mk_ast("lift", a)
-            return out, _d(run, "Lift ul", "ul", m, out, d1)
         case AstCtor(tag, args):
-            pairs = [_ul(a, run) for a in args]
-            out = AstCtor(Tag("promote"),
-                          (TagLit(tag),) + tuple(p[0] for p in pairs))
-            return out, _d(run, "Ast ul", "ul", m, out, *(p[1] for p in pairs))
+            outs, derivs = _each(_ul, args, run)
+            out = AstCtor(Tag("promote"), (TagLit(tag), *outs))
+            return out, _d(run, "Ast ul", "ul", m, out, *derivs)
         case UpML(body):
             a, d1 = _ul(body, run)
             b, d2 = _ul(a, run)
@@ -340,7 +268,12 @@ def _ul(m: Term, run: _Run):
         case LetDown():
             _stuck("ul", m,
                    "letdown has no AST representation and cannot be quoted")
-    raise TypeError(f"not a Term: {m!r}")
+    # Every other constructor becomes its AST: bound names as strings,
+    # then the children's ASTs.
+    outs, derivs = _each(_ul, m.children(), run)
+    names = [mk_ast("string", StrLit(s)) for s in m.bound_names()]
+    out = AstCtor(m.ast_tag(), tuple(names + outs))
+    return _rule_by_tag(run, "ul", m, out, derivs)
 
 
 ### run time
@@ -378,8 +311,7 @@ def _rt(m: Term, run: _Run):
         case BinOp(op, lhs, rhs):
             a, d1 = _rt(lhs, run)
             b, d2 = _rt(rhs, run)
-            out = _arith(op, a, b, m)
-            return out, _d(run, _OPNAME[op], "rt", m, out, d1, d2)
+            return _rule_by_tag(run, "rt", m, _arith(op, a, b, m), (d1, d2))
         case If(cond, then, orelse):
             c, d1 = _rt(cond, run)
             if not isinstance(c, BoolLit):
@@ -388,10 +320,9 @@ def _rt(m: Term, run: _Run):
             v, d2 = _rt(branch, run)
             return v, _d(run, "If", "rt", m, v, d1, d2)
         case AstCtor(tag, args):
-            pairs = [_rt(a, run) for a in args]
-            out = AstCtor(tag, tuple(p[0] for p in pairs))
-            rule = "Promote" if tag.name == "promote" else "Ast_c"
-            return out, _d(run, rule, "rt", m, out, *(p[1] for p in pairs))
+            outs, derivs = _each(_rt, args, run)
+            return _rule_by_tag(run, "rt", m, AstCtor(tag, tuple(outs)),
+                                derivs)
         case Eval(body, annot):
             v, d1 = _rt(body, run)
             n, d2 = _dl(v, run)
@@ -433,7 +364,7 @@ def _arith(op: str, a: Term, b: Term, at: Term) -> Term:
             return BoolLit(a.value == b.value)
         _stuck("rt", at, "== compares two integers or two strings")
     if not (isinstance(a, IntLit) and isinstance(b, IntLit)):
-        _stuck("rt", at, f"{_OPNAME[op].lower()} needs integer operands")
+        _stuck("rt", at, f"{op} needs integer operands")
     if op == "add":
         return IntLit(a.value + b.value)
     if op == "sub":
@@ -444,41 +375,45 @@ def _arith(op: str, a: Term, b: Term, at: Term) -> Term:
 ### public entry points
 
 def _fuel(fuel: int | None) -> int:
+    """The given budget, else HGMP_FUEL, else the default."""
     if fuel is not None:
         return fuel
     env = os.environ.get("HGMP_FUEL")
-    return int(env) if env else DEFAULT_FUEL
+    if not env:
+        return DEFAULT_FUEL
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"HGMP_FUEL is not an integer: {env!r}") from None
+
+
+def _evaluate(relation, m: Term, mode: str, fuel: int | None, trace: bool):
+    run = _Run(_fuel(fuel), mode == "typed", trace)
+    out, deriv = relation(m, run)
+    return (out, deriv) if trace else out
 
 
 def eval_ct(m: Term, mode: str = "untyped", fuel: int | None = None,
             trace: bool = False):
     """Compile m: the result contains no splice, quote or compile-time let."""
-    run = _Run(_fuel(fuel), mode == "typed", trace)
-    out, deriv = _ct(m, run)
-    return (out, deriv) if trace else out
+    return _evaluate(_ct, m, mode, fuel, trace)
 
 
 def eval_dl(m: Term, fuel: int | None = None, trace: bool = False):
     """Convert an AST value one meta-level down to the program it denotes."""
-    run = _Run(_fuel(fuel), False, trace)
-    out, deriv = _dl(m, run)
-    return (out, deriv) if trace else out
+    return _evaluate(_dl, m, "untyped", fuel, trace)
 
 
 def eval_ul(m: Term, mode: str = "untyped", fuel: int | None = None,
             trace: bool = False):
     """Convert a term one meta-level up to its AST representation."""
-    run = _Run(_fuel(fuel), mode == "typed", trace)
-    out, deriv = _ul(m, run)
-    return (out, deriv) if trace else out
+    return _evaluate(_ul, m, mode, fuel, trace)
 
 
 def eval_rt(m: Term, mode: str = "untyped", fuel: int | None = None,
             trace: bool = False):
     """Call-by-value evaluation of a compiled (meta-level-free) term."""
-    run = _Run(_fuel(fuel), mode == "typed", trace)
-    out, deriv = _rt(m, run)
-    return (out, deriv) if trace else out
+    return _evaluate(_rt, m, mode, fuel, trace)
 
 
 @dataclass(frozen=True)
@@ -537,8 +472,6 @@ def term_to_json(m: Term) -> dict:
     match m:
         case Var(name):
             return node("var", atom=name)
-        case App(fn, arg):
-            return node("app", (fn, arg))
         case Lam(param, body, annot):
             return node("lam", (body,), atom=param,
                         annot=None if annot is None else pretty_type(annot))
@@ -552,10 +485,6 @@ def term_to_json(m: Term) -> dict:
             return node("str", atom=value)
         case BoolLit(value):
             return node("bool", atom=value)
-        case BinOp(op, lhs, rhs):
-            return node(op, (lhs, rhs))
-        case If(cond, then, orelse):
-            return node("if", (cond, then, orelse))
         case AstCtor(tag, args):
             return node("ast", args, atom=tag.name,
                         annot=None if tag.eval_annot is None
@@ -564,18 +493,14 @@ def term_to_json(m: Term) -> dict:
             return node("tag", atom=tag.name,
                         annot=None if tag.eval_annot is None
                         else pretty_type(tag.eval_annot))
-        case DownML(body):
-            return node("downml", (body,))
-        case UpML(body):
-            return node("upml", (body,))
         case Eval(body, annot):
             return node("eval", (body,),
                         annot=None if annot is None else pretty_type(annot))
-        case Lift(body):
-            return node("lift", (body,))
         case LetDown(name, bound, body):
             return node("letdown", (bound, body), atom=name)
-    raise TypeError(f"not a Term: {m!r}")
+    # App, the binops, If, Lift, splice and quote: children only. Like
+    # the literal names above, the name is shared by every node.
+    return node(sys.intern(m.ctor.lower()), m.children())
 
 
 def _out_to_json(out) -> dict:

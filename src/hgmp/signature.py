@@ -1,17 +1,24 @@
 """Constructor signature registry.
 
 One row per syntactic construct: its tag (when it has an AST mirror),
-arity, binder positions, and how its reduction rules are obtained. The
-generic compile-time / down-level / up-level rules and all arity checks
-are driven from this table; splices, quotes and compile-time lets have
-rows with no tag because they are gone before any AST could mention them.
+arity and binder positions. Who reads it:
+
+* `syntax` derives the tag set from the tagged rows and attaches each
+  Term class to its row; the binder positions decide which of the
+  class's fields are bound names and which are children.
+* `reduction` writes the congruence rules of ct, ul and dl once over
+  that view; dl checks arities here and requires the arguments at the
+  binder positions to convert down to strings.
+* `parser` and `typecheck` check AST-constructor arities here, and the
+  checker requires `astStr(..)` at the binder positions.
+
+Splices, quotes and compile-time lets have rows with no tag because they
+are gone before any AST could mention them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .syntax import TAG_NAMES
 
 VARIADIC = None  # arity marker; only promote uses it
 
@@ -22,36 +29,37 @@ class CtorSpec:
     tag: str | None
     arity: int | None  # None means variadic (at least one argument)
     binders: tuple[int, ...] = ()
-    rule_class: str = "generic"  # generic | binder | special
 
     def __post_init__(self):
-        if self.arity is not None:
-            for b in self.binders:
-                if not 0 <= b < self.arity:
-                    raise ValueError(f"binder position {b} outside arity")
-        elif self.binders:
-            raise ValueError("variadic constructors cannot bind")
+        # Bound names lead a row's arguments: the generic rules read them
+        # off the front, and the children after them.
+        if self.binders != tuple(range(len(self.binders))):
+            raise ValueError("binder positions must lead the arguments")
+        if self.binders and (self.arity is None
+                             or len(self.binders) >= self.arity):
+            raise ValueError("a binding constructor needs a fixed arity "
+                             "and a body after its binders")
 
 
 _REGISTRY = (
-    CtorSpec("var", "var", 1, rule_class="special"),
+    CtorSpec("var", "var", 1),
     CtorSpec("app", "app", 2),
-    CtorSpec("lam", "lam", 2, binders=(0,), rule_class="binder"),
-    CtorSpec("rec", "rec", 3, binders=(0, 1), rule_class="binder"),
-    CtorSpec("int", "int", 1, rule_class="special"),
-    CtorSpec("string", "string", 1, rule_class="special"),
-    CtorSpec("bool", "bool", 1, rule_class="special"),
+    CtorSpec("lam", "lam", 2, binders=(0,)),
+    CtorSpec("rec", "rec", 3, binders=(0, 1)),
+    CtorSpec("int", "int", 1),
+    CtorSpec("string", "string", 1),
+    CtorSpec("bool", "bool", 1),
     CtorSpec("add", "add", 2),
     CtorSpec("sub", "sub", 2),
     CtorSpec("mul", "mul", 2),
     CtorSpec("eq", "eq", 2),
     CtorSpec("if", "if", 3),
-    CtorSpec("eval", "eval", 1, rule_class="special"),
-    CtorSpec("lift", "lift", 1, rule_class="special"),
-    CtorSpec("promote", "promote", VARIADIC, rule_class="special"),
-    CtorSpec("downML", None, 1, rule_class="special"),
-    CtorSpec("upML", None, 1, rule_class="special"),
-    CtorSpec("letdown", None, 3, binders=(0,), rule_class="binder"),
+    CtorSpec("eval", "eval", 1),
+    CtorSpec("lift", "lift", 1),
+    CtorSpec("promote", "promote", VARIADIC),
+    CtorSpec("downML", None, 1),
+    CtorSpec("upML", None, 1),
+    CtorSpec("letdown", None, 3, binders=(0,)),
 )
 
 _BY_NAME = {spec.name: spec for spec in _REGISTRY}
@@ -79,6 +87,3 @@ def check_arity(tag: str, arg_count: int) -> bool:
     if spec.arity is None:
         return arg_count >= 1
     return arg_count == spec.arity
-
-
-assert tagged_names() == frozenset(TAG_NAMES)

@@ -8,7 +8,10 @@ astInt(1, 1) must be representable so later stages can reject them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+
+from . import signature
 
 
 ### types
@@ -85,12 +88,8 @@ def pretty_type(t: TypeExpr, prec: int = 0) -> str:
 
 ### tags
 
-# Closed set of AST-constructor names; must stay in sync with the
-# signature registry (there is a meta-test for that).
-TAG_NAMES = (
-    "var", "app", "lam", "rec", "int", "string", "bool",
-    "add", "sub", "mul", "eq", "if", "eval", "lift", "promote",
-)
+# Closed set of AST-constructor names: the tagged rows of the signature.
+TAG_NAMES = tuple(s.name for s in signature.registry() if s.tag is not None)
 
 # Concrete-syntax spellings: #str / astStr abbreviate the "string" tag.
 SURFACE_OF_TAG = {name: name for name in TAG_NAMES}
@@ -121,20 +120,97 @@ class Tag:
 ### terms
 
 class Term:
+    """A term, with one uniform view of its shape.
+
+    @_shape attaches a class to its signature row (`ctor`) and names the
+    fields holding the row's arguments, in order. The row's binder
+    positions make the leading ones `binds`, the fields holding bound
+    names; the rest are `kids`, which children() reads and rebuild()
+    replaces. Any other field (an annotation, an operator) is data that
+    rebuild keeps. The generic traversals below and the congruence rules
+    of ct, ul and dl read nothing else.
+    """
+
     __slots__ = ()
+    ctor: str | None = None  # AstCtor and TagLit have no row of their own
+    binds: tuple[str, ...] = ()
+    kids: tuple[str, ...] = ()
+
+    def children(self) -> tuple[Term, ...]:
+        return ()
+
+    def bound_names(self) -> tuple[str, ...]:
+        return ()
+
+    def rebuild(self, kids) -> Term:
+        """This node with its children replaced, in order."""
+        return self
+
+    def ast_tag(self) -> Tag:
+        """The tag of this node's AST one meta-level up."""
+        return Tag(self.ctor)
+
+    @classmethod
+    def from_ast(cls, tag: Tag, args: list) -> Term:
+        """The node an AST tagged `tag` denotes, from its arguments one
+        level down: bound names as strings, then the children."""
+        return cls(*args)
 
 
+CLASS_OF_TAG: dict[str, type] = {}
+
+
+def _reader(names):
+    """A function reading the named fields of a term, as a tuple."""
+    if not names:
+        return lambda m: ()
+    get = attrgetter(*names)  # one name reads a bare value
+    return (lambda m: (get(m),)) if len(names) == 1 else lambda m: get(m)
+
+
+def _shape(rows: str | tuple[str, ...], *args: str):
+    """Class decorator attaching a Term class to its signature row(s);
+    args name the fields holding the row's arguments (leaves, whose one
+    argument is an atom, name none)."""
+    def attach(cls):
+        names = (rows,) if isinstance(rows, str) else rows
+        # The rows one class stands for (the binops) bind alike.
+        (bound,) = {len(signature.lookup(r).binders) for r in names}
+        cls.binds, cls.kids = args[:bound], args[bound:]
+        cls.bound_names = _reader(cls.binds)
+        if cls.kids:
+            # The children are consecutive fields; rebuild passes the
+            # fields around them through the constructor unchanged.
+            order = [f.name for f in fields(cls)]
+            start = order.index(cls.kids[0])
+            end = start + len(cls.kids)
+            assert tuple(order[start:end]) == cls.kids
+            before, after = _reader(order[:start]), _reader(order[end:])
+            cls.children = _reader(cls.kids)
+            cls.rebuild = lambda m, kids: cls(*before(m), *kids, *after(m))
+        if isinstance(rows, str):
+            cls.ctor = rows
+        for row in names:
+            if signature.lookup(row).tag is not None:
+                CLASS_OF_TAG[row] = cls
+        return cls
+    return attach
+
+
+@_shape("var")
 @dataclass(frozen=True)
 class Var(Term):
     name: str
 
 
+@_shape("app", "fn", "arg")
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
+@_shape("lam", "param", "body")
 @dataclass(frozen=True)
 class Lam(Term):
     param: str
@@ -142,6 +218,7 @@ class Lam(Term):
     annot: TypeExpr | None = None
 
 
+@_shape("rec", "self_name", "param", "body")
 @dataclass(frozen=True)
 class Rec(Term):
     """Recursive function; self_name is bound to the whole function in body."""
@@ -152,16 +229,19 @@ class Rec(Term):
     annot: tuple[TypeExpr, TypeExpr] | None = None
 
 
+@_shape("int")
 @dataclass(frozen=True)
 class IntLit(Term):
     value: int
 
 
+@_shape("string")
 @dataclass(frozen=True)
 class StrLit(Term):
     value: str
 
 
+@_shape("bool")
 @dataclass(frozen=True)
 class BoolLit(Term):
     value: bool
@@ -171,6 +251,7 @@ BINOPS = ("add", "sub", "mul", "eq")
 BINOP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "eq": "=="}
 
 
+@_shape(BINOPS, "lhs", "rhs")
 @dataclass(frozen=True)
 class BinOp(Term):
     op: str
@@ -181,7 +262,16 @@ class BinOp(Term):
         if self.op not in BINOPS:
             raise ValueError(f"unknown operator: {self.op!r}")
 
+    @property
+    def ctor(self) -> str:
+        return self.op
 
+    @classmethod
+    def from_ast(cls, tag: Tag, args: list) -> Term:
+        return cls(tag.name, *args)
+
+
+@_shape("if", "cond", "then", "orelse")
 @dataclass(frozen=True)
 class If(Term):
     cond: Term
@@ -194,12 +284,19 @@ class AstCtor(Term):
     tag: Tag
     args: tuple[Term, ...]
 
+    def children(self) -> tuple[Term, ...]:
+        return self.args
+
+    def rebuild(self, kids) -> Term:
+        return AstCtor(self.tag, tuple(kids))
+
 
 @dataclass(frozen=True)
 class TagLit(Term):
     tag: Tag
 
 
+@_shape("downML", "body")
 @dataclass(frozen=True)
 class DownML(Term):
     """Splice $(e): run at compile time, replaced by the code it returns."""
@@ -207,6 +304,7 @@ class DownML(Term):
     body: Term
 
 
+@_shape("upML", "body")
 @dataclass(frozen=True)
 class UpML(Term):
     """Quote [| e |]: compile-time expansion of e into AST constructors."""
@@ -214,6 +312,7 @@ class UpML(Term):
     body: Term
 
 
+@_shape("eval", "body")
 @dataclass(frozen=True)
 class Eval(Term):
     """Run-time code execution; annot is the declared result type (typed mode)."""
@@ -221,12 +320,21 @@ class Eval(Term):
     body: Term
     annot: TypeExpr | None = None
 
+    def ast_tag(self) -> Tag:
+        return Tag("eval", self.annot)
 
+    @classmethod
+    def from_ast(cls, tag: Tag, args: list) -> Term:
+        return cls(*args, tag.eval_annot)
+
+
+@_shape("lift", "body")
 @dataclass(frozen=True)
 class Lift(Term):
     body: Term
 
 
+@_shape("letdown", "name", "bound", "body")
 @dataclass(frozen=True)
 class LetDown(Term):
     """Compile-time let: bound value is visible inside splices in body."""
@@ -250,31 +358,14 @@ def free_vars(m: Term) -> set[str]:
     what its substitution behaviour (no-op when the substituted variable
     equals the bound name) forces.
     """
-    match m:
-        case Var(name):
-            return {name}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case Lam(param, body):
-            return free_vars(body) - {param}
-        case Rec(self_name, param, body):
-            return free_vars(body) - {self_name, param}
-        case IntLit() | StrLit() | BoolLit() | TagLit():
-            return set()
-        case BinOp(_, lhs, rhs):
-            return free_vars(lhs) | free_vars(rhs)
-        case If(cond, then, orelse):
-            return free_vars(cond) | free_vars(then) | free_vars(orelse)
-        case AstCtor(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case DownML(body) | UpML(body) | Eval(body) | Lift(body):
-            return free_vars(body)
-        case LetDown(name, bound, body):
-            return (free_vars(bound) | free_vars(body)) - {name}
-    raise TypeError(f"not a Term: {m!r}")
+    if type(m) is Var:
+        return {m.name}
+    out: set[str] = set()
+    for k in m.children():
+        out |= free_vars(k)
+    if m.binds:
+        out.difference_update(m.bound_names())
+    return out
 
 
 ### substitution
@@ -294,11 +385,18 @@ def subst(m: Term, n: Term, x: str) -> Term:
     binding the substituted name shadows it completely (bound term
     included); other binders are renamed when they would capture n.
     """
+    if m.binds:
+        return _subst_binder(m, n, x)
+    if type(m) is Var:
+        return n if m.name == x else m
+    kids = m.children()
+    if not kids:
+        return m
+    return m.rebuild([subst(k, n, x) for k in kids])
+
+
+def _subst_binder(m: Term, n: Term, x: str) -> Term:
     match m:
-        case Var(name):
-            return n if name == x else m
-        case App(fn, arg):
-            return App(subst(fn, n, x), subst(arg, n, x))
         case Lam(param, body, annot):
             if param == x:
                 return m
@@ -330,22 +428,6 @@ def subst(m: Term, n: Term, x: str) -> Term:
                         body = subst(body, Var(renamed), param)
                         param = renamed
             return Rec(self_name, param, subst(body, n, x), annot)
-        case IntLit() | StrLit() | BoolLit() | TagLit():
-            return m
-        case BinOp(op, lhs, rhs):
-            return BinOp(op, subst(lhs, n, x), subst(rhs, n, x))
-        case If(cond, then, orelse):
-            return If(subst(cond, n, x), subst(then, n, x), subst(orelse, n, x))
-        case AstCtor(tag, args):
-            return AstCtor(tag, tuple(subst(a, n, x) for a in args))
-        case DownML(body):
-            return DownML(subst(body, n, x))
-        case UpML(body):
-            return UpML(subst(body, n, x))
-        case Eval(body, annot):
-            return Eval(subst(body, n, x), annot)
-        case Lift(body):
-            return Lift(subst(body, n, x))
         case LetDown(name, bound, body):
             if name == x:
                 return m
@@ -357,7 +439,7 @@ def subst(m: Term, n: Term, x: str) -> Term:
                 body = subst(body, Var(renamed), name)
                 name = renamed
             return LetDown(name, subst(bound, n, x), subst(body, n, x))
-    raise TypeError(f"not a Term: {m!r}")
+    raise TypeError(f"not a binder: {m!r}")
 
 
 ### alpha equivalence
@@ -373,13 +455,11 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
+    if type(a) is not type(b):
+        return False
     match a, b:
         case Var(x), Var(y):
             return env_a.get(x, ("free", x)) == env_b.get(y, ("free", y))
-        case App(f1, a1), App(f2, a2):
-            return _alpha(f1, f2, env_a, env_b, depth) and _alpha(
-                a1, a2, env_a, env_b, depth
-            )
         case Lam(p1, b1, _), Lam(p2, b2, _):
             return _alpha(
                 b1, b2, {**env_a, p1: depth}, {**env_b, p2: depth}, depth + 1
@@ -388,50 +468,20 @@ def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
             ea = {**env_a, g1: depth, p1: depth + 1}
             eb = {**env_b, g2: depth, p2: depth + 1}
             return _alpha(b1, b2, ea, eb, depth + 2)
-        case IntLit(u), IntLit(v):
-            return u == v
-        case StrLit(u), StrLit(v):
-            return u == v
-        case BoolLit(u), BoolLit(v):
-            return u == v
-        case TagLit(t1), TagLit(t2):
-            return t1 == t2
-        case BinOp(o1, l1, r1), BinOp(o2, l2, r2):
-            return (
-                o1 == o2
-                and _alpha(l1, l2, env_a, env_b, depth)
-                and _alpha(r1, r2, env_a, env_b, depth)
-            )
-        case If(c1, t1, e1), If(c2, t2, e2):
-            return (
-                _alpha(c1, c2, env_a, env_b, depth)
-                and _alpha(t1, t2, env_a, env_b, depth)
-                and _alpha(e1, e2, env_a, env_b, depth)
-            )
-        case AstCtor(t1, args1), AstCtor(t2, args2):
-            return (
-                t1 == t2
-                and len(args1) == len(args2)
-                and all(
-                    _alpha(u, v, env_a, env_b, depth)
-                    for u, v in zip(args1, args2)
-                )
-            )
-        case DownML(b1), DownML(b2):
-            return _alpha(b1, b2, env_a, env_b, depth)
-        case UpML(b1), UpML(b2):
-            return _alpha(b1, b2, env_a, env_b, depth)
-        case Eval(b1, an1), Eval(b2, an2):
-            return an1 == an2 and _alpha(b1, b2, env_a, env_b, depth)
-        case Lift(b1), Lift(b2):
-            return _alpha(b1, b2, env_a, env_b, depth)
         case LetDown(x1, m1, n1), LetDown(x2, m2, n2):
             ea = {**env_a, x1: depth}
             eb = {**env_b, x2: depth}
             return _alpha(m1, m2, ea, eb, depth + 1) and _alpha(
                 n1, n2, ea, eb, depth + 1
             )
-    return False
+    # Every other constructor: equal data once the children are blanked
+    # out (operator, tag, literal, eval annotation, argument count), then
+    # equivalent children.
+    kids_a, kids_b = a.children(), b.children()
+    if a.rebuild([None] * len(kids_a)) != b.rebuild([None] * len(kids_b)):
+        return False
+    return all(_alpha(u, v, env_a, env_b, depth)
+               for u, v in zip(kids_a, kids_b))
 
 
 ### meta-level-free check
@@ -441,24 +491,9 @@ def is_ml_free(m: Term) -> bool:
 
     Evals survive compilation on purpose, so they do not count.
     """
-    match m:
-        case DownML() | UpML() | LetDown():
-            return False
-        case Var() | IntLit() | StrLit() | BoolLit() | TagLit():
-            return True
-        case App(fn, arg):
-            return is_ml_free(fn) and is_ml_free(arg)
-        case Lam(_, body) | Rec(_, _, body):
-            return is_ml_free(body)
-        case BinOp(_, lhs, rhs):
-            return is_ml_free(lhs) and is_ml_free(rhs)
-        case If(cond, then, orelse):
-            return is_ml_free(cond) and is_ml_free(then) and is_ml_free(orelse)
-        case AstCtor(_, args):
-            return all(is_ml_free(a) for a in args)
-        case Eval(body) | Lift(body):
-            return is_ml_free(body)
-    raise TypeError(f"not a Term: {m!r}")
+    if isinstance(m, (DownML, UpML, LetDown)):
+        return False
+    return all(is_ml_free(k) for k in m.children())
 
 
 ### pretty-printing

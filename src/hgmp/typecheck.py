@@ -73,9 +73,8 @@ class TypeEnv:
 
 EMPTY_ENV = TypeEnv()
 
-# AST constructors typed by the one generic rule: every child is Code.
-_GENERIC_CODE_TAGS = frozenset(
-    {"app", "add", "sub", "mul", "eq", "if", "eval", "lift"})
+# The atom an AST constructor for a variable or a literal wraps.
+_ATOM_TYPE = {"var": STRING, "int": INT, "string": STRING, "bool": BOOL}
 
 
 class _Engine:
@@ -219,43 +218,14 @@ class _Engine:
 
     def _infer_ast(self, env: TypeEnv, m: Term, name: str,
                    args: tuple[Term, ...]) -> TypeExpr:
+        spec = signature.lookup(name)
         if not signature.check_arity(name, len(args)):
-            spec = signature.lookup(name)
             wanted = "1 or more" if spec.arity is None else str(spec.arity)
             raise TypeErrorDetail(
                 f"AST constructor for {name} takes {wanted} argument(s), "
                 f"got {len(args)}", kind="arity", at=m, phase=self.phase)
-        if name in _GENERIC_CODE_TAGS:
-            for a in args:
-                self.unify(self.infer(env, a), CODE, at=a)
-            return CODE
-        if name == "var":
-            self.unify(self.infer(env, args[0]), STRING, at=args[0])
-            return CODE
-        if name == "int":
-            self.unify(self.infer(env, args[0]), INT, at=args[0])
-            return CODE
-        if name == "string":
-            self.unify(self.infer(env, args[0]), STRING, at=args[0])
-            return CODE
-        if name == "bool":
-            self.unify(self.infer(env, args[0]), BOOL, at=args[0])
-            return CODE
-        if name in ("lam", "rec"):
-            n_binders = 1 if name == "lam" else 2
-            for binder in args[:n_binders]:
-                # Binder slots must literally be astStr(..): a computed
-                # binder could not be named statically.
-                match binder:
-                    case AstCtor(tag, (inner,)) if tag.name == "string":
-                        self.unify(self.infer(env, inner), STRING, at=inner)
-                    case _:
-                        raise TypeErrorDetail(
-                            f"binder argument of ast constructor for {name} "
-                            "must be an astStr(..)", kind="mismatch",
-                            at=binder, phase=self.phase)
-            self.unify(self.infer(env, args[n_binders]), CODE,
-                       at=args[n_binders])
+        if name in _ATOM_TYPE:
+            self.unify(self.infer(env, args[0]), _ATOM_TYPE[name], at=args[0])
             return CODE
         if name == "promote":
             head = self.resolve(self.infer(env, args[0]))
@@ -292,7 +262,22 @@ class _Engine:
                     continue
                 self.unify(ty, CODE, at=a)
             return CODE
-        raise AssertionError(f"unhandled tag {name}")
+        n_binders = len(spec.binders)
+        for binder in args[:n_binders]:
+            # Binder slots must literally be astStr(..): a computed
+            # binder could not be named statically.
+            match binder:
+                case AstCtor(tag, (inner,)) if tag.name == "string":
+                    self.unify(self.infer(env, inner), STRING, at=inner)
+                case _:
+                    raise TypeErrorDetail(
+                        f"binder argument of ast constructor for {name} "
+                        "must be an astStr(..)", kind="mismatch",
+                        at=binder, phase=self.phase)
+        # The arguments after the binders are code.
+        for a in args[n_binders:]:
+            self.unify(self.infer(env, a), CODE, at=a)
+        return CODE
 
 
 def _has_metavar(t: TypeExpr) -> bool:

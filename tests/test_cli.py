@@ -159,6 +159,9 @@ def test_fuel_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HGMP_FUEL", "50")
     code, out, err = run_cli(capsys, "run", path)
     assert (code, out.strip()) == (0, "6")
+    monkeypatch.setenv("HGMP_FUEL", "abc")
+    code, out, err = run_cli(capsys, "run", path)
+    assert (code, err.strip()) == (2, "HGMP_FUEL is not an integer: 'abc'")
 
 
 def test_bad_fuel_is_usage_error(tmp_path, capsys):

@@ -296,12 +296,56 @@ def test_fuel_must_be_positive():
         eval_rt(IntLit(1), fuel=0)
 
 
+def test_fuel_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("HGMP_FUEL", "abc")
+    with pytest.raises(ValueError) as exc:
+        eval_rt(IntLit(1))
+    assert str(exc.value) == "HGMP_FUEL is not an integer: 'abc'"
+    monkeypatch.setenv("HGMP_FUEL", "3")
+    assert eval_rt(t("1 + 2")) == IntLit(3)
+    with pytest.raises(EvalError) as exc:
+        eval_rt(t("1 + 2 + 3"))
+    assert exc.value.kind == EvalError.FUEL
+
+
+def _rule_count(d: Derivation) -> int:
+    return (d.relation != "type") + sum(_rule_count(p) for p in d.premises)
+
+
+def test_fuel_needed_is_the_rule_count():
+    # Every derivation node except a type premise costs exactly one unit.
+    def compile_only(m, mode, fuel):
+        out, deriv = eval_ct(m, fuel=fuel, trace=True)
+        return out, (deriv,)
+
+    def pipeline(m, mode, fuel):
+        result = run_pipeline(m, mode, fuel, trace=True)
+        return result.value, tuple(d for _, d in result.stages)
+
+    rng = random.Random(106)
+    jobs = [(compile_only, gen_compile_candidate(rng), "untyped")
+            for _ in range(250)]
+    for mode in ("untyped", "typed"):
+        typed = mode == "typed"
+        jobs += [(pipeline, gen_term(rng, rng.randint(0, 5), typed=typed),
+                  mode) for _ in range(250)]
+    checked = 0
+    for run, m, mode in jobs:
+        try:
+            value, derivs = run(m, mode, 20_000)
+        except EvalError:
+            continue
+        need = sum(_rule_count(d) for d in derivs)
+        assert run(m, mode, need)[0] == value, pretty(m)
+        if need > 1:  # fuel 0 is rejected before any rule runs
+            with pytest.raises(EvalError) as exc:
+                run(m, mode, need - 1)
+            assert exc.value.kind == EvalError.FUEL, pretty(m)
+        checked += 1
+    assert checked >= 400
+
+
 ### derivations
-
-def _check_premise_order(d: Derivation):
-    for p in d.premises:
-        _check_premise_order(p)
-
 
 def test_trace_shapes_fig_top():
     out, deriv = eval_ct(t(r"(\x.x) $((\x.x) astInt(7))"), trace=True)

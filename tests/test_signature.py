@@ -19,8 +19,6 @@ def test_registry_rows():
     assert lookup("letdown").tag is None
     assert lookup("app").arity == 2
     assert lookup("if").arity == 3
-    assert lookup("var").rule_class == "special"
-    assert lookup("add").rule_class == "generic"
 
 
 def test_registry_tagged_subset_matches_tag_type():
