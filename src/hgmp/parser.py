@@ -7,7 +7,15 @@ Tags are #var .. #promote, AST constructors astVar(..) .. astPromote(..).
 Application binds tighter than *, which binds tighter than + and -, which
 bind tighter than ==; all left-associative. Binder bodies and the
 rightmost operand of an operator chain extend maximally to the right.
-Line comments start with --.
+
+Lexical classes: space, tab, CR and LF separate tokens, and -- starts a
+comment that runs to the end of the line. A name starts with a letter
+(str.isalpha) or an underscore, and goes on with letters and digits
+(str.isalnum), underscores and primes. An integer literal is a run of
+Unicode decimal digits; a - right before it makes it negative unless the
+token before the - ends a value. A string is double-quoted, with the four
+escapes \\\\ \\" \\n and \\t. A tag is # and the name characters after it.
+Any other character is an error.
 
 In typed mode eval, astEval and #eval require a {Type} annotation; in
 untyped mode the annotation is rejected. Surface arity of every AST
@@ -17,7 +25,10 @@ constructor is checked against the signature registry while parsing
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import signature
 from .syntax import (
@@ -60,135 +71,71 @@ _KEYWORDS = {
     "true", "false", "eval", "lift",
 }
 
-_SYMBOLS = ("[|", "|]", "->", "==", "(", ")", "{", "}", ",", ".", ":",
-            "\\", "$", "+", "-", "*", "=")
-
-
-@dataclass
-class _Token:
-    kind: str
-    value: object
-    span: SourceSpan
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
-
-
 # Tokens a value can end with: a '-' directly after one of these is the
 # binary operator, otherwise '-' right before digits starts a negative
 # integer literal (there is no general unary minus).
 _OPERAND_ENDERS = frozenset(
     {"int", "string", "ident", "true", "false", "tag", ")", "|]", "}"})
 
+# One alternative per token class, tried in order; "other" takes any one
+# character, so the matches cover the text end to end.
+_TOKEN = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]+|--[^\n]*)+)
+  | (?P<int>-?\d+)
+  | (?P<word>[^\W\d][\w']*)
+  | (?P<string>"[^"\\]*(?:\\[\\"nt][^"\\]*)*(?P<close>"|\\.|\\?\Z))
+  | (?P<tag>\#[\w']*)
+  | (?P<symbol>\[\||\|]|->|==|[(){},.:\\$+*=-])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0  # character index
-        self.byte = 0  # byte offset of self.pos
-        self.prev_kind: str | None = None
 
-    def _advance(self, count: int = 1):
-        for _ in range(count):
-            self.byte += len(self.text[self.pos].encode("utf-8"))
-            self.pos += 1
+class _Token(NamedTuple):
+    kind: str
+    value: object
+    span: SourceSpan
 
-    def _error(self, start_byte: int, message: str):
-        raise ParseError(SourceSpan(start_byte, self.byte), message)
 
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            tok = self._next()
-            self.prev_kind = tok.kind
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
-
-    def _next(self) -> _Token:
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and text.startswith("--", self.pos):
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-            else:
-                break
-        start = self.byte
-        if self.pos >= len(text):
-            return _Token("eof", None, SourceSpan(start, start))
-        ch = text[self.pos]
-        negative = (ch == "-" and self.pos + 1 < len(text)
-                    and text[self.pos + 1].isdigit()
-                    and self.prev_kind not in _OPERAND_ENDERS)
-        if ch.isdigit() or negative:
-            begin = self.pos
-            if negative:
-                self._advance()
-            while self.pos < len(text) and text[self.pos].isdigit():
-                self._advance()
-            return _Token("int", int(text[begin:self.pos]),
-                          SourceSpan(start, self.byte))
-        if _is_ident_start(ch):
-            begin = self.pos
-            while self.pos < len(text) and _is_ident_char(text[self.pos]):
-                self._advance()
-            word = text[begin:self.pos]
-            span = SourceSpan(start, self.byte)
-            if word in _KEYWORDS:
-                return _Token(word, word, span)
-            if word in TAG_OF_AST_CTOR:
-                return _Token("astctor", TAG_OF_AST_CTOR[word], span)
-            return _Token("ident", word, span)
-        if ch == '"':
-            return self._string(start)
-        if ch == "#":
-            self._advance()
-            begin = self.pos
-            while self.pos < len(text) and _is_ident_char(text[self.pos]):
-                self._advance()
-            word = text[begin:self.pos]
-            if word not in TAG_OF_SURFACE:
-                self._error(start, f"unknown tag #{word}")
-            return _Token("tag", TAG_OF_SURFACE[word], SourceSpan(start, self.byte))
-        for sym in _SYMBOLS:
-            if text.startswith(sym, self.pos):
-                self._advance(len(sym))
-                return _Token(sym, sym, SourceSpan(start, self.byte))
-        self._advance()
-        self._error(start, f"unexpected character {ch!r}")
-
-    def _string(self, start: int) -> _Token:
-        self._advance()  # opening quote
-        text = self.text
-        out = []
-        while True:
-            if self.pos >= len(text):
-                self._error(start, "unterminated string literal")
-            ch = text[self.pos]
-            if ch == '"':
-                self._advance()
-                return _Token("string", "".join(out), SourceSpan(start, self.byte))
-            if ch == "\\":
-                self._advance()
-                if self.pos >= len(text):
-                    self._error(start, "unterminated string literal")
-                esc = text[self.pos]
-                self._advance()
-                mapped = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}.get(esc)
-                if mapped is None:
-                    self._error(start, f"bad escape \\{esc}")
-                out.append(mapped)
-            else:
-                self._advance()
-                out.append(ch)
+def _tokens(text: str) -> list[_Token]:
+    """The tokens of text, ending with "eof"; spans are UTF-8 byte offsets."""
+    size = len if text.isascii() else (lambda s: len(s.encode("utf-8")))
+    out: list[_Token] = []
+    end = 0
+    for m in _TOKEN.finditer(text):
+        kind, s, start = m.lastgroup, m.group(), end
+        end += size(s)
+        if kind == "skip":
+            continue
+        if kind == "symbol" or s in _KEYWORDS:
+            kind = value = s
+        elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
+            kind = "astctor" if s in TAG_OF_AST_CTOR else "ident"
+            value = TAG_OF_AST_CTOR.get(s, s)
+        elif kind == "int":
+            if s[0] == "-" and out and out[-1].kind in _OPERAND_ENDERS:
+                out.append(_Token("-", "-", SourceSpan(start, start + 1)))
+                s, start = s[1:], start + 1
+            try:
+                value = int(s)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(SourceSpan(start, end),
+                                 "integer literal too long") from None
+        elif kind == "string" and m["close"] == '"':
+            value = json.loads(s, strict=False)  # the four escapes are JSON's
+        elif kind == "string":  # stopped at a bad escape or the end of text
+            raise ParseError(SourceSpan(start, end),
+                             f"bad escape {m['close']}" if len(m["close"]) == 2
+                             else "unterminated string literal")
+        elif kind == "tag" and s[1:] in TAG_OF_SURFACE:
+            value = TAG_OF_SURFACE[s[1:]]
+        elif kind == "tag":
+            raise ParseError(SourceSpan(start, end), f"unknown tag {s}")
+        else:  # any other character; \w also takes ² and Ⅻ, which start no name
+            raise ParseError(SourceSpan(start, start + size(s[0])),
+                             f"unexpected character {s[0]!r}")
+        out.append(_Token(kind, value, SourceSpan(start, end)))
+    out.append(_Token("eof", None, SourceSpan(end, end)))
+    return out
 
 
 ### parser
@@ -204,7 +151,7 @@ class _Parser:
     def __init__(self, text: str, mode: str):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self.tokens = _Lexer(text).tokens()
+        self.tokens = _tokens(text)
         self.pos = 0
         self.typed = mode == "typed"
 
@@ -271,31 +218,28 @@ class _Parser:
         annot = None
         if self.peek().kind == ":":
             self.take()
-            ty = self.type_expr()
-            if not isinstance(ty, Arrow):
+            annot = self.type_expr()
+            if not isinstance(annot, Arrow):
                 raise ParseError(tok.span,
                                  "recursion annotation must be a function type")
-            annot = (ty.src, ty.dst)
         self.expect(".", "'.'")
         return Rec(self_name, param, self.term(), annot)
 
     def _let(self) -> Term:
-        self.take()
-        name = self.expect("ident", "a name").value
-        self.expect("=", "'='")
-        bound = self.term()
-        self.expect("in", "'in'")
-        body = self.term()
+        name, bound, body = self._binding()
         return App(Lam(name, body), bound)
 
     def _letdown(self) -> Term:
+        return LetDown(*self._binding())
+
+    def _binding(self) -> tuple[str, Term, Term]:
+        """The `name = e1 in e2` after let or letdown."""
         self.take()
         name = self.expect("ident", "a name").value
         self.expect("=", "'='")
         bound = self.term()
         self.expect("in", "'in'")
-        body = self.term()
-        return LetDown(name, bound, body)
+        return name, bound, self.term()
 
     def _if(self) -> Term:
         self.take()
@@ -348,33 +292,27 @@ class _Parser:
         if tok.kind == "eval":
             self.take()
             annot = self._eval_annot(tok, construct="eval")
-            self.expect("(", "'('")
-            body = self.term()
-            self.expect(")", "')'")
-            return Eval(body, annot)
+            return Eval(self._parenthesised(), annot)
         if tok.kind == "lift":
             self.take()
-            self.expect("(", "'('")
-            body = self.term()
-            self.expect(")", "')'")
-            return Lift(body)
+            return Lift(self._parenthesised())
         if tok.kind == "$":
             self.take()
-            self.expect("(", "'('")
-            body = self.term()
-            self.expect(")", "')'")
-            return DownML(body)
+            return DownML(self._parenthesised())
         if tok.kind == "[|":
             self.take()
             body = self.term()
             self.expect("|]", "'|]'")
             return UpML(body)
         if tok.kind == "(":
-            self.take()
-            body = self.term()
-            self.expect(")", "')'")
-            return body
+            return self._parenthesised()
         self.fail(tok, "a term")
+
+    def _parenthesised(self) -> Term:
+        self.expect("(", "'('")
+        body = self.term()
+        self.expect(")", "')'")
+        return body
 
     def _eval_annot(self, tok: _Token, construct: str | None = None
                     ) -> TypeExpr | None:

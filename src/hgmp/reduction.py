@@ -89,7 +89,7 @@ def _stuck(phase: str, term: Term, message: str):
 
 
 def _type_error(term: Term, err: TypeErrorDetail):
-    raise EvalError(EvalError.TYPE, "type", term, str(err), detail=err)
+    raise EvalError(EvalError.TYPE, "type", term, err.describe(), detail=err)
 
 
 def _d(run: _Run, rule: str, relation: str, term_in: Term, term_out,
@@ -477,8 +477,7 @@ def term_to_json(m: Term) -> dict:
                         annot=None if annot is None else pretty_type(annot))
         case Rec(self_name, param, body, annot):
             return node("rec", (body,), atom=[self_name, param],
-                        annot=None if annot is None else
-                        f"{pretty_type(annot[0])} -> {pretty_type(annot[1])}")
+                        annot=None if annot is None else pretty_type(annot))
         case IntLit(value):
             return node("int", atom=value)
         case StrLit(value):

@@ -226,7 +226,7 @@ class Rec(Term):
     self_name: str
     param: str
     body: Term
-    annot: tuple[TypeExpr, TypeExpr] | None = None
+    annot: Arrow | None = None
 
 
 @_shape("int")
@@ -580,7 +580,7 @@ def _pp(m: Term, prec: int) -> str:
         case Rec(self_name, param, body, annot):
             head = f"rec {self_name} {param}"
             if annot is not None:
-                head += f" : {pretty_type(Arrow(annot[0], annot[1]))}"
+                head += f" : {pretty_type(annot)}"
             return _wrap(f"{head}. {_pp(body, _TERM)}", _TERM, prec)
         case LetDown(name, bound, body):
             s = f"letdown {name} = {_pp(bound, _TERM)} in {_pp(body, _TERM)}"

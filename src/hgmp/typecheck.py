@@ -38,11 +38,15 @@ class TypeErrorDetail(Exception):
         self.at = at
         self.phase = phase
 
-    def __str__(self):
-        s = f"error[type]: {self.message}"
+    def describe(self) -> str:
+        """The message with the offending term and the phase, unprefixed."""
+        s = self.message
         if self.at is not None:
             s += f" at `{pretty(self.at)}`"
         return f"{s} ({self.phase})"
+
+    def __str__(self):
+        return f"error[type]: {self.describe()}"
 
 
 class TypeEnv:
@@ -164,14 +168,11 @@ class _Engine:
                 env2, body2 = self._bind(env, param, arg_ty, body)
                 return Arrow(arg_ty, self.infer(env2, body2))
             case Rec(self_name, param, body, annot):
-                if annot is not None:
-                    arg_ty, res_ty = annot
-                else:
-                    arg_ty, res_ty = self.fresh(), self.fresh()
-                fn_ty = Arrow(arg_ty, res_ty)
+                fn_ty = (annot if annot is not None
+                         else Arrow(self.fresh(), self.fresh()))
                 env2, body2 = self._bind(env, self_name, fn_ty, body)
-                env3, body3 = self._bind(env2, param, arg_ty, body2)
-                self.unify(self.infer(env3, body3), res_ty, at=m)
+                env3, body3 = self._bind(env2, param, fn_ty.src, body2)
+                self.unify(self.infer(env3, body3), fn_ty.dst, at=m)
                 return fn_ty
             case App(fn, arg):
                 fn_ty = self.infer(env, fn)

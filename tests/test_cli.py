@@ -82,6 +82,22 @@ def test_run_parse_error(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_run_unconvertible_literals_are_parse_errors(tmp_path, capsys):
+    for text, span in [("²", "0..2"), ("1 + " + "9" * 5000, "4..5004")]:
+        code, out, err = run_cli(capsys, "run", write(tmp_path, text))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"parse error at bytes {span}:")
+        assert "Traceback" not in err
+
+
+def test_run_typed_type_error_says_error_type_once(tmp_path, capsys):
+    path = write(tmp_path, "1 + true")
+    code, out, err = run_cli(capsys, "run", "--mode", "typed", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[type]: TypeError: expected Int, found Bool")
+    assert err.count("error[type]") == 1
+
+
 def test_run_trace_json(tmp_path, capsys):
     path = write(tmp_path, "lift(2 + 3)")
     code, out, err = run_cli(capsys, "run", "--trace", "json", path)

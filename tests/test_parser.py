@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hgmp.parser import ParseError, parse_term, parse_type
+from hgmp.parser import ParseError, _Parser, parse_term, parse_type
 from hgmp.syntax import (
     BOOL, CODE, INT, STRING,
     App, Arrow, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
@@ -11,6 +11,166 @@ from hgmp.syntax import (
 )
 
 from gen_terms import gen_term
+
+
+### lexer: exact tokens and errors
+
+def lex(src):
+    """(kind, value, start, end) for every token, the closing eof included."""
+    return [(t.kind, t.value, t.span.start, t.span.end)
+            for t in _Parser(src, "untyped").tokens]
+
+
+TOKEN_TABLE = [
+    # whitespace and comments
+    (" \t1\r\n 2 ", [("int", 1, 2, 3), ("int", 2, 6, 7)]),
+    ("1 -- c\n2--x", [("int", 1, 0, 1), ("int", 2, 7, 8)]),
+    ("-- é\n x", [("ident", "x", 7, 8)]),
+    ("--1", []),
+    ("", []),
+    # '-' after each operand-ending token kind is the binary operator
+    ("1-2", [("int", 1, 0, 1), ("-", "-", 1, 2), ("int", 2, 2, 3)]),
+    ('"a"-1', [("string", "a", 0, 3), ("-", "-", 3, 4), ("int", 1, 4, 5)]),
+    ("x-1", [("ident", "x", 0, 1), ("-", "-", 1, 2), ("int", 1, 2, 3)]),
+    ("true-1", [("true", "true", 0, 4), ("-", "-", 4, 5), ("int", 1, 5, 6)]),
+    ("false-1",
+     [("false", "false", 0, 5), ("-", "-", 5, 6), ("int", 1, 6, 7)]),
+    ("#lam-1", [("tag", "lam", 0, 4), ("-", "-", 4, 5), ("int", 1, 5, 6)]),
+    ("(x)-1", [("(", "(", 0, 1), ("ident", "x", 1, 2), (")", ")", 2, 3),
+               ("-", "-", 3, 4), ("int", 1, 4, 5)]),
+    ("[|x|]-1", [("[|", "[|", 0, 2), ("ident", "x", 2, 3),
+                 ("|]", "|]", 3, 5), ("-", "-", 5, 6), ("int", 1, 6, 7)]),
+    ("eval{Int}-1", [("eval", "eval", 0, 4), ("{", "{", 4, 5),
+                     ("ident", "Int", 5, 8), ("}", "}", 8, 9),
+                     ("-", "-", 9, 10), ("int", 1, 10, 11)]),
+    # ... and anywhere else it starts a negative literal
+    ("-1", [("int", -1, 0, 2)]),
+    ("(-1", [("(", "(", 0, 1), ("int", -1, 1, 3)]),
+    ("+-1", [("+", "+", 0, 1), ("int", -1, 1, 3)]),
+    ("- -1", [("-", "-", 0, 1), ("int", -1, 2, 4)]),
+    ("in -1", [("in", "in", 0, 2), ("int", -1, 3, 5)]),
+    ("[|-1", [("[|", "[|", 0, 2), ("int", -1, 2, 4)]),
+    ("1==-1", [("int", 1, 0, 1), ("==", "==", 1, 3), ("int", -1, 3, 5)]),
+    ("- 1", [("-", "-", 0, 1), ("int", 1, 2, 3)]),
+    ("-x", [("-", "-", 0, 1), ("ident", "x", 1, 2)]),
+    ("Int->Int",
+     [("ident", "Int", 0, 3), ("->", "->", 3, 5), ("ident", "Int", 5, 8)]),
+    ("[| |] -> == ( ) { } , . : \\ $ + - * =",
+     [("[|", "[|", 0, 2), ("|]", "|]", 3, 5), ("->", "->", 6, 8),
+      ("==", "==", 9, 11), ("(", "(", 12, 13), (")", ")", 14, 15),
+      ("{", "{", 16, 17), ("}", "}", 18, 19), (",", ",", 20, 21),
+      (".", ".", 22, 23), (":", ":", 24, 25), ("\\", "\\", 26, 27),
+      ("$", "$", 28, 29), ("+", "+", 30, 31), ("-", "-", 32, 33),
+      ("*", "*", 34, 35), ("=", "=", 36, 37)]),
+    # keywords, then AST constructors, then identifiers
+    ("let letdown in if then else rec true false eval lift",
+     [("let", "let", 0, 3), ("letdown", "letdown", 4, 11),
+      ("in", "in", 12, 14), ("if", "if", 15, 17), ("then", "then", 18, 22),
+      ("else", "else", 23, 27), ("rec", "rec", 28, 31),
+      ("true", "true", 32, 36), ("false", "false", 37, 42),
+      ("eval", "eval", 43, 47), ("lift", "lift", 48, 52)]),
+    ("astLam astStr astEvalx letdownx",
+     [("astctor", "lam", 0, 6), ("astctor", "string", 7, 13),
+      ("ident", "astEvalx", 14, 22), ("ident", "letdownx", 23, 31)]),
+    ("x٣ ٣ é ß x² _a a1 x''",
+     [("ident", "x٣", 0, 3), ("int", 3, 4, 6), ("ident", "é", 7, 9),
+      ("ident", "ß", 10, 12), ("ident", "x²", 13, 16),
+      ("ident", "_a", 17, 19), ("ident", "a1", 20, 22),
+      ("ident", "x''", 23, 26)]),
+    ("xⅫ é'", [("ident", "xⅫ", 0, 4), ("ident", "é'", 5, 8)]),
+    # strings: every escape, and multi-byte spans
+    (r'"\\ \" \n \t"', [("string", '\\ " \n \t', 0, 13)]),
+    ('"päron" + ü', [("string", "päron", 0, 8), ("+", "+", 9, 10),
+                     ("ident", "ü", 11, 13)]),
+    ('"日本" "" x', [("string", "日本", 0, 8), ("string", "", 9, 11),
+                  ("ident", "x", 12, 13)]),
+    # tags
+    ("#str #eval #lam", [("tag", "string", 0, 4), ("tag", "eval", 5, 10),
+                         ("tag", "lam", 11, 15)]),
+]
+
+
+def test_lexer_tokens():
+    for src, tokens in TOKEN_TABLE:
+        end = len(src.encode("utf-8"))
+        assert lex(src) == tokens + [("eof", None, end, end)], src
+
+
+LEX_ERROR_TABLE = [
+    ('"a\\q"', 0, 4, "bad escape \\q"),
+    ('"\\\n"', 0, 3, "bad escape \\\n"),
+    ('"\\q abc', 0, 3, "bad escape \\q"),
+    ('"abc', 0, 4, "unterminated string literal"),
+    ('x "é', 2, 5, "unterminated string literal"),
+    ('"ab\\', 0, 4, "unterminated string literal"),
+    ("#nosuch", 0, 7, "unknown tag #nosuch"),
+    ("#", 0, 1, "unknown tag #"),
+    ("#é", 0, 3, "unknown tag #é"),
+    ("1 #a'", 2, 5, "unknown tag #a'"),
+    ("1\u00a0", 1, 3, "unexpected character '\\xa0'"),
+    ("Ⅻ", 0, 3, "unexpected character 'Ⅻ'"),
+    ("1Ⅻ", 1, 4, "unexpected character 'Ⅻ'"),
+    ("Ⅻx", 0, 3, "unexpected character 'Ⅻ'"),
+    ("é ½", 3, 5, "unexpected character '½'"),
+    ("|", 0, 1, "unexpected character '|'"),
+    ("[", 0, 1, "unexpected character '['"),
+    ("]", 0, 1, "unexpected character ']'"),
+    (">", 0, 1, "unexpected character '>'"),
+    ("'", 0, 1, "unexpected character \"'\""),
+    ("\x01", 0, 1, "unexpected character '\\x01'"),
+    ("\x0b", 0, 1, "unexpected character '\\x0b'"),
+]
+
+
+def test_lexer_errors():
+    for src, start, end, message in LEX_ERROR_TABLE:
+        with pytest.raises(ParseError) as exc:
+            lex(src)
+        err = exc.value
+        assert ((err.span.start, err.span.end), err.message, err.expected) == (
+            (start, end), message, ()), src
+
+
+def test_lexer_rejects_what_int_cannot_convert():
+    # str.isdigit holds for '²', but only decimal digits make a literal;
+    # CPython converts at most sys.get_int_max_str_digits() digits
+    long = "9" * 5000
+    for src, start, end, message in [
+        ("²", 0, 2, "unexpected character '²'"),
+        ("1²", 1, 3, "unexpected character '²'"),
+        ("-²", 1, 3, "unexpected character '²'"),
+        (long, 0, 5000, "integer literal too long"),
+        ("-" + long, 0, 5001, "integer literal too long"),
+        ("x -" + long, 3, 5003, "integer literal too long"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_term(src)
+        err = exc.value
+        assert ((err.span.start, err.span.end), err.message) == (
+            (start, end), message), src
+
+
+def test_token_spans_slice_their_source():
+    """Every span, sliced from the UTF-8 bytes, is the token's own text."""
+    rng = random.Random(3)
+    classes = [
+        ("ident", ["x", "f'", "_k", "é", "ß", "日本", "x٣", "naïve", "astLamé"]),
+        ("int", ["0", "42", "1234567", "٣٤"]),
+        ("string", ['""', '"a b"', '"ü\\n"', '"é\\""', '"日\\t\\\\"']),
+        ("tag", ["#lam", "#str", "#promote"]),
+        ("astctor", ["astLam", "astStr", "astPromote"]),
+    ] + [(w, [w]) for w in ["let", "in", "eval", "[|", "|]", "->", "(", "-"]]
+    gaps = [" ", "\t", "\r\n", " -- ü note\n", "\n-- 日\n  ", "  "]
+    for _ in range(300):
+        toks = [(kind, rng.choice(texts))
+                for kind, texts in rng.choices(classes, k=rng.randint(1, 12))]
+        src = "".join(text + rng.choice(gaps) for _, text in toks)
+        data = src.encode("utf-8")
+        got = _Parser(src, "untyped").tokens
+        assert [t.kind for t in got] == [k for k, _ in toks] + ["eof"], src
+        for tok, (_, text) in zip(got, toks):
+            assert data[tok.span.start:tok.span.end].decode("utf-8") == text
+        assert (got[-1].span.start, got[-1].span.end) == (len(data), len(data))
 
 
 ### terms
@@ -73,7 +233,7 @@ def test_lambda_annotations():
     # annotations on binders parse in either mode
     assert parse_term(r"\x:Int. x") == Lam("x", Var("x"), INT)
     got = parse_term("rec g x : Int -> Int. g x", "typed")
-    assert got == Rec("g", "x", App(Var("g"), Var("x")), (INT, INT))
+    assert got == Rec("g", "x", App(Var("g"), Var("x")), Arrow(INT, INT))
 
 
 def test_rec_annotation_must_be_function_type():

@@ -5,6 +5,7 @@ import pytest
 from hgmp.parser import parse_term
 from hgmp.reduction import (
     Derivation, EvalError, eval_ct, eval_dl, eval_rt, eval_ul, run_pipeline,
+    term_to_json,
 )
 from hgmp.syntax import (
     App, AstCtor, BoolLit, IntLit, Lam, StrLit, Tag, TagLit, Var,
@@ -244,6 +245,21 @@ def test_pipeline_typed_residual_failure():
     assert err.phase == "type"
     assert alpha_eq(err.offending, t(r"2 + (\x.x)"))
     assert err.detail.phase == "residual check"
+
+
+def test_type_error_message_is_prefixed_once():
+    with pytest.raises(EvalError) as exc:
+        run_pipeline(t("1 + true", "typed"), "typed")
+    err = exc.value
+    assert err.message == "expected Int, found Bool at `true` (residual check)"
+    assert str(err).count("error[type]") == 1
+
+
+def test_rec_annotation_json_keeps_arrow_grouping():
+    def annot(src):
+        return term_to_json(t(src, "typed"))["annot"]
+    assert annot("rec f x : (Int -> Int) -> Int. 1") == "(Int -> Int) -> Int"
+    assert annot("rec f x : Int -> Int -> Int. 1") == "Int -> Int -> Int"
 
 
 def test_pipeline_requires_closed_terms():
