@@ -374,16 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except TypeErrorDetail as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except EvalError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, TypeErrorDetail, EvalError, OSError,
+            UnicodeDecodeError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

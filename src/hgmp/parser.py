@@ -98,7 +98,9 @@ class _Token(NamedTuple):
 
 def _tokens(text: str) -> list[_Token]:
     """The tokens of text, ending with "eof"; spans are UTF-8 byte offsets."""
-    size = len if text.isascii() else (lambda s: len(s.encode("utf-8")))
+    # surrogatepass: a lone surrogate counts its 3 bytes, not a crash
+    size = len if text.isascii() else (
+        lambda s: len(s.encode("utf-8", "surrogatepass")))
     out: list[_Token] = []
     end = 0
     for m in _TOKEN.finditer(text):

@@ -472,12 +472,6 @@ def term_to_json(m: Term) -> dict:
     match m:
         case Var(name):
             return node("var", atom=name)
-        case Lam(param, body, annot):
-            return node("lam", (body,), atom=param,
-                        annot=None if annot is None else pretty_type(annot))
-        case Rec(self_name, param, body, annot):
-            return node("rec", (body,), atom=[self_name, param],
-                        annot=None if annot is None else pretty_type(annot))
         case IntLit(value):
             return node("int", atom=value)
         case StrLit(value):
@@ -492,14 +486,14 @@ def term_to_json(m: Term) -> dict:
             return node("tag", atom=tag.name,
                         annot=None if tag.eval_annot is None
                         else pretty_type(tag.eval_annot))
-        case Eval(body, annot):
-            return node("eval", (body,),
-                        annot=None if annot is None else pretty_type(annot))
-        case LetDown(name, bound, body):
-            return node("letdown", (bound, body), atom=name)
-    # App, the binops, If, Lift, splice and quote: children only. Like
-    # the literal names above, the name is shared by every node.
-    return node(sys.intern(m.ctor.lower()), m.children())
+    # Every other constructor: its children, its bound names as the atom
+    # (one bare, several as a list) and its annotation, if it has one.
+    # Like the literal names above, the name is shared by every node.
+    names = m.bound_names()
+    atom = (names[0] if len(names) == 1 else list(names)) if names else None
+    annot = getattr(m, "annot", None)
+    return node(sys.intern(m.ctor.lower()), m.children(), atom,
+                None if annot is None else pretty_type(annot))
 
 
 def _out_to_json(out) -> dict:

@@ -5,12 +5,16 @@ arity and binder positions. Who reads it:
 
 * `syntax` derives the tag set from the tagged rows and attaches each
   Term class to its row; the binder positions decide which of the
-  class's fields are bound names and which are children.
+  class's fields are bound names and which are children. Free
+  variables, substitution and alpha-equivalence read the binders from
+  that view, with one case for every binding constructor.
 * `reduction` writes the congruence rules of ct, ul and dl once over
-  that view; dl checks arities here and requires the arguments at the
-  binder positions to convert down to strings.
+  that view, and the JSON encoding writes the bound names as its atom;
+  dl checks arities here and requires the arguments at the binder
+  positions to convert down to strings.
 * `parser` and `typecheck` check AST-constructor arities here, and the
-  checker requires `astStr(..)` at the binder positions.
+  checker requires `astStr(..)` at the binder positions. The checker's
+  type environment shadows, so it binds names without renaming.
 
 Splices, quotes and compile-time lets have rows with no tag because they
 are gone before any AST could mention them.

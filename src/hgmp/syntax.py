@@ -125,10 +125,13 @@ class Term:
     @_shape attaches a class to its signature row (`ctor`) and names the
     fields holding the row's arguments, in order. The row's binder
     positions make the leading ones `binds`, the fields holding bound
-    names; the rest are `kids`, which children() reads and rebuild()
-    replaces. Any other field (an annotation, an operator) is data that
-    rebuild keeps. The generic traversals below and the congruence rules
-    of ct, ul and dl read nothing else.
+    names, which bound_names() reads; the rest are `kids`, which
+    children() reads and rebuild() replaces; a binder class also has
+    rebind(names, kids), which replaces both. Any other field (an
+    annotation, an operator) is data that rebuild and rebind keep. The
+    generic traversals below (free variables, substitution,
+    alpha-equivalence), the JSON encoding and the congruence rules of
+    ct, ul and dl read nothing else.
     """
 
     __slots__ = ()
@@ -188,6 +191,13 @@ def _shape(rows: str | tuple[str, ...], *args: str):
             before, after = _reader(order[:start]), _reader(order[end:])
             cls.children = _reader(cls.kids)
             cls.rebuild = lambda m, kids: cls(*before(m), *kids, *after(m))
+        if cls.binds:
+            # The bound names are the fields just before the children.
+            first = start - len(cls.binds)
+            assert tuple(order[first:start]) == cls.binds
+            ahead = _reader(order[:first])
+            cls.rebind = lambda m, names, kids: cls(*ahead(m), *names, *kids,
+                                                    *after(m))
         if isinstance(rows, str):
             cls.ctor = rows
         for row in names:
@@ -381,9 +391,10 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 def subst(m: Term, n: Term, x: str) -> Term:
     """Capture-avoiding substitution m{n/x}.
 
-    Pushes unchanged through splices, quotes, lift and eval. A LetDown
-    binding the substituted name shadows it completely (bound term
-    included); other binders are renamed when they would capture n.
+    Pushes unchanged through splices, quotes, lift and eval. Every binder
+    is handled alike, from its signature row: a binder of x shadows it in
+    all the node's children (a LetDown's bound term too), and bound names
+    that would capture a free variable of n are renamed first.
     """
     if m.binds:
         return _subst_binder(m, n, x)
@@ -396,50 +407,25 @@ def subst(m: Term, n: Term, x: str) -> Term:
 
 
 def _subst_binder(m: Term, n: Term, x: str) -> Term:
-    match m:
-        case Lam(param, body, annot):
-            if param == x:
-                return m
-            if param in free_vars(n) and x in free_vars(body):
-                renamed = fresh_name(param, free_vars(n) | free_vars(body) | {x})
-                body = subst(body, Var(renamed), param)
-                param = renamed
-            return Lam(param, subst(body, n, x), annot)
-        case Rec(self_name, param, body, annot):
-            if x in (self_name, param):
-                return m
-            fv_n = free_vars(n)
-            if (self_name in fv_n or param in fv_n) and x in free_vars(body):
-                avoid = fv_n | free_vars(body) | {x, self_name, param}
-                if self_name == param:
-                    # Shared name: every occurrence belongs to the parameter.
-                    renamed = fresh_name(param, avoid)
-                    body = subst(body, Var(renamed), param)
-                    param = renamed
-                    self_name = fresh_name(self_name, avoid | {renamed})
-                else:
-                    if self_name in fv_n:
-                        renamed = fresh_name(self_name, avoid)
-                        body = subst(body, Var(renamed), self_name)
-                        self_name = renamed
-                        avoid = avoid | {renamed}
-                    if param in fv_n:
-                        renamed = fresh_name(param, avoid)
-                        body = subst(body, Var(renamed), param)
-                        param = renamed
-            return Rec(self_name, param, subst(body, n, x), annot)
-        case LetDown(name, bound, body):
-            if name == x:
-                return m
-            if name in free_vars(n) and x in (free_vars(bound) | free_vars(body)):
-                renamed = fresh_name(
-                    name, free_vars(n) | free_vars(bound) | free_vars(body) | {x}
-                )
-                bound = subst(bound, Var(renamed), name)
-                body = subst(body, Var(renamed), name)
-                name = renamed
-            return LetDown(name, subst(bound, n, x), subst(body, n, x))
-    raise TypeError(f"not a binder: {m!r}")
+    names = m.bound_names()
+    if x in names:
+        return m
+    kids = m.children()
+    fv_n = free_vars(n)
+    if not fv_n.isdisjoint(names):
+        fv_kids = set().union(*map(free_vars, kids))
+        if x in fv_kids:
+            avoid = fv_n | fv_kids | {x, *names}
+            names = list(names)
+            # Innermost binder first: of a repeated name (rec f f.) the
+            # last binder owns the occurrences, so it is renamed first.
+            for i in reversed(range(len(names))):
+                if names[i] in fv_n:
+                    renamed = fresh_name(names[i], avoid)
+                    kids = [subst(k, Var(renamed), names[i]) for k in kids]
+                    names[i] = renamed
+                    avoid.add(renamed)
+    return m.rebind(names, [subst(k, n, x) for k in kids])
 
 
 ### alpha equivalence
@@ -457,28 +443,21 @@ def alpha_eq(a: Term, b: Term) -> bool:
 def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
     if type(a) is not type(b):
         return False
-    match a, b:
-        case Var(x), Var(y):
-            return env_a.get(x, ("free", x)) == env_b.get(y, ("free", y))
-        case Lam(p1, b1, _), Lam(p2, b2, _):
-            return _alpha(
-                b1, b2, {**env_a, p1: depth}, {**env_b, p2: depth}, depth + 1
-            )
-        case Rec(g1, p1, b1, _), Rec(g2, p2, b2, _):
-            ea = {**env_a, g1: depth, p1: depth + 1}
-            eb = {**env_b, g2: depth, p2: depth + 1}
-            return _alpha(b1, b2, ea, eb, depth + 2)
-        case LetDown(x1, m1, n1), LetDown(x2, m2, n2):
-            ea = {**env_a, x1: depth}
-            eb = {**env_b, x2: depth}
-            return _alpha(m1, m2, ea, eb, depth + 1) and _alpha(
-                n1, n2, ea, eb, depth + 1
-            )
-    # Every other constructor: equal data once the children are blanked
-    # out (operator, tag, literal, eval annotation, argument count), then
-    # equivalent children.
+    if type(a) is Var:
+        x, y = a.name, b.name
+        return env_a.get(x, ("free", x)) == env_b.get(y, ("free", y))
     kids_a, kids_b = a.children(), b.children()
-    if a.rebuild([None] * len(kids_a)) != b.rebuild([None] * len(kids_b)):
+    if a.binds:
+        # Bound name i sits at depth + i (a repeated name takes the last
+        # binder's); binder annotations are ignored.
+        env_a = {**env_a, **{v: depth + i
+                             for i, v in enumerate(a.bound_names())}}
+        env_b = {**env_b, **{v: depth + i
+                             for i, v in enumerate(b.bound_names())}}
+        depth += len(a.binds)
+    elif a.rebuild([None] * len(kids_a)) != b.rebuild([None] * len(kids_b)):
+        # Any other constructor holds equal data once the children are
+        # blanked out (operator, tag, literal, eval annotation, arity).
         return False
     return all(_alpha(u, v, env_a, env_b, depth)
                for u, v in zip(kids_a, kids_b))

@@ -16,7 +16,7 @@ from .syntax import (
     BOOL, CODE, INT, STRING,
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
     LetDown, Lift, MetaVar, Rec, StrLit, TagLit, TagType, Term, TypeExpr,
-    UpML, Var, fresh_name, free_vars, pretty, pretty_type, subst,
+    UpML, Var, pretty, pretty_type,
 )
 
 PHASES = ("downML check", "residual check", "eval check", "letdown check")
@@ -50,29 +50,21 @@ class TypeErrorDetail(Exception):
 
 
 class TypeEnv:
-    """Finite map from variables to types; extension refuses duplicates
-    (the checker renames shadowed binders before extending)."""
+    """Finite map from variables to types; extension shadows, so an
+    inner binder hides an outer one of the same name."""
 
     __slots__ = ("_map",)
 
     def __init__(self, bindings: dict[str, TypeExpr] | None = None):
         self._map = dict(bindings) if bindings else {}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
-
     def lookup(self, name: str) -> TypeExpr | None:
         return self._map.get(name)
 
     def extend(self, name: str, ty: TypeExpr) -> "TypeEnv":
-        if name in self._map:
-            raise ValueError(f"{name!r} already bound in the environment")
         out = TypeEnv(self._map)
         out._map[name] = ty
         return out
-
-    def names(self) -> set[str]:
-        return set(self._map)
 
 
 EMPTY_ENV = TypeEnv()
@@ -138,14 +130,6 @@ class _Engine:
 
     ### inference proper
 
-    def _bind(self, env: TypeEnv, name: str, ty: TypeExpr, body: Term
-              ) -> tuple[TypeEnv, Term]:
-        if name in env:
-            renamed = fresh_name(name, env.names() | free_vars(body))
-            body = subst(body, Var(renamed), name)
-            name = renamed
-        return env.extend(name, ty), body
-
     def infer(self, env: TypeEnv, m: Term) -> TypeExpr:
         match m:
             case Var(name):
@@ -165,14 +149,14 @@ class _Engine:
                 return TagType(tag.name)
             case Lam(param, body, annot):
                 arg_ty = annot if annot is not None else self.fresh()
-                env2, body2 = self._bind(env, param, arg_ty, body)
-                return Arrow(arg_ty, self.infer(env2, body2))
+                return Arrow(arg_ty, self.infer(env.extend(param, arg_ty),
+                                                body))
             case Rec(self_name, param, body, annot):
                 fn_ty = (annot if annot is not None
                          else Arrow(self.fresh(), self.fresh()))
-                env2, body2 = self._bind(env, self_name, fn_ty, body)
-                env3, body3 = self._bind(env2, param, fn_ty.src, body2)
-                self.unify(self.infer(env3, body3), fn_ty.dst, at=m)
+                # Of a repeated name (rec f f.) the parameter wins.
+                env2 = env.extend(self_name, fn_ty).extend(param, fn_ty.src)
+                self.unify(self.infer(env2, body), fn_ty.dst, at=m)
                 return fn_ty
             case App(fn, arg):
                 fn_ty = self.infer(env, fn)

@@ -198,6 +198,26 @@ def test_missing_file(tmp_path, capsys):
     assert err
 
 
+def test_run_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.hgmp"
+    path.write_bytes(b"\xff")
+    for command in ("run", "compile", "typecheck"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert len(err.strip().splitlines()) == 1
+        assert "can't decode byte 0xff" in err
+    code, out, err = run_cli(capsys, "step", "--relation", "rt", str(path))
+    assert (code, out) == (1, "")
+    assert "can't decode byte 0xff" in err
+
+
+def test_run_typed_rec_shadowing_outer_binding(tmp_path, capsys):
+    path = write(tmp_path, r"(\x. rec x x. x + 1) 0 5")
+    for mode in ("untyped", "typed"):
+        code, out, err = run_cli(capsys, "run", "--mode", mode, path)
+        assert (code, out.strip(), err) == (0, "6", ""), mode
+
+
 ### repl
 
 def repl_session(monkeypatch, capsys, lines):
@@ -278,6 +298,14 @@ def test_corpus_reports_failures(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in err
     assert "0/1" in out
+
+
+def test_corpus_file_not_utf8(tmp_path, capsys):
+    (tmp_path / "bad.hgmp").write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert len(err.strip().splitlines()) == 1
+    assert "can't decode byte 0xff" in err
 
 
 def test_corpus_missing_expected(tmp_path, capsys):

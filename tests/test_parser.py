@@ -119,6 +119,8 @@ LEX_ERROR_TABLE = [
     ("'", 0, 1, "unexpected character \"'\""),
     ("\x01", 0, 1, "unexpected character '\\x01'"),
     ("\x0b", 0, 1, "unexpected character '\\x0b'"),
+    ("\ud800", 0, 3, "unexpected character '\\ud800'"),
+    ("x \udfff", 2, 5, "unexpected character '\\udfff'"),
 ]
 
 
@@ -129,6 +131,13 @@ def test_lexer_errors():
         err = exc.value
         assert ((err.span.start, err.span.end), err.message, err.expected) == (
             (start, end), message, ()), src
+
+
+def test_lone_surrogate_inside_string_is_data():
+    # it counts the 3 bytes surrogatepass gives it
+    assert lex('"\ud800" x') == [("string", "\ud800", 0, 5),
+                                  ("ident", "x", 6, 7), ("eof", None, 7, 7)]
+    assert parse_term('"a\udc80"') == StrLit("a\udc80")
 
 
 def test_lexer_rejects_what_int_cannot_convert():

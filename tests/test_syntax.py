@@ -274,6 +274,59 @@ def test_subst_var_identity_hypothesis(m, x):
     assert alpha_eq(subst(m, Var(x), x), m)
 
 
+### capture avoidance on open terms
+
+OPEN_NAMES = ("x", "x'", "f", "f'", "g", "g'")
+
+
+def _gen_open(rng, depth):
+    """Open terms over primed names, with every binder (rec f f. too)."""
+    name = lambda: rng.choice(OPEN_NAMES)  # noqa: E731
+    if depth <= 0 or rng.random() < 0.2:
+        return Var(name()) if rng.random() < 0.8 else IntLit(rng.randint(0, 9))
+    d = depth - 1
+    pick = rng.randrange(6)
+    if pick == 0:
+        return Lam(name(), _gen_open(rng, d))
+    if pick == 1:
+        self_name = name()
+        param = self_name if rng.random() < 0.3 else name()
+        return Rec(self_name, param, _gen_open(rng, d))
+    if pick == 2:
+        return LetDown(name(), _gen_open(rng, d), _gen_open(rng, d))
+    if pick == 3:
+        return App(_gen_open(rng, d), _gen_open(rng, d))
+    if pick == 4:
+        return DownML(UpML(_gen_open(rng, d)))
+    return mk_ast("lam", mk_ast("string", StrLit(name())), _gen_open(rng, d))
+
+
+def test_subst_capture_avoiding_on_open_terms():
+    rng = random.Random(SEED + 5)
+    for _ in range(2000):
+        m = _gen_open(rng, rng.randint(0, 5))
+        n = _gen_open(rng, rng.randint(0, 3))
+        x = rng.choice(OPEN_NAMES)
+        got = subst(m, n, x)
+        fv_m = free_vars(m)
+        want = (fv_m - {x}) | (free_vars(n) if x in fv_m else set())
+        assert free_vars(got) == want, (pretty(m), pretty(n), x)
+        if x not in fv_m:
+            assert got == m, (pretty(m), pretty(n), x)
+        assert alpha_eq(subst(m, Var(x), x), m), (pretty(m), x)
+
+
+def test_subst_rec_primed_pair_renames_innermost_first():
+    # Both binders capture. The parameter is renamed first, so g' takes
+    # g'' and g takes g'''; renaming g first gives an alpha-equal term.
+    n = App(Var("g"), Var("g'"))
+    m = Rec("g", "g'", App(Var("g"), App(Var("g'"), Var("x"))))
+    got = subst(m, n, "x")
+    assert got == Rec("g'''", "g''", App(Var("g'''"), App(Var("g''"), n)))
+    assert alpha_eq(got, Rec("g''", "g'''",
+                             App(Var("g''"), App(Var("g'''"), n))))
+
+
 ### constructor validation and rename corners
 
 def test_tag_and_binop_validation():

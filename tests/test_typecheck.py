@@ -116,7 +116,7 @@ def test_infer_eq_is_integer_only():
     rejects('"a" == "a"', kind="mismatch")
 
 
-def test_infer_shadowing_renames():
+def test_infer_shadowing():
     got = infer_open(None, t(r"\x. \x. x + 1"))
     assert isinstance(got, Arrow)
     assert got.dst == Arrow(INT, INT)
@@ -124,11 +124,24 @@ def test_infer_shadowing_renames():
         BOOL, Arrow(INT, INT))
 
 
-def test_env_refuses_duplicates():
-    env = TypeEnv().extend("x", INT)
-    with pytest.raises(ValueError):
-        env.extend("x", BOOL)
-    assert env.lookup("x") == INT
+def test_infer_rec_shared_name_under_outer_binding():
+    # the parameter owns every occurrence, whatever is bound outside
+    assert infer(None, t(r"\x:Bool. rec x x. x + 1")) == Arrow(
+        BOOL, Arrow(INT, INT))
+    assert infer(None, t(r"rec x x. x + 1")) == Arrow(INT, INT)
+
+
+def test_type_error_names_the_source_variable():
+    err = rejects(r"\x:Bool. \x:Int. if x then 1 else 2", kind="mismatch")
+    assert "`x`" in err.describe()
+    assert "x'" not in err.describe()
+
+
+def test_env_extend_shadows():
+    outer = TypeEnv().extend("x", INT)
+    inner = outer.extend("x", BOOL)
+    assert inner.lookup("x") == BOOL
+    assert outer.lookup("x") == INT
 
 
 ### check
