@@ -26,11 +26,18 @@ from .typecheck import EMPTY_ENV, TypeErrorDetail
 _RECURSION_LIMIT = 20_000
 
 _STEPPERS = {
-    "ct": lambda m, mode, fuel: eval_ct(m, mode, fuel, trace=True),
-    "dl": lambda m, mode, fuel: eval_dl(m, fuel, trace=True),
-    "ul": lambda m, mode, fuel: eval_ul(m, mode, fuel, trace=True),
-    "rt": lambda m, mode, fuel: eval_rt(m, mode, fuel, trace=True),
+    "ct": lambda m, mode, fuel, trace: eval_ct(m, mode, fuel, trace),
+    "dl": lambda m, mode, fuel, trace: eval_dl(m, fuel, trace),
+    "ul": lambda m, mode, fuel, trace: eval_ul(m, mode, fuel, trace),
+    "rt": lambda m, mode, fuel, trace: eval_rt(m, mode, fuel, trace),
 }
+
+
+def _step(relation: str, m: Term, mode: str, fuel: int, trace: bool):
+    """One relation applied to m: its output, and its derivation when
+    trace is set (else None). Untraced, rt runs on closures."""
+    out = _STEPPERS[relation](m, mode, fuel, trace)
+    return out if trace else (out, None)
 
 
 def _json_dump(obj) -> str:
@@ -53,9 +60,17 @@ def _emit_trace(args, stages: list[tuple[str, Derivation]], payload: dict):
     return False
 
 
+def _read_text(path: str) -> str:
+    """The file's text; one that is not UTF-8 is an OSError naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
+
+
 def _read_term(args) -> Term:
-    with open(args.file, encoding="utf-8") as handle:
-        return parse_term(handle.read(), args.mode)
+    return parse_term(_read_text(args.file), args.mode)
 
 
 def cmd_compile(args) -> int:
@@ -94,7 +109,8 @@ def cmd_run(args) -> int:
 
 def cmd_step(args) -> int:
     term = _read_term(args)
-    out, deriv = _STEPPERS[args.relation](term, args.mode, args.fuel)
+    out, deriv = _step(args.relation, term, args.mode, args.fuel,
+                       args.trace != "none")
     if args.trace == "json":
         print(_json_dump({"out": term_to_json(out),
                           "derivation": derivation_to_json(deriv)}))
@@ -163,7 +179,7 @@ def repl(args) -> int:
                     tracing = rest == "on"
                 elif head in (":ct", ":dl", ":ul", ":rt"):
                     term = parse_term(rest, mode)
-                    out, deriv = _STEPPERS[head[1:]](term, mode, fuel)
+                    out, deriv = _step(head[1:], term, mode, fuel, tracing)
                     if tracing:
                         print(render_derivation(deriv), file=sys.stderr)
                     print(pretty(out))
@@ -171,9 +187,8 @@ def repl(args) -> int:
                     term = parse_term(rest, mode)
                     print(pretty_type(typecheck.infer(EMPTY_ENV, term)))
                 elif head == ":load":
-                    with open(rest, encoding="utf-8") as handle:
-                        term = parse_term(handle.read(), mode)
-                    _repl_run(term, mode, fuel, tracing)
+                    _repl_run(parse_term(_read_text(rest), mode), mode, fuel,
+                              tracing)
                 else:
                     raise ValueError(f"unknown directive {head} (:help lists them)")
             else:
@@ -215,8 +230,7 @@ def _corpus_directives(text: str) -> dict:
 def _expected_for(path: str, mode: str) -> str | None:
     for candidate in (f"{path}.{mode}.expected", f"{path}.expected"):
         if os.path.exists(candidate):
-            with open(candidate, encoding="utf-8") as handle:
-                return handle.read().strip()
+            return _read_text(candidate).strip()
     return None
 
 
@@ -231,6 +245,8 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
     relation = directives.get("relation")
     compare = directives.get("compare", "value")
     golden = directives.get("golden")
+    # Only a golden reads derivations; every other case runs untraced.
+    traced = bool(golden) and mode == "untyped"
 
     outcome_term = None
     outcome_error = None
@@ -238,11 +254,10 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
     try:
         term = parse_term(text, mode)
         if relation:
-            out, deriv = _STEPPERS[relation](term, mode, fuel)
-            outcome_term = out
+            outcome_term, deriv = _step(relation, term, mode, fuel, traced)
             stages = ((relation, deriv),)
         else:
-            result = run_pipeline(term, mode, fuel, trace=True)
+            result = run_pipeline(term, mode, fuel, trace=traced)
             outcome_term = (result.residual if compare == "residual"
                             else result.value)
             stages = result.stages
@@ -272,7 +287,7 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
                 f"{name} [{mode}]: expected {pretty(want)}, got "
                 f"{pretty(outcome_term)}")
 
-    if golden and mode == "untyped" and not failures:
+    if traced and not failures:
         golden_path = os.path.join(golden_dir, name + ".json")
         if not os.path.exists(golden_path):
             failures.append(f"{name} [{mode}]: missing golden {golden_path}")
@@ -304,8 +319,7 @@ def cmd_corpus(args) -> int:
     for filename in cases:
         path = os.path.join(directory, filename)
         base = path[:-len(".hgmp")]
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(path)
         directives = _corpus_directives(text)
         modes = directives.get("modes", "untyped").split()
         for mode in modes:
@@ -374,8 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, TypeErrorDetail, EvalError, OSError,
-            UnicodeDecodeError) as exc:
+    except (ParseError, TypeErrorDetail, EvalError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

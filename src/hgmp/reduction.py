@@ -10,6 +10,18 @@ Every rule application burns one unit from a shared fuel budget, so
 divergence surfaces as a distinct FuelExhausted outcome rather than a
 hang. Each run also (optionally) records a derivation tree whose rule
 names follow the conventional bracketed names for these relations.
+
+rt has two evaluators with the same values, errors and fuel. `_rt` is the
+reference: call-by-value with capture-avoiding substitution. It runs
+every traced run, because derivations show substituted terms, and any
+open term. `_machine` is an environment machine: a variable looks its
+value up, a function evaluates to a closure, and a closure is read back
+with `subst` wherever the reference would hold a term (a result, an AST
+argument, eval's input to dl, an error's offending term). It runs every
+untraced rt of a closed term: the pipeline's, eval_rt's, and those ct
+runs for splices and letdown. The read-back is exact only while every
+value is closed, so the machine runs closed terms only; when eval
+produces open code, the call is rerun on `_rt` with its fuel restored.
 """
 
 from __future__ import annotations
@@ -160,7 +172,7 @@ def _ct(m: Term, run: _Run):
                 except TypeErrorDetail as err:
                     _type_error(a, err)
                 premises.append(_type_premise(run, a, CODE))
-            b, d2 = _rt(a, run)
+            b, d2 = _rt_entry(a, run)
             premises.append(d2)
             c, d3 = _dl(b, run)
             premises.append(d3)
@@ -175,7 +187,7 @@ def _ct(m: Term, run: _Run):
                 except TypeErrorDetail as err:
                     _type_error(a, err)
                 premises.append(_type_premise(run, a, bound_ty))
-            b, d2 = _rt(a, run)
+            b, d2 = _rt_entry(a, run)
             premises.append(d2)
             c, d3 = _ct(subst(body, b, name), run)
             premises.append(d3)
@@ -356,6 +368,143 @@ def _rt(m: Term, run: _Run):
     raise TypeError(f"not a Term: {m!r}")
 
 
+### run time on an environment machine
+
+class _Closure:
+    """The machine's value for a function: its code and the environment
+    it was evaluated in. Every other value is the closed term the
+    reference semantics holds."""
+
+    __slots__ = ("code", "env", "term")
+
+    def __init__(self, code: Term, env: dict):
+        self.code = code  # a Lam or a Rec
+        self.env = env
+        self.term = None  # the read-back, once it is asked for
+
+
+class _OpenCode(Exception):
+    """eval produced open code, whose values the machine cannot read back."""
+
+
+def _read_back(v) -> Term:
+    """The term the substitution semantics holds for the machine value v."""
+    if type(v) is not _Closure:
+        return v
+    if v.term is None:
+        v.term = _close(v.code, v.env)
+    return v.term
+
+
+def _close(m: Term, env: dict) -> Term:
+    """m with the values of env substituted: the term the reference holds
+    where the machine holds m in env. Every value in env is closed, so
+    subst renames nothing and the order of the substitutions is free."""
+    if not env:
+        return m
+    free = free_vars(m)
+    for name, v in env.items():
+        if name in free:
+            m = subst(m, _read_back(v), name)
+    return m
+
+
+def _rt_entry(m: Term, run: _Run):
+    """rt as the pipeline, a splice, a letdown and eval_rt run it: on the
+    machine when the run builds no derivation and m is closed, else on
+    the reference _rt. If eval produces open code, the call is rerun on
+    the reference with its fuel restored; both are deterministic."""
+    if run.trace or free_vars(m):
+        return _rt(m, run)
+    remaining = run.remaining
+    try:
+        return _read_back(_machine(m, {}, run)), None
+    except _OpenCode:
+        run.remaining = remaining
+        return _rt(m, run)
+
+
+def _machine(m: Term, env: dict, run: _Run):
+    """rt of m, whose free variables env binds to closed values, without
+    substitution: a variable looks its value up in env, and a function
+    evaluates to a _Closure. It spends one unit of fuel wherever _rt
+    spends one, in the same order, and its errors hold the terms _rt's
+    would. Tail positions loop."""
+    while True:
+        run.remaining -= 1
+        if run.remaining < 0:
+            raise EvalError(EvalError.FUEL, "rt", _close(m, env),
+                            "rule application budget exhausted")
+        cls = type(m)
+        if cls is Var:
+            if m.name not in env:
+                _stuck("rt", m, f"unbound variable {m.name}")
+            v = env[m.name]
+            if type(v) is not AstCtor:
+                return v
+            # _rt would run the AST substituted here again: one unit for
+            # each of its nodes, so it runs again here too.
+            run.remaining += 1
+            m, env = v, {}
+        elif cls is App:
+            f = _machine(m.fn, env, run)
+            if type(f) is not _Closure:
+                _stuck("rt", _close(m, env),
+                       "application of a non-function value")
+            v = _machine(m.arg, env, run)
+            code = f.code
+            if type(code) is Lam:
+                env = {**f.env, code.param: v}
+            else:  # the parameter wins when it is also the self name
+                env = {**f.env, code.self_name: f, code.param: v}
+            m = code.body
+        elif cls is BinOp:
+            a = _machine(m.lhs, env, run)
+            b = _machine(m.rhs, env, run)
+            try:
+                return _arith(m.op, a, b, m)
+            except EvalError as err:
+                err.offending = _close(m, env)
+                raise
+        elif cls is IntLit or cls is StrLit or cls is BoolLit or cls is TagLit:
+            return m
+        elif cls is If:
+            c = _machine(m.cond, env, run)
+            if type(c) is not BoolLit:
+                _stuck("rt", _close(m, env), "if condition is not a boolean")
+            m = m.then if c.value else m.orelse
+        elif cls is Lam or cls is Rec:
+            return _Closure(m, env)
+        elif cls is AstCtor:
+            return AstCtor(m.tag, tuple([_read_back(_machine(a, env, run))
+                                         for a in m.args]))
+        elif cls is Eval:
+            v = _read_back(_machine(m.body, env, run))
+            n, _ = _dl(v, run)
+            if run.typed:
+                if m.annot is None:
+                    _stuck("rt", _close(m, env),
+                           "eval without annotation in a typed run")
+                try:
+                    typecheck.check(EMPTY_ENV, n, m.annot, phase="eval check")
+                except TypeErrorDetail as err:
+                    _type_error(n, err)
+            if free_vars(n):
+                raise _OpenCode
+            m, env = n, {}
+        elif cls is Lift:
+            v = _machine(m.body, env, run)
+            if type(v) not in (IntLit, StrLit, BoolLit):
+                _stuck("rt", _close(m, env),
+                       "lift applies to integers, strings and booleans")
+            return AstCtor(v.ast_tag(), (v,))
+        elif cls is DownML or cls is UpML or cls is LetDown:
+            _stuck("rt", _close(m, env),
+                   "compile-time construct reached run time")
+        else:
+            raise TypeError(f"not a Term: {m!r}")
+
+
 def _arith(op: str, a: Term, b: Term, at: Term) -> Term:
     if op == "eq":
         if isinstance(a, IntLit) and isinstance(b, IntLit):
@@ -412,8 +561,12 @@ def eval_ul(m: Term, mode: str = "untyped", fuel: int | None = None,
 
 def eval_rt(m: Term, mode: str = "untyped", fuel: int | None = None,
             trace: bool = False):
-    """Call-by-value evaluation of a compiled (meta-level-free) term."""
-    return _evaluate(_rt, m, mode, fuel, trace)
+    """Call-by-value evaluation of a compiled (meta-level-free) term.
+
+    Untraced, a closed term runs on the environment machine; traced, or
+    open, on substitution. Both give the same value, error and fuel use;
+    the machine hands open code from eval over to substitution."""
+    return _evaluate(_rt_entry, m, mode, fuel, trace)
 
 
 @dataclass(frozen=True)
@@ -447,7 +600,7 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
         if trace:
             stages.append(("type", Derivation("Type", "type", residual,
                                               residual_type)))
-    value, d_rt = _rt(residual, run)
+    value, d_rt = _rt_entry(residual, run)
     stages.append(("rt", d_rt))
     return PipelineResult(residual, residual_type, value,
                           tuple(stages) if trace else None)

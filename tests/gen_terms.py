@@ -185,6 +185,48 @@ def gen_compile_candidate(rng: random.Random):
     return gen_term(rng, rng.randint(0, 4))
 
 
+def _ast_name(name: str):
+    return AstCtor(Tag("string"), (StrLit(name),))
+
+
+def gen_open_eval(rng: random.Random):
+    """Closed untyped programs that bind the open lambda an eval produces
+    under binders named like its free variables, and then apply it:
+
+        (\\h. \\b. \\z. h b) (eval(astLam(astStr("q"), astVar("b")))) 5
+
+    Substitution renames such a binder, so the open body keeps its name
+    apart from the argument the binder receives."""
+    free = rng.choice(NAMES)
+    param = rng.choice(NAMES)
+    var = rng.choice((free, free, param))
+    body = AstCtor(Tag("var"), (StrLit(var),))
+    if rng.random() < 0.4:
+        body = AstCtor(Tag(rng.choice(BINOP_NAMES)),
+                       (body, AstCtor(Tag("var"), (StrLit(free),))))
+    code = Eval(AstCtor(Tag("lam"), (_ast_name(param), body)))
+    fn = rng.choice(NAMES)
+    binders = [free] + rng.sample(NAMES, rng.randint(0, 2))
+    rng.shuffle(binders)
+    scope = (fn, *binders)
+    use = rng.random()
+    if use < 0.3:
+        inner = App(Var(fn), Var(rng.choice(scope)))
+    elif use < 0.5:
+        inner = Lam(rng.choice(NAMES), App(Var(fn), Var(rng.choice(scope))))
+    elif use < 0.7:
+        inner = BinOp("add", App(Var(fn), Var(rng.choice(scope))),
+                      IntLit(1))
+    else:
+        inner = gen_ml_free(rng, rng.randint(0, 3), scope, with_eval=True)
+    for name in reversed(binders):
+        inner = Lam(name, inner)
+    program = App(Lam(fn, inner), code)
+    for _ in range(rng.randint(0, len(binders) + 1)):
+        program = App(program, gen_ml_free(rng, rng.randint(0, 1)))
+    return program
+
+
 ### type-directed generation (for the typed-progress suite)
 
 def gen_typed_term(rng: random.Random, ty: TypeExpr,

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from hgmp.cli import main
+from hgmp.parser import parse_term
+from hgmp.syntax import pretty
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -306,6 +308,37 @@ def test_corpus_file_not_utf8(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert len(err.strip().splitlines()) == 1
     assert "can't decode byte 0xff" in err
+    assert "bad.hgmp" in err
+
+
+def test_corpus_traces_only_golden_cases(monkeypatch, capsys):
+    # Only a golden reads derivations: every other case runs untraced,
+    # so its value and error expectations check rt on closures.
+    from hgmp import cli
+    traced = {}
+    real_pipeline, real_step = cli.run_pipeline, cli._step
+
+    def pipeline(term, mode, fuel, trace):
+        traced[pretty(term), mode] = trace
+        return real_pipeline(term, mode, fuel, trace=trace)
+
+    def step(relation, term, mode, fuel, trace):
+        traced[pretty(term), mode] = trace
+        return real_step(relation, term, mode, fuel, trace)
+
+    monkeypatch.setattr(cli, "run_pipeline", pipeline)
+    monkeypatch.setattr(cli, "_step", step)
+    code, out, err = run_cli(capsys, "corpus", str(CORPUS))
+    assert code == 0, err
+    want = {}
+    for path in CORPUS.glob("*.hgmp"):
+        text = path.read_text(encoding="utf-8")
+        directives = cli._corpus_directives(text)
+        for mode in directives.get("modes", "untyped").split():
+            term = pretty(parse_term(text, mode))
+            want[term, mode] = "golden" in directives and mode == "untyped"
+    assert traced == want
+    assert 0 < sum(want.values()) < len(want)
 
 
 def test_corpus_missing_expected(tmp_path, capsys):

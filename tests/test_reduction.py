@@ -13,7 +13,7 @@ from hgmp.syntax import (
 )
 
 from gen_terms import (
-    gen_compile_candidate, gen_constant, gen_ml_free, gen_term,
+    gen_compile_candidate, gen_constant, gen_ml_free, gen_open_eval, gen_term,
 )
 
 
@@ -345,6 +345,9 @@ def test_fuel_needed_is_the_rule_count():
         typed = mode == "typed"
         jobs += [(pipeline, gen_term(rng, rng.randint(0, 5), typed=typed),
                   mode) for _ in range(250)]
+    untraced = {compile_only: lambda m, mode, fuel: eval_ct(m, fuel=fuel),
+                pipeline: lambda m, mode, fuel: run_pipeline(m, mode,
+                                                             fuel).value}
     checked = 0
     for run, m, mode in jobs:
         try:
@@ -353,12 +356,91 @@ def test_fuel_needed_is_the_rule_count():
             continue
         need = sum(_rule_count(d) for d in derivs)
         assert run(m, mode, need)[0] == value, pretty(m)
+        # Untraced, rt runs on the environment machine: same fuel.
+        assert untraced[run](m, mode, need) == value, pretty(m)
         if need > 1:  # fuel 0 is rejected before any rule runs
-            with pytest.raises(EvalError) as exc:
-                run(m, mode, need - 1)
-            assert exc.value.kind == EvalError.FUEL, pretty(m)
+            for attempt in (lambda: run(m, mode, need - 1),
+                            lambda: untraced[run](m, mode, need - 1)):
+                with pytest.raises(EvalError) as exc:
+                    attempt()
+                assert exc.value.kind == EvalError.FUEL, pretty(m)
         checked += 1
     assert checked >= 400
+
+
+### untraced rt: the environment machine against substitution
+
+def _outcome(m, mode="untyped", fuel=None, trace=False):
+    """Value and residual, or the error's kind, phase, message and term."""
+    try:
+        result = run_pipeline(m, mode, fuel, trace=trace)
+    except EvalError as exc:
+        return exc.kind, exc.phase, exc.message, exc.offending
+    return result.value, result.residual, result.residual_type
+
+
+OPEN_LAMBDA = 'eval(astLam(astStr("q"), astVar("b")))'
+
+
+@pytest.mark.parametrize("src, printed", [
+    # Substitution renames \b, so the open body's b stays apart from 5.
+    (rf"(\a. \b. \z. a b) ({OPEN_LAMBDA}) 5", r"\z. (\q. b) 5"),
+    (rf"(\a. \b. a b) ({OPEN_LAMBDA}) 5", "unbound variable b"),
+    (rf"(\a. \b. (a b) + 1) ({OPEN_LAMBDA}) 5", "unbound variable b"),
+], ids=["value", "stuck", "stuck-under-add"])
+def test_untraced_rt_of_open_eval_code_is_the_reference(src, printed):
+    untraced, traced = _outcome(t(src)), _outcome(t(src), trace=True)
+    assert untraced == traced
+    if printed.startswith("unbound"):
+        assert untraced[:3] == (EvalError.STUCK, "rt", printed)
+        assert untraced[3] == Var("b")
+    else:
+        assert pretty(untraced[0]) == printed
+
+
+def test_untraced_rt_reads_closures_back_as_substitution_does():
+    for src, printed in [(r"(\k. \x. x * k) 4", r"\x. x * 4"),
+                         (r"(\f. \k. \x. f x k) (\a. \b. a + b) 2",
+                          r"\x. (\a. \b. a + b) x 2"),
+                         (r"(\n. rec f x. if x == n then x else f (x + 1)) 3",
+                          "rec f x. if x == 3 then x else f (x + 1)")]:
+        assert pretty(eval_rt(t(src))) == printed
+        assert eval_rt(t(src)) == eval_rt(t(src), trace=True)[0]
+    err = stuck_in("rt", eval_rt, t(r"(\k. \x. x + k) true 1"))
+    assert err.offending == t("1 + true")
+
+
+def test_untraced_rt_charges_a_bound_ast_as_substitution_does():
+    # Substitution puts the AST in place of the variable, where rt runs
+    # it again, one unit per node: the machine charges the same, and runs
+    # out of fuel on the same term.
+    m = t(r'(\x. \y. x) astAdd(astInt(1), astVar("v")) lift(2)')
+    for fuel in range(1, 29):
+        assert _outcome(m, fuel=fuel) == _outcome(m, fuel=fuel, trace=True)
+    assert _outcome(m, fuel=27)[0] == EvalError.FUEL
+    assert _outcome(m, fuel=28)[0] == t('astAdd(astInt(1), astVar("v"))')
+
+
+def test_untraced_pipeline_matches_traced_on_generated_terms():
+    # Values, residuals and every error's kind, phase, message and
+    # offending term: the machine against the substitution semantics,
+    # a fifth of the runs on budgets small enough to run out.
+    rng = random.Random(107)
+    seen = set()
+    for i in range(3_000):
+        pick = i % 4
+        if pick == 0:
+            m, mode = gen_compile_candidate(rng), "untyped"
+        elif pick == 3:
+            m, mode = gen_open_eval(rng), "untyped"
+        else:
+            mode = ("untyped", "typed")[pick - 1]
+            m = gen_term(rng, rng.randint(0, 6), typed=mode == "typed")
+        fuel = rng.randint(1, 60) if rng.random() < 0.2 else 20_000
+        untraced = _outcome(m, mode, fuel)
+        assert untraced == _outcome(m, mode, fuel, trace=True), pretty(m)
+        seen.add(untraced[0] if isinstance(untraced[0], str) else "value")
+    assert seen == {"value", EvalError.STUCK, EvalError.TYPE, EvalError.FUEL}
 
 
 ### derivations
