@@ -16,7 +16,8 @@ from . import typecheck
 from .parser import MODES, ParseError, parse_term
 from .reduction import (
     DEFAULT_FUEL, Derivation, EvalError, _fuel, derivation_to_json, eval_ct,
-    eval_dl, eval_rt, eval_ul, render_derivation, run_pipeline, term_to_json,
+    eval_dl, eval_rt, eval_ul, render_derivation, render_trace, run_pipeline,
+    to_json,
 )
 from .syntax import Term, alpha_eq, pretty, pretty_type
 from .typecheck import EMPTY_ENV, TypeErrorDetail
@@ -40,22 +41,19 @@ def _step(relation: str, m: Term, mode: str, fuel: int, trace: bool):
     return out if trace else (out, None)
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _emit_trace(args, stages: list[tuple[str, Derivation]], payload: dict):
-    """Text traces go to stderr; json replaces stdout entirely."""
+def _emit_trace(args, stages: list[tuple[str, Derivation]], residual: Term,
+                residual_type, **value) -> bool:
+    """Text traces go to stderr; json replaces stdout entirely, and is the
+    only path that encodes the residual and the value. True when stdout
+    has been written."""
     if args.trace == "text":
-        for name, deriv in stages:
-            print(f"-- {name} --", file=sys.stderr)
-            print(render_derivation(deriv), file=sys.stderr)
+        print(render_trace(stages), file=sys.stderr)
     elif args.trace == "json":
-        payload["stages"] = [
-            {"stage": name, "derivation": derivation_to_json(d)}
-            for name, d in stages
-        ]
-        print(_json_dump(payload))
+        payload = {"residual": residual, **value, "stages": [
+            {"stage": name, "derivation": d} for name, d in stages]}
+        if residual_type is not None:
+            payload["residualType"] = pretty_type(residual_type)
+        print(to_json(payload))
         return True
     return False
 
@@ -82,10 +80,7 @@ def cmd_compile(args) -> int:
     if args.mode == "typed":
         residual_type = typecheck.infer(EMPTY_ENV, residual,
                                         phase="residual check")
-    payload = {"residual": term_to_json(residual)}
-    if residual_type is not None:
-        payload["residualType"] = pretty_type(residual_type)
-    if trace and _emit_trace(args, [("ct", deriv)], payload):
+    if _emit_trace(args, [("ct", deriv)], residual, residual_type):
         return 0
     print(pretty(residual))
     if residual_type is not None:
@@ -95,13 +90,10 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     term = _read_term(args)
-    trace = args.trace != "none"
-    result = run_pipeline(term, args.mode, args.fuel, trace=trace)
-    payload = {"value": term_to_json(result.value),
-               "residual": term_to_json(result.residual)}
-    if result.residual_type is not None:
-        payload["residualType"] = pretty_type(result.residual_type)
-    if trace and _emit_trace(args, list(result.stages), payload):
+    result = run_pipeline(term, args.mode, args.fuel,
+                          trace=args.trace != "none")
+    if _emit_trace(args, result.stages, result.residual,
+                   result.residual_type, value=result.value):
         return 0
     print(pretty(result.value))
     return 0
@@ -112,8 +104,7 @@ def cmd_step(args) -> int:
     out, deriv = _step(args.relation, term, args.mode, args.fuel,
                        args.trace != "none")
     if args.trace == "json":
-        print(_json_dump({"out": term_to_json(out),
-                          "derivation": derivation_to_json(deriv)}))
+        print(to_json({"out": out, "derivation": deriv}))
         return 0
     if args.trace == "text":
         print(render_derivation(deriv), file=sys.stderr)
@@ -201,9 +192,7 @@ def repl(args) -> int:
 def _repl_run(term: Term, mode: str, fuel: int, tracing: bool):
     result = run_pipeline(term, mode, fuel, trace=tracing)
     if tracing:
-        for name, deriv in result.stages:
-            print(f"-- {name} --", file=sys.stderr)
-            print(render_derivation(deriv), file=sys.stderr)
+        print(render_trace(result.stages), file=sys.stderr)
     print(pretty(result.value))
 
 

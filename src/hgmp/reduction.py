@@ -26,16 +26,18 @@ produces open code, the call is rerun on `_rt` with its fuel restored.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from .syntax import (
     AST_CTOR_OF_TAG, CLASS_OF_TAG,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, TypeExpr, UpML, Var,
-    free_vars, mk_ast, pretty, pretty_type, subst,
+    free_vars, mk_ast, pretty, pretty_type, printer, subst,
 )
 from . import signature, typecheck
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
@@ -607,69 +609,153 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
 
 
 ### rendering
+#
+# A trace repeats the same term objects at many nodes (substitution leaves
+# unchanged subterms shared), so each render call keeps a memo keyed by
+# id(term) and writes every distinct term object once. The memo lives for
+# that call only, while the terms it names are alive: an id is reused once
+# its object dies.
+
+def to_json(obj) -> str:
+    """The text json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    writes, for obj made of dicts, lists, tuples and strings whose leaves
+    may also be Terms and Derivations, as term_to_json and
+    derivation_to_json describe them. Each distinct term object is
+    encoded once per call; derivations are walked on an explicit stack,
+    so their depth costs no Python recursion."""
+    memo: dict[int, str] = {}
+    parts: list[str] = []
+    stack = [_json_str(obj) if type(obj) is str else obj]
+    while stack:
+        o = stack.pop()
+        cls = type(o)
+        if cls is str:  # finished text: strings are encoded when pushed
+            parts.append(o)
+        elif cls is Derivation:
+            out = o.term_out
+            out = (_term_json(out, memo) if isinstance(out, Term)
+                   else '{"type":' + _json_str(pretty_type(out)) + "}")
+            parts.append('{"in":' + _term_json(o.term_in, memo) + ',"out":'
+                         + out + ',"premises":[')
+            stack.append('],"relation":' + _json_str(o.relation)
+                         + ',"rule":' + _json_str(o.rule) + "}")
+            _push_items(stack, o.premises)
+        elif cls is dict:
+            parts.append("{")
+            stack.append("}")
+            keys = sorted(o)
+            for i in range(len(keys) - 1, -1, -1):
+                value = o[keys[i]]
+                stack.append(_json_str(value) if type(value) is str else value)
+                stack.append(("," if i else "") + _json_str(keys[i]) + ":")
+        elif cls is list or cls is tuple:
+            parts.append("[")
+            stack.append("]")
+            _push_items(stack, o)
+        elif isinstance(o, Term):
+            parts.append(_term_json(o, memo))
+        else:
+            raise TypeError(f"cannot write {o!r} as trace JSON")
+    return "".join(parts)
+
+
+def _push_items(stack: list, items):
+    """Push items so that they are written in order, comma-separated."""
+    for i in range(len(items) - 1, -1, -1):
+        item = items[i]
+        stack.append(_json_str(item) if type(item) is str else item)
+        if i:
+            stack.append(",")
+
+
+def _term_json(m: Term, memo: dict) -> str:
+    """The JSON text of m; memo maps id(term) to the text of every term
+    this render has written."""
+    key = id(m)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    annot = None
+    match m:
+        case Var(name):
+            ctor, atom = "var", _json_str(name)
+        case IntLit(value):
+            ctor, atom = "int", int.__repr__(value)  # as the json module does
+        case StrLit(value):
+            ctor, atom = "str", _json_str(value)
+        case BoolLit(value):
+            ctor, atom = "bool", "true" if value else "false"
+        case AstCtor(tag) | TagLit(tag):
+            ctor = "ast" if type(m) is AstCtor else "tag"
+            atom, annot = _json_str(tag.name), tag.eval_annot
+        case _:
+            # Every other constructor: its bound names as the atom (one
+            # bare, several as a list) and its annotation, if it has one.
+            names = m.bound_names()
+            atom = ((_json_str(names[0]) if len(names) == 1
+                     else "[" + ",".join(map(_json_str, names)) + "]")
+                    if names else None)
+            annot = getattr(m, "annot", None)
+            ctor = m.ctor.lower()
+    text = ('"children":[' + ",".join([_term_json(k, memo)
+                                       for k in m.children()])
+            + '],"ctor":' + _json_str(ctor) + "}")
+    if atom is not None:
+        text = '"atom":' + atom + "," + text
+    if annot is not None:
+        text = '"annot":' + _json_str(pretty_type(annot)) + "," + text
+    memo[key] = text = "{" + text
+    return text
+
 
 def term_to_json(m: Term) -> dict:
     """Structural JSON encoding: {"ctor": .., "children": [..], "atom"?: ..}.
 
     Type annotations, when present, ride along under an "annot" key as a
-    pretty-printed type string.
+    pretty-printed type string. This is to_json's text of m, read back.
     """
-    def node(ctor, children=(), atom=None, annot=None):
-        out = {"ctor": ctor, "children": [term_to_json(c) for c in children]}
-        if atom is not None:
-            out["atom"] = atom
-        if annot is not None:
-            out["annot"] = annot
-        return out
-
-    match m:
-        case Var(name):
-            return node("var", atom=name)
-        case IntLit(value):
-            return node("int", atom=value)
-        case StrLit(value):
-            return node("str", atom=value)
-        case BoolLit(value):
-            return node("bool", atom=value)
-        case AstCtor(tag, args):
-            return node("ast", args, atom=tag.name,
-                        annot=None if tag.eval_annot is None
-                        else pretty_type(tag.eval_annot))
-        case TagLit(tag):
-            return node("tag", atom=tag.name,
-                        annot=None if tag.eval_annot is None
-                        else pretty_type(tag.eval_annot))
-    # Every other constructor: its children, its bound names as the atom
-    # (one bare, several as a list) and its annotation, if it has one.
-    # Like the literal names above, the name is shared by every node.
-    names = m.bound_names()
-    atom = (names[0] if len(names) == 1 else list(names)) if names else None
-    annot = getattr(m, "annot", None)
-    return node(sys.intern(m.ctor.lower()), m.children(), atom,
-                None if annot is None else pretty_type(annot))
-
-
-def _out_to_json(out) -> dict:
-    if isinstance(out, Term):
-        return term_to_json(out)
-    return {"type": pretty_type(out)}
+    return json.loads(to_json(m))
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    return {
-        "rule": d.rule,
-        "relation": d.relation,
-        "in": term_to_json(d.term_in),
-        "out": _out_to_json(d.term_out),
-        "premises": [derivation_to_json(p) for p in d.premises],
-    }
+    """{"rule", "relation", "in", "out", "premises"}: the terms as
+    term_to_json encodes them, a type conclusion as {"type": ..}. This is
+    to_json's text of d, read back."""
+    return json.loads(to_json(d))
 
 
-def render_derivation(d: Derivation, indent: int = 0) -> str:
-    """Indented text, one rule per line, premises above their conclusion."""
-    lines = [render_derivation(p, indent + 1) for p in d.premises]
-    out = (pretty(d.term_out) if isinstance(d.term_out, Term)
-           else pretty_type(d.term_out))
-    lines.append(f"{'  ' * indent}{d.rule}: {pretty(d.term_in)}"
-                 f"  ={d.relation}=>  {out}")
+def render_derivation(d: Derivation) -> str:
+    """Indented text, one rule per line, premises above their conclusion
+    and two spaces deeper. Each distinct term object is printed once per
+    call."""
+    lines: list[str] = []
+    _render(d, printer(), lines)
     return "\n".join(lines)
+
+
+def render_trace(stages) -> str:
+    """The text trace of a run's (name, derivation) stages: each stage's
+    derivation under a `-- name --` line. Each distinct term object is
+    printed once per call, across the stages."""
+    show, lines = printer(), []
+    for name, d in stages:
+        lines.append(f"-- {name} --")
+        _render(d, show, lines)
+    return "\n".join(lines)
+
+
+def _render(d: Derivation, show, lines: list[str]):
+    """Append d's lines, premises first, walking d on an explicit stack."""
+    stack = [(d, "")]  # a node and its indent, or a finished line
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            lines.append(item)
+            continue
+        node, indent = item
+        out = node.term_out
+        out = show(out) if isinstance(out, Term) else pretty_type(out)
+        stack.append(f"{indent}{node.rule}: {show(node.term_in)}"
+                     f"  ={node.relation}=>  {out}")
+        deeper = indent + "  "
+        stack.extend([(p, deeper) for p in reversed(node.premises)])

@@ -505,63 +505,84 @@ def _tag_surface(tag: Tag) -> str:
 
 
 def pretty(m: Term) -> str:
-    """Concrete syntax for m; parsing it back yields m structurally."""
-    return _pp(m, _TERM)
+    """Concrete syntax for m; parsing it back yields m structurally.
+
+    Each distinct term object in m is laid out once per call; every other
+    occurrence of it reuses that text."""
+    return _pp(m, _TERM, {})
 
 
-def _wrap(s: str, level: int, prec: int) -> str:
-    return f"({s})" if prec > level else s
+def printer():
+    """pretty with one memo across its calls, for one render of many
+    terms that share subterms: each distinct term object is laid out once.
+    Every term printed must stay alive while the printer is in use, as
+    the memo is keyed by object identity."""
+    memo = {}
+    return lambda m: _pp(m, _TERM, memo)
 
 
-def _pp(m: Term, prec: int) -> str:
-    match m:
-        case Var(name):
-            return name
-        case IntLit(value):
-            # A negative literal binds like a term, not an atom: printed
-            # bare after an identifier it would lex as a subtraction.
-            return _wrap(str(value), _TERM, prec) if value < 0 else str(value)
-        case StrLit(value):
-            return f'"{_escape(value)}"'
-        case BoolLit(value):
-            return "true" if value else "false"
-        case TagLit(tag):
-            return _tag_surface(tag)
-        case AstCtor(tag, args):
-            head = AST_CTOR_OF_TAG[tag.name]
-            if tag.eval_annot is not None:
-                head += "{" + pretty_type(tag.eval_annot) + "}"
-            return head + "(" + ", ".join(_pp(a, _TERM) for a in args) + ")"
-        case DownML(body):
-            return "$(" + _pp(body, _TERM) + ")"
-        case UpML(body):
-            return "[| " + _pp(body, _TERM) + " |]"
-        case Eval(body, annot):
-            head = "eval" if annot is None else "eval{" + pretty_type(annot) + "}"
-            return head + "(" + _pp(body, _TERM) + ")"
-        case Lift(body):
-            return "lift(" + _pp(body, _TERM) + ")"
-        case App(fn, arg):
-            return _wrap(f"{_pp(fn, _APP)} {_pp(arg, _ATOM)}", _APP, prec)
-        case BinOp(op, lhs, rhs):
-            level = {"eq": _EQ, "add": _ADD, "sub": _ADD, "mul": _MUL}[op]
-            s = f"{_pp(lhs, level)} {BINOP_SYMBOL[op]} {_pp(rhs, level + 1)}"
-            return _wrap(s, level, prec)
-        case If(cond, then, orelse):
-            s = (
-                f"if {_pp(cond, _TERM)} then {_pp(then, _TERM)} "
-                f"else {_pp(orelse, _TERM)}"
-            )
-            return _wrap(s, _TERM, prec)
-        case Lam(param, body, annot):
-            head = f"\\{param}" if annot is None else f"\\{param}:{pretty_type(annot)}"
-            return _wrap(f"{head}. {_pp(body, _TERM)}", _TERM, prec)
-        case Rec(self_name, param, body, annot):
-            head = f"rec {self_name} {param}"
-            if annot is not None:
-                head += f" : {pretty_type(annot)}"
-            return _wrap(f"{head}. {_pp(body, _TERM)}", _TERM, prec)
-        case LetDown(name, bound, body):
-            s = f"letdown {name} = {_pp(bound, _TERM)} in {_pp(body, _TERM)}"
-            return _wrap(s, _TERM, prec)
-    raise TypeError(f"not a Term: {m!r}")
+def _pp(m: Term, prec: int, memo: dict) -> str:
+    """m's text where the context binds at prec: its layout, in
+    parentheses when prec is above the level m binds at. memo maps
+    id(term) to the term's (layout, level), so that a term is laid out
+    once however often it occurs."""
+    key = id(m)
+    laid = memo.get(key)
+    if laid is None:
+        match m:
+            case Var(name):
+                laid = name, _ATOM
+            case IntLit(value):
+                # A negative literal binds like a term, not an atom: printed
+                # bare after an identifier it would lex as a subtraction.
+                laid = str(value), _TERM if value < 0 else _ATOM
+            case StrLit(value):
+                laid = f'"{_escape(value)}"', _ATOM
+            case BoolLit(value):
+                laid = "true" if value else "false", _ATOM
+            case TagLit(tag):
+                laid = _tag_surface(tag), _ATOM
+            case AstCtor(tag, args):
+                head = AST_CTOR_OF_TAG[tag.name]
+                if tag.eval_annot is not None:
+                    head += "{" + pretty_type(tag.eval_annot) + "}"
+                laid = (head + "(" + ", ".join([_pp(a, _TERM, memo)
+                                                for a in args]) + ")", _ATOM)
+            case DownML(body):
+                laid = "$(" + _pp(body, _TERM, memo) + ")", _ATOM
+            case UpML(body):
+                laid = "[| " + _pp(body, _TERM, memo) + " |]", _ATOM
+            case Eval(body, annot):
+                head = ("eval" if annot is None
+                        else "eval{" + pretty_type(annot) + "}")
+                laid = head + "(" + _pp(body, _TERM, memo) + ")", _ATOM
+            case Lift(body):
+                laid = "lift(" + _pp(body, _TERM, memo) + ")", _ATOM
+            case App(fn, arg):
+                laid = (f"{_pp(fn, _APP, memo)} {_pp(arg, _ATOM, memo)}",
+                        _APP)
+            case BinOp(op, lhs, rhs):
+                level = {"eq": _EQ, "add": _ADD, "sub": _ADD, "mul": _MUL}[op]
+                laid = (f"{_pp(lhs, level, memo)} {BINOP_SYMBOL[op]} "
+                        f"{_pp(rhs, level + 1, memo)}", level)
+            case If(cond, then, orelse):
+                laid = (f"if {_pp(cond, _TERM, memo)} "
+                        f"then {_pp(then, _TERM, memo)} "
+                        f"else {_pp(orelse, _TERM, memo)}", _TERM)
+            case Lam(param, body, annot):
+                head = (f"\\{param}" if annot is None
+                        else f"\\{param}:{pretty_type(annot)}")
+                laid = f"{head}. {_pp(body, _TERM, memo)}", _TERM
+            case Rec(self_name, param, body, annot):
+                head = f"rec {self_name} {param}"
+                if annot is not None:
+                    head += f" : {pretty_type(annot)}"
+                laid = f"{head}. {_pp(body, _TERM, memo)}", _TERM
+            case LetDown(name, bound, body):
+                laid = (f"letdown {name} = {_pp(bound, _TERM, memo)} "
+                        f"in {_pp(body, _TERM, memo)}", _TERM)
+            case _:
+                raise TypeError(f"not a Term: {m!r}")
+        memo[key] = laid
+    text, level = laid
+    return f"({text})" if prec > level else text

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hgmp import cli
 from hgmp.cli import main
 from hgmp.parser import parse_term
 from hgmp.syntax import pretty
@@ -116,6 +117,23 @@ def test_run_trace_text_on_stderr(tmp_path, capsys):
     assert code == 0
     assert out.strip() == "3"
     assert "Add" in err and "=rt=>" in err
+
+
+def test_untraced_run_and_compile_encode_no_json(tmp_path, capsys,
+                                                 monkeypatch):
+    # Only --trace json prints the value and residual as JSON, so no other
+    # run may pay for encoding them.
+    def refuse(*args):
+        raise AssertionError("encoded JSON that is not printed")
+
+    for name in ("to_json", "term_to_json", "derivation_to_json"):
+        monkeypatch.setattr(cli, name, refuse, raising=False)
+    path = write(tmp_path, r"(\x.x) $((\x.x) astInt(7))")
+    for command in ("run", "compile"):
+        for trace in ("none", "text"):
+            code, out, err = run_cli(capsys, command, "--trace", trace, path)
+            assert code == 0, (command, trace)
+            assert out.strip().endswith("7"), (command, trace)
 
 
 ### step

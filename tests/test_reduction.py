@@ -1,20 +1,29 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from hgmp.cli import main
 from hgmp.parser import parse_term
 from hgmp.reduction import (
-    Derivation, EvalError, eval_ct, eval_dl, eval_rt, eval_ul, run_pipeline,
-    term_to_json,
+    Derivation, EvalError, eval_ct, eval_dl, eval_rt, eval_ul,
+    render_derivation, render_trace, run_pipeline, term_to_json, to_json,
 )
 from hgmp.syntax import (
-    App, AstCtor, BoolLit, IntLit, Lam, StrLit, Tag, TagLit, Var,
-    alpha_eq, is_ml_free, mk_ast, pretty,
+    AST_CTOR_OF_TAG, BINOP_SYMBOL,
+    App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
+    Lift, Rec, StrLit, Tag, TagLit, Term, UpML, Var,
+    _escape, _tag_surface, alpha_eq, is_ml_free, mk_ast, pretty, pretty_type,
 )
+from hgmp.typecheck import EMPTY_ENV, infer
 
 from gen_terms import (
     gen_compile_candidate, gen_constant, gen_ml_free, gen_open_eval, gen_term,
 )
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def t(src, mode="untyped"):
@@ -491,6 +500,274 @@ def test_trace_soundness_on_samples():
         walk(deriv)
         checked += 1
     assert checked >= 30
+
+
+### rendering, against the reference encoders
+
+# The dict-building JSON encoder, the recursive text renderer and the
+# printer that the memoised encoders replaced, kept as the reference they
+# must match byte for byte.
+
+_R_TERM, _R_EQ, _R_ADD, _R_MUL, _R_APP, _R_ATOM = range(6)
+
+
+def ref_term_to_json(m):
+    def node(ctor, children=(), atom=None, annot=None):
+        out = {"ctor": ctor,
+               "children": [ref_term_to_json(c) for c in children]}
+        if atom is not None:
+            out["atom"] = atom
+        if annot is not None:
+            out["annot"] = annot
+        return out
+
+    match m:
+        case Var(name):
+            return node("var", atom=name)
+        case IntLit(value):
+            return node("int", atom=value)
+        case StrLit(value):
+            return node("str", atom=value)
+        case BoolLit(value):
+            return node("bool", atom=value)
+        case AstCtor(tag, args):
+            return node("ast", args, atom=tag.name,
+                        annot=None if tag.eval_annot is None
+                        else pretty_type(tag.eval_annot))
+        case TagLit(tag):
+            return node("tag", atom=tag.name,
+                        annot=None if tag.eval_annot is None
+                        else pretty_type(tag.eval_annot))
+    names = m.bound_names()
+    atom = (names[0] if len(names) == 1 else list(names)) if names else None
+    annot = getattr(m, "annot", None)
+    return node(m.ctor.lower(), m.children(), atom,
+                None if annot is None else pretty_type(annot))
+
+
+def ref_derivation_to_json(d):
+    out = d.term_out
+    return {
+        "rule": d.rule,
+        "relation": d.relation,
+        "in": ref_term_to_json(d.term_in),
+        "out": (ref_term_to_json(out) if isinstance(out, Term)
+                else {"type": pretty_type(out)}),
+        "premises": [ref_derivation_to_json(p) for p in d.premises],
+    }
+
+
+def ref_dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def ref_render_derivation(d, indent=0):
+    lines = [ref_render_derivation(p, indent + 1) for p in d.premises]
+    out = (ref_pretty(d.term_out) if isinstance(d.term_out, Term)
+           else pretty_type(d.term_out))
+    lines.append(f"{'  ' * indent}{d.rule}: {ref_pretty(d.term_in)}"
+                 f"  ={d.relation}=>  {out}")
+    return "\n".join(lines)
+
+
+def ref_render_trace(stages):
+    return "\n".join(f"-- {name} --\n{ref_render_derivation(d)}"
+                     for name, d in stages)
+
+
+def ref_pretty(m, prec=_R_TERM):
+    def wrap(s, level):
+        return f"({s})" if prec > level else s
+
+    match m:
+        case Var(name):
+            return name
+        case IntLit(value):
+            return wrap(str(value), _R_TERM) if value < 0 else str(value)
+        case StrLit(value):
+            return f'"{_escape(value)}"'
+        case BoolLit(value):
+            return "true" if value else "false"
+        case TagLit(tag):
+            return _tag_surface(tag)
+        case AstCtor(tag, args):
+            head = AST_CTOR_OF_TAG[tag.name]
+            if tag.eval_annot is not None:
+                head += "{" + pretty_type(tag.eval_annot) + "}"
+            return head + "(" + ", ".join(ref_pretty(a) for a in args) + ")"
+        case DownML(body):
+            return "$(" + ref_pretty(body) + ")"
+        case UpML(body):
+            return "[| " + ref_pretty(body) + " |]"
+        case Eval(body, annot):
+            head = ("eval" if annot is None
+                    else "eval{" + pretty_type(annot) + "}")
+            return head + "(" + ref_pretty(body) + ")"
+        case Lift(body):
+            return "lift(" + ref_pretty(body) + ")"
+        case App(fn, arg):
+            return wrap(f"{ref_pretty(fn, _R_APP)} {ref_pretty(arg, _R_ATOM)}",
+                        _R_APP)
+        case BinOp(op, lhs, rhs):
+            level = {"eq": _R_EQ, "add": _R_ADD, "sub": _R_ADD,
+                     "mul": _R_MUL}[op]
+            return wrap(f"{ref_pretty(lhs, level)} {BINOP_SYMBOL[op]} "
+                        f"{ref_pretty(rhs, level + 1)}", level)
+        case If(cond, then, orelse):
+            return wrap(f"if {ref_pretty(cond)} then {ref_pretty(then)} "
+                        f"else {ref_pretty(orelse)}", _R_TERM)
+        case Lam(param, body, annot):
+            head = (f"\\{param}" if annot is None
+                    else f"\\{param}:{pretty_type(annot)}")
+            return wrap(f"{head}. {ref_pretty(body)}", _R_TERM)
+        case Rec(self_name, param, body, annot):
+            head = f"rec {self_name} {param}"
+            if annot is not None:
+                head += f" : {pretty_type(annot)}"
+            return wrap(f"{head}. {ref_pretty(body)}", _R_TERM)
+        case LetDown(name, bound, body):
+            return wrap(f"letdown {name} = {ref_pretty(bound)} "
+                        f"in {ref_pretty(body)}", _R_TERM)
+    raise TypeError(f"not a Term: {m!r}")
+
+
+def _seeded_traces(rng, want):
+    """want (term, stages, result) traces: gen_term in both modes,
+    gen_compile_candidate and gen_open_eval, through run_pipeline (result
+    is its PipelineResult, else None) and through each eval_*."""
+    found = 0
+    for i in range(4 * want):
+        pick = i % 4
+        if pick == 0:
+            m, mode = gen_compile_candidate(rng), "untyped"
+        elif pick == 1:
+            m, mode = gen_open_eval(rng), "untyped"
+        else:
+            mode = ("untyped", "typed")[pick - 2]
+            m = gen_term(rng, rng.randint(0, 6), typed=mode == "typed")
+        relation = rng.choice(("pipeline", "ct", "ul", "dl", "rt"))
+        result = None
+        try:
+            if relation == "pipeline":
+                result = run_pipeline(m, mode, 20_000, trace=True)
+                stages = result.stages
+            elif relation == "dl":
+                ast = eval_ul(m, mode, 20_000)
+                stages = (("dl", eval_dl(ast, 20_000, trace=True)[1]),)
+            else:
+                step = {"ct": eval_ct, "ul": eval_ul, "rt": eval_rt}[relation]
+                stages = ((relation, step(m, mode, 20_000, trace=True)[1]),)
+        except EvalError:
+            continue
+        yield m, stages, result
+        found += 1
+        if found == want:
+            return
+    raise AssertionError(f"only {found} of {want} traces succeeded")
+
+
+def test_memoised_renders_match_the_reference_encoders():
+    # Byte for byte: each derivation's JSON and text, pretty of every
+    # term_out, a run's text trace over all its stages, and the CLI's
+    # payload, which shares one memo across its terms and stages.
+    relations = set()
+    for m, stages, result in _seeded_traces(random.Random(77), 2_000):
+        relations.update(name for name, _ in stages)
+        assert term_to_json(m) == ref_term_to_json(m)
+        for _, d in stages:
+            assert to_json(d) == ref_dumps(ref_derivation_to_json(d))
+            assert render_derivation(d) == ref_render_derivation(d)
+            todo = [d]
+            while todo:
+                node = todo.pop()
+                todo.extend(node.premises)
+                if isinstance(node.term_out, Term):
+                    assert pretty(node.term_out) == ref_pretty(node.term_out)
+        assert render_trace(stages) == ref_render_trace(stages)
+        if result is not None:
+            got = to_json({"value": result.value, "residual": result.residual,
+                           "stages": [{"stage": name, "derivation": d}
+                                      for name, d in stages]})
+            want = ref_dumps({
+                "value": ref_term_to_json(result.value),
+                "residual": ref_term_to_json(result.residual),
+                "stages": [{"stage": name, "derivation":
+                            ref_derivation_to_json(d)} for name, d in stages]})
+            assert got == want
+    assert relations == {"ct", "type", "rt", "ul", "dl"}
+
+
+def _fig3_expected(command, name, mode, trace):
+    """The CLI's (stdout, stderr) for a fig3 corpus program, written with
+    the reference encoders."""
+    term = t((CORPUS / f"{name}.hgmp").read_text(encoding="utf-8"), mode)
+    if command == "step":
+        relation = "ct" if name == "fig3_top" else "rt"
+        step = {"ct": eval_ct, "rt": eval_rt}[relation]
+        out, d = step(term, mode, 100_000, trace=True)
+        if trace == "json":
+            doc = {"out": ref_term_to_json(out),
+                   "derivation": ref_derivation_to_json(d)}
+            return ref_dumps(doc) + "\n", ""
+        return ref_pretty(out) + "\n", ref_render_derivation(d) + "\n"
+    if command == "run":
+        result = run_pipeline(term, mode, 100_000, trace=True)
+        stages, residual = result.stages, result.residual
+        ty = result.residual_type
+        payload = {"value": ref_term_to_json(result.value)}
+        shown = ref_pretty(result.value) + "\n"
+    else:
+        residual, d = eval_ct(term, mode, 100_000, trace=True)
+        stages, payload = (("ct", d),), {}
+        ty = infer(EMPTY_ENV, residual) if mode == "typed" else None
+        shown = ref_pretty(residual) + "\n"
+        if ty is not None:
+            shown += f"-- : {pretty_type(ty)}\n"
+    if trace == "text":
+        return shown, ref_render_trace(stages) + "\n"
+    payload["residual"] = ref_term_to_json(residual)
+    if ty is not None:
+        payload["residualType"] = pretty_type(ty)
+    payload["stages"] = [{"stage": s, "derivation": ref_derivation_to_json(d)}
+                         for s, d in stages]
+    return ref_dumps(payload) + "\n", ""
+
+
+@pytest.mark.parametrize("command", ["run", "compile", "step"])
+@pytest.mark.parametrize("trace", ["json", "text"])
+@pytest.mark.parametrize("name,mode", [("fig3_top", "untyped"),
+                                       ("fig3_top", "typed"),
+                                       ("fig3_bottom", "untyped")])
+def test_cli_trace_bytes_match_the_reference_encoders(
+        command, trace, name, mode, capsys):
+    relation = ["--relation", "ct" if name == "fig3_top" else "rt"]
+    argv = [command, *(relation if command == "step" else []), "--mode",
+            mode, "--fuel", "100000", "--trace", trace,
+            str(CORPUS / f"{name}.hgmp")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == _fig3_expected(command, name, mode,
+                                                          trace)
+
+
+def test_repl_trace_bytes_match_the_reference_encoders(monkeypatch, capsys):
+    source = (CORPUS / "fig3_top.hgmp").read_text(encoding="utf-8")
+    source = source.splitlines()[-1]
+    feed = iter([":trace on", source, f":ct {source}", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert main(["repl", "--fuel", "100000"]) == 0
+    result = run_pipeline(t(source), fuel=100_000, trace=True)
+    _, d_ct = eval_ct(t(source), fuel=100_000, trace=True)
+    assert capsys.readouterr().err == (ref_render_trace(result.stages) + "\n"
+                                       + ref_render_derivation(d_ct) + "\n")
+
+
+def test_render_memo_does_not_outlive_its_call():
+    # A memo keyed by id(term) that outlived its call would hand a dead
+    # term's text to the new object that reuses the id.
+    for i in range(20_000):
+        assert pretty(IntLit(i)) == str(i)
+        assert term_to_json(Var(f"v{i}"))["atom"] == f"v{i}"
 
 
 ### property suites (smaller here; the acceptance suite runs the big ones)
