@@ -7,6 +7,8 @@ Tags are #var .. #promote, AST constructors astVar(..) .. astPromote(..).
 Application binds tighter than *, which binds tighter than + and -, which
 bind tighter than ==; all left-associative. Binder bodies and the
 rightmost operand of an operator chain extend maximally to the right.
+Terms and types are parsed in loops over explicit stacks, so nesting
+depth costs no recursion.
 
 Lexical classes: space, tab, CR and LF separate tokens, and -- starts a
 comment that runs to the end of the line. A name starts with a letter
@@ -142,9 +144,12 @@ def _tokens(text: str) -> list[_Token]:
 
 ### parser
 
-_TERM_STARTERS = ("\\", "rec", "let", "letdown", "if")
-_ATOM_STARTERS = ("ident", "int", "string", "true", "false", "tag",
-                  "astctor", "eval", "lift", "$", "[|", "(")
+_ATOM_STARTERS = frozenset({"ident", "int", "string", "true", "false", "tag",
+                            "astctor", "eval", "lift", "$", "[|", "("})
+
+# binary operators: binding level, loosest first, and name; application,
+# at level 3, binds tighter than all of them
+_BINOPS = {"==": (0, "eq"), "+": (1, "add"), "-": (1, "sub"), "*": (2, "mul")}
 
 _TYPE_NAMES = {"Int": INT, "Bool": BOOL, "String": STRING, "Code": CODE}
 
@@ -157,8 +162,8 @@ class _Parser:
         self.pos = 0
         self.typed = mode == "typed"
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]  # take() stops at eof, the last token
 
     def take(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -190,141 +195,145 @@ class _Parser:
     ### terms
 
     def term(self) -> Term:
-        kind = self.peek().kind
-        if kind == "\\":
-            return self._lambda()
-        if kind == "rec":
-            return self._rec()
-        if kind == "let":
-            return self._let()
-        if kind == "letdown":
-            return self._letdown()
-        if kind == "if":
-            return self._if()
-        return self._binop(0)
+        """A term, parsed in one loop over an explicit stack.
 
-    def _lambda(self) -> Term:
-        self.take()
-        param = self.expect("ident", "a parameter name").value
+        Each frame on the stack waits for a subterm. An operator frame
+        (level, name, lhs) waits for its right operand; application is
+        the operator "app". A construct frame (-1, kind, ...) is a
+        binder, let, letdown or if waiting for its next part, or an open
+        bracket waiting for its term and closer; no operator reduces it,
+        so an operator chain inside a construct ends at the construct.
+        """
+        stack: list[tuple] = [(-1, "top")]  # "top" takes the whole term
+        while True:
+            # a term starts here: push the constructs that open it, up to
+            # its first atom
+            tok = self.take()
+            kind = tok.kind
+            if kind == "ident":
+                m = Var(tok.value)
+            elif kind == "int":
+                m = IntLit(tok.value)
+            elif kind == "string":
+                m = StrLit(tok.value)
+            elif kind == "true" or kind == "false":
+                m = BoolLit(kind == "true")
+            elif kind == "tag":
+                m = TagLit(Tag(tok.value, self._eval_annot(tok)))
+            elif kind == "\\":
+                param = self.expect("ident", "a parameter name").value
+                stack.append((-1, kind, param, self._binder_annot(tok)))
+                continue
+            elif kind == "rec":
+                name = self.expect("ident", "the function name").value
+                param = self.expect("ident", "a parameter name").value
+                stack.append((-1, kind, name, param, self._binder_annot(tok)))
+                continue
+            elif kind == "let" or kind == "letdown":
+                name = self.expect("ident", "a name").value
+                self.expect("=", "'='")
+                stack.append((-1, kind, name))
+                continue
+            elif kind == "if" or kind == "(" or kind == "[|":
+                stack.append((-1, kind))
+                continue
+            elif kind == "eval" or kind == "lift" or kind == "$":
+                annot = self._eval_annot(tok) if kind == "eval" else None
+                self.expect("(", "'('")
+                stack.append((-1, kind, annot))
+                continue
+            elif kind == "astctor":
+                annot = self._eval_annot(tok)
+                self.expect("(", "'('")
+                if self.peek().kind != ")":
+                    stack.append((-1, kind, tok, annot, []))
+                    continue
+                m = self._ast_ctor(tok, annot, [])
+            else:
+                self.fail(tok, "a term")
+            while True:
+                # m is an operand: the operators before it that bind at
+                # least as tightly as the token after it take it
+                kind = self.peek().kind
+                if kind in _ATOM_STARTERS:
+                    level, op = 3, "app"
+                else:
+                    level, op = _BINOPS.get(kind, (0, None))
+                while stack[-1][0] >= level:
+                    _, name, lhs = stack.pop()
+                    m = App(lhs, m) if name == "app" else BinOp(name, lhs, m)
+                if op is not None:
+                    if op != "app":
+                        self.take()
+                    stack.append((level, op, m))
+                    break
+                # m is a whole term: the construct waiting for it takes it
+                match stack.pop():
+                    case (_, "top"):
+                        return m
+                    case (_, "\\", param, annot):
+                        m = Lam(param, m, annot)
+                    case (_, "rec", name, param, annot):
+                        m = Rec(name, param, m, annot)
+                    case (_, "let" | "letdown" as kind, name):
+                        self.expect("in", "'in'")
+                        stack.append((-1, kind, name, m))
+                        break
+                    case (_, "let", name, bound):
+                        m = App(Lam(name, m), bound)
+                    case (_, "letdown", name, bound):
+                        m = LetDown(name, bound, m)
+                    case (_, "if"):
+                        self.expect("then", "'then'")
+                        stack.append((-1, "if", m))
+                        break
+                    case (_, "if", cond):
+                        self.expect("else", "'else'")
+                        stack.append((-1, "if", cond, m))
+                        break
+                    case (_, "if", cond, then):
+                        m = If(cond, then, m)
+                    case (_, "("):
+                        self.expect(")", "')'")
+                    case (_, "[|"):
+                        self.expect("|]", "'|]'")
+                        m = UpML(m)
+                    case (_, "$" | "lift" as kind, _):
+                        self.expect(")", "')'")
+                        m = DownML(m) if kind == "$" else Lift(m)
+                    case (_, "eval", annot):
+                        self.expect(")", "')'")
+                        m = Eval(m, annot)
+                    case (_, "astctor", tok, annot, args) as frame:
+                        args.append(m)
+                        if self.peek().kind == ",":
+                            self.take()
+                            stack.append(frame)
+                            break
+                        m = self._ast_ctor(tok, annot, args)
+
+    def _binder_annot(self, tok: _Token) -> TypeExpr | None:
+        """The optional `: T` and the `.` after a binder's names."""
         annot = None
         if self.peek().kind == ":":
             self.take()
             annot = self.type_expr()
-        self.expect(".", "'.'")
-        return Lam(param, self.term(), annot)
-
-    def _rec(self) -> Term:
-        tok = self.take()
-        self_name = self.expect("ident", "the function name").value
-        param = self.expect("ident", "a parameter name").value
-        annot = None
-        if self.peek().kind == ":":
-            self.take()
-            annot = self.type_expr()
-            if not isinstance(annot, Arrow):
+            if tok.kind == "rec" and not isinstance(annot, Arrow):
                 raise ParseError(tok.span,
                                  "recursion annotation must be a function type")
         self.expect(".", "'.'")
-        return Rec(self_name, param, self.term(), annot)
+        return annot
 
-    def _let(self) -> Term:
-        name, bound, body = self._binding()
-        return App(Lam(name, body), bound)
-
-    def _letdown(self) -> Term:
-        return LetDown(*self._binding())
-
-    def _binding(self) -> tuple[str, Term, Term]:
-        """The `name = e1 in e2` after let or letdown."""
-        self.take()
-        name = self.expect("ident", "a name").value
-        self.expect("=", "'='")
-        bound = self.term()
-        self.expect("in", "'in'")
-        return name, bound, self.term()
-
-    def _if(self) -> Term:
-        self.take()
-        cond = self.term()
-        self.expect("then", "'then'")
-        then = self.term()
-        self.expect("else", "'else'")
-        orelse = self.term()
-        return If(cond, then, orelse)
-
-    # operator levels, loosest first; each entry is (ops, handedness handled
-    # uniformly: left-associative, rightmost operand may be a full term)
-    _LEVELS = ((("==",), {"==": "eq"}),
-               (("+", "-"), {"+": "add", "-": "sub"}),
-               (("*",), {"*": "mul"}))
-
-    def _binop(self, level: int) -> Term:
-        if level == len(self._LEVELS):
-            return self._application()
-        ops, names = self._LEVELS[level]
-        lhs = self._binop(level + 1)
-        while self.peek().kind in ops:
-            op = names[self.take().kind]
-            if self.peek().kind in _TERM_STARTERS:
-                return BinOp(op, lhs, self.term())
-            lhs = BinOp(op, lhs, self._binop(level + 1))
-        return lhs
-
-    def _application(self) -> Term:
-        fn = self._atom()
-        while self.peek().kind in _ATOM_STARTERS:
-            fn = App(fn, self._atom())
-        return fn
-
-    def _atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return Var(self.take().value)
-        if tok.kind == "int":
-            return IntLit(self.take().value)
-        if tok.kind == "string":
-            return StrLit(self.take().value)
-        if tok.kind in ("true", "false"):
-            return BoolLit(self.take().kind == "true")
-        if tok.kind == "tag":
-            self.take()
-            return TagLit(Tag(tok.value, self._eval_annot(tok)))
-        if tok.kind == "astctor":
-            return self._ast_ctor()
-        if tok.kind == "eval":
-            self.take()
-            annot = self._eval_annot(tok, construct="eval")
-            return Eval(self._parenthesised(), annot)
-        if tok.kind == "lift":
-            self.take()
-            return Lift(self._parenthesised())
-        if tok.kind == "$":
-            self.take()
-            return DownML(self._parenthesised())
-        if tok.kind == "[|":
-            self.take()
-            body = self.term()
-            self.expect("|]", "'|]'")
-            return UpML(body)
-        if tok.kind == "(":
-            return self._parenthesised()
-        self.fail(tok, "a term")
-
-    def _parenthesised(self) -> Term:
-        self.expect("(", "'('")
-        body = self.term()
-        self.expect(")", "')'")
-        return body
-
-    def _eval_annot(self, tok: _Token, construct: str | None = None
-                    ) -> TypeExpr | None:
-        """Annotation handling shared by eval, astEval and #eval."""
-        name = construct or ("#eval" if tok.value == "eval" else None)
-        if name is None:
+    def _eval_annot(self, tok: _Token) -> TypeExpr | None:
+        """The {Type} after eval, astEval or #eval: required in typed mode,
+        rejected in untyped mode and after any other tag or constructor."""
+        if tok.value != "eval":
             if self.peek().kind == "{":
+                ctor = "astEval" if tok.kind == "astctor" else "eval"
                 raise ParseError(self.peek().span,
-                                 "only eval carries a type annotation")
+                                 f"only {ctor} carries a type annotation")
             return None
+        name = {"eval": "eval", "astctor": "astEval", "tag": "#eval"}[tok.kind]
         if self.typed:
             if self.peek().kind != "{":
                 raise ParseError(tok.span,
@@ -338,57 +347,46 @@ class _Parser:
                              f"{name} takes no annotation in untyped mode")
         return None
 
-    def _ast_ctor(self) -> Term:
-        tok = self.take()
-        tag_name = tok.value
-        annot = None
-        if tag_name == "eval":
-            annot = self._eval_annot(tok, construct="astEval")
-        elif self.peek().kind == "{":
-            raise ParseError(self.peek().span,
-                             "only astEval carries a type annotation")
-        self.expect("(", "'('")
-        args = []
-        if self.peek().kind != ")":
-            args.append(self.term())
-            while self.peek().kind == ",":
-                self.take()
-                args.append(self.term())
+    def _ast_ctor(self, tok: _Token, annot: TypeExpr | None,
+                  args: list[Term]) -> Term:
+        """The AST constructor tok(args), once its ')' is next."""
         close = self.expect(")", "')'")
-        if not signature.check_arity(tag_name, len(args)):
-            spec = signature.lookup(tag_name)
+        if not signature.check_arity(tok.value, len(args)):
+            spec = signature.lookup(tok.value)
             wanted = "1 or more" if spec.arity is None else str(spec.arity)
             raise ParseError(
                 SourceSpan(tok.span.start, close.span.end),
                 f"{self._spelling(tok)} takes {wanted} argument(s), got {len(args)}")
-        return AstCtor(Tag(tag_name, annot), tuple(args))
+        return AstCtor(Tag(tok.value, annot), tuple(args))
 
     ### types
 
     def type_expr(self) -> TypeExpr:
-        lhs = self._type_atom()
-        if self.peek().kind == "->":
-            self.take()
-            return Arrow(lhs, self.type_expr())
-        return lhs
-
-    def _type_atom(self) -> TypeExpr:
-        tok = self.peek()
-        if tok.kind == "ident":
+        """A type; arrows associate to the right. The stack holds each
+        domain waiting for its codomain, and None for each open '('."""
+        stack: list[TypeExpr | None] = []
+        while True:
+            tok = self.take()
+            if tok.kind == "(":
+                stack.append(None)
+                continue
+            if tok.kind != "ident":
+                self.fail(tok, "a type")
             if tok.value in _TYPE_NAMES:
-                self.take()
-                return _TYPE_NAMES[tok.value]
-            if tok.value == "Tag":
-                self.take()
-                tag = self.expect("tag", "a #tag")
-                return TagType(tag.value)
-            raise ParseError(tok.span, f"unknown type name {tok.value!r}")
-        if tok.kind == "(":
+                ty = _TYPE_NAMES[tok.value]
+            elif tok.value == "Tag":
+                ty = TagType(self.expect("tag", "a #tag").value)
+            else:
+                raise ParseError(tok.span, f"unknown type name {tok.value!r}")
+            while self.peek().kind != "->":
+                while stack and stack[-1] is not None:
+                    ty = Arrow(stack.pop(), ty)
+                if not stack:
+                    return ty
+                self.expect(")", "')'")
+                stack.pop()
             self.take()
-            ty = self.type_expr()
-            self.expect(")", "')'")
-            return ty
-        self.fail(tok, "a type")
+            stack.append(ty)
 
     def finish(self):
         tok = self.peek()

@@ -354,16 +354,9 @@ def _rt(m: Term, run: _Run):
             return res, _d(run, "Eval rt", "rt", m, res, *premises)
         case Lift(body):
             v, d1 = _rt(body, run)
-            match v:
-                case IntLit():
-                    out = mk_ast("int", v)
-                case StrLit():
-                    out = mk_ast("string", v)
-                case BoolLit():
-                    out = mk_ast("bool", v)
-                case _:
-                    _stuck("rt", m,
-                           "lift applies to integers, strings and booleans")
+            if type(v) not in (IntLit, StrLit, BoolLit):
+                _stuck("rt", m, "lift applies to integers, strings and booleans")
+            out = AstCtor(v.ast_tag(), (v,))
             return out, _d(run, "Lift", "rt", m, out, d1)
         case DownML() | UpML() | LetDown():
             _stuck("rt", m, "compile-time construct reached run time")

@@ -93,6 +93,17 @@ def test_run_unconvertible_literals_are_parse_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_run_deeply_nested_source(tmp_path, capsys):
+    for mode, text, value in [
+        ("untyped", "(" * 5000 + "1" + ")" * 5000, "1"),
+        ("typed", "\\x: " + "(" * 12000 + "Int" + ")" * 12000 + ". x",
+         "\\x:Int. x"),
+    ]:
+        code, out, err = run_cli(capsys, "run", "--mode", mode,
+                                 write(tmp_path, text))
+        assert (code, out.strip(), err) == (0, value, ""), mode
+
+
 def test_run_typed_type_error_says_error_type_once(tmp_path, capsys):
     path = write(tmp_path, "1 + true")
     code, out, err = run_cli(capsys, "run", "--mode", "typed", path)

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgmp.parser import ParseError, _Parser, parse_term, parse_type
 from hgmp.syntax import (
     BOOL, CODE, INT, STRING,
     App, Arrow, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
-    LetDown, Rec, StrLit, Tag, TagLit, TagType, UpML, Var,
+    LetDown, Rec, StrLit, Tag, TagLit, TagType, Term, UpML, Var,
     mk_ast, pretty,
 )
 
@@ -345,6 +347,105 @@ def test_span_is_byte_based():
         parse_term(src)
     assert exc.value.span.end <= len(src.encode("utf-8"))
     assert exc.value.span.end > len(src) - 1  # char count undercounts
+
+
+# (source, mode, span, message, expected); mode None parses a type
+PARSE_ERROR_TABLE = [
+    ("\\1. x", "untyped", (1, 2), "unexpected '1'", ("a parameter name",)),
+    ("rec 1 x. x", "untyped", (4, 5), "unexpected '1'",
+     ("the function name",)),
+    ("rec f . x", "untyped", (6, 7), "unexpected '.'", ("a parameter name",)),
+    ("\\x x", "untyped", (3, 4), "unexpected 'x'", ("'.'",)),
+    ("let x 1 in x", "untyped", (6, 7), "unexpected '1'", ("'='",)),
+    ("letdown = 1 in x", "untyped", (8, 9), "unexpected '='", ("a name",)),
+    ("let x = 1 then 2", "untyped", (10, 14), "unexpected 'then'", ("'in'",)),
+    ("if true else 1", "untyped", (8, 12), "unexpected 'else'", ("'then'",)),
+    ("if true then 1 then 2", "untyped", (15, 19), "unexpected 'then'",
+     ("'else'",)),
+    ("(1 in", "untyped", (3, 5), "unexpected 'in'", ("')'",)),
+    ("astInt(1 2", "untyped", (10, 10), "unexpected end of input", ("')'",)),
+    ("[| 1 )", "untyped", (5, 6), "unexpected ')'", ("'|]'",)),
+    ("$x", "untyped", (1, 2), "unexpected 'x'", ("'('",)),
+    ("lift 1", "untyped", (5, 6), "unexpected '1'", ("'('",)),
+    ("eval{Int} 1", "typed", (10, 11), "unexpected '1'", ("'('",)),
+    ("astInt 1", "untyped", (7, 8), "unexpected '1'", ("'('",)),
+    ("eval{Int )", "typed", (9, 10), "unexpected ')'", ("'}'",)),
+    ("", "untyped", (0, 0), "unexpected end of input", ("a term",)),
+    ("1 + )", "untyped", (4, 5), "unexpected ')'", ("a term",)),
+    ("1 )", "untyped", (2, 3), "unexpected ')'", ("end of input",)),
+    ("f \\x. x", "untyped", (2, 3), "unexpected '\\\\'", ("end of input",)),
+    ("\\x: 1. x", "untyped", (4, 5), "unexpected '1'", ("a type",)),
+    ("\\x: Tag Int. x", "untyped", (8, 11), "unexpected 'Int'", ("a #tag",)),
+    ("\\x: Float. x", "untyped", (4, 9), "unknown type name 'Float'", ()),
+    ("rec f x : Int. x", "typed", (0, 3),
+     "recursion annotation must be a function type", ()),
+    ("astInt(1, 2)", "untyped", (0, 12), "astInt takes 1 argument(s), got 2",
+     ()),
+    ("astPromote()", "untyped", (0, 12),
+     "astPromote takes 1 or more argument(s), got 0", ()),
+    ("#lam{Int}", "typed", (4, 5), "only eval carries a type annotation", ()),
+    ("astInt{Int}(1)", "typed", (6, 7),
+     "only astEval carries a type annotation", ()),
+    ("eval(1)", "typed", (0, 4),
+     "eval requires a {Type} annotation in typed mode", ()),
+    ("astEval(1)", "typed", (0, 7),
+     "astEval requires a {Type} annotation in typed mode", ()),
+    ("#eval", "typed", (0, 5),
+     "#eval requires a {Type} annotation in typed mode", ()),
+    ("eval{Int}(1)", "untyped", (4, 5),
+     "eval takes no annotation in untyped mode", ()),
+    ("astEval{Int}(1)", "untyped", (7, 8),
+     "astEval takes no annotation in untyped mode", ()),
+    ("#eval{Int}", "untyped", (5, 6),
+     "#eval takes no annotation in untyped mode", ()),
+    ("(Int -> Int", None, (11, 11), "unexpected end of input", ("')'",)),
+    ("((Int) -> Bool", None, (14, 14), "unexpected end of input", ("')'",)),
+    ("Int ->", None, (6, 6), "unexpected end of input", ("a type",)),
+    (")", None, (0, 1), "unexpected ')'", ("a type",)),
+    ("Int Int", None, (4, 7), "unexpected 'Int'", ("end of input",)),
+]
+
+
+def test_parse_errors_exact():
+    for src, mode, span, message, expected in PARSE_ERROR_TABLE:
+        with pytest.raises(ParseError) as exc:
+            parse_type(src) if mode is None else parse_term(src, mode)
+        err = exc.value
+        assert ((err.span.start, err.span.end), err.message, err.expected) == (
+            span, message, expected), src
+
+
+SOUP = ("x f 1 -2 \"s\" #lam #eval astInt astLam astEval astPromote "
+        "\\ rec let letdown in if then else true false eval lift $ "
+        "( ) [| |] { } , . : = == + - * -> Int Bool Tag Code").split()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(SOUP), max_size=30),
+       st.sampled_from(("typed", "untyped")))
+def test_token_soup_parses_or_raises_parse_error(tokens, mode):
+    try:
+        assert isinstance(parse_term(" ".join(tokens), mode), Term)
+    except ParseError:
+        pass
+
+
+def test_deep_nesting_parses():
+    n = 100_000
+    assert parse_term("(" * n + "1" + ")" * n) == IntLit(1)
+    for src, cls in [("\\x. " * n + "x", Lam),
+                     ("[| " * n + "x" + " |]" * n, UpML)]:
+        m = parse_term(src)
+        for _ in range(n):
+            assert type(m) is cls, src[:20]
+            m = m.children()[0]
+        assert m == Var("x")
+    m = parse_term("\\x: " + "(Int -> " * n + "Bool" + ")" * n + ". x", "typed")
+    ty = m.annot
+    for _ in range(n):
+        assert ty.src == INT
+        ty = ty.dst
+    assert ty == BOOL
 
 
 def test_parse_deterministic():
