@@ -15,9 +15,13 @@ rt has two evaluators with the same values, errors and fuel. `_rt` is the
 reference: call-by-value with capture-avoiding substitution. It runs
 every traced run, because derivations show substituted terms, and any
 open term. `_machine` is an environment machine: a variable looks its
-value up, a function evaluates to a closure, and a closure is read back
-with `subst` wherever the reference would hold a term (a result, an AST
-argument, eval's input to dl, an error's offending term). It runs every
+value up, a function evaluates to a closure, and integers, booleans and
+strings are host values (Python ints, bools and strs), so arithmetic
+builds no term. Values are read back wherever the reference would hold a
+term (a result, an AST argument, eval's input to dl, lift, an error's
+offending term): a host value is boxed into its literal, and a closure
+is closed with `subst`. An AST whose arguments all run to themselves is
+returned as the node it was, not rebuilt. The machine runs every
 untraced rt of a closed term: the pipeline's, eval_rt's, and those ct
 runs for splices and letdown. The read-back is exact only while every
 value is closed, so the machine runs closed terms only; when eval
@@ -27,6 +31,7 @@ produces open code, the call is rerun on `_rt` with its fuel restored.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -37,7 +42,8 @@ from .syntax import (
     AST_CTOR_OF_TAG, CLASS_OF_TAG,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, TypeExpr, UpML, Var,
-    free_vars, mk_ast, pretty, pretty_type, printer, subst,
+    free_vars, int_of_text, int_text, mk_ast, pretty, pretty_type, printer,
+    subst,
 )
 from . import signature, typecheck
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
@@ -367,8 +373,9 @@ def _rt(m: Term, run: _Run):
 
 class _Closure:
     """The machine's value for a function: its code and the environment
-    it was evaluated in. Every other value is the closed term the
-    reference semantics holds."""
+    it was evaluated in. An integer, boolean or string is the host value
+    itself (an int, bool or str), boxed into its literal by _read_back;
+    every other value is the closed term the reference semantics holds."""
 
     __slots__ = ("code", "env", "term")
 
@@ -382,9 +389,23 @@ class _OpenCode(Exception):
     """eval produced open code, whose values the machine cannot read back."""
 
 
+# The literal class of each host value, and the host type of each literal
+# class. A literal holding a value of another type (IntLit(True), built by
+# a library caller) is not unboxed: the machine keeps its node.
+_BOX = {int: IntLit, bool: BoolLit, str: StrLit}
+_HOST = {IntLit: int, BoolLit: bool, StrLit: str}
+_INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+            "eq": operator.eq}
+
+
 def _read_back(v) -> Term:
-    """The term the substitution semantics holds for the machine value v."""
-    if type(v) is not _Closure:
+    """The term the substitution semantics holds for the machine value v:
+    a host value boxed into its literal, a closure closed by subst."""
+    cls = type(v)
+    box = _BOX.get(cls)
+    if box is not None:
+        return box(v)
+    if cls is not _Closure:
         return v
     if v.term is None:
         v.term = _close(v.code, v.env)
@@ -421,10 +442,10 @@ def _rt_entry(m: Term, run: _Run):
 
 def _machine(m: Term, env: dict, run: _Run):
     """rt of m, whose free variables env binds to closed values, without
-    substitution: a variable looks its value up in env, and a function
-    evaluates to a _Closure. It spends one unit of fuel wherever _rt
-    spends one, in the same order, and its errors hold the terms _rt's
-    would. Tail positions loop."""
+    substitution: a variable looks its value up in env, a function
+    evaluates to a _Closure, and a literal to its host value. It spends
+    one unit of fuel wherever _rt spends one, in the same order, and its
+    errors hold the terms _rt's would. Tail positions loop."""
     while True:
         run.remaining -= 1
         if run.remaining < 0:
@@ -456,23 +477,41 @@ def _machine(m: Term, env: dict, run: _Run):
         elif cls is BinOp:
             a = _machine(m.lhs, env, run)
             b = _machine(m.rhs, env, run)
+            if type(a) is int and type(b) is int:
+                return _INT_OPS[m.op](a, b)
+            if type(a) is str and type(b) is str and m.op == "eq":
+                return a == b
             try:
-                return _arith(m.op, a, b, m)
+                return _arith(m.op, _read_back(a), _read_back(b), m)
             except EvalError as err:
                 err.offending = _close(m, env)
                 raise
-        elif cls is IntLit or cls is StrLit or cls is BoolLit or cls is TagLit:
-            return m
+        elif cls is IntLit or cls is StrLit or cls is BoolLit:
+            v = m.value
+            return v if type(v) is _HOST[cls] else m
         elif cls is If:
             c = _machine(m.cond, env, run)
-            if type(c) is not BoolLit:
-                _stuck("rt", _close(m, env), "if condition is not a boolean")
-            m = m.then if c.value else m.orelse
+            if type(c) is not bool:
+                c = _read_back(c)
+                if type(c) is not BoolLit:
+                    _stuck("rt", _close(m, env),
+                           "if condition is not a boolean")
+                c = c.value
+            m = m.then if c else m.orelse
         elif cls is Lam or cls is Rec:
             return _Closure(m, env)
+        elif cls is TagLit:
+            return m
         elif cls is AstCtor:
-            return AstCtor(m.tag, tuple([_read_back(_machine(a, env, run))
-                                         for a in m.args]))
+            # A literal argument runs to its own value: its node is kept.
+            # A node whose arguments all come back as they were is kept.
+            args, outs = m.args, []
+            for a in args:
+                v = _machine(a, env, run)
+                outs.append(a if type(a) in _HOST else _read_back(v))
+            if all(map(operator.is_, outs, args)):
+                return m
+            return AstCtor(m.tag, tuple(outs))
         elif cls is Eval:
             v = _read_back(_machine(m.body, env, run))
             n, _ = _dl(v, run)
@@ -488,7 +527,7 @@ def _machine(m: Term, env: dict, run: _Run):
                 raise _OpenCode
             m, env = n, {}
         elif cls is Lift:
-            v = _machine(m.body, env, run)
+            v = _read_back(_machine(m.body, env, run))
             if type(v) not in (IntLit, StrLit, BoolLit):
                 _stuck("rt", _close(m, env),
                        "lift applies to integers, strings and booleans")
@@ -673,7 +712,7 @@ def _term_json(m: Term, memo: dict) -> str:
         case Var(name):
             ctor, atom = "var", _json_str(name)
         case IntLit(value):
-            ctor, atom = "int", int.__repr__(value)  # as the json module does
+            ctor, atom = "int", int_text(value)  # as json writes it, at any size
         case StrLit(value):
             ctor, atom = "str", _json_str(value)
         case BoolLit(value):
@@ -707,14 +746,14 @@ def term_to_json(m: Term) -> dict:
     Type annotations, when present, ride along under an "annot" key as a
     pretty-printed type string. This is to_json's text of m, read back.
     """
-    return json.loads(to_json(m))
+    return json.loads(to_json(m), parse_int=int_of_text)
 
 
 def derivation_to_json(d: Derivation) -> dict:
     """{"rule", "relation", "in", "out", "premises"}: the terms as
     term_to_json encodes them, a type conclusion as {"type": ..}. This is
     to_json's text of d, read back."""
-    return json.loads(to_json(d))
+    return json.loads(to_json(d), parse_int=int_of_text)
 
 
 def render_derivation(d: Derivation) -> str:

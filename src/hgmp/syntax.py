@@ -8,6 +8,7 @@ astInt(1, 1) must be representable so later stages can reject them).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -497,6 +498,36 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+# No limit that sys.set_int_max_str_digits accepts is below this many digits.
+_SAFE_DIGITS = sys.int_info.str_digits_check_threshold
+
+
+def int_text(n: int) -> str:
+    """The decimal text of the integer n, whatever its size. str(n) refuses
+    more digits than sys.get_int_max_str_digits() (4300 by default); past
+    that, n is split at a power of ten and each part converted alike."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_text(-n)
+    half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10 ** half)
+    return int_text(high) + int_text(low).zfill(half)
+
+
+def int_of_text(text: str) -> int:
+    """The integer a decimal numeral spells, whatever its length: int_text
+    read back. int(text) refuses as many digits as str(n) does."""
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -int_of_text(text[1:])
+    half = len(text) // 2
+    return int_of_text(text[:-half]) * 10 ** half + int_of_text(text[-half:])
+
+
 def _tag_surface(tag: Tag) -> str:
     s = "#" + SURFACE_OF_TAG[tag.name]
     if tag.eval_annot is not None:
@@ -535,7 +566,7 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
             case IntLit(value):
                 # A negative literal binds like a term, not an atom: printed
                 # bare after an identifier it would lex as a subtraction.
-                laid = str(value), _TERM if value < 0 else _ATOM
+                laid = int_text(value), _TERM if value < 0 else _ATOM
             case StrLit(value):
                 laid = f'"{_escape(value)}"', _ATOM
             case BoolLit(value):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hgmp import cli
 from hgmp.cli import main
 from hgmp.parser import parse_term
-from hgmp.syntax import pretty
+from hgmp.syntax import int_of_text, pretty
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -102,6 +103,22 @@ def test_run_deeply_nested_source(tmp_path, capsys):
         code, out, err = run_cli(capsys, "run", "--mode", mode,
                                  write(tmp_path, text))
         assert (code, out.strip(), err) == (0, value, ""), mode
+
+
+def test_run_prints_integers_over_the_str_limit(tmp_path, capsys):
+    # 2 squared 14 times has 4933 digits, over CPython's int-to-str limit.
+    path = write(tmp_path, "(\\x. x * x) (" * 14 + "2" + ")" * 14)
+    value = 2 ** 2 ** 14
+    digits = str(Decimal(value))  # Decimal converts with no digit limit
+    code, out, err = run_cli(capsys, "run", path)
+    assert (code, out, err) == (0, digits + "\n", "")
+    code, out, err = run_cli(capsys, "run", "--trace", "text", path)
+    assert (code, out) == (0, digits + "\n")
+    assert err.endswith(f"=rt=>  {digits}\n")
+    code, out, err = run_cli(capsys, "run", "--trace", "json", path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_int=int_of_text)
+    assert doc["value"] == {"ctor": "int", "atom": value, "children": []}
 
 
 def test_run_typed_type_error_says_error_type_once(tmp_path, capsys):
@@ -386,6 +403,14 @@ def test_console_script(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "astInt(5)"
+
+
+def test_python_dash_m_hgmp(tmp_path):
+    path = write(tmp_path, "lift(2 + 3)")
+    proc = subprocess.run([sys.executable, "-m", "hgmp", "run", path],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "astInt(5)\n",
+                                                           "")
 
 
 def test_repl_help(monkeypatch, capsys):

@@ -430,6 +430,88 @@ def test_untraced_rt_charges_a_bound_ast_as_substitution_does():
     assert _outcome(m, fuel=28)[0] == t('astAdd(astInt(1), astVar("v"))')
 
 
+@pytest.mark.parametrize("m, value", [
+    (BinOp("add", IntLit(True), IntLit(1)), IntLit(2)),
+    (BinOp("eq", IntLit(True), IntLit(1)), BoolLit(True)),
+    (If(BoolLit(1), IntLit(2), IntLit(3)), IntLit(2)),
+    (If(BoolLit(0), IntLit(2), IntLit(3)), IntLit(3)),
+    (Lift(IntLit(True)), mk_ast("int", IntLit(True))),
+], ids=["add-bool-int", "eq-bool-int", "if-int-true", "if-int-false",
+        "lift-bool-int"])
+def test_untraced_rt_keeps_library_built_literals_on_the_reference(m, value):
+    # A literal whose value has another Python type than its class's
+    # (built by a library caller, never by the parser) is not unboxed by
+    # the machine: it computes as the reference does.
+    assert _outcome(m) == _outcome(m, trace=True) == (value, m, None)
+    assert eval_rt(m) == eval_rt(m, trace=True)[0] == value
+
+
+VALUE_EDGES = [
+    # (source, the printed value, or the error's message and term)
+    (r"(\x. x + 1) (1 == 1)", ("add needs integer operands", "true + 1")),
+    ("(1 == 1) == (1 == 1)",
+     ("== compares two integers or two strings", "1 == 1 == (1 == 1)")),
+    ('"a" == "a"', "true"),
+    ('"a" == "b"', "false"),
+    ('"a" == 1', ("== compares two integers or two strings", '"a" == 1')),
+    ("if 1 then 2 else 3",
+     ("if condition is not a boolean", "if 1 then 2 else 3")),
+    ("if 1 == 1 then 2 else 3", "2"),
+    ("lift(1 + 2)", "astInt(3)"),
+    ("lift(1 == 2)", "astBool(false)"),
+    ('lift("s")', 'astStr("s")'),
+    ("astInt(1 + 2)", "astInt(3)"),
+    ("astAdd(astInt(1), astInt(2))", "astAdd(astInt(1), astInt(2))"),
+    ("eval(astAdd(astInt(1), astInt(2)))", "3"),
+    ("eval(1 + 2)", ("term is not an AST value", "3")),
+    (r'(\b. \s. \x. if b then x else 0) (1 == 1) "s"',
+     r"\x. if true then x else 0"),
+    (r'(\b. \s. \x. if b then s else x) (1 == 2) "s"',
+     r'\x. if false then "s" else x'),
+    (r"(\n. \x. x + n) (2 * 3)", r"\x. x + 6"),
+]
+
+
+@pytest.mark.parametrize("src, expected", VALUE_EDGES,
+                         ids=[src for src, _ in VALUE_EDGES])
+def test_untraced_rt_value_representation_edges(src, expected):
+    # Machine values are host ints, bools and strs, boxed into literals
+    # wherever the reference holds a term: the value, an AST argument,
+    # eval's input to dl, lift, a closure's read-back and an error's term.
+    m = t(src)
+    untraced = _outcome(m)
+    assert untraced == _outcome(m, trace=True)
+    if isinstance(expected, str):
+        assert pretty(untraced[0]) == expected
+    else:
+        kind, _, message, offending = untraced
+        assert (kind, message, pretty(offending)) == (EvalError.STUCK,
+                                                      *expected)
+
+
+def test_untraced_rt_keeps_unchanged_ast_nodes():
+    # A closed AST runs to itself: the machine returns the node it was
+    # given, and a literal argument keeps its node inside a rebuilt one.
+    m = t("astAdd(astInt(1), astLam(astStr(\"x\"), astVar(\"x\")))")
+    assert eval_rt(m) is m
+    result = run_pipeline(m)
+    assert result.value is result.residual
+    changed = t("astAdd(astInt(1 + 2), astInt(4))")
+    out = eval_rt(changed)
+    assert out == t("astAdd(astInt(3), astInt(4))")
+    assert out.args[1] is changed.args[1]
+    assert out.args[1].args[0] is changed.args[1].args[0]
+
+
+def test_untraced_rt_matches_traced_on_every_fuel_budget():
+    m = t(r"(\n. n * n + n) (2 + 3)")
+    need = sum(_rule_count(d) for _, d in run_pipeline(m, trace=True).stages)
+    for fuel in range(1, need + 1):
+        assert _outcome(m, fuel=fuel) == _outcome(m, fuel=fuel, trace=True)
+    assert _outcome(m, fuel=need)[0] == IntLit(30)
+    assert _outcome(m, fuel=need - 1)[0] == EvalError.FUEL
+
+
 def test_untraced_pipeline_matches_traced_on_generated_terms():
     # Values, residuals and every error's kind, phase, message and
     # offending term: the machine against the substitution semantics,

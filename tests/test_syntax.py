@@ -1,13 +1,18 @@
 import random
+import sys
+from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmp.parser import parse_term
+from hgmp.reduction import term_to_json
 from hgmp.syntax import (
     App, AstCtor, BinOp, BoolLit, DownML, IntLit, Lam, LetDown,
     Rec, StrLit, Tag, UpML, Var,
-    alpha_eq, free_vars, is_ml_free, mk_ast, pretty, subst,
+    alpha_eq, free_vars, int_of_text, int_text, is_ml_free, mk_ast, pretty,
+    subst,
 )
 
 from gen_terms import gen_ml_free, gen_term
@@ -156,6 +161,35 @@ def test_pretty_precedence():
     assert pretty(t("f x y")) == "f x y"
     assert pretty(t("f (x y)")) == "f (x y)"
     assert pretty(t("1 - 2 - 3")) == "1 - 2 - 3"  # left-assoc, no parens
+
+
+def decimal_digits(n):
+    # Decimal converts from the int's binary digits, so no limit applies.
+    return str(Decimal(n))
+
+
+@pytest.mark.parametrize("limit", [sys.get_int_max_str_digits(), 640])
+def test_int_text_converts_integers_of_any_size(limit):
+    rng = random.Random(4300)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for digits in (1, 639, 640, 641, 4299, 4300, 4301, 4933, 8601, 20000):
+            n = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            for m in (n, -n, 10 ** digits, 10 ** digits - 1):
+                assert int_text(m) == decimal_digits(m), digits
+                assert int_of_text(int_text(m)) == m, digits
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_pretty_prints_integers_over_the_str_limit():
+    n = 2 ** 2 ** 14  # 4933 digits
+    assert pretty(IntLit(n)) == decimal_digits(n)
+    assert pretty(BinOp("sub", IntLit(1), IntLit(-n))) == (
+        "1 - (" + decimal_digits(-n) + ")")
+    assert term_to_json(IntLit(n)) == {"ctor": "int", "atom": n,
+                                       "children": []}
 
 
 def test_pretty_string_escapes():
