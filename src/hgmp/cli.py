@@ -8,6 +8,7 @@ stdout carries a single JSON document instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -323,6 +324,7 @@ def cmd_corpus(args) -> int:
 
 ### entry point
 
+@functools.cache  # built once per process; it holds no per-call state
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hgmp",

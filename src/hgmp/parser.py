@@ -14,10 +14,12 @@ Lexical classes: space, tab, CR and LF separate tokens, and -- starts a
 comment that runs to the end of the line. A name starts with a letter
 (str.isalpha) or an underscore, and goes on with letters and digits
 (str.isalnum), underscores and primes. An integer literal is a run of
-Unicode decimal digits; a - right before it makes it negative unless the
-token before the - ends a value. A string is double-quoted, with the four
-escapes \\\\ \\" \\n and \\t. A tag is # and the name characters after it.
-Any other character is an error.
+Unicode decimal digits, of any length; a - right before it makes it
+negative unless the token before the - ends a value. A string is
+double-quoted, with the four escapes \\\\ \\" \\n and \\t. A tag is # and
+the name characters after it. Any other character is an error. Tokens
+are plain tuples (kind, value, start byte, end byte), one regex match
+each; a SourceSpan is built only for a ParseError.
 
 In typed mode eval, astEval and #eval require a {Type} annotation; in
 untyped mode the annotation is rejected. Surface arity of every AST
@@ -30,7 +32,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import signature
 from .syntax import (
@@ -38,6 +39,7 @@ from .syntax import (
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
     LetDown, Lift, Rec, StrLit, Tag, TagLit, TagType, Term, TypeExpr, UpML,
     Var, AST_CTOR_OF_TAG, SURFACE_OF_TAG, TAG_OF_AST_CTOR, TAG_OF_SURFACE,
+    int_of_text, int_text,
 )
 
 MODES = ("typed", "untyped")
@@ -68,10 +70,11 @@ class ParseError(Exception):
 
 ### lexer
 
-_KEYWORDS = {
-    "let", "letdown", "in", "if", "then", "else", "rec",
-    "true", "false", "eval", "lift",
-}
+# the kind and value of each word that is not a name: the keywords, then
+# the AST constructors
+_WORDS = {**{w: (w, w) for w in ("let", "letdown", "in", "if", "then", "else",
+                                 "rec", "true", "false", "eval", "lift")},
+          **{name: ("astctor", tag) for name, tag in TAG_OF_AST_CTOR.items()}}
 
 # Tokens a value can end with: a '-' directly after one of these is the
 # binary operator, otherwise '-' right before digits starts a negative
@@ -79,51 +82,50 @@ _KEYWORDS = {
 _OPERAND_ENDERS = frozenset(
     {"int", "string", "ident", "true", "false", "tag", ")", "|]", "}"})
 
-# One alternative per token class, tried in order; "other" takes any one
-# character, so the matches cover the text end to end.
+# One match per token: spaces and comments (each runs to a newline), then
+# one alternative per token class, tried in order; "other" takes any one
+# character and "eof" the end of the text, so every match succeeds.
 _TOKEN = re.compile(r"""
-    (?P<skip>(?:[ \t\r\n]+|--[^\n]*)+)
-  | (?P<int>-?\d+)
-  | (?P<word>[^\W\d][\w']*)
-  | (?P<string>"[^"\\]*(?:\\[\\"nt][^"\\]*)*(?P<close>"|\\.|\\?\Z))
-  | (?P<tag>\#[\w']*)
-  | (?P<symbol>\[\||\|]|->|==|[(){},.:\\$+*=-])
-  | (?P<other>.)
+    [ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*
+    (?:(?P<int>-?\d+)
+     | (?P<word>[^\W\d][\w']*)
+     | (?P<string>"[^"\\]*(?:\\[\\"nt][^"\\]*)*(?P<close>"|\\.|\\?\Z))
+     | (?P<tag>\#[\w']*)
+     | (?P<symbol>\[\||\|]|->|==|[(){},.:\\$+*=-])
+     | (?P<other>.)
+     | (?P<eof>\Z))
 """, re.VERBOSE | re.DOTALL)
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: object
-    span: SourceSpan
-
-
-def _tokens(text: str) -> list[_Token]:
-    """The tokens of text, ending with "eof"; spans are UTF-8 byte offsets."""
+def _tokens(text: str) -> list[tuple]:
+    """The tokens of text as (kind, value, start, end), ending with "eof";
+    start and end are UTF-8 byte offsets."""
     # surrogatepass: a lone surrogate counts its 3 bytes, not a crash
     size = len if text.isascii() else (
         lambda s: len(s.encode("utf-8", "surrogatepass")))
-    out: list[_Token] = []
-    end = 0
-    for m in _TOKEN.finditer(text):
-        kind, s, start = m.lastgroup, m.group(), end
-        end += size(s)
-        if kind == "skip":
-            continue
-        if kind == "symbol" or s in _KEYWORDS:
+    out: list[tuple] = []
+    i = end = 0  # where the next match starts; the byte end of the last one
+    while True:
+        m = _TOKEN.match(text, i)
+        kind = m.lastgroup
+        j, i = m.span(kind)
+        s = text[j:i]
+        if size is len:  # byte offsets are character indices
+            start, end = j, i
+        else:
+            start = end + size(text[m.start():j])
+            end = start + size(s)
+        if kind == "symbol":
             kind = value = s
+        elif kind == "word" and s in _WORDS:
+            kind, value = _WORDS[s]
         elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
-            kind = "astctor" if s in TAG_OF_AST_CTOR else "ident"
-            value = TAG_OF_AST_CTOR.get(s, s)
+            kind, value = "ident", s
         elif kind == "int":
-            if s[0] == "-" and out and out[-1].kind in _OPERAND_ENDERS:
-                out.append(_Token("-", "-", SourceSpan(start, start + 1)))
+            if s[0] == "-" and out and out[-1][0] in _OPERAND_ENDERS:
+                out.append(("-", "-", start, start + 1))
                 s, start = s[1:], start + 1
-            try:
-                value = int(s)
-            except ValueError:  # more digits than int() converts
-                raise ParseError(SourceSpan(start, end),
-                                 "integer literal too long") from None
+            value = int_of_text(s)
         elif kind == "string" and m["close"] == '"':
             value = json.loads(s, strict=False)  # the four escapes are JSON's
         elif kind == "string":  # stopped at a bad escape or the end of text
@@ -134,12 +136,13 @@ def _tokens(text: str) -> list[_Token]:
             value = TAG_OF_SURFACE[s[1:]]
         elif kind == "tag":
             raise ParseError(SourceSpan(start, end), f"unknown tag {s}")
+        elif kind == "eof":
+            out.append(("eof", None, end, end))
+            return out
         else:  # any other character; \w also takes ² and Ⅻ, which start no name
             raise ParseError(SourceSpan(start, start + size(s[0])),
                              f"unexpected character {s[0]!r}")
-        out.append(_Token(kind, value, SourceSpan(start, end)))
-    out.append(_Token("eof", None, SourceSpan(end, end)))
-    return out
+        out.append((kind, value, start, end))
 
 
 ### parser
@@ -155,46 +158,37 @@ _TYPE_NAMES = {"Int": INT, "Bool": BOOL, "String": STRING, "Code": CODE}
 
 
 class _Parser:
+    """Each method starts at a token index and returns the index after
+    what it took; every path that reads the last token, eof, fails."""
+
     def __init__(self, text: str, mode: str):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.tokens = _tokens(text)
-        self.pos = 0
         self.typed = mode == "typed"
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]  # take() stops at eof, the last token
+    def want(self, pos: int, kind: str, what: str) -> tuple[object, int]:
+        """The value of token pos, which must be of this kind, and pos + 1."""
+        tok = self.tokens[pos]
+        if tok[0] != kind:
+            self.fail(tok, what)
+        return tok[1], pos + 1
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(tok, what or repr(kind))
-        return self.take()
-
-    def fail(self, tok: _Token, *expected: str):
-        found = "end of input" if tok.kind == "eof" else repr(
-            self._spelling(tok))
-        raise ParseError(tok.span, f"unexpected {found}", expected)
+    def fail(self, tok: tuple, *expected: str):
+        found = ("end of input" if tok[0] == "eof"
+                 else repr(self._spelling(tok)))
+        raise ParseError(SourceSpan(*tok[2:]), f"unexpected {found}", expected)
 
     @staticmethod
-    def _spelling(tok: _Token) -> str:
-        if tok.kind in ("ident", "int", "string"):
-            return str(tok.value)
-        if tok.kind == "astctor":
-            return AST_CTOR_OF_TAG[tok.value]
-        if tok.kind == "tag":
-            return "#" + SURFACE_OF_TAG[tok.value]
-        return str(tok.kind)
+    def _spelling(tok: tuple) -> str:
+        kind, value = tok[0], tok[1]  # a keyword's or symbol's value is itself
+        return (int_text(value) if kind == "int" else
+                AST_CTOR_OF_TAG[value] if kind == "astctor" else
+                "#" + SURFACE_OF_TAG[value] if kind == "tag" else value)
 
     ### terms
 
-    def term(self) -> Term:
+    def term(self, pos: int) -> tuple[Term, int]:
         """A term, parsed in one loop over an explicit stack.
 
         Each frame on the stack waits for a subterm. An operator frame
@@ -204,57 +198,63 @@ class _Parser:
         bracket waiting for its term and closer; no operator reduces it,
         so an operator chain inside a construct ends at the construct.
         """
+        toks = self.tokens
         stack: list[tuple] = [(-1, "top")]  # "top" takes the whole term
         while True:
             # a term starts here: push the constructs that open it, up to
             # its first atom
-            tok = self.take()
-            kind = tok.kind
+            tok = toks[pos]
+            kind = tok[0]
+            pos += 1
             if kind == "ident":
-                m = Var(tok.value)
+                m = Var(tok[1])
             elif kind == "int":
-                m = IntLit(tok.value)
+                m = IntLit(tok[1])
             elif kind == "string":
-                m = StrLit(tok.value)
+                m = StrLit(tok[1])
             elif kind == "true" or kind == "false":
                 m = BoolLit(kind == "true")
             elif kind == "tag":
-                m = TagLit(Tag(tok.value, self._eval_annot(tok)))
+                annot, pos = self._eval_annot(tok, pos)
+                m = TagLit(Tag(tok[1], annot))
             elif kind == "\\":
-                param = self.expect("ident", "a parameter name").value
-                stack.append((-1, kind, param, self._binder_annot(tok)))
+                param, pos = self.want(pos, "ident", "a parameter name")
+                annot, pos = self._binder_annot(tok, pos)
+                stack.append((-1, kind, param, annot))
                 continue
             elif kind == "rec":
-                name = self.expect("ident", "the function name").value
-                param = self.expect("ident", "a parameter name").value
-                stack.append((-1, kind, name, param, self._binder_annot(tok)))
+                name, pos = self.want(pos, "ident", "the function name")
+                param, pos = self.want(pos, "ident", "a parameter name")
+                annot, pos = self._binder_annot(tok, pos)
+                stack.append((-1, kind, name, param, annot))
                 continue
             elif kind == "let" or kind == "letdown":
-                name = self.expect("ident", "a name").value
-                self.expect("=", "'='")
+                name, pos = self.want(pos, "ident", "a name")
+                _, pos = self.want(pos, "=", "'='")
                 stack.append((-1, kind, name))
                 continue
             elif kind == "if" or kind == "(" or kind == "[|":
                 stack.append((-1, kind))
                 continue
             elif kind == "eval" or kind == "lift" or kind == "$":
-                annot = self._eval_annot(tok) if kind == "eval" else None
-                self.expect("(", "'('")
+                annot, pos = (self._eval_annot(tok, pos) if kind == "eval"
+                              else (None, pos))
+                _, pos = self.want(pos, "(", "'('")
                 stack.append((-1, kind, annot))
                 continue
             elif kind == "astctor":
-                annot = self._eval_annot(tok)
-                self.expect("(", "'('")
-                if self.peek().kind != ")":
+                annot, pos = self._eval_annot(tok, pos)
+                _, pos = self.want(pos, "(", "'('")
+                if toks[pos][0] != ")":
                     stack.append((-1, kind, tok, annot, []))
                     continue
-                m = self._ast_ctor(tok, annot, [])
+                m, pos = self._ast_ctor(tok, annot, [], pos)
             else:
                 self.fail(tok, "a term")
             while True:
                 # m is an operand: the operators before it that bind at
                 # least as tightly as the token after it take it
-                kind = self.peek().kind
+                kind = toks[pos][0]
                 if kind in _ATOM_STARTERS:
                     level, op = 3, "app"
                 else:
@@ -264,146 +264,146 @@ class _Parser:
                     m = App(lhs, m) if name == "app" else BinOp(name, lhs, m)
                 if op is not None:
                     if op != "app":
-                        self.take()
+                        pos += 1
                     stack.append((level, op, m))
                     break
                 # m is a whole term: the construct waiting for it takes it
                 match stack.pop():
                     case (_, "top"):
-                        return m
+                        return m, pos
                     case (_, "\\", param, annot):
                         m = Lam(param, m, annot)
                     case (_, "rec", name, param, annot):
                         m = Rec(name, param, m, annot)
-                    case (_, "let" | "letdown" as kind, name):
-                        self.expect("in", "'in'")
-                        stack.append((-1, kind, name, m))
+                    case (_, "let" | "letdown" as construct, name):
+                        _, pos = self.want(pos, "in", "'in'")
+                        stack.append((-1, construct, name, m))
                         break
                     case (_, "let", name, bound):
                         m = App(Lam(name, m), bound)
                     case (_, "letdown", name, bound):
                         m = LetDown(name, bound, m)
                     case (_, "if"):
-                        self.expect("then", "'then'")
+                        _, pos = self.want(pos, "then", "'then'")
                         stack.append((-1, "if", m))
                         break
                     case (_, "if", cond):
-                        self.expect("else", "'else'")
+                        _, pos = self.want(pos, "else", "'else'")
                         stack.append((-1, "if", cond, m))
                         break
                     case (_, "if", cond, then):
                         m = If(cond, then, m)
                     case (_, "("):
-                        self.expect(")", "')'")
+                        _, pos = self.want(pos, ")", "')'")
                     case (_, "[|"):
-                        self.expect("|]", "'|]'")
+                        _, pos = self.want(pos, "|]", "'|]'")
                         m = UpML(m)
-                    case (_, "$" | "lift" as kind, _):
-                        self.expect(")", "')'")
-                        m = DownML(m) if kind == "$" else Lift(m)
-                    case (_, "eval", annot):
-                        self.expect(")", "')'")
-                        m = Eval(m, annot)
+                    case (_, "$" | "lift" | "eval" as construct, annot):
+                        _, pos = self.want(pos, ")", "')'")
+                        m = (DownML(m) if construct == "$" else Lift(m)
+                             if construct == "lift" else Eval(m, annot))
                     case (_, "astctor", tok, annot, args) as frame:
                         args.append(m)
-                        if self.peek().kind == ",":
-                            self.take()
+                        if kind == ",":  # the token after m
                             stack.append(frame)
+                            pos += 1
                             break
-                        m = self._ast_ctor(tok, annot, args)
+                        m, pos = self._ast_ctor(tok, annot, args, pos)
 
-    def _binder_annot(self, tok: _Token) -> TypeExpr | None:
+    def _binder_annot(self, tok, pos: int) -> tuple[TypeExpr | None, int]:
         """The optional `: T` and the `.` after a binder's names."""
         annot = None
-        if self.peek().kind == ":":
-            self.take()
-            annot = self.type_expr()
-            if tok.kind == "rec" and not isinstance(annot, Arrow):
-                raise ParseError(tok.span,
+        if self.tokens[pos][0] == ":":
+            annot, pos = self.type_expr(pos + 1)
+            if tok[0] == "rec" and not isinstance(annot, Arrow):
+                raise ParseError(SourceSpan(*tok[2:]),
                                  "recursion annotation must be a function type")
-        self.expect(".", "'.'")
-        return annot
+        _, pos = self.want(pos, ".", "'.'")
+        return annot, pos
 
-    def _eval_annot(self, tok: _Token) -> TypeExpr | None:
+    def _eval_annot(self, tok, pos: int) -> tuple[TypeExpr | None, int]:
         """The {Type} after eval, astEval or #eval: required in typed mode,
         rejected in untyped mode and after any other tag or constructor."""
-        if tok.value != "eval":
-            if self.peek().kind == "{":
-                ctor = "astEval" if tok.kind == "astctor" else "eval"
-                raise ParseError(self.peek().span,
+        after = self.tokens[pos]
+        if tok[1] != "eval":
+            if after[0] == "{":
+                ctor = "astEval" if tok[0] == "astctor" else "eval"
+                raise ParseError(SourceSpan(*after[2:]),
                                  f"only {ctor} carries a type annotation")
-            return None
-        name = {"eval": "eval", "astctor": "astEval", "tag": "#eval"}[tok.kind]
+            return None, pos
+        name = {"eval": "eval", "astctor": "astEval", "tag": "#eval"}[tok[0]]
         if self.typed:
-            if self.peek().kind != "{":
-                raise ParseError(tok.span,
+            if after[0] != "{":
+                raise ParseError(SourceSpan(*tok[2:]),
                                  f"{name} requires a {{Type}} annotation in typed mode")
-            self.take()
-            annot = self.type_expr()
-            self.expect("}", "'}'")
-            return annot
-        if self.peek().kind == "{":
-            raise ParseError(self.peek().span,
+            annot, pos = self.type_expr(pos + 1)
+            _, pos = self.want(pos, "}", "'}'")
+            return annot, pos
+        if after[0] == "{":
+            raise ParseError(SourceSpan(*after[2:]),
                              f"{name} takes no annotation in untyped mode")
-        return None
+        return None, pos
 
-    def _ast_ctor(self, tok: _Token, annot: TypeExpr | None,
-                  args: list[Term]) -> Term:
-        """The AST constructor tok(args), once its ')' is next."""
-        close = self.expect(")", "')'")
-        if not signature.check_arity(tok.value, len(args)):
-            spec = signature.lookup(tok.value)
+    def _ast_ctor(self, tok: tuple, annot: TypeExpr | None,
+                  args: list[Term], pos: int) -> tuple[Term, int]:
+        """The AST constructor tok(args), once its ')' is token pos."""
+        _, after = self.want(pos, ")", "')'")
+        if not signature.check_arity(tok[1], len(args)):
+            spec = signature.lookup(tok[1])
             wanted = "1 or more" if spec.arity is None else str(spec.arity)
             raise ParseError(
-                SourceSpan(tok.span.start, close.span.end),
+                SourceSpan(tok[2], self.tokens[pos][3]),
                 f"{self._spelling(tok)} takes {wanted} argument(s), got {len(args)}")
-        return AstCtor(Tag(tok.value, annot), tuple(args))
+        return AstCtor(Tag(tok[1], annot), tuple(args)), after
 
     ### types
 
-    def type_expr(self) -> TypeExpr:
+    def type_expr(self, pos: int) -> tuple[TypeExpr, int]:
         """A type; arrows associate to the right. The stack holds each
         domain waiting for its codomain, and None for each open '('."""
+        toks = self.tokens
         stack: list[TypeExpr | None] = []
         while True:
-            tok = self.take()
-            if tok.kind == "(":
+            tok = toks[pos]
+            pos += 1
+            if tok[0] == "(":
                 stack.append(None)
                 continue
-            if tok.kind != "ident":
+            if tok[0] != "ident":
                 self.fail(tok, "a type")
-            if tok.value in _TYPE_NAMES:
-                ty = _TYPE_NAMES[tok.value]
-            elif tok.value == "Tag":
-                ty = TagType(self.expect("tag", "a #tag").value)
+            if tok[1] in _TYPE_NAMES:
+                ty = _TYPE_NAMES[tok[1]]
+            elif tok[1] == "Tag":
+                tag, pos = self.want(pos, "tag", "a #tag")
+                ty = TagType(tag)
             else:
-                raise ParseError(tok.span, f"unknown type name {tok.value!r}")
-            while self.peek().kind != "->":
+                raise ParseError(SourceSpan(*tok[2:]),
+                                 f"unknown type name {tok[1]!r}")
+            while toks[pos][0] != "->":
                 while stack and stack[-1] is not None:
                     ty = Arrow(stack.pop(), ty)
                 if not stack:
-                    return ty
-                self.expect(")", "')'")
+                    return ty, pos
+                _, pos = self.want(pos, ")", "')'")
                 stack.pop()
-            self.take()
+            pos += 1
             stack.append(ty)
 
-    def finish(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(tok, "end of input")
+    def finish(self, pos: int):
+        if self.tokens[pos][0] != "eof":
+            self.fail(self.tokens[pos], "end of input")
 
 
 def parse_term(text: str, mode: str = "untyped") -> Term:
     """Parse a complete term; raises ParseError with a byte span on failure."""
     parser = _Parser(text, mode)
-    term = parser.term()
-    parser.finish()
+    term, pos = parser.term(0)
+    parser.finish(pos)
     return term
 
 
 def parse_type(text: str) -> TypeExpr:
     parser = _Parser(text, "typed")
-    ty = parser.type_expr()
-    parser.finish()
+    ty, pos = parser.type_expr(0)
+    parser.finish(pos)
     return ty

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -87,11 +88,14 @@ def test_run_parse_error(tmp_path, capsys):
 
 
 def test_run_unconvertible_literals_are_parse_errors(tmp_path, capsys):
-    for text, span in [("²", "0..2"), ("1 + " + "9" * 5000, "4..5004")]:
-        code, out, err = run_cli(capsys, "run", write(tmp_path, text))
-        assert (code, out) == (1, "")
-        assert err.startswith(f"parse error at bytes {span}:")
-        assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "run", write(tmp_path, "²"))
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error at bytes 0..2:")
+    assert "Traceback" not in err
+    # more digits than int() converts still make a literal
+    path = write(tmp_path, "1 + " + "9" * 5000)
+    code, out, err = run_cli(capsys, "run", path)
+    assert (code, out, err) == (0, "1" + "0" * 5000 + "\n", "")
 
 
 def test_run_deeply_nested_source(tmp_path, capsys):
@@ -119,6 +123,9 @@ def test_run_prints_integers_over_the_str_limit(tmp_path, capsys):
     assert (code, err) == (0, "")
     doc = json.loads(out, parse_int=int_of_text)
     assert doc["value"] == {"ctor": "int", "atom": value, "children": []}
+    # the printed value is a literal that reads back
+    code, out, err = run_cli(capsys, "run", write(tmp_path, digits, "v.hgmp"))
+    assert (code, out, err) == (0, digits + "\n", "")
 
 
 def test_run_typed_type_error_says_error_type_once(tmp_path, capsys):
@@ -396,19 +403,23 @@ def test_corpus_missing_expected(tmp_path, capsys):
 
 ### the installed entry point works end to end
 
+def run_module(*argv):
+    """python -m argv in a fresh process that imports hgmp from src/."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+                          text=True, env=env)
+
+
 def test_console_script(tmp_path):
     path = write(tmp_path, "lift(2 + 3)")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hgmp.cli", "run", path],
-        capture_output=True, text=True)
+    proc = run_module("hgmp.cli", "run", path)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "astInt(5)"
 
 
 def test_python_dash_m_hgmp(tmp_path):
     path = write(tmp_path, "lift(2 + 3)")
-    proc = subprocess.run([sys.executable, "-m", "hgmp", "run", path],
-                          capture_output=True, text=True)
+    proc = run_module("hgmp", "run", path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "astInt(5)\n",
                                                            "")
 

@@ -1,15 +1,20 @@
+import json
 import random
+import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgmp.parser import ParseError, _Parser, parse_term, parse_type
+from hgmp.parser import (
+    ParseError, SourceSpan, _tokens, parse_term, parse_type,
+)
 from hgmp.syntax import (
     BOOL, CODE, INT, STRING,
     App, Arrow, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
     LetDown, Rec, StrLit, Tag, TagLit, TagType, Term, UpML, Var,
-    mk_ast, pretty,
+    TAG_OF_AST_CTOR, TAG_OF_SURFACE, int_of_text, mk_ast, pretty,
 )
 
 from gen_terms import gen_term
@@ -19,8 +24,7 @@ from gen_terms import gen_term
 
 def lex(src):
     """(kind, value, start, end) for every token, the closing eof included."""
-    return [(t.kind, t.value, t.span.start, t.span.end)
-            for t in _Parser(src, "untyped").tokens]
+    return _tokens(src)
 
 
 TOKEN_TABLE = [
@@ -143,22 +147,26 @@ def test_lone_surrogate_inside_string_is_data():
 
 
 def test_lexer_rejects_what_int_cannot_convert():
-    # str.isdigit holds for '²', but only decimal digits make a literal;
-    # CPython converts at most sys.get_int_max_str_digits() digits
-    long = "9" * 5000
+    # str.isdigit holds for '²', but only decimal digits make a literal
     for src, start, end, message in [
         ("²", 0, 2, "unexpected character '²'"),
         ("1²", 1, 3, "unexpected character '²'"),
         ("-²", 1, 3, "unexpected character '²'"),
-        (long, 0, 5000, "integer literal too long"),
-        ("-" + long, 0, 5001, "integer literal too long"),
-        ("x -" + long, 3, 5003, "integer literal too long"),
     ]:
         with pytest.raises(ParseError) as exc:
             parse_term(src)
         err = exc.value
         assert ((err.span.start, err.span.end), err.message) == (
             (start, end), message), src
+    # int() converts at most sys.get_int_max_str_digits() digits; a
+    # literal of any length is read
+    long, n = "9" * 5000, 10 ** 5000 - 1
+    for src, term in [
+        (long, IntLit(n)),
+        ("-" + long, IntLit(-n)),
+        ("x -" + long, BinOp("sub", Var("x"), IntLit(n))),
+    ]:
+        assert parse_term(src) == term, src[:4]
 
 
 def test_token_spans_slice_their_source():
@@ -177,11 +185,122 @@ def test_token_spans_slice_their_source():
                 for kind, texts in rng.choices(classes, k=rng.randint(1, 12))]
         src = "".join(text + rng.choice(gaps) for _, text in toks)
         data = src.encode("utf-8")
-        got = _Parser(src, "untyped").tokens
-        assert [t.kind for t in got] == [k for k, _ in toks] + ["eof"], src
-        for tok, (_, text) in zip(got, toks):
-            assert data[tok.span.start:tok.span.end].decode("utf-8") == text
-        assert (got[-1].span.start, got[-1].span.end) == (len(data), len(data))
+        got = _tokens(src)
+        assert [t[0] for t in got] == [k for k, _ in toks] + ["eof"], src
+        for (_, _, start, end), (_, text) in zip(got, toks):
+            assert data[start:end].decode("utf-8") == text
+        assert got[-1][2:] == (len(data), len(data))
+
+
+### lexer, against the reference lexer
+
+# The lexer that plain-tuple tokens replaced: one match per token class,
+# whitespace and comments included, a NamedTuple and a SourceSpan per
+# token, and byte offsets counted per match. It is kept as the reference
+# the lexer must match token for token and error for error. Its one
+# change: an integer literal is read with int_of_text, not int(), so that
+# literals past int()'s digit limit are compared too.
+
+class _RefToken(NamedTuple):
+    kind: str
+    value: object
+    span: SourceSpan
+
+
+_REF_KEYWORDS = {
+    "let", "letdown", "in", "if", "then", "else", "rec",
+    "true", "false", "eval", "lift",
+}
+
+_REF_OPERAND_ENDERS = frozenset(
+    {"int", "string", "ident", "true", "false", "tag", ")", "|]", "}"})
+
+_REF_TOKEN = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]+|--[^\n]*)+)
+  | (?P<int>-?\d+)
+  | (?P<word>[^\W\d][\w']*)
+  | (?P<string>"[^"\\]*(?:\\[\\"nt][^"\\]*)*(?P<close>"|\\.|\\?\Z))
+  | (?P<tag>\#[\w']*)
+  | (?P<symbol>\[\||\|]|->|==|[(){},.:\\$+*=-])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def ref_tokens(text):
+    size = len if text.isascii() else (
+        lambda s: len(s.encode("utf-8", "surrogatepass")))
+    out = []
+    end = 0
+    for m in _REF_TOKEN.finditer(text):
+        kind, s, start = m.lastgroup, m.group(), end
+        end += size(s)
+        if kind == "skip":
+            continue
+        if kind == "symbol" or s in _REF_KEYWORDS:
+            kind = value = s
+        elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
+            kind = "astctor" if s in TAG_OF_AST_CTOR else "ident"
+            value = TAG_OF_AST_CTOR.get(s, s)
+        elif kind == "int":
+            if s[0] == "-" and out and out[-1].kind in _REF_OPERAND_ENDERS:
+                out.append(_RefToken("-", "-", SourceSpan(start, start + 1)))
+                s, start = s[1:], start + 1
+            value = int_of_text(s)
+        elif kind == "string" and m["close"] == '"':
+            value = json.loads(s, strict=False)
+        elif kind == "string":
+            raise ParseError(SourceSpan(start, end),
+                             f"bad escape {m['close']}" if len(m["close"]) == 2
+                             else "unterminated string literal")
+        elif kind == "tag" and s[1:] in TAG_OF_SURFACE:
+            value = TAG_OF_SURFACE[s[1:]]
+        elif kind == "tag":
+            raise ParseError(SourceSpan(start, end), f"unknown tag {s}")
+        else:
+            raise ParseError(SourceSpan(start, start + size(s[0])),
+                             f"unexpected character {s[0]!r}")
+        out.append(_RefToken(kind, value, SourceSpan(start, end)))
+    out.append(_RefToken("eof", None, SourceSpan(end, end)))
+    return out
+
+
+# Pieces of lexer input, joined with or without gaps: every token class,
+# the pieces that meet at '-' and '--', multi-byte and surrogate text,
+# long literals; and, less often, each kind of error.
+LEX_PIECES = (
+    "let letdown in if then else rec true false eval lift astLam astInt "
+    "astEval astPromote astEvalx x f' _k a1 x٣ é ß naïve 日本 x² xⅫ "
+    "0 7 42 ٣٤ -1 -x - -- -> == [| |] ( ) { } , . : \\ $ + * = "
+    "#lam #str #eval #promote \"\" \"a\" \"é\\n\" \"日\\t\\\\\" "
+    "\"\\\"\"").split() + [
+    "\r\n", "\r", "\t", "\n", " -- ü 日本 note\n", "--", "-- c",
+    '"\udc80"', "9" * 4400, "-" + "1" * 4400,
+]
+LEX_ERRORS = [
+    "\ud800", "²", "Ⅻ", "½", "\u00a0", "'", "|", "[", ">", "\x01", "\x0b",
+    '"a\\q"', '"ab', '"x\\', "#", "#nosuch", "#é",
+]
+LEX_GAPS = ("", "", " ", "\n", "\r\n", "\t", " -- é\n")
+
+
+def test_lexer_matches_the_reference_lexer():
+    rng = random.Random(11)
+    errors = 0
+    for _ in range(20_000):
+        src = "".join(
+            rng.choice(LEX_ERRORS if rng.random() < 0.05 else LEX_PIECES)
+            + rng.choice(LEX_GAPS) for _ in range(rng.randint(0, 12)))
+        try:
+            want = [(t.kind, t.value, t.span.start, t.span.end)
+                    for t in ref_tokens(src)]
+        except ParseError as exc:
+            want, errors = exc, errors + 1
+        try:
+            got = _tokens(src)
+        except ParseError as exc:
+            got = exc
+        assert got == want, src
+    assert 2_000 < errors < 18_000  # both outcomes are well sampled
 
 
 ### terms
@@ -481,6 +600,11 @@ def test_round_trip_spec_examples():
                 "astEval{Tag#lam}(astInt(1))", r"\x:(Int -> Bool). x 1"]:
         m = parse_term(src, "typed")
         assert parse_term(pretty(m), "typed") == m
+
+
+def test_round_trip_integers_over_the_str_limit():
+    for n in (2 ** 20000, -2 ** 20000):
+        assert parse_term(pretty(IntLit(n))) == IntLit(n)
 
 
 def test_round_trip_generated_terms():
