@@ -154,6 +154,9 @@ _ATOM_STARTERS = frozenset({"ident", "int", "string", "true", "false", "tag",
 # at level 3, binds tighter than all of them
 _BINOPS = {"==": (0, "eq"), "+": (1, "add"), "-": (1, "sub"), "*": (2, "mul")}
 
+# the most bytes of an integer literal that an error message spells out
+_SPELLED_INT = 40
+
 _TYPE_NAMES = {"Int": INT, "Bool": BOOL, "String": STRING, "Code": CODE}
 
 
@@ -175,8 +178,13 @@ class _Parser:
         return tok[1], pos + 1
 
     def fail(self, tok: tuple, *expected: str):
-        found = ("end of input" if tok[0] == "eof"
-                 else repr(self._spelling(tok)))
+        kind, size = tok[0], tok[3] - tok[2]
+        # a long literal is described by its span: spelling it back would
+        # copy every digit into the message, at a quadratic conversion
+        found = ("end of input" if kind == "eof" else
+                 f"integer literal {size} bytes long"
+                 if kind == "int" and size > _SPELLED_INT else
+                 repr(self._spelling(tok)))
         raise ParseError(SourceSpan(*tok[2:]), f"unexpected {found}", expected)
 
     @staticmethod

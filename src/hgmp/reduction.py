@@ -21,11 +21,15 @@ builds no term. Values are read back wherever the reference would hold a
 term (a result, an AST argument, eval's input to dl, lift, an error's
 offending term): a host value is boxed into its literal, and a closure
 is closed with `subst`. An AST whose arguments all run to themselves is
-returned as the node it was, not rebuilt. The machine runs every
-untraced rt of a closed term: the pipeline's, eval_rt's, and those ct
-runs for splices and letdown. The read-back is exact only while every
-value is closed, so the machine runs closed terms only; when eval
-produces open code, the call is rerun on `_rt` with its fuel restored.
+returned as the node it was, not rebuilt. A leaf operand (a variable
+bound to a value that is not an AST, or an integer literal) and an
+operator on two integer leaves are evaluated inside the step that
+consumes them, with no call of their own (fused operands, in the manner
+of Proebsting's superoperators). The machine runs every untraced rt of
+a closed term: the pipeline's, eval_rt's, and those ct runs for splices
+and letdown. The read-back is exact only while every value is closed,
+so the machine runs closed terms only; when eval produces open code,
+the call is rerun on `_rt` with its fuel restored.
 """
 
 from __future__ import annotations
@@ -445,7 +449,16 @@ def _machine(m: Term, env: dict, run: _Run):
     substitution: a variable looks its value up in env, a function
     evaluates to a _Closure, and a literal to its host value. It spends
     one unit of fuel wherever _rt spends one, in the same order, and its
-    errors hold the terms _rt's would. Tail positions loop."""
+    errors hold the terms _rt's would. Tail positions loop.
+
+    Leaf operands are fused into their parent's step: the function of an
+    application, when it is a variable bound to a closure; a BinOp's
+    operands, and an application's argument or an if's condition, when
+    they are a variable bound to a value that is not an AST or an integer
+    literal holding an int; and such an argument or condition that is a
+    BinOp of two of these holding ints. A fused operand spends the units
+    its own call would, and is taken only when the fuel left covers them
+    all; else it gets its call, which runs out on the term _rt names."""
     while True:
         run.remaining -= 1
         if run.remaining < 0:
@@ -462,12 +475,48 @@ def _machine(m: Term, env: dict, run: _Run):
             # each of its nodes, so it runs again here too.
             run.remaining += 1
             m, env = v, {}
-        elif cls is App:
-            f = _machine(m.fn, env, run)
-            if type(f) is not _Closure:
-                _stuck("rt", _close(m, env),
-                       "application of a non-function value")
-            v = _machine(m.arg, env, run)
+        elif cls is App or cls is If:
+            if cls is If:
+                x = m.cond
+            else:  # the function, then its argument
+                x = m.fn
+                if (type(x) is Var and run.remaining
+                        and type(f := env.get(x.name)) is _Closure):
+                    run.remaining -= 1
+                else:
+                    f = _machine(x, env, run)
+                    if type(f) is not _Closure:
+                        _stuck("rt", _close(m, env),
+                               "application of a non-function value")
+                x = m.arg
+            t = type(x)
+            if t is BinOp and run.remaining > 2:
+                a, b = x.lhs, x.rhs
+                a = (env.get(a.name) if type(a) is Var else
+                     a.value if type(a) is IntLit else None)
+                b = (env.get(b.name) if type(b) is Var else
+                     b.value if type(b) is IntLit else None)
+                if type(a) is int and type(b) is int:
+                    run.remaining -= 3
+                    v = _INT_OPS[x.op](a, b)
+                else:
+                    v = _machine(x, env, run)
+            elif run.remaining and (
+                    t is Var and (v := env.get(x.name)) is not None
+                    and type(v) is not AstCtor
+                    or t is IntLit and type(v := x.value) is int):
+                run.remaining -= 1
+            else:
+                v = _machine(x, env, run)
+            if cls is If:
+                if type(v) is not bool:
+                    v = _read_back(v)
+                    if type(v) is not BoolLit:
+                        _stuck("rt", _close(m, env),
+                               "if condition is not a boolean")
+                    v = v.value
+                m = m.then if v else m.orelse
+                continue
             code = f.code
             if type(code) is Lam:
                 env = {**f.env, code.param: v}
@@ -475,8 +524,22 @@ def _machine(m: Term, env: dict, run: _Run):
                 env = {**f.env, code.self_name: f, code.param: v}
             m = code.body
         elif cls is BinOp:
-            a = _machine(m.lhs, env, run)
-            b = _machine(m.rhs, env, run)
+            x = m.lhs
+            if run.remaining and (
+                    type(x) is Var and (a := env.get(x.name)) is not None
+                    and type(a) is not AstCtor
+                    or type(x) is IntLit and type(a := x.value) is int):
+                run.remaining -= 1
+            else:
+                a = _machine(x, env, run)
+            x = m.rhs
+            if run.remaining and (
+                    type(x) is Var and (b := env.get(x.name)) is not None
+                    and type(b) is not AstCtor
+                    or type(x) is IntLit and type(b := x.value) is int):
+                run.remaining -= 1
+            else:
+                b = _machine(x, env, run)
             if type(a) is int and type(b) is int:
                 return _INT_OPS[m.op](a, b)
             if type(a) is str and type(b) is str and m.op == "eq":
@@ -489,15 +552,6 @@ def _machine(m: Term, env: dict, run: _Run):
         elif cls is IntLit or cls is StrLit or cls is BoolLit:
             v = m.value
             return v if type(v) is _HOST[cls] else m
-        elif cls is If:
-            c = _machine(m.cond, env, run)
-            if type(c) is not bool:
-                c = _read_back(c)
-                if type(c) is not BoolLit:
-                    _stuck("rt", _close(m, env),
-                           "if condition is not a boolean")
-                c = c.value
-            m = m.then if c else m.orelse
         elif cls is Lam or cls is Rec:
             return _Closure(m, env)
         elif cls is TagLit:

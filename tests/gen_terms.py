@@ -227,6 +227,116 @@ def gen_open_eval(rng: random.Random):
     return program
 
 
+def _numeric_leaf(rng: random.Random, ints: tuple[str, ...],
+                  scope: tuple[str, ...] = ()):
+    """A variable holding an int or a small integer; now and then any
+    variable in scope, a boolean, a string or an AST."""
+    pick = rng.random()
+    if ints and pick < 0.5:
+        return Var(rng.choice(ints))
+    if pick < 0.93:
+        return IntLit(rng.randint(0, 4))
+    if scope and pick < 0.95:
+        return Var(rng.choice(scope))
+    return rng.choice((BoolLit(True), StrLit("s"),
+                       AstCtor(Tag("int"), (IntLit(1),))))
+
+
+def _numeric_op(rng: random.Random, ints: tuple[str, ...],
+                scope: tuple[str, ...] = ()):
+    """An operator on two leaves; `*` has a literal on its right, so no
+    chain of calls squares a number again and again."""
+    op = rng.choice(BINOP_NAMES)
+    return BinOp(op, _numeric_leaf(rng, ints, scope),
+                 IntLit(rng.randint(0, 4)) if op == "mul"
+                 else _numeric_leaf(rng, ints, scope))
+
+
+def gen_numeric_rec(rng: random.Random):
+    """Closed untyped programs shaped like numeric recursion: a chain of
+    lets (applied lambdas) binding constants, small functions, `twice`,
+    compositions and a recursive function
+
+        rec f x. if x == k then base else step
+
+    whose step calls f on `x - 1` or `x - 2`, then the last function
+    applied to a small argument. Most operands are variables and integer
+    literals, the leaves the run-time machine evaluates in place; some
+    are functions, booleans, strings or ASTs (also bound to a name),
+    which it must not."""
+    names = list(NAMES)
+    rng.shuffle(names)
+    lets = []  # (name, term), outermost first
+    consts, fns, twice = (), [], []  # the let names by what they bind
+    for name in names[:rng.randint(1, 5)]:
+        scope = tuple(n for n, _ in lets)
+        y = rng.choice([n for n in NAMES if n not in scope and n != name])
+        ints = (y, *consts)
+        pick = rng.randrange(7) if fns else rng.choice((0, 1, 4, 6))
+        if pick == 0:
+            op = rng.choice(BINOP_NAMES[:3])
+            leaf = (IntLit(rng.randint(0, 4)) if op == "mul"
+                    else _numeric_leaf(rng, ints, scope))
+            term = Lam(y, BinOp(op, Var(y), leaf) if rng.random() < 0.5
+                       else BinOp(op, leaf, Var(y)))
+        elif pick == 1:
+            g = rng.choice([n for n in NAMES if n != y])
+            term = Lam(g, Lam(y, App(Var(g), App(Var(g), Var(y)))))
+            twice.append(name)
+        elif pick == 2 and twice:
+            term = App(Var(rng.choice(twice)), Var(rng.choice(fns)))
+        elif pick == 2:
+            term = Lam(y, App(Var(rng.choice(fns)),
+                              App(Var(rng.choice(fns)), Var(y))))
+        elif pick == 3:
+            term = Lam(y, If(BinOp("eq", Var(y), _numeric_leaf(rng, ints)),
+                             App(Var(rng.choice(fns)), Var(y)),
+                             App(Var(rng.choice(fns)),
+                                 _numeric_op(rng, ints, scope))))
+        elif pick == 6:
+            term = rng.choice((IntLit(rng.randint(0, 4)), IntLit(1),
+                               AstCtor(Tag("int"), (IntLit(1),)),
+                               BoolLit(False), StrLit("s")))
+            consts += (name,)
+        else:
+            term = _numeric_rec(rng, scope, consts, fns)
+        lets.append((name, term))
+        if pick not in (1, 6):
+            fns.append(name)
+    pick = rng.random()
+    arg = (IntLit(rng.randint(0, 6)) if pick < 0.8
+           else _numeric_op(rng, consts) if pick < 0.9
+           else _numeric_leaf(rng, consts))
+    program = App(Var(fns[-1]) if fns else _numeric_rec(rng, (), consts, []),
+                  arg)
+    for name, term in reversed(lets):
+        program = App(Lam(name, program), term)
+    return program
+
+
+def _numeric_rec(rng: random.Random, scope: tuple[str, ...],
+                 consts: tuple[str, ...], fns: list[str]):
+    f, x = rng.sample([n for n in NAMES if n not in scope], 2)
+    ints, inner = (x, *consts), scope + (f,)
+    recur = App(Var(f), BinOp("sub", Var(x), IntLit(rng.choice((1, 1, 2)))))
+    pick = rng.randrange(5)
+    if pick == 0:
+        step = recur
+    elif pick == 1:
+        step = BinOp(rng.choice(("add", "mul")),
+                     _numeric_leaf(rng, ints, inner), recur)
+    elif pick == 2:
+        step = BinOp("add", recur,
+                     App(Var(f), BinOp("sub", Var(x), IntLit(2))))
+    elif pick == 3 and fns:
+        step = App(Var(rng.choice(fns)), recur)
+    else:
+        step = App(Var(f), _numeric_op(rng, ints, inner))
+    cond = BinOp("eq", Var(x), IntLit(rng.randint(0, 1))
+                 if rng.random() < 0.85 else _numeric_leaf(rng, ints, inner))
+    return Rec(f, x, If(cond, _numeric_leaf(rng, ints, inner), step))
+
+
 ### type-directed generation (for the typed-progress suite)
 
 def gen_typed_term(rng: random.Random, ty: TypeExpr,

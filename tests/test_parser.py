@@ -534,6 +534,26 @@ def test_parse_errors_exact():
             span, message, expected), src
 
 
+@pytest.mark.parametrize("literal, found", [
+    ("9" * 40, repr("9" * 40)),
+    ("-" + "1" * 39, repr("-" + "1" * 39)),
+    ("0" * 39 + "7", "'7'"),
+    ("9" * 41, "integer literal 41 bytes long"),
+    ("-" + "0" * 45, "integer literal 46 bytes long"),
+    ("\u0663" * 21, "integer literal 42 bytes long"),
+    ("9" * 200_000, "integer literal 200000 bytes long"),
+], ids=["40", "-40", "zeros-40", "41", "-46", "arabic-indic-21", "200000"])
+def test_long_integer_literal_errors_give_the_literal_length(literal, found):
+    # A literal of up to 40 bytes is spelled back; a longer one is
+    # described by its span, so the message stays short.
+    with pytest.raises(ParseError) as exc:
+        parse_term("\\" + literal + ". x")
+    err = exc.value
+    size = len(literal.encode("utf-8"))
+    assert ((err.span.start, err.span.end), err.message, err.expected) == (
+        (1, 1 + size), f"unexpected {found}", ("a parameter name",))
+
+
 SOUP = ("x f 1 -2 \"s\" #lam #eval astInt astLam astEval astPromote "
         "\\ rec let letdown in if then else true false eval lift $ "
         "( ) [| |] { } , . : = == + - * -> Int Bool Tag Code").split()

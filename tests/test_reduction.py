@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,8 @@ from hgmp.syntax import (
 from hgmp.typecheck import EMPTY_ENV, infer
 
 from gen_terms import (
-    gen_compile_candidate, gen_constant, gen_ml_free, gen_open_eval, gen_term,
+    gen_compile_candidate, gen_constant, gen_ml_free, gen_numeric_rec,
+    gen_open_eval, gen_term,
 )
 
 
@@ -510,6 +514,87 @@ def test_untraced_rt_matches_traced_on_every_fuel_budget():
         assert _outcome(m, fuel=fuel) == _outcome(m, fuel=fuel, trace=True)
     assert _outcome(m, fuel=need)[0] == IntLit(30)
     assert _outcome(m, fuel=need - 1)[0] == EvalError.FUEL
+
+
+def _app(name, body, arg):
+    return App(Lam(name, body), arg)
+
+
+FUSED_OPERANDS = [
+    # The machine evaluates these leaf operands in the step that uses them.
+    ("f (n - 1)", t("(rec f n. if n == 0 then 0 else 1 + f (n - 1)) 3")),
+    ("x + k", t(r"(\x. \k. x + k) 4 5")),
+    ("k * x", t(r"(\k. \x. k * x) 3 7")),
+    ("closures", t(r"(\f. \g. \x. f g x) (\h. \y. h (h y)) (\y. y * 2) 5")),
+    ("bool condition", t(r"(\b. if b then 1 else 2) (3 == 3)")),
+    # And these it must not: each runs on its own call.
+    ("ast argument", t(r"(\a. (\b. b) a) astAdd(astInt(1), astInt(2))")),
+    ("ast operand", t(r"(\a. (\f. f (a + 1)) (\y. y)) astInt(1)")),
+    ("ast condition", t(r"(\a. if a == 1 then 1 else 2) astInt(1)")),
+    ("ast function", t(r"(\k. k 1) astInt(1)")),
+    ("IntLit(True) operands", _app("x", BinOp("add", Var("x"), IntLit(True)),
+                                   IntLit(True))),
+    ("IntLit(True) argument", _app("f", App(Var("f"), BinOp(
+        "sub", IntLit(True), IntLit(1))), Lam("y", Var("y")))),
+    ("BoolLit(1) condition", _app("x", If(BoolLit(1), Var("x"), IntLit(0)),
+                                  IntLit(4))),
+    ("BoolLit(1) operand", _app("x", If(BinOp("eq", Var("x"), BoolLit(1)),
+                                        IntLit(1), IntLit(2)), IntLit(1))),
+    ("BoolLit(1) argument", _app("f", App(Var("f"), BinOp(
+        "add", BoolLit(1), IntLit(1))), Lam("y", Var("y")))),
+    ("bool operand", t(r"(\b. b + 1) true")),
+    ("bool argument", t(r"(\b. \f. f (b == b)) true (\y. y)")),
+    ("str operands", t(r'(\s. \u. if s == u then s else u) "a" "b"')),
+    ("str argument", t(r'(\s. (\y. y) (s - 1)) "x"')),
+    ("if k + 1", t(r"(\k. if k + 1 then 1 else 2) 3")),
+    ("non-function", t(r"(\k. \x. k (x - 1)) 3 4")),
+]
+
+
+@pytest.mark.parametrize("m", [m for _, m in FUSED_OPERANDS],
+                         ids=[name for name, _ in FUSED_OPERANDS])
+def test_fused_operands_match_traced_on_every_fuel_budget(m):
+    # Every budget from 1 to the first that does not run out: the same
+    # value, or error kind, phase, message and term, down to Python types.
+    for fuel in range(1, 1_000):
+        untraced = _outcome(m, fuel=fuel)
+        traced = _outcome(m, fuel=fuel, trace=True)
+        assert (untraced, repr(untraced)) == (traced, repr(traced)), fuel
+        if untraced[0] != EvalError.FUEL:
+            break
+    else:
+        pytest.fail("out of fuel at every budget")
+
+
+def test_untraced_matches_traced_on_generated_numeric_programs():
+    # Numeric recursion and higher-order lets, mostly on budgets small
+    # enough to run out inside a fused step.
+    rng = random.Random(4409)
+    seen = set()
+    for _ in range(2_000):
+        m = gen_numeric_rec(rng)
+        fuel = rng.randint(1, 200) if rng.random() < 0.7 else 3_000
+        untraced = _outcome(m, fuel=fuel)
+        traced = _outcome(m, fuel=fuel, trace=True)
+        assert (untraced, repr(untraced)) == (traced, repr(traced)), pretty(m)
+        seen.add(untraced[0] if isinstance(untraced[0], str) else "value")
+    assert seen == {"value", EvalError.STUCK, EvalError.FUEL}
+
+
+def test_untraced_count_900_fits_the_default_recursion_limit():
+    # One Python frame per non-tail level of the machine: a library run
+    # of count 900 fits CPython's default limit of 1,000.
+    code = ("import sys\n"
+            "from hgmp.parser import parse_term\n"
+            "from hgmp.reduction import run_pipeline\n"
+            "m = parse_term('(rec count n. if n == 0 then 0 "
+            "else 1 + count (n - 1)) 900')\n"
+            "print(sys.getrecursionlimit(), run_pipeline(m).value.value)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1000 900\n", "")
 
 
 def test_untraced_pipeline_matches_traced_on_generated_terms():
