@@ -27,11 +27,11 @@ from .typecheck import EMPTY_ENV, TypeErrorDetail
 # keeps CPython out of the way at desk scale.
 _RECURSION_LIMIT = 20_000
 
-_STEPPERS = {
-    "ct": lambda m, mode, fuel, trace: eval_ct(m, mode, fuel, trace),
+_STEPPERS = {  # dl alone takes no mode
+    "ct": eval_ct,
     "dl": lambda m, mode, fuel, trace: eval_dl(m, fuel, trace),
-    "ul": lambda m, mode, fuel, trace: eval_ul(m, mode, fuel, trace),
-    "rt": lambda m, mode, fuel, trace: eval_rt(m, mode, fuel, trace),
+    "ul": eval_ul,
+    "rt": eval_rt,
 }
 
 
@@ -74,9 +74,8 @@ def _read_term(args) -> Term:
 
 def cmd_compile(args) -> int:
     term = _read_term(args)
-    trace = args.trace != "none"
-    result = eval_ct(term, args.mode, args.fuel, trace=trace)
-    residual, deriv = result if trace else (result, None)
+    residual, deriv = _step("ct", term, args.mode, args.fuel,
+                            args.trace != "none")
     residual_type = None
     if args.mode == "typed":
         residual_type = typecheck.infer(EMPTY_ENV, residual,

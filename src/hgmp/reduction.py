@@ -112,10 +112,6 @@ def _stuck(phase: str, term: Term, message: str):
     raise EvalError(EvalError.STUCK, phase, term, message)
 
 
-def _type_error(term: Term, err: TypeErrorDetail):
-    raise EvalError(EvalError.TYPE, "type", term, err.describe(), detail=err)
-
-
 def _d(run: _Run, rule: str, relation: str, term_in: Term, term_out,
        *premises) -> Optional[Derivation]:
     if not run.trace:
@@ -123,10 +119,22 @@ def _d(run: _Run, rule: str, relation: str, term_in: Term, term_out,
     return Derivation(rule, relation, term_in, term_out, tuple(premises))
 
 
-def _type_premise(run: _Run, term: Term, ty: TypeExpr) -> Optional[Derivation]:
-    if not run.trace:
-        return None
-    return Derivation("Type", "type", term, ty)
+def _checked(run: _Run, m: Term, phase: str,
+             expected: TypeExpr | None = None) -> list[Derivation]:
+    """In a typed run, m checked against expected, or its type inferred
+    when expected is None: the Type premise, as a list that is empty in
+    an untyped run. A rejection is an EvalError of kind TypeError."""
+    if not run.typed:
+        return []
+    try:
+        if expected is None:
+            expected = typecheck.infer(EMPTY_ENV, m, phase=phase)
+        else:
+            typecheck.check(EMPTY_ENV, m, expected, phase=phase)
+    except TypeErrorDetail as err:
+        raise EvalError(EvalError.TYPE, "type", m, err.describe(),
+                        detail=err)
+    return [Derivation("Type", "type", m, expected)]
 
 
 def _rule_name(m: Term, relation: str) -> str:
@@ -177,33 +185,16 @@ def _ct(m: Term, run: _Run):
             return a, _d(run, "UpML ct", "ct", m, a, d1)
         case DownML(body):
             a, d1 = _ct(body, run)
-            premises = [d1]
-            if run.typed:
-                try:
-                    typecheck.check(EMPTY_ENV, a, CODE, phase="downML check")
-                except TypeErrorDetail as err:
-                    _type_error(a, err)
-                premises.append(_type_premise(run, a, CODE))
+            checked = _checked(run, a, "downML check", CODE)
             b, d2 = _rt_entry(a, run)
-            premises.append(d2)
             c, d3 = _dl(b, run)
-            premises.append(d3)
-            return c, _d(run, "DownML ct", "ct", m, c, *premises)
+            return c, _d(run, "DownML ct", "ct", m, c, d1, *checked, d2, d3)
         case LetDown(name, bound, body):
             a, d1 = _ct(bound, run)
-            premises = [d1]
-            if run.typed:
-                try:
-                    bound_ty = typecheck.infer(EMPTY_ENV, a,
-                                               phase="letdown check")
-                except TypeErrorDetail as err:
-                    _type_error(a, err)
-                premises.append(_type_premise(run, a, bound_ty))
+            checked = _checked(run, a, "letdown check")
             b, d2 = _rt_entry(a, run)
-            premises.append(d2)
             c, d3 = _ct(subst(body, b, name), run)
-            premises.append(d3)
-            return c, _d(run, "Let ct", "ct", m, c, *premises)
+            return c, _d(run, "Let ct", "ct", m, c, d1, *checked, d2, d3)
     # Every other constructor compiles its children and is rebuilt.
     outs, derivs = _each(_ct, m.children(), run)
     return _rule_by_tag(run, "ct", m, m.rebuild(outs), derivs)
@@ -317,21 +308,15 @@ def _rt(m: Term, run: _Run):
             _stuck("rt", m, f"unbound variable {name}")
         case App(fn, arg):
             f, d1 = _rt(fn, run)
-            match f:
-                case Lam(param, body):
-                    v, d2 = _rt(arg, run)
-                    res, d3 = _rt(subst(body, v, param), run)
-                    return res, _d(run, "App", "rt", m, res, d1, d2, d3)
-                case Rec(self_name, param, body):
-                    v, d2 = _rt(arg, run)
-                    if self_name == param:
-                        unfolded = subst(body, v, param)
-                    else:
-                        unfolded = subst(subst(body, f, self_name), v, param)
-                    res, d3 = _rt(unfolded, run)
-                    return res, _d(run, "App", "rt", m, res, d1, d2, d3)
-                case _:
-                    _stuck("rt", m, "application of a non-function value")
+            if not isinstance(f, (Lam, Rec)):
+                _stuck("rt", m, "application of a non-function value")
+            v, d2 = _rt(arg, run)
+            body = f.body
+            # A Rec unfolds to itself, unless its parameter hides the name.
+            if isinstance(f, Rec) and f.self_name != f.param:
+                body = subst(body, f, f.self_name)
+            res, d3 = _rt(subst(body, v, f.param), run)
+            return res, _d(run, "App", "rt", m, res, d1, d2, d3)
         case BinOp(op, lhs, rhs):
             a, d1 = _rt(lhs, run)
             b, d2 = _rt(rhs, run)
@@ -347,21 +332,11 @@ def _rt(m: Term, run: _Run):
             outs, derivs = _each(_rt, args, run)
             return _rule_by_tag(run, "rt", m, AstCtor(tag, tuple(outs)),
                                 derivs)
-        case Eval(body, annot):
+        case Eval(body):
             v, d1 = _rt(body, run)
-            n, d2 = _dl(v, run)
-            premises = [d1, d2]
-            if run.typed:
-                if annot is None:
-                    _stuck("rt", m, "eval without annotation in a typed run")
-                try:
-                    typecheck.check(EMPTY_ENV, n, annot, phase="eval check")
-                except TypeErrorDetail as err:
-                    _type_error(n, err)
-                premises.append(_type_premise(run, n, annot))
+            n, premises = _eval_code(v, m, {}, run)
             res, d3 = _rt(n, run)
-            premises.append(d3)
-            return res, _d(run, "Eval rt", "rt", m, res, *premises)
+            return res, _d(run, "Eval rt", "rt", m, res, d1, *premises, d3)
         case Lift(body):
             v, d1 = _rt(body, run)
             if type(v) not in (IntLit, StrLit, BoolLit):
@@ -568,15 +543,7 @@ def _machine(m: Term, env: dict, run: _Run):
             return AstCtor(m.tag, tuple(outs))
         elif cls is Eval:
             v = _read_back(_machine(m.body, env, run))
-            n, _ = _dl(v, run)
-            if run.typed:
-                if m.annot is None:
-                    _stuck("rt", _close(m, env),
-                           "eval without annotation in a typed run")
-                try:
-                    typecheck.check(EMPTY_ENV, n, m.annot, phase="eval check")
-                except TypeErrorDetail as err:
-                    _type_error(n, err)
+            n, _ = _eval_code(v, m, env, run)
             if free_vars(n):
                 raise _OpenCode
             m, env = n, {}
@@ -591,6 +558,17 @@ def _machine(m: Term, env: dict, run: _Run):
                    "compile-time construct reached run time")
         else:
             raise TypeError(f"not a Term: {m!r}")
+
+
+def _eval_code(v: Term, m: Eval, env: dict, run: _Run):
+    """The code eval m runs once its body has run to v: v converted down
+    and, in a typed run, checked against m's annotation. Returns the code
+    and the premises for dl and the check. env binds m's free variables,
+    as in _machine, so a stuck eval names the term _rt holds."""
+    n, d = _dl(v, run)
+    if run.typed and m.annot is None:
+        _stuck("rt", _close(m, env), "eval without annotation in a typed run")
+    return n, [d, *_checked(run, n, "eval check", m.annot)]
 
 
 def _arith(op: str, a: Term, b: Term, at: Term) -> Term:
@@ -674,20 +652,13 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
     if fv:
         raise EvalError(EvalError.STUCK, "ct", m,
                         "term is not closed: free " + ", ".join(sorted(fv)))
-    typed = mode == "typed"
-    run = _Run(_fuel(fuel), typed, trace)
+    run = _Run(_fuel(fuel), mode == "typed", trace)
     residual, d_ct = _ct(m, run)
     stages = [("ct", d_ct)]
     residual_type = None
-    if typed:
-        try:
-            residual_type = typecheck.infer(EMPTY_ENV, residual,
-                                            phase="residual check")
-        except TypeErrorDetail as err:
-            _type_error(residual, err)
-        if trace:
-            stages.append(("type", Derivation("Type", "type", residual,
-                                              residual_type)))
+    for d_type in _checked(run, residual, "residual check"):
+        residual_type = d_type.term_out
+        stages.append(("type", d_type))
     value, d_rt = _rt_entry(residual, run)
     stages.append(("rt", d_rt))
     return PipelineResult(residual, residual_type, value,

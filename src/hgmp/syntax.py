@@ -482,20 +482,13 @@ def is_ml_free(m: Term) -> bool:
 _TERM, _EQ, _ADD, _MUL, _APP, _ATOM = range(6)
 
 
+# The lexer reads these four escapes; pretty writes them back.
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n",
+                          "\t": "\\t"})
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 # No limit that sys.set_int_max_str_digits accepts is below this many digits.

@@ -19,9 +19,6 @@ from .syntax import (
     UpML, Var, pretty, pretty_type,
 )
 
-PHASES = ("downML check", "residual check", "eval check", "letdown check")
-
-
 class TypeErrorDetail(Exception):
     """A rejected program, with enough detail to say why and where."""
 
@@ -304,15 +301,16 @@ def infer_open(env: TypeEnv | None, m: Term,
     return eng.resolve(eng.infer(env or EMPTY_ENV, m))
 
 
-def infer(env: TypeEnv | None, m: Term,
-          phase: str = "residual check") -> TypeExpr:
-    """Principal monomorphic type of m, or a TypeErrorDetail.
-
-    A type that still contains meta-variables after solving is reported
-    as ambiguous rather than silently defaulted.
-    """
+def _solve(env: TypeEnv | None, m: Term, phase: str,
+           expected: TypeExpr | None = None) -> TypeExpr:
+    """m's type, unified with expected when one is given. A type that
+    still contains meta-variables after solving is reported as ambiguous
+    rather than silently defaulted."""
     eng = _Engine(phase)
-    ty = eng.resolve(eng.infer(env or EMPTY_ENV, m))
+    ty = eng.infer(env or EMPTY_ENV, m)
+    if expected is not None:
+        eng.unify(ty, expected, at=m)
+    ty = eng.resolve(ty)
     if _has_metavar(ty):
         raise TypeErrorDetail(
             f"ambiguous type {display_type(ty)}", kind="ambiguous", at=m,
@@ -320,17 +318,16 @@ def infer(env: TypeEnv | None, m: Term,
     return ty
 
 
+def infer(env: TypeEnv | None, m: Term,
+          phase: str = "residual check") -> TypeExpr:
+    """Principal monomorphic type of m, or a TypeErrorDetail."""
+    return _solve(env, m, phase)
+
+
 def check(env: TypeEnv | None, m: Term, expected: TypeExpr,
           phase: str = "residual check") -> None:
     """Infer m's type and unify it with expected; raises on failure."""
-    eng = _Engine(phase)
-    ty = eng.infer(env or EMPTY_ENV, m)
-    eng.unify(ty, expected, at=m)
-    ty = eng.resolve(ty)
-    if _has_metavar(ty):
-        raise TypeErrorDetail(
-            f"ambiguous type {display_type(ty)}", kind="ambiguous", at=m,
-            phase=phase)
+    _solve(env, m, phase, expected)
 
 
 def unify(a: TypeExpr, b: TypeExpr) -> dict[int, TypeExpr] | None:

@@ -201,9 +201,25 @@ def test_rt_rec_unfolds():
     assert eval_rt(App(fact, IntLit(5))) == IntLit(120)
 
 
+def _rt_outcome(m, mode="untyped", trace=False):
+    """eval_rt's value, or the error's kind, phase, message and term."""
+    try:
+        out = eval_rt(m, mode, trace=trace)
+    except EvalError as exc:
+        return exc.kind, exc.phase, exc.message, exc.offending
+    return out[0] if trace else out
+
+
 def test_rt_rec_param_shadows_self():
+    # Traced on substitution, untraced on the machine: the same outcome.
     shadow = parse_term("rec f f. f + 1")
-    assert eval_rt(App(shadow, IntLit(41))) == IntLit(42)
+    for trace in (False, True):
+        assert _rt_outcome(App(shadow, IntLit(41)), trace=trace) == IntLit(42)
+    applied = t("(rec f f. f 1) 3")
+    untraced, traced = _rt_outcome(applied), _rt_outcome(applied, trace=True)
+    assert untraced == traced
+    assert untraced[:3] == (EvalError.STUCK, "rt",
+                            "application of a non-function value")
 
 
 def test_rt_eq_on_strings_untyped():
@@ -646,6 +662,32 @@ def test_typed_downml_trace_has_type_premise():
     assert deriv.premises[1].rule == "Type"
 
 
+TYPED_TRACES = Path(__file__).resolve().parent / "typed_traces.json"
+
+
+def test_typed_traces_match_the_pinned_json():
+    # Typed traced runs, as to_json writes them: Type premises of a splice,
+    # a letdown and eval{T} re-checks, and the pipeline's type stage.
+    pinned = json.loads(TYPED_TRACES.read_text(encoding="utf-8"))
+    checked_by = set()
+    for src, want in pinned.items():
+        result = run_pipeline(t(src, "typed"), "typed", trace=True)
+        payload = {"residual": result.residual,
+                   "residualType": pretty_type(result.residual_type),
+                   "value": result.value,
+                   "stages": [{"stage": name, "derivation": d}
+                              for name, d in result.stages]}
+        assert to_json(payload) == ref_dumps(want), src
+        assert [name for name, _ in result.stages] == ["ct", "type", "rt"]
+        stack = [d for _, d in result.stages]
+        while stack:
+            d = stack.pop()
+            if any(p.relation == "type" for p in d.premises):
+                checked_by.add(d.rule)
+            stack.extend(d.premises)
+    assert checked_by == {"DownML ct", "Let ct", "Eval rt"}
+
+
 def test_trace_soundness_on_samples():
     rng = random.Random(9)
     redo = {"ct": lambda m: eval_ct(m), "dl": eval_dl,
@@ -1044,8 +1086,16 @@ def test_dl_promoted_promote_needs_second_tag():
 
 
 def test_rt_eval_unannotated_in_typed_run_is_stuck():
-    from hgmp.syntax import Eval
+    # As a library caller builds it: the parser never leaves a typed eval
+    # unannotated. Under a binder the machine's error names the term the
+    # substitution holds.
     term = Eval(mk_ast("int", IntLit(1)), None)
     with pytest.raises(EvalError) as exc:
         eval_rt(term, "typed")
     assert exc.value.kind == EvalError.STUCK
+    bound = _app("x", Eval(Var("x"), None), mk_ast("int", IntLit(1)))
+    for m in (term, bound):
+        untraced = _rt_outcome(m, "typed")
+        assert untraced == _rt_outcome(m, "typed", trace=True)
+        assert untraced == (EvalError.STUCK, "rt",
+                            "eval without annotation in a typed run", term)
