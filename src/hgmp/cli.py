@@ -161,9 +161,7 @@ def repl(args) -> int:
                         raise ValueError(f"mode must be one of {MODES}")
                     mode = rest
                 elif head == ":fuel":
-                    fuel = int(rest)
-                    if fuel < 1:
-                        raise ValueError("fuel must be at least 1")
+                    fuel = _fuel(int(rest))
                 elif head == ":trace":
                     if rest not in ("on", "off"):
                         raise ValueError(":trace takes on or off")
@@ -367,14 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     sys.setrecursionlimit(_RECURSION_LIMIT)
     parser = _build_argparser()
     args = parser.parse_args(argv)
-    if args.fuel is None:
-        try:
-            args.fuel = _fuel(None)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    if args.fuel < 1:
-        print("fuel must be at least 1", file=sys.stderr)
+    try:
+        args.fuel = _fuel(args.fuel)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)

@@ -38,8 +38,8 @@ from .syntax import (
     INT, BOOL, STRING, CODE,
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
     LetDown, Lift, Rec, StrLit, Tag, TagLit, TagType, Term, TypeExpr, UpML,
-    Var, AST_CTOR_OF_TAG, SURFACE_OF_TAG, TAG_OF_AST_CTOR, TAG_OF_SURFACE,
-    int_of_text, int_text,
+    Var, AST_CTOR_OF_TAG, BINOP_LEVEL, BINOP_SYMBOL, SURFACE_OF_TAG,
+    TAG_OF_AST_CTOR, TAG_OF_SURFACE, _APP, int_of_text, int_text,
 )
 
 MODES = ("typed", "untyped")
@@ -150,9 +150,8 @@ def _tokens(text: str) -> list[tuple]:
 _ATOM_STARTERS = frozenset({"ident", "int", "string", "true", "false", "tag",
                             "astctor", "eval", "lift", "$", "[|", "("})
 
-# binary operators: binding level, loosest first, and name; application,
-# at level 3, binds tighter than all of them
-_BINOPS = {"==": (0, "eq"), "+": (1, "add"), "-": (1, "sub"), "*": (2, "mul")}
+# binary operators by symbol: binding level and name
+_BINOPS = {BINOP_SYMBOL[op]: (level, op) for op, level in BINOP_LEVEL.items()}
 
 # the most bytes of an integer literal that an error message spells out
 _SPELLED_INT = 40
@@ -264,7 +263,7 @@ class _Parser:
                 # least as tightly as the token after it take it
                 kind = toks[pos][0]
                 if kind in _ATOM_STARTERS:
-                    level, op = 3, "app"
+                    level, op = _APP, "app"
                 else:
                     level, op = _BINOPS.get(kind, (0, None))
                 while stack[-1][0] >= level:

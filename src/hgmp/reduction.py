@@ -40,7 +40,6 @@ import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Optional
 
 from .syntax import (
     AST_CTOR_OF_TAG, CLASS_OF_TAG,
@@ -53,8 +52,6 @@ from . import signature, typecheck
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
 
 DEFAULT_FUEL = 100_000
-
-RELATIONS = ("ct", "dl", "ul", "rt")
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,6 @@ class _Run:
     __slots__ = ("remaining", "typed", "trace")
 
     def __init__(self, fuel: int, typed: bool, trace: bool):
-        if fuel < 1:
-            raise ValueError("fuel must be at least 1")
         self.remaining = fuel
         self.typed = typed
         self.trace = trace
@@ -112,11 +107,22 @@ def _stuck(phase: str, term: Term, message: str):
     raise EvalError(EvalError.STUCK, phase, term, message)
 
 
-def _d(run: _Run, rule: str, relation: str, term_in: Term, term_out,
-       *premises) -> Optional[Derivation]:
+def _d(run: _Run, rule: str | None, relation: str, m: Term, out,
+       *premises) -> tuple[object, Derivation | None]:
+    """out, the result of a rule about m, and the rule's derivation when
+    the run is traced (else None). A rule of None is named after the
+    constructor of the side that is not an AST (the output, for dl):
+    `App ct`, or a bare `Add` in rt. Interned: every node holds one."""
     if not run.trace:
-        return None
-    return Derivation(rule, relation, term_in, term_out, tuple(premises))
+        return out, None
+    if rule is None:
+        named = out if relation == "dl" else m
+        if isinstance(named, AstCtor):
+            stem = "Promote" if named.tag.name == "promote" else "Ast_c"
+        else:
+            stem = named.ctor.capitalize()
+        rule = sys.intern(stem if relation == "rt" else f"{stem} {relation}")
+    return out, Derivation(rule, relation, m, out, premises)
 
 
 def _checked(run: _Run, m: Term, phase: str,
@@ -137,16 +143,6 @@ def _checked(run: _Run, m: Term, phase: str,
     return [Derivation("Type", "type", m, expected)]
 
 
-def _rule_name(m: Term, relation: str) -> str:
-    """A rule's name from the constructor of the term it is about: `App ct`,
-    or a bare `Add` in rt. Interned: every derivation node holds one."""
-    if isinstance(m, AstCtor):
-        stem = "Promote" if m.tag.name == "promote" else "Ast_c"
-    else:
-        stem = m.ctor.capitalize()
-    return sys.intern(stem if relation == "rt" else f"{stem} {relation}")
-
-
 def _each(relation, terms, run: _Run):
     """relation applied to each of terms in order: outputs, derivations."""
     outs, derivs = [], []
@@ -157,47 +153,35 @@ def _each(relation, terms, run: _Run):
     return outs, derivs
 
 
-def _rule_by_tag(run: _Run, relation: str, m: Term, out: Term, derivs=()):
-    """The result of a rule named after a constructor (`App ct`, `Int dl`,
-    `Add`) whose premises are `derivs`. The name comes from the side that
-    is not an AST (the output, for dl); the derivation is built only when
-    tracing."""
-    if not run.trace:
-        return out, None
-    named = out if relation == "dl" else m
-    return out, Derivation(_rule_name(named, relation), relation, m, out,
-                           tuple(derivs))
-
-
 ### compile time
 
 def _ct(m: Term, run: _Run):
     run.spend("ct", m)
     match m:
         case Var():
-            return m, _d(run, "Var ct", "ct", m, m)
+            return _d(run, "Var ct", "ct", m, m)
         case IntLit() | StrLit() | BoolLit():
-            return m, _d(run, "Const ct", "ct", m, m)
+            return _d(run, "Const ct", "ct", m, m)
         case TagLit():
-            return m, _d(run, "Tag ct", "ct", m, m)
+            return _d(run, "Tag ct", "ct", m, m)
         case UpML(body):
             a, d1 = _ul(body, run)
-            return a, _d(run, "UpML ct", "ct", m, a, d1)
+            return _d(run, "UpML ct", "ct", m, a, d1)
         case DownML(body):
             a, d1 = _ct(body, run)
             checked = _checked(run, a, "downML check", CODE)
             b, d2 = _rt_entry(a, run)
             c, d3 = _dl(b, run)
-            return c, _d(run, "DownML ct", "ct", m, c, d1, *checked, d2, d3)
+            return _d(run, "DownML ct", "ct", m, c, d1, *checked, d2, d3)
         case LetDown(name, bound, body):
             a, d1 = _ct(bound, run)
             checked = _checked(run, a, "letdown check")
             b, d2 = _rt_entry(a, run)
             c, d3 = _ct(subst(body, b, name), run)
-            return c, _d(run, "Let ct", "ct", m, c, d1, *checked, d2, d3)
+            return _d(run, "Let ct", "ct", m, c, d1, *checked, d2, d3)
     # Every other constructor compiles its children and is rebuilt.
     outs, derivs = _each(_ct, m.children(), run)
-    return _rule_by_tag(run, "ct", m, m.rebuild(outs), derivs)
+    return _d(run, None, "ct", m, m.rebuild(outs), *derivs)
 
 
 ### down one meta-level
@@ -205,23 +189,21 @@ def _ct(m: Term, run: _Run):
 def _dl(m: Term, run: _Run):
     run.spend("dl", m)
     if isinstance(m, TagLit):
-        return m, _d(run, "Tag dl", "dl", m, m)
+        return _d(run, "Tag dl", "dl", m, m)
     if not isinstance(m, AstCtor):
         _stuck("dl", m, "term is not an AST value")
     tag, args = m.tag, m.args
     name, count = tag.name, len(m.args)
     cls = CLASS_OF_TAG.get(name)
     if name == "var" and count == 1 and isinstance(args[0], StrLit):
-        out = Var(args[0].value)
-        return out, _d(run, "Var dl", "dl", m, out)
-    if (name in ("int", "string", "bool") and count == 1
-            and isinstance(args[0], cls)):
-        return _rule_by_tag(run, "dl", m, args[0])
+        return _d(run, "Var dl", "dl", m, Var(args[0].value))
+    if cls in _HOST and count == 1 and isinstance(args[0], cls):
+        return _d(run, None, "dl", m, args[0])  # a literal's AST
     if cls is not None and cls.kids and signature.check_arity(name, count):
         bound = len(cls.binds)  # the row's binder positions
         if not bound:
             outs, derivs = _each(_dl, args, run)
-            return _rule_by_tag(run, "dl", m, cls.from_ast(tag, outs), derivs)
+            return _d(run, None, "dl", m, cls.from_ast(tag, outs), *derivs)
         # Bound names come first and must convert down to strings.
         names, derivs = _each(_dl, args[:bound], run)
         if not all(isinstance(s, StrLit) for s in names):
@@ -230,7 +212,7 @@ def _dl(m: Term, run: _Run):
             _stuck("dl", m, f"{AST_CTOR_OF_TAG[name]} {what}")
         outs, kid_derivs = _each(_dl, args[bound:], run)
         out = cls.from_ast(tag, [s.value for s in names] + outs)
-        return _rule_by_tag(run, "dl", m, out, derivs + kid_derivs)
+        return _d(run, None, "dl", m, out, *derivs, *kid_derivs)
     if name == "promote" and count >= 1:
         head, d0 = _dl(args[0], run)
         if not isinstance(head, TagLit):
@@ -241,14 +223,13 @@ def _dl(m: Term, run: _Run):
             # check) owns rejecting a malformed result.
             outs, derivs = _each(_dl, args[1:], run)
             out = AstCtor(head.tag, tuple(outs))
-            return out, _d(run, "Promote dl 1", "dl", m, out, d0, *derivs)
+            return _d(run, "Promote dl 1", "dl", m, out, d0, *derivs)
         if count >= 2:
             inner, d1 = _dl(args[1], run)
             if isinstance(inner, TagLit):
                 outs, derivs = _each(_dl, args[2:], run)
                 out = AstCtor(tag, (inner, *outs))
-                return out, _d(run, "Promote dl 2", "dl", m, out, d0, d1,
-                               *derivs)
+                return _d(run, "Promote dl 2", "dl", m, out, d0, d1, *derivs)
         _stuck("dl", m, "promoted astPromote needs a tag in second position")
     _stuck("dl", m,
            f"no down-level rule for ast constructor {name} "
@@ -261,25 +242,24 @@ def _ul(m: Term, run: _Run):
     run.spend("ul", m)
     match m:
         case Var(name):
-            out = mk_ast("var", StrLit(name))
-            return out, _d(run, "Var ul", "ul", m, out)
+            return _d(run, "Var ul", "ul", m, mk_ast("var", StrLit(name)))
         case IntLit() | StrLit() | BoolLit():
-            return _rule_by_tag(run, "ul", m, AstCtor(m.ast_tag(), (m,)))
+            return _d(run, None, "ul", m, AstCtor(m.ast_tag(), (m,)))
         case TagLit():
-            return m, _d(run, "Tag ul", "ul", m, m)
+            return _d(run, "Tag ul", "ul", m, m)
         case AstCtor(tag, args):
             outs, derivs = _each(_ul, args, run)
             out = AstCtor(Tag("promote"), (TagLit(tag), *outs))
-            return out, _d(run, "Ast ul", "ul", m, out, *derivs)
+            return _d(run, "Ast ul", "ul", m, out, *derivs)
         case UpML(body):
             a, d1 = _ul(body, run)
             b, d2 = _ul(a, run)
-            return b, _d(run, "UpML ul", "ul", m, b, d1, d2)
+            return _d(run, "UpML ul", "ul", m, b, d1, d2)
         case DownML(body):
             # The hole's code is compiled and spliced as-is: it will
             # produce its AST when the surrounding residual runs.
             a, d1 = _ct(body, run)
-            return a, _d(run, "DownML ul", "ul", m, a, d1)
+            return _d(run, "DownML ul", "ul", m, a, d1)
         case LetDown():
             _stuck("ul", m,
                    "letdown has no AST representation and cannot be quoted")
@@ -288,7 +268,7 @@ def _ul(m: Term, run: _Run):
     outs, derivs = _each(_ul, m.children(), run)
     names = [mk_ast("string", StrLit(s)) for s in m.bound_names()]
     out = AstCtor(m.ast_tag(), tuple(names + outs))
-    return _rule_by_tag(run, "ul", m, out, derivs)
+    return _d(run, None, "ul", m, out, *derivs)
 
 
 ### run time
@@ -297,13 +277,13 @@ def _rt(m: Term, run: _Run):
     run.spend("rt", m)
     match m:
         case IntLit() | StrLit() | BoolLit():
-            return m, _d(run, "Const", "rt", m, m)
+            return _d(run, "Const", "rt", m, m)
         case Lam():
-            return m, _d(run, "Lam", "rt", m, m)
+            return _d(run, "Lam", "rt", m, m)
         case Rec():
-            return m, _d(run, "Rec", "rt", m, m)
+            return _d(run, "Rec", "rt", m, m)
         case TagLit():
-            return m, _d(run, "Tag", "rt", m, m)
+            return _d(run, "Tag", "rt", m, m)
         case Var(name):
             _stuck("rt", m, f"unbound variable {name}")
         case App(fn, arg):
@@ -316,33 +296,29 @@ def _rt(m: Term, run: _Run):
             if isinstance(f, Rec) and f.self_name != f.param:
                 body = subst(body, f, f.self_name)
             res, d3 = _rt(subst(body, v, f.param), run)
-            return res, _d(run, "App", "rt", m, res, d1, d2, d3)
+            return _d(run, "App", "rt", m, res, d1, d2, d3)
         case BinOp(op, lhs, rhs):
             a, d1 = _rt(lhs, run)
             b, d2 = _rt(rhs, run)
-            return _rule_by_tag(run, "rt", m, _arith(op, a, b, m), (d1, d2))
+            return _d(run, None, "rt", m, _arith(op, a, b, m), d1, d2)
         case If(cond, then, orelse):
             c, d1 = _rt(cond, run)
             if not isinstance(c, BoolLit):
                 _stuck("rt", m, "if condition is not a boolean")
             branch = then if c.value else orelse
             v, d2 = _rt(branch, run)
-            return v, _d(run, "If", "rt", m, v, d1, d2)
+            return _d(run, "If", "rt", m, v, d1, d2)
         case AstCtor(tag, args):
             outs, derivs = _each(_rt, args, run)
-            return _rule_by_tag(run, "rt", m, AstCtor(tag, tuple(outs)),
-                                derivs)
+            return _d(run, None, "rt", m, AstCtor(tag, tuple(outs)), *derivs)
         case Eval(body):
             v, d1 = _rt(body, run)
             n, premises = _eval_code(v, m, {}, run)
             res, d3 = _rt(n, run)
-            return res, _d(run, "Eval rt", "rt", m, res, d1, *premises, d3)
+            return _d(run, "Eval rt", "rt", m, res, d1, *premises, d3)
         case Lift(body):
             v, d1 = _rt(body, run)
-            if type(v) not in (IntLit, StrLit, BoolLit):
-                _stuck("rt", m, "lift applies to integers, strings and booleans")
-            out = AstCtor(v.ast_tag(), (v,))
-            return out, _d(run, "Lift", "rt", m, out, d1)
+            return _d(run, "Lift", "rt", m, _lift(v, m, {}), d1)
         case DownML() | UpML() | LetDown():
             _stuck("rt", m, "compile-time construct reached run time")
     raise TypeError(f"not a Term: {m!r}")
@@ -548,11 +524,7 @@ def _machine(m: Term, env: dict, run: _Run):
                 raise _OpenCode
             m, env = n, {}
         elif cls is Lift:
-            v = _read_back(_machine(m.body, env, run))
-            if type(v) not in (IntLit, StrLit, BoolLit):
-                _stuck("rt", _close(m, env),
-                       "lift applies to integers, strings and booleans")
-            return AstCtor(v.ast_tag(), (v,))
+            return _lift(_read_back(_machine(m.body, env, run)), m, env)
         elif cls is DownML or cls is UpML or cls is LetDown:
             _stuck("rt", _close(m, env),
                    "compile-time construct reached run time")
@@ -569,6 +541,15 @@ def _eval_code(v: Term, m: Eval, env: dict, run: _Run):
     if run.typed and m.annot is None:
         _stuck("rt", _close(m, env), "eval without annotation in a typed run")
     return n, [d, *_checked(run, n, "eval check", m.annot)]
+
+
+def _lift(v: Term, m: Lift, env: dict) -> AstCtor:
+    """The AST lift m builds once its body has run to v. env binds m's free
+    variables, as in _eval_code, so a stuck lift names the term _rt holds."""
+    if type(v) not in _HOST:
+        _stuck("rt", _close(m, env),
+               "lift applies to integers, strings and booleans")
+    return AstCtor(v.ast_tag(), (v,))
 
 
 def _arith(op: str, a: Term, b: Term, at: Term) -> Term:
@@ -590,16 +571,18 @@ def _arith(op: str, a: Term, b: Term, at: Term) -> Term:
 ### public entry points
 
 def _fuel(fuel: int | None) -> int:
-    """The given budget, else HGMP_FUEL, else the default."""
-    if fuel is not None:
-        return fuel
-    env = os.environ.get("HGMP_FUEL")
-    if not env:
-        return DEFAULT_FUEL
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"HGMP_FUEL is not an integer: {env!r}") from None
+    """The given budget, else HGMP_FUEL, else the default; at least 1."""
+    if fuel is None:
+        env = os.environ.get("HGMP_FUEL")
+        if not env:
+            return DEFAULT_FUEL
+        try:
+            fuel = int(env)
+        except ValueError:
+            raise ValueError(f"HGMP_FUEL is not an integer: {env!r}") from None
+    if fuel < 1:
+        raise ValueError("fuel must be at least 1")
+    return fuel
 
 
 def _evaluate(relation, m: Term, mode: str, fuel: int | None, trace: bool):

@@ -260,6 +260,10 @@ class BoolLit(Term):
 
 BINOPS = ("add", "sub", "mul", "eq")
 BINOP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "eq": "=="}
+# Binding levels, for the parser and pretty: application binds tightest,
+# then * then +/- then ==; a whole term binds loosest, an atom tightest.
+_TERM, _EQ, _ADD, _MUL, _APP, _ATOM = range(6)
+BINOP_LEVEL = {"eq": _EQ, "add": _ADD, "sub": _ADD, "mul": _MUL}
 
 
 @_shape(BINOPS, "lhs", "rhs")
@@ -478,10 +482,6 @@ def is_ml_free(m: Term) -> bool:
 
 ### pretty-printing
 
-# Precedence levels; application binds tightest, then * then +/- then ==.
-_TERM, _EQ, _ADD, _MUL, _APP, _ATOM = range(6)
-
-
 # The lexer reads these four escapes; pretty writes them back.
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n",
                           "\t": "\\t"})
@@ -521,11 +521,13 @@ def int_of_text(text: str) -> int:
     return int_of_text(text[:-half]) * 10 ** half + int_of_text(text[-half:])
 
 
+def _eval_annot(annot: TypeExpr | None) -> str:
+    """The {T} after eval, astEval or #eval; nothing when annot is None."""
+    return "" if annot is None else "{" + pretty_type(annot) + "}"
+
+
 def _tag_surface(tag: Tag) -> str:
-    s = "#" + SURFACE_OF_TAG[tag.name]
-    if tag.eval_annot is not None:
-        s += "{" + pretty_type(tag.eval_annot) + "}"
-    return s
+    return "#" + SURFACE_OF_TAG[tag.name] + _eval_annot(tag.eval_annot)
 
 
 def pretty(m: Term) -> str:
@@ -567,9 +569,7 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
             case TagLit(tag):
                 laid = _tag_surface(tag), _ATOM
             case AstCtor(tag, args):
-                head = AST_CTOR_OF_TAG[tag.name]
-                if tag.eval_annot is not None:
-                    head += "{" + pretty_type(tag.eval_annot) + "}"
+                head = AST_CTOR_OF_TAG[tag.name] + _eval_annot(tag.eval_annot)
                 laid = (head + "(" + ", ".join([_pp(a, _TERM, memo)
                                                 for a in args]) + ")", _ATOM)
             case DownML(body):
@@ -577,16 +577,15 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
             case UpML(body):
                 laid = "[| " + _pp(body, _TERM, memo) + " |]", _ATOM
             case Eval(body, annot):
-                head = ("eval" if annot is None
-                        else "eval{" + pretty_type(annot) + "}")
-                laid = head + "(" + _pp(body, _TERM, memo) + ")", _ATOM
+                laid = ("eval" + _eval_annot(annot) + "("
+                        + _pp(body, _TERM, memo) + ")", _ATOM)
             case Lift(body):
                 laid = "lift(" + _pp(body, _TERM, memo) + ")", _ATOM
             case App(fn, arg):
                 laid = (f"{_pp(fn, _APP, memo)} {_pp(arg, _ATOM, memo)}",
                         _APP)
             case BinOp(op, lhs, rhs):
-                level = {"eq": _EQ, "add": _ADD, "sub": _ADD, "mul": _MUL}[op]
+                level = BINOP_LEVEL[op]
                 laid = (f"{_pp(lhs, level, memo)} {BINOP_SYMBOL[op]} "
                         f"{_pp(rhs, level + 1, memo)}", level)
             case If(cond, then, orelse):

@@ -10,6 +10,7 @@ because compiled-in lambdas built from astLam carry no annotations.
 from __future__ import annotations
 
 import itertools
+import re
 
 from . import signature
 from .syntax import (
@@ -66,8 +67,10 @@ class TypeEnv:
 
 EMPTY_ENV = TypeEnv()
 
-# The atom an AST constructor for a variable or a literal wraps.
-_ATOM_TYPE = {"var": STRING, "int": INT, "string": STRING, "bool": BOOL}
+# Each literal's type, which lift takes; and by tag, the atom an AST
+# constructor for a variable or a literal wraps.
+_LIT_TYPE = {IntLit: INT, StrLit: STRING, BoolLit: BOOL}
+_ATOM_TYPE = {"var": STRING, **{c.ctor: ty for c, ty in _LIT_TYPE.items()}}
 
 
 class _Engine:
@@ -91,10 +94,11 @@ class _Engine:
             return Arrow(self.resolve(t.src), self.resolve(t.dst))
         return t
 
-    def _occurs(self, ident: int, t: TypeExpr) -> bool:
+    def _occurs(self, ident: int | None, t: TypeExpr) -> bool:
+        """Whether meta-variable ident (any, when None) occurs in t."""
         t = self.prune(t)
         if isinstance(t, MetaVar):
-            return t.ident == ident
+            return ident is None or t.ident == ident
         if isinstance(t, Arrow):
             return self._occurs(ident, t.src) or self._occurs(ident, t.dst)
         return False
@@ -136,12 +140,8 @@ class _Engine:
                                           kind="unbound", at=m,
                                           phase=self.phase)
                 return ty
-            case IntLit():
-                return INT
-            case StrLit():
-                return STRING
-            case BoolLit():
-                return BOOL
+            case IntLit() | StrLit() | BoolLit():
+                return _LIT_TYPE[type(m)]
             case TagLit(tag):
                 return TagType(tag.name)
             case Lam(param, body, annot):
@@ -179,7 +179,7 @@ class _Engine:
                 return annot
             case Lift(body):
                 ty = self.resolve(self.infer(env, body))
-                if ty in (INT, STRING, BOOL):
+                if ty in _LIT_TYPE.values():
                     return CODE
                 if isinstance(ty, MetaVar):
                     raise TypeErrorDetail(
@@ -262,35 +262,25 @@ class _Engine:
         return CODE
 
 
-def _has_metavar(t: TypeExpr) -> bool:
-    if isinstance(t, MetaVar):
-        return True
-    if isinstance(t, Arrow):
-        return _has_metavar(t.src) or _has_metavar(t.dst)
-    return False
+_HOLE = re.compile(r"\?(\d+)")  # a meta-variable, as pretty_type writes it
 
 
 def display_type(t: TypeExpr, names: dict[int, str] | None = None) -> str:
     """Render a type for messages; unsolved holes become a, b, c, ..
-    so no raw meta-variable ever reaches the user."""
+    (then a1, a2, ..) in order of appearance, so no raw meta-variable
+    ever reaches the user. names maps the holes already named."""
     if names is None:
         names = {}
 
-    def walk(t: TypeExpr) -> str:
-        if isinstance(t, MetaVar):
-            if t.ident not in names:
-                fresh = len(names)
-                names[t.ident] = (chr(ord("a") + fresh) if fresh < 26
-                                  else f"a{fresh - 25}")
-            return names[t.ident]
-        if isinstance(t, Arrow):
-            src = walk(t.src)
-            if isinstance(t.src, Arrow):
-                src = f"({src})"
-            return f"{src} -> {walk(t.dst)}"
-        return pretty_type(t)
+    def name(hole: re.Match) -> str:
+        ident = int(hole[1])
+        if ident not in names:
+            fresh = len(names)
+            names[ident] = (chr(ord("a") + fresh) if fresh < 26
+                            else f"a{fresh - 25}")
+        return names[ident]
 
-    return walk(t)
+    return _HOLE.sub(name, pretty_type(t))
 
 
 def infer_open(env: TypeEnv | None, m: Term,
@@ -311,7 +301,7 @@ def _solve(env: TypeEnv | None, m: Term, phase: str,
     if expected is not None:
         eng.unify(ty, expected, at=m)
     ty = eng.resolve(ty)
-    if _has_metavar(ty):
+    if eng._occurs(None, ty):
         raise TypeErrorDetail(
             f"ambiguous type {display_type(ty)}", kind="ambiguous", at=m,
             phase=phase)

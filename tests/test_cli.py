@@ -241,6 +241,13 @@ def test_bad_fuel_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_fuel_env_below_one_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HGMP_FUEL", "0")
+    path = write(tmp_path, "1")
+    code, out, err = run_cli(capsys, "run", path)
+    assert (code, out, err) == (2, "", "fuel must be at least 1\n")
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -321,6 +328,18 @@ def test_repl_survives_errors(monkeypatch, capsys):
     assert "42" in out
     assert "parse error" in err
     assert "Stuck" in err
+
+
+def test_repl_rejects_fuel_below_one(monkeypatch, capsys):
+    code, out, err = repl_session(monkeypatch, capsys, [":fuel 0", ":quit"])
+    assert (code, out, err) == (0, "", "fuel must be at least 1\n")
+
+
+def test_repl_keeps_its_budget_when_fuel_is_rejected(monkeypatch, capsys):
+    code, out, err = repl_session(monkeypatch, capsys, [
+        ":fuel 2", ":fuel 0", "1 + 2 + 3", ":quit"])
+    assert (code, out) == (0, "")
+    assert err.startswith("fuel must be at least 1\nerror[ct]: FuelExhausted")
 
 
 def test_repl_load(monkeypatch, capsys, tmp_path):
@@ -456,3 +475,39 @@ def test_corpus_golden_mismatch(tmp_path, capsys):
     code, out, err = run_cli(capsys, "corpus", str(tmp_path))
     assert code == 1
     assert "derivation differs" in err
+
+
+def test_corpus_reports_each_kind_of_mismatch(tmp_path, capsys):
+    cases = {
+        "value_for_error": ("1 + 1", "error: rt"),
+        "other_error": (r"2 + (\x. x)", "error: ct"),
+        "error_for_value": (r"2 + (\x. x)", "3"),
+        "parse_error": ("1 +", "error: parse"),
+    }
+    for name, (source, expected) in cases.items():
+        (tmp_path / f"{name}.hgmp").write_text(source + "\n")
+        (tmp_path / f"{name}.expected").write_text(expected + "\n")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out) == (1, "1/4 corpus cases passed\n")
+    stuck = ("error:rt (error[rt]: Stuck: add needs integer operands\n"
+             "  at: 2 + (\\x. x))\n")
+    assert err == (
+        f"FAIL error_for_value [untyped]: expected a value, got {stuck}"
+        f"FAIL other_error [untyped]: expected error:ct, got {stuck}"
+        "FAIL value_for_error [untyped]: expected error:rt, got 2\n")
+
+
+def test_corpus_golden_of_a_stage_the_case_does_not_run(tmp_path, capsys):
+    (tmp_path / "golden").mkdir()
+    (tmp_path / "c.hgmp").write_text(
+        "-- modes: untyped\n-- relation: ct\n-- golden: rt\n1 + 1\n")
+    (tmp_path / "c.expected").write_text("1 + 1\n")
+    (tmp_path / "golden" / "c.json").write_text('{"derivation": {}}')
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, err) == (1, "FAIL c [untyped]: no rt derivation recorded\n")
+
+
+def test_corpus_of_a_file_is_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "1")
+    code, out, err = run_cli(capsys, "corpus", path)
+    assert (code, out, err) == (2, "", f"not a directory: {path}\n")

@@ -1,11 +1,14 @@
+from dataclasses import dataclass
+
 import pytest
 
-from hgmp import parser, typecheck
-from hgmp.reduction import eval_dl, eval_ul
+from hgmp import parser, signature, syntax, typecheck
+from hgmp.reduction import eval_ct, eval_dl, eval_ul, term_to_json
 from hgmp.signature import check_arity, lookup, registry, tagged_names
 from hgmp.syntax import (
     AST_CTOR_OF_TAG, CODE, TAG_NAMES, TAG_OF_SURFACE,
-    AstCtor, BoolLit, IntLit, StrLit, Tag, TagLit, mk_ast,
+    App, AstCtor, BoolLit, IntLit, Lam, StrLit, Tag, TagLit, Term, Var,
+    alpha_eq, free_vars, mk_ast, subst,
 )
 
 
@@ -94,3 +97,51 @@ def test_ul_covers_every_tagged_constructor():
 def test_typing_covers_every_tagged_constructor():
     for name in sorted(tagged_names()):
         assert typecheck.infer(None, _canonical(name)) == CODE
+
+
+### the signature recipe: a constructor added in one row
+
+@pytest.fixture
+def pair(monkeypatch):
+    """A 2-ary `pair` row and its class, registered for one test only."""
+    monkeypatch.setitem(signature._BY_NAME, "pair",
+                        signature.CtorSpec("pair", "pair", 2))
+    monkeypatch.setattr(syntax, "TAG_NAMES", TAG_NAMES + ("pair",))
+    monkeypatch.setitem(syntax.CLASS_OF_TAG, "pair", None)  # undone: deleted
+
+    @syntax._shape("pair", "fst", "snd")
+    @dataclass(frozen=True)
+    class Pair(Term):
+        fst: Term
+        snd: Term
+
+    return Pair
+
+
+def test_a_signature_row_drives_the_generic_layers(pair):
+    one, two = IntLit(1), IntLit(2)
+    m = pair(one, two)
+    out, d = eval_ct(m, trace=True)
+    assert (out, d.rule, len(d.premises)) == (m, "Pair ct", 2)
+    ast, d = eval_ul(m, trace=True)
+    assert ast == mk_ast("pair", mk_ast("int", one), mk_ast("int", two))
+    assert d.rule == "Pair ul"
+    back, d = eval_dl(ast, trace=True)
+    assert (back, d.rule) == (m, "Pair dl")
+    assert alpha_eq(back, m)
+
+    # the traversals read the row: \y binds in the second component only
+    open_pair = pair(Var("y"), Lam("y", App(Var("y"), Var("z"))))
+    assert free_vars(open_pair) == {"y", "z"}
+    renamed = subst(open_pair, Var("y"), "z")
+    assert renamed == pair(Var("y"), Lam("y'", App(Var("y'"), Var("y"))))
+    assert alpha_eq(renamed, pair(Var("y"), Lam("w", App(Var("w"),
+                                                         Var("y")))))
+    assert not alpha_eq(renamed, pair(Var("y"), Lam("w", App(Var("w"),
+                                                             Var("w")))))
+    assert not alpha_eq(m, pair(two, one))
+
+    encoded = term_to_json(m)
+    assert encoded["ctor"] == "pair"
+    assert encoded["children"] == [term_to_json(one), term_to_json(two)]
+    assert typecheck.infer(None, ast) == CODE

@@ -384,3 +384,10 @@ def test_subst_rec_renames_captured_binders():
     got2 = subst(m2, Var("x"), "q")
     assert got2.param != "x"
     assert got2.body == App(Var(got2.param), Var("x"))
+
+
+def test_pretty_type_writes_holes_by_number():
+    from hgmp.syntax import INT, Arrow, MetaVar, pretty_type
+    assert pretty_type(MetaVar(3)) == "?3"
+    assert pretty_type(Arrow(Arrow(MetaVar(1), INT), MetaVar(12))) \
+        == "(?1 -> Int) -> ?12"

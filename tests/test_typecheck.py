@@ -314,3 +314,29 @@ def test_display_type_names_holes_consistently():
     assert display_type(Arrow(MetaVar(1), MetaVar(2))) == "a -> b"
     assert display_type(Arrow(Arrow(MetaVar(5), INT), MetaVar(5))) \
         == "(a -> Int) -> a"
+
+
+def test_display_type_names_holes_past_the_alphabet():
+    from hgmp.typecheck import display_type
+    ty = MetaVar(27)
+    for ident in reversed(range(27)):
+        ty = Arrow(MetaVar(ident), ty)
+    names = [chr(ord("a") + i) for i in range(26)] + ["a1", "a2"]
+    assert display_type(ty) == " -> ".join(names)
+    assert display_type(ty).endswith("z -> a1 -> a2")
+
+
+def test_display_type_shares_names_across_calls():
+    # A mismatch names the holes of its expected and found types alike.
+    from hgmp.typecheck import display_type
+    names = {}
+    assert display_type(MetaVar(7), names) == "a"
+    assert display_type(Arrow(MetaVar(8), Arrow(INT, MetaVar(7))),
+                        names) == "b -> Int -> a"
+    assert names == {7: "a", 8: "b"}
+
+
+def test_promote_of_an_unknown_tag_is_ambiguous():
+    err = rejects(r"\t. astPromote(t, astInt(1))", kind="ambiguous")
+    assert err.message == "cannot tell which tag astPromote promotes"
+    assert pretty(err.at) == "t"
