@@ -40,6 +40,7 @@ from .syntax import (
     LetDown, Lift, Rec, StrLit, Tag, TagLit, TagType, Term, TypeExpr, UpML,
     Var, AST_CTOR_OF_TAG, BINOP_LEVEL, BINOP_SYMBOL, SURFACE_OF_TAG,
     TAG_OF_AST_CTOR, TAG_OF_SURFACE, _APP, int_of_text, int_text,
+    pretty_type,
 )
 
 MODES = ("typed", "untyped")
@@ -156,7 +157,7 @@ _BINOPS = {BINOP_SYMBOL[op]: (level, op) for op, level in BINOP_LEVEL.items()}
 # the most bytes of an integer literal that an error message spells out
 _SPELLED_INT = 40
 
-_TYPE_NAMES = {"Int": INT, "Bool": BOOL, "String": STRING, "Code": CODE}
+_TYPE_NAMES = {pretty_type(t): t for t in (INT, BOOL, STRING, CODE)}
 
 
 class _Parser:
@@ -356,8 +357,7 @@ class _Parser:
         """The AST constructor tok(args), once its ')' is token pos."""
         _, after = self.want(pos, ")", "')'")
         if not signature.check_arity(tok[1], len(args)):
-            spec = signature.lookup(tok[1])
-            wanted = "1 or more" if spec.arity is None else str(spec.arity)
+            wanted = signature.arity_text(tok[1])
             raise ParseError(
                 SourceSpan(tok[2], self.tokens[pos][3]),
                 f"{self._spelling(tok)} takes {wanted} argument(s), got {len(args)}")

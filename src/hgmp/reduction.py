@@ -14,10 +14,13 @@ names follow the conventional bracketed names for these relations.
 rt has two evaluators with the same values, errors and fuel. `_rt` is the
 reference: call-by-value with capture-avoiding substitution. It runs
 every traced run, because derivations show substituted terms, and any
-open term. `_machine` is an environment machine: a variable looks its
-value up, a function evaluates to a closure, and integers, booleans and
-strings are host values (Python ints, bools and strs), so arithmetic
-builds no term. Values are read back wherever the reference would hold a
+open term. A traced run builds each application's body once per
+function and argument (an equal literal, or the same other value): a
+body met again is the same object, which the renderers write once.
+`_machine` is an environment machine: a variable looks its value up,
+a function evaluates to a closure, and integers, booleans and strings
+are host values (Python ints, bools and strs), so arithmetic builds no
+term. Values are read back wherever the reference would hold a
 term (a result, an AST argument, eval's input to dl, lift, an error's
 offending term): a host value is boxed into its literal, and a closure
 is closed with `subst`. An AST whose arguments all run to themselves is
@@ -87,14 +90,16 @@ class EvalError(Exception):
 
 
 class _Run:
-    """Per-run state: fuel budget, pipeline mode, trace switch."""
+    """Per-run state: fuel budget, pipeline mode, trace switch, and the
+    bodies a traced run's applications have built (see _instance)."""
 
-    __slots__ = ("remaining", "typed", "trace")
+    __slots__ = ("remaining", "typed", "trace", "bodies")
 
     def __init__(self, fuel: int, typed: bool, trace: bool):
         self.remaining = fuel
         self.typed = typed
         self.trace = trace
+        self.bodies = {}
 
     def spend(self, phase: str, term: Term):
         self.remaining -= 1
@@ -291,11 +296,7 @@ def _rt(m: Term, run: _Run):
             if not isinstance(f, (Lam, Rec)):
                 _stuck("rt", m, "application of a non-function value")
             v, d2 = _rt(arg, run)
-            body = f.body
-            # A Rec unfolds to itself, unless its parameter hides the name.
-            if isinstance(f, Rec) and f.self_name != f.param:
-                body = subst(body, f, f.self_name)
-            res, d3 = _rt(subst(body, v, f.param), run)
+            res, d3 = _rt(_instance(f, v, run), run)
             return _d(run, "App", "rt", m, res, d1, d2, d3)
         case BinOp(op, lhs, rhs):
             a, d1 = _rt(lhs, run)
@@ -322,6 +323,30 @@ def _rt(m: Term, run: _Run):
         case DownML() | UpML() | LetDown():
             _stuck("rt", m, "compile-time construct reached run time")
     raise TypeError(f"not a Term: {m!r}")
+
+
+def _instance(f: Lam | Rec, v: Term, run: _Run) -> Term:
+    """f's body with v for its parameter; a Rec unfolds to itself, unless
+    its parameter hides the name. A traced run builds it once per f and
+    argument, so that equal bodies in its trace are one object, which the
+    renderers write once: a literal holding its class's host type is keyed
+    by value (IntLit(True) is not IntLit(1)), any other argument by
+    identity. Each entry holds f and v, so their ids stay valid."""
+    if run.trace:
+        key = id(f), id(v)
+        host = _HOST.get(type(v))
+        if host is not None and type(v.value) is host:
+            key = id(f), type(v), v.value
+        entry = run.bodies.get(key)
+        if entry is not None:
+            return entry[2]
+    body = f.body
+    if isinstance(f, Rec) and f.self_name != f.param:
+        body = subst(body, f, f.self_name)
+    body = subst(body, v, f.param)
+    if run.trace:
+        run.bodies[key] = f, v, body
+    return body
 
 
 ### run time on an environment machine

@@ -12,9 +12,10 @@ arity and binder positions. Who reads it:
   that view, and the JSON encoding writes the bound names as its atom;
   dl checks arities here and requires the arguments at the binder
   positions to convert down to strings.
-* `parser` and `typecheck` check AST-constructor arities here, and the
-  checker requires `astStr(..)` at the binder positions. The checker's
-  type environment shadows, so it binds names without renaming.
+* `parser` and `typecheck` check AST-constructor arities here and state
+  them in their errors through `arity_text`; the checker requires
+  `astStr(..)` at the binder positions. The checker's type environment
+  shadows, so it binds names without renaming.
 
 Splices, quotes and compile-time lets have rows with no tag because they
 are gone before any AST could mention them.
@@ -91,3 +92,10 @@ def check_arity(tag: str, arg_count: int) -> bool:
     if spec.arity is None:
         return arg_count >= 1
     return arg_count == spec.arity
+
+
+def arity_text(tag: str) -> str:
+    """The argument count check_arity wants for this tag, as an arity
+    error states it: the number, or "1 or more" for a variadic row."""
+    arity = lookup(tag).arity
+    return "1 or more" if arity is None else str(arity)

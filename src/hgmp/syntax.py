@@ -366,32 +366,30 @@ def mk_ast(tag_name: str, *args: Term, annot: TypeExpr | None = None) -> AstCtor
 ### free variables
 
 def free_vars(m: Term) -> set[str]:
-    """Variables occurring outside any binder for them.
-
-    Strings inside AST constructors are data and contribute nothing.
-    LetDown shadows its name in both the bound term and the body: that is
-    what its substitution behaviour (no-op when the substituted variable
-    equals the bound name) forces.
-    """
-    if type(m) is Var:
-        return {m.name}
-    out: set[str] = set()
-    for k in m.children():
-        out |= free_vars(k)
-    if m.binds:
-        out.difference_update(m.bound_names())
+    """Variables occurring outside any binder for them; strings inside AST
+    constructors are data. A binder binds its names in all its children (a
+    LetDown's bound term too, as subst does). The walk is top-down on one
+    stack: `bound` counts the binders of each name around the node at hand,
+    and a binder's names, pushed under its children, unbind them after."""
+    out, bound, stack = set(), {}, [m]
+    while stack:
+        m = stack.pop()
+        if type(m) is Var:
+            if not bound.get(m.name):
+                out.add(m.name)
+        elif type(m) is tuple:  # a binder's names, after its children
+            for x in m:
+                bound[x] -= 1
+        else:
+            if m.binds:
+                stack.append(names := m.bound_names())
+                for x in names:
+                    bound[x] = bound.get(x, 0) + 1
+            stack.extend(m.children())
     return out
 
 
 ### substitution
-
-def fresh_name(base: str, avoid: set[str]) -> str:
-    """Smallest primed variant of base not in avoid; stays a valid identifier."""
-    candidate = base + "'"
-    while candidate in avoid:
-        candidate += "'"
-    return candidate
-
 
 def subst(m: Term, n: Term, x: str) -> Term:
     """Capture-avoiding substitution m{n/x}.
@@ -422,11 +420,13 @@ def _subst_binder(m: Term, n: Term, x: str) -> Term:
         if x in fv_kids:
             avoid = fv_n | fv_kids | {x, *names}
             names = list(names)
-            # Innermost binder first: of a repeated name (rec f f.) the
-            # last binder owns the occurrences, so it is renamed first.
+            # Each to its first free primed variant, innermost binder
+            # first: of a repeated name (rec f f.) the last one owns the uses.
             for i in reversed(range(len(names))):
                 if names[i] in fv_n:
-                    renamed = fresh_name(names[i], avoid)
+                    renamed = names[i] + "'"
+                    while renamed in avoid:
+                        renamed += "'"
                     kids = [subst(k, Var(renamed), names[i]) for k in kids]
                     names[i] = renamed
                     avoid.add(renamed)

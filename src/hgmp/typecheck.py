@@ -202,9 +202,9 @@ class _Engine:
                    args: tuple[Term, ...]) -> TypeExpr:
         spec = signature.lookup(name)
         if not signature.check_arity(name, len(args)):
-            wanted = "1 or more" if spec.arity is None else str(spec.arity)
             raise TypeErrorDetail(
-                f"AST constructor for {name} takes {wanted} argument(s), "
+                f"AST constructor for {name} takes "
+                f"{signature.arity_text(name)} argument(s), "
                 f"got {len(args)}", kind="arity", at=m, phase=self.phase)
         if name in _ATOM_TYPE:
             self.unify(self.infer(env, args[0]), _ATOM_TYPE[name], at=args[0])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hgmp import reduction
 from hgmp.cli import main
 from hgmp.parser import parse_term
 from hgmp.reduction import (
@@ -660,6 +661,64 @@ def test_typed_downml_trace_has_type_premise():
     assert deriv.rule == "DownML ct"
     assert [p.relation for p in deriv.premises] == ["ct", "type", "rt", "dl"]
     assert deriv.premises[1].rule == "Type"
+
+
+def test_traced_bodies_are_keyed_by_argument_class_and_host_type():
+    # 1 == True == BoolLit(True).value in Python, yet IntLit(1),
+    # IntLit(True) and BoolLit(True) are three terms: one traced run that
+    # applies one Lam to each gives each body its own argument, and the
+    # trace that fresh runs of the applications give one by one.
+    f = Lam("x", Lift(Var("x")))
+    args = (IntLit(1), IntLit(True), BoolLit(True), StrLit("1"), IntLit(1))
+    _, d = eval_rt(mk_ast("promote", *[App(f, a) for a in args]), trace=True)
+    for app, a in zip(d.premises, args, strict=True):
+        held = app.premises[2].term_in.body
+        assert (type(held), type(held.value)) == (type(a), type(a.value))
+        assert held.value == a.value
+    fresh = tuple(eval_rt(App(f, a), trace=True)[1] for a in args)
+    assert to_json(d) == to_json(Derivation(d.rule, d.relation, d.term_in,
+                                            d.term_out, fresh))
+
+
+FIB_10 = ("(rec fib n. if n == 0 then 0 else if n == 1 then 1 "
+          "else fib (n - 1) + fib (n - 2)) 10")
+
+
+def _rt_if_terms(stages) -> list[Term]:
+    """The term_in of every rt node of stages that runs an if."""
+    found, todo = [], [d for _, d in stages]
+    while todo:
+        d = todo.pop()
+        todo.extend(d.premises)
+        if d.relation == "rt" and isinstance(d.term_in, If):
+            found.append(d.term_in)
+    return found
+
+
+def test_traced_fib_builds_each_body_once_with_unchanged_bytes(monkeypatch):
+    # fib 10 applies fib to 11 distinct arguments: its 320 if nodes hold
+    # at most 21 distinct terms (two ifs per body, one for fib 0). A run
+    # whose cache stores nothing builds every body afresh and must write
+    # the same bytes.
+    shared = run_pipeline(t(FIB_10), trace=True)
+    ifs = _rt_if_terms(shared.stages)
+    assert len(ifs) == 320 and len({id(m) for m in ifs}) <= 21
+
+    class NeverStores(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    init = reduction._Run.__init__
+
+    def uncached(run, *args):
+        init(run, *args)
+        run.bodies = NeverStores()
+
+    monkeypatch.setattr(reduction._Run, "__init__", uncached)
+    fresh = run_pipeline(t(FIB_10), trace=True)
+    assert len({id(m) for m in _rt_if_terms(fresh.stages)}) == 320
+    assert to_json(shared.stages) == to_json(fresh.stages)
+    assert render_trace(shared.stages) == render_trace(fresh.stages)
 
 
 TYPED_TRACES = Path(__file__).resolve().parent / "typed_traces.json"

@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,54 @@ def test_free_vars_transparent_wrappers():
     assert free_vars(t(r"lift(x)")) == {"x"}
     assert free_vars(t(r"eval(x)")) == {"x"}
     assert free_vars(t(r"[| x |]")) == {"x"}
+
+
+def ref_free_vars(m):
+    """free_vars as the recursive walk it replaced: the reference."""
+    if type(m) is Var:
+        return {m.name}
+    out = set()
+    for k in m.children():
+        out |= ref_free_vars(k)
+    return out.difference(m.bound_names())
+
+
+def test_free_vars_matches_the_recursive_reference():
+    # Repeated and shadowing binders, then seeded terms of every shape.
+    rng = random.Random(131)
+    terms = [t(s) for s in (r"rec f f. f x", r"\x. (\x. x) x y",
+                            r"rec f x. \f. f x g", r"letdown x = x in $(x)",
+                            r"\y. letdown y = y z in $(y)")]
+    terms += [gen_term(rng, depth=rng.randint(0, 6), typed=i % 2 == 1)
+              for i in range(3_000)]
+    for m in terms:
+        assert free_vars(m) == ref_free_vars(m), pretty(m)
+
+
+def test_free_vars_of_deep_terms_needs_no_recursion():
+    # At CPython's default limit of 1,000: a 100,000-term 1 + 1 + ..
+    # chain, a 100,000-deep application spine and 20,000 nested lambdas
+    # with distinct names, the outermost bound at the bottom.
+    code = (
+        "import sys\n"
+        "from hgmp.syntax import App, BinOp, IntLit, Lam, Var, free_vars\n"
+        "chain = IntLit(1)\n"
+        "for _ in range(99_999):\n"
+        "    chain = BinOp('add', chain, IntLit(1))\n"
+        "spine = Var('f')\n"
+        "for i in range(100_000):\n"
+        "    spine = App(spine, Var(f'x{i % 3}'))\n"
+        "lams = App(Var('v19999'), Var('w'))\n"
+        "for i in range(20_000):\n"
+        "    lams = Lam(f'v{i}', lams)\n"
+        "print(sys.getrecursionlimit(), *[sorted(free_vars(m))\n"
+        "                                 for m in (chain, spine, lams)])\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    want = "1000 [] ['f', 'x0', 'x1', 'x2'] ['w']\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 ### substitution
