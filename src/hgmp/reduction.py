@@ -14,9 +14,12 @@ names follow the conventional bracketed names for these relations.
 rt has two evaluators with the same values, errors and fuel. `_rt` is the
 reference: call-by-value with capture-avoiding substitution. It runs
 every traced run, because derivations show substituted terms, and any
-open term. A traced run builds each application's body once per
-function and argument (an equal literal, or the same other value): a
-body met again is the same object, which the renderers write once.
+open term. A traced run builds and runs each application's body once
+per function and argument (an equal literal, or the same other value):
+an application met again returns the same body, value and Derivation
+object, and spends the fuel the first run spent, so a trace is a DAG
+that reads as the same tree, and the renderers write each repeated
+derivation once.
 `_machine` is an environment machine: a variable looks its value up,
 a function evaluates to a closure, and integers, booleans and strings
 are host values (Python ints, bools and strs), so arithmetic builds no
@@ -59,7 +62,12 @@ DEFAULT_FUEL = 100_000
 
 @dataclass(frozen=True)
 class Derivation:
-    """One rule application: premises in left-to-right rule order."""
+    """One rule application: premises in left-to-right rule order.
+
+    Derivations are immutable and may be shared: a traced rt run returns
+    one object for every application of a function to an argument it has
+    run before. A derivation is read as a tree all the same: a shared
+    premise counts, costs fuel and is rendered at each place it occurs."""
 
     rule: str
     relation: str  # ct | dl | ul | rt | type
@@ -90,8 +98,9 @@ class EvalError(Exception):
 
 
 class _Run:
-    """Per-run state: fuel budget, pipeline mode, trace switch, and the
-    bodies a traced run's applications have built (see _instance)."""
+    """Per-run state: fuel budget, pipeline mode, trace switch, and, for
+    each application a traced run has met, the body it built and, once
+    that has run, its value, derivation and fuel (see _instance)."""
 
     __slots__ = ("remaining", "typed", "trace", "bodies")
 
@@ -296,7 +305,7 @@ def _rt(m: Term, run: _Run):
             if not isinstance(f, (Lam, Rec)):
                 _stuck("rt", m, "application of a non-function value")
             v, d2 = _rt(arg, run)
-            res, d3 = _rt(_instance(f, v, run), run)
+            res, d3 = _instance(f, v, run)
             return _d(run, "App", "rt", m, res, d1, d2, d3)
         case BinOp(op, lhs, rhs):
             a, d1 = _rt(lhs, run)
@@ -325,28 +334,43 @@ def _rt(m: Term, run: _Run):
     raise TypeError(f"not a Term: {m!r}")
 
 
-def _instance(f: Lam | Rec, v: Term, run: _Run) -> Term:
-    """f's body with v for its parameter; a Rec unfolds to itself, unless
-    its parameter hides the name. A traced run builds it once per f and
-    argument, so that equal bodies in its trace are one object, which the
-    renderers write once: a literal holding its class's host type is keyed
-    by value (IntLit(True) is not IntLit(1)), any other argument by
-    identity. Each entry holds f and v, so their ids stay valid."""
+def _instance(f: Lam | Rec, v: Term, run: _Run):
+    """rt of f's body with v for its parameter; a Rec unfolds to itself,
+    unless its parameter hides the name.
+
+    A traced run keeps one entry per f and argument in run.bodies: a
+    literal holding its class's host type is keyed by value (IntLit(True)
+    is not IntLit(1)), any other argument by identity, and the entry
+    holds f and v, so their ids stay valid. It holds the body, built
+    once, and once that has run, its value, derivation and the fuel the
+    run spent, dl rules and eval re-checks included. rt is deterministic,
+    so with that much fuel left a repeat spends it and returns the same
+    value and Derivation object; with less, the body runs again and runs
+    out on the term a fresh run would. A run that raises stores no result."""
+    entry = None
     if run.trace:
         key = id(f), id(v)
         host = _HOST.get(type(v))
         if host is not None and type(v.value) is host:
             key = id(f), type(v), v.value
         entry = run.bodies.get(key)
-        if entry is not None:
-            return entry[2]
-    body = f.body
-    if isinstance(f, Rec) and f.self_name != f.param:
-        body = subst(body, f, f.self_name)
-    body = subst(body, v, f.param)
+    if entry is None:
+        body = f.body
+        if isinstance(f, Rec) and f.self_name != f.param:
+            body = subst(body, f, f.self_name)
+        body = subst(body, v, f.param)
+        if run.trace:  # a diverging body meets its own pair again
+            run.bodies[key] = f, v, body, None, None
+    else:
+        body, cost, done = entry[2:]
+        if cost is not None and cost <= run.remaining:
+            run.remaining -= cost
+            return done
+    remaining = run.remaining
+    done = _rt(body, run)
     if run.trace:
-        run.bodies[key] = f, v, body
-    return body
+        run.bodies[key] = f, v, body, remaining - run.remaining, done
+    return done
 
 
 ### run time on an environment machine
@@ -676,19 +700,26 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
 ### rendering
 #
 # A trace repeats the same term objects at many nodes (substitution leaves
-# unchanged subterms shared), so each render call keeps a memo keyed by
-# id(term) and writes every distinct term object once. The memo lives for
-# that call only, while the terms it names are alive: an id is reused once
-# its object dies.
+# unchanged subterms shared), and a traced run returns one Derivation
+# object for every application it has run before, so a derivation is a
+# DAG that reads as a tree. Each render call keeps memos keyed by
+# id(term) and id(derivation), and writes every distinct term object and
+# every distinct derivation object once: a repeat reuses the text it was
+# written as. The memos live for that call only, while the objects they
+# name are alive: an id is reused once its object dies.
 
 def to_json(obj) -> str:
     """The text json.dumps(obj, sort_keys=True, separators=(",", ":"))
     writes, for obj made of dicts, lists, tuples and strings whose leaves
     may also be Terms and Derivations, as term_to_json and
     derivation_to_json describe them. Each distinct term object is
-    encoded once per call; derivations are walked on an explicit stack,
-    so their depth costs no Python recursion."""
+    encoded once per call, and so is each distinct derivation object;
+    derivations are walked on an explicit stack, so their depth costs no
+    Python recursion."""
     memo: dict[int, str] = {}
+    # id(derivation): where its text starts in parts while its premises
+    # are written, then its [start, end) in parts, then that text joined.
+    spans: dict[int, object] = {}
     parts: list[str] = []
     stack = [_json_str(obj) if type(obj) is str else obj]
     while stack:
@@ -697,14 +728,25 @@ def to_json(obj) -> str:
         if cls is str:  # finished text: strings are encoded when pushed
             parts.append(o)
         elif cls is Derivation:
-            out = o.term_out
-            out = (_term_json(out, memo) if isinstance(out, Term)
-                   else '{"type":' + _json_str(pretty_type(out)) + "}")
-            parts.append('{"in":' + _term_json(o.term_in, memo) + ',"out":'
-                         + out + ',"premises":[')
-            stack.append('],"relation":' + _json_str(o.relation)
-                         + ',"rule":' + _json_str(o.rule) + "}")
-            _push_items(stack, o.premises)
+            key = id(o)
+            span = spans.get(key)
+            if span is None:  # its head, its premises, then o again
+                spans[key] = len(parts)
+                out = o.term_out
+                out = (_term_json(out, memo) if isinstance(out, Term)
+                       else '{"type":' + _json_str(pretty_type(out)) + "}")
+                parts.append('{"in":' + _term_json(o.term_in, memo)
+                             + ',"out":' + out + ',"premises":[')
+                stack.append(o)
+                _push_items(stack, o.premises)
+            elif type(span) is int:  # its premises are written: close it
+                parts.append('],"relation":' + _json_str(o.relation)
+                             + ',"rule":' + _json_str(o.rule) + "}")
+                spans[key] = span, len(parts)
+            else:  # written before
+                if type(span) is tuple:
+                    span = spans[key] = "".join(parts[span[0]:span[1]])
+                parts.append(span)
         elif cls is dict:
             parts.append("{")
             stack.append("}")
@@ -792,35 +834,51 @@ def derivation_to_json(d: Derivation) -> dict:
 def render_derivation(d: Derivation) -> str:
     """Indented text, one rule per line, premises above their conclusion
     and two spaces deeper. Each distinct term object is printed once per
-    call."""
+    call, and each distinct derivation object written once."""
     lines: list[str] = []
-    _render(d, printer(), lines)
+    _render(d, printer(), lines, {})
     return "\n".join(lines)
 
 
 def render_trace(stages) -> str:
     """The text trace of a run's (name, derivation) stages: each stage's
     derivation under a `-- name --` line. Each distinct term object is
-    printed once per call, across the stages."""
-    show, lines = printer(), []
+    printed once per call, and each distinct derivation object written
+    once, across the stages."""
+    show, lines, spans = printer(), [], {}
     for name, d in stages:
         lines.append(f"-- {name} --")
-        _render(d, show, lines)
+        _render(d, show, lines, spans)
     return "\n".join(lines)
 
 
-def _render(d: Derivation, show, lines: list[str]):
-    """Append d's lines, premises first, walking d on an explicit stack."""
-    stack = [(d, "")]  # a node and its indent, or a finished line
+def _render(d: Derivation, show, lines: list[str], spans: dict):
+    """Append d's lines, premises first, walking d on an explicit stack.
+    spans maps id(derivation) to where its lines start while its premises
+    are written, then to their [start, end) and its indent: a derivation
+    met again is those lines again, the same objects at the same indent,
+    else with the indent replaced."""
+    stack = [(d, "")]
     while stack:
-        item = stack.pop()
-        if type(item) is str:
-            lines.append(item)
-            continue
-        node, indent = item
-        out = node.term_out
-        out = show(out) if isinstance(out, Term) else pretty_type(out)
-        stack.append(f"{indent}{node.rule}: {show(node.term_in)}"
-                     f"  ={node.relation}=>  {out}")
-        deeper = indent + "  "
-        stack.extend([(p, deeper) for p in reversed(node.premises)])
+        node, indent = stack.pop()
+        key = id(node)
+        span = spans.get(key)
+        if span is None:  # its premises, then node again for its line
+            spans[key] = len(lines)
+            stack.append((node, indent))
+            deeper = indent + "  "
+            stack.extend([(p, deeper) for p in reversed(node.premises)])
+        elif type(span) is int:
+            out = node.term_out
+            out = show(out) if isinstance(out, Term) else pretty_type(out)
+            lines.append(f"{indent}{node.rule}: {show(node.term_in)}"
+                         f"  ={node.relation}=>  {out}")
+            spans[key] = span, len(lines), indent
+        else:  # written before
+            start, end, at = span
+            if at == indent:
+                lines.extend(lines[start:end])
+            else:
+                cut = len(at)
+                lines.extend([indent + line[cut:]
+                              for line in lines[start:end]])

@@ -721,6 +721,107 @@ def test_traced_fib_builds_each_body_once_with_unchanged_bytes(monkeypatch):
     assert render_trace(shared.stages) == render_trace(fresh.stages)
 
 
+
+class _NeverStores(dict):
+    """A _Run.bodies that stores nothing: every application builds and
+    runs its body afresh, as a run without the cache would."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _uncached(run_it):
+    """run_it(), with the bodies of every _Run it makes a _NeverStores."""
+    init = reduction._Run.__init__
+
+    def never_stores(run, *args):
+        init(run, *args)
+        run.bodies = _NeverStores()
+
+    reduction._Run.__init__ = never_stores
+    try:
+        return run_it()
+    finally:
+        reduction._Run.__init__ = init
+
+
+def _traced_outcome(m, mode, fuel):
+    """A traced pipeline's error kind, phase, message and term, or its
+    value and the to_json and render_trace bytes of its stages."""
+    try:
+        result = run_pipeline(m, mode, fuel, trace=True)
+    except EvalError as exc:
+        return exc.kind, exc.phase, exc.message, exc.offending
+    return (result.value, to_json(result.stages),
+            render_trace(result.stages))
+
+
+def _tree_and_objects(d: Derivation) -> tuple[int, int]:
+    """d's nodes read as a tree, and the distinct objects among them."""
+    nodes, seen, todo = 0, set(), [d]
+    while todo:
+        node = todo.pop()
+        nodes += 1
+        seen.add(id(node))
+        todo.extend(node.premises)
+    return nodes, len(seen)
+
+
+SHARED_BODIES = [
+    ("fib 5", "untyped", t("(rec fib n. if n == 0 then 0 else if n == 1 "
+                           "then 1 else fib (n - 1) + fib (n - 2)) 5")),
+    # h 1 twice: the second takes twice's run on the closure from the cache.
+    ("twice", "untyped", t(r"(\h. h 1 + h 1) "
+                           r"(\n. (\f. \x. f (f x)) (\y. y + 1) n)")),
+    # g 3 twice: the cached fuel includes eval's dl rules and re-check.
+    ("typed eval", "typed", t(r"(\g:Int -> Int. g 3 + g 3) "
+                              r"(\n:Int. eval{Int -> Int}([| \x. x * x |]) n)",
+                              "typed")),
+]
+
+
+@pytest.mark.parametrize("mode, m",
+                         [(mode, m) for _, mode, m in SHARED_BODIES],
+                         ids=[name for name, _, _ in SHARED_BODIES])
+def test_shared_bodies_match_on_every_fuel_budget(mode, m):
+    # Every budget from 1 to the first that does not run out: the traced
+    # outcome is the untraced machine's, down to Python types, and that
+    # of a run that shares nothing, down to the trace's bytes. Short of
+    # the cached fuel, a body met again runs again and runs out on the
+    # term a fresh run names.
+    for fuel in range(1, 1_000):
+        untraced = _outcome(m, mode, fuel)
+        traced = _outcome(m, mode, fuel, trace=True)
+        assert (untraced, repr(untraced)) == (traced, repr(traced)), fuel
+        shared = _traced_outcome(m, mode, fuel)
+        fresh = _uncached(lambda: _traced_outcome(m, mode, fuel))
+        assert (shared, repr(shared)) == (fresh, repr(fresh)), fuel
+        if untraced[0] != EvalError.FUEL:
+            break
+    else:
+        pytest.fail("out of fuel at every budget")
+    nodes, objects = _tree_and_objects(run_pipeline(m, mode, fuel,
+                                                    trace=True).stages[-1][1])
+    assert objects < nodes
+
+
+def test_traced_fib_shares_repeated_derivations():
+    # fib 10's rt stage reads as the same 2,340-node tree, and costs as
+    # much fuel, but holds one Derivation object per distinct application
+    # and step: 188. A run that shares nothing holds one object per node.
+    shared = run_pipeline(t(FIB_10), trace=True)
+    fresh = _uncached(lambda: run_pipeline(t(FIB_10), trace=True))
+    d_shared, d_fresh = shared.stages[-1][1], fresh.stages[-1][1]
+    assert _rule_count(d_shared) == _rule_count(d_fresh) == 2_340
+    assert _tree_and_objects(d_shared) == (2_340, 188)
+    assert _tree_and_objects(d_fresh) == (2_340, 2_340)
+    need = sum(_rule_count(d) for _, d in shared.stages)
+    assert run_pipeline(t(FIB_10), fuel=need, trace=True).value == IntLit(55)
+    with pytest.raises(EvalError) as exc:
+        run_pipeline(t(FIB_10), fuel=need - 1, trace=True)
+    assert exc.value.kind == EvalError.FUEL
+
+
 TYPED_TRACES = Path(__file__).resolve().parent / "typed_traces.json"
 
 
@@ -963,6 +1064,67 @@ def test_memoised_renders_match_the_reference_encoders():
                             ref_derivation_to_json(d)} for name, d in stages]})
             assert got == want
     assert relations == {"ct", "type", "rt", "ul", "dl"}
+
+
+def _hand_built_sharings():
+    """(name, stages) with one Derivation object x under two parents:
+    at the same depth, deeper the second time, shallower the second
+    time, and x holding a shared premise of its own; and x in two stages."""
+    one = IntLit(1)
+    leaf = Derivation("Const", "rt", one, one)
+    x = Derivation("Add", "rt", BinOp("add", one, one), IntLit(2),
+                   (leaf, leaf))
+
+    def up(*premises):  # a parent of premises
+        return Derivation("If", "rt", If(BoolLit(True), one, one), one,
+                          premises)
+
+    y = up(x, up(x))  # x at two depths inside y itself
+    return [
+        ("same depth", (("rt", up(up(x), up(x))),)),
+        ("deeper second", (("rt", up(x, up(up(x)))),)),
+        ("shallower second", (("rt", up(up(up(x)), x)),)),
+        ("nested", (("rt", up(y, up(up(y)), x, y)),)),
+        ("two stages", (("ct", up(x)), ("rt", x), ("type", up(up(x))))),
+    ]
+
+
+@pytest.mark.parametrize("stages", [s for _, s in _hand_built_sharings()],
+                         ids=[name for name, _ in _hand_built_sharings()])
+def test_shared_derivations_render_as_their_tree(stages):
+    # A derivation object written twice is the text of its tree at each
+    # place, whatever the indent, in every renderer.
+    for _, d in stages:
+        assert to_json(d) == ref_dumps(ref_derivation_to_json(d))
+        assert render_derivation(d) == ref_render_derivation(d)
+    assert render_trace(stages) == ref_render_trace(stages)
+    payload = [{"stage": name, "derivation": d} for name, d in stages]
+    assert to_json(payload) == ref_dumps(
+        [{"stage": name, "derivation": ref_derivation_to_json(d)}
+         for name, d in stages])
+
+
+def test_generated_numeric_traces_match_the_reference_encoders():
+    # Numeric recursion and higher-order lets, written byte for byte as
+    # the reference encoders write the tree: every trace whose repeated
+    # applications share derivations, and every fifth of the others.
+    rng = random.Random(4412)
+    shared = 0
+    for i in range(600):
+        m = gen_numeric_rec(rng)
+        try:
+            stages = run_pipeline(m, fuel=500, trace=True).stages
+        except EvalError:
+            continue
+        nodes, objects = _tree_and_objects(stages[-1][1])
+        shared += objects < nodes
+        if objects == nodes and i % 5:
+            continue
+        for _, d in stages:
+            assert to_json(d) == ref_dumps(ref_derivation_to_json(d))
+            assert render_derivation(d) == ref_render_derivation(d)
+        assert render_trace(stages) == ref_render_trace(stages)
+    assert shared >= 5
 
 
 def _fig3_expected(command, name, mode, trace):
