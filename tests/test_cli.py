@@ -356,6 +356,83 @@ def test_repl_trace(monkeypatch, capsys):
     assert "=rt=>" in err
 
 
+REPL_HELP = """directives:
+  :mode typed|untyped   switch pipeline mode
+  :fuel N               set the rule budget
+  :trace on|off         print text derivations to stderr
+  :ct E  :dl E  :ul E  :rt E   apply one relation to E
+  :t E                  infer E's type
+  :load FILE            run FILE through the pipeline
+  :quit                 leave
+"""
+
+
+def test_repl_transcript_matches_each_command(monkeypatch, capsys,
+                                              tmp_path):
+    # Every directive, with exact stdout and stderr: a directive that
+    # runs a term prints what the command it names prints on that source,
+    # and `:trace on` is `--trace text`.
+    monkeypatch.delenv("HGMP_FUEL", raising=False)
+
+    def command(*argv, src=None):
+        if src is not None:
+            argv = (*argv, write(tmp_path, src, name="cmd.hgmp"))
+        _, out, err = run_cli(capsys, *argv)
+        return out, err
+
+    def step(relation, src, *flags):
+        return command("step", "--relation", relation, *flags, src=src)
+
+    loaded = write(tmp_path, "lift(2 + 3)", name="loaded.hgmp")
+    missing = str(tmp_path / "missing.hgmp")
+    relations = [
+        ("ct", "$(lift(2 + 3)) + 1"),
+        ("dl", 'astApp(astVar("f"), astInt(1))'),
+        ("ul", r"\x. x + 1"),
+        ("rt", r"(\x. x * 2) 21"),
+    ]
+    session = [
+        ("", ("", "")),
+        (":help", (REPL_HELP, "")),
+        (":trace maybe", ("", ":trace takes on or off\n")),
+        (":frob 1", ("", "unknown directive :frob (:help lists them)\n")),
+        (":mode sideways",
+         ("", "mode must be one of ('typed', 'untyped')\n")),
+        (":fuel 0", ("", "fuel must be at least 1\n")),
+        (":trace on", ("", "")),
+        *[(f":{relation} {src}", step(relation, src, "--trace", "text"))
+          for relation, src in relations],
+        (r":rt 2 + (\x. x)", step("rt", r"2 + (\x. x)", "--trace", "text")),
+        ("1 + 2 * 3", command("run", "--trace", "text", src="1 + 2 * 3")),
+        (":trace off", ("", "")),
+        *[(f":{relation} {src}", step(relation, src))
+          for relation, src in relations],
+        (r":t \x. x + 1", command("typecheck", src=r"\x. x + 1")),
+        (":t 1 + true", command("typecheck", src="1 + true")),
+        (f":load {loaded}", command("run", loaded)),
+        (f":load {missing}", command("run", missing)),
+        ("40 + 2", command("run", src="40 + 2")),
+        ("1 +", command("run", src="1 +")),
+        (":mode typed", ("", "")),
+        ("eval{Int}(astInt(3)) + 1",
+         command("run", "--mode", "typed", src="eval{Int}(astInt(3)) + 1")),
+        (r":t \x. x", command("typecheck", "--mode", "typed",
+                              src=r"\x. x")),
+        (":fuel 2", ("", "")),
+        ("1 + 2 + 3", command("run", "--mode", "typed", "--fuel", "2",
+                              src="1 + 2 + 3")),
+        (":quit", ("", "")),
+        ("7", ("", "")),  # never read
+    ]
+    code, out, err = repl_session(monkeypatch, capsys,
+                                  [line for line, _ in session])
+    assert code == 0
+    assert out == "".join(want_out for _, (want_out, _) in session)
+    assert err == "".join(want_err for _, (_, want_err) in session)
+    # End of input leaves with a newline.
+    assert repl_session(monkeypatch, capsys, ["6"]) == (0, "6\n\n", "")
+
+
 ### corpus
 
 def test_repo_corpus_passes(capsys):
@@ -441,6 +518,16 @@ def test_python_dash_m_hgmp(tmp_path):
     proc = run_module("hgmp", "run", path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "astInt(5)\n",
                                                            "")
+
+
+def test_python_dash_m_hgmp_repl():
+    # Off a terminal, input() writes each prompt to stdout.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-m", "hgmp", "repl"],
+                          input="1 + 1\n:t 1\n:quit\n", capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "hgmp> 2\nhgmp> Int\nhgmp> ", "")
 
 
 def test_repl_help(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -634,6 +635,49 @@ def test_untraced_pipeline_matches_traced_on_generated_terms():
         assert untraced == _outcome(m, mode, fuel, trace=True), pretty(m)
         seen.add(untraced[0] if isinstance(untraced[0], str) else "value")
     assert seen == {"value", EvalError.STUCK, EvalError.TYPE, EvalError.FUEL}
+
+
+ARITH_OPERANDS = [
+    ("small", IntLit(7)),
+    ("negative", IntLit(-12)),
+    ("big", IntLit(-(10 ** 4_400) - 3)),  # past the 4,300-digit str limit
+    ("str", StrLit("ab")),
+    ("bool", BoolLit(True)),
+    ("lambda", Lam("x", Var("x"))),
+    ("ast", AstCtor(Tag("int"), (IntLit(1),))),
+    ("IntLit(True)", IntLit(True)),  # a library-built literal
+]
+
+
+def _arith_outcome(m, trace):
+    """rt's value, or its error's kind, phase, message and term. A literal
+    is compared by its Python type and value: repr raises on an int past
+    4,300 digits."""
+    try:
+        v = eval_rt(m, trace=trace)
+    except EvalError as exc:
+        return (exc.kind, exc.phase, exc.message, exc.offending,
+                pretty(exc.offending))
+    v = v[0] if trace else v
+    if type(v) in (IntLit, BoolLit, StrLit):
+        return type(v), type(v.value), v.value
+    return repr(v)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "eq"])
+def test_arithmetic_matches_traced_on_every_operand_kind(op):
+    # Every pair of operand kinds, as literals and as bound variables:
+    # the machine gives the substitution semantics' value or error.
+    seen = set()
+    for (a_name, a), (b_name, b) in itertools.product(ARITH_OPERANDS,
+                                                      repeat=2):
+        applied = App(App(Lam("a", Lam("b", BinOp(op, Var("a"), Var("b")))),
+                          a), b)
+        for m in (BinOp(op, a, b), applied):
+            untraced = _arith_outcome(m, False)
+            assert untraced == _arith_outcome(m, True), (op, a_name, b_name)
+            seen.add(untraced[0] if isinstance(untraced[0], str) else "value")
+    assert seen == {"value", EvalError.STUCK}
 
 
 ### derivations
