@@ -68,12 +68,7 @@ def _read_text(path: str) -> str:
         raise OSError(f"{path}: {exc}") from None
 
 
-def _read_term(args) -> Term:
-    return parse_term(_read_text(args.file), args.mode)
-
-
-def cmd_compile(args) -> int:
-    term = _read_term(args)
+def cmd_compile(args, term: Term) -> int:
     residual, deriv = _step("ct", term, args.mode, args.fuel,
                             args.trace != "none")
     residual_type = None
@@ -88,8 +83,7 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    term = _read_term(args)
+def cmd_run(args, term: Term) -> int:
     result = run_pipeline(term, args.mode, args.fuel,
                           trace=args.trace != "none")
     if _emit_trace(args, result.stages, result.residual,
@@ -99,8 +93,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_step(args) -> int:
-    term = _read_term(args)
+def cmd_step(args, term: Term) -> int:
     out, deriv = _step(args.relation, term, args.mode, args.fuel,
                        args.trace != "none")
     if args.trace == "json":
@@ -112,8 +105,7 @@ def cmd_step(args) -> int:
     return 0
 
 
-def cmd_typecheck(args) -> int:
-    term = _read_term(args)
+def cmd_typecheck(args, term: Term) -> int:
     ty = typecheck.infer(EMPTY_ENV, term, phase="residual check")
     print(pretty_type(ty))
     return 0
@@ -132,13 +124,9 @@ _REPL_HELP = """directives:
 
 
 def repl(args) -> int:
-    mode = args.mode
-    fuel = args.fuel
-    tracing = False
-
-    def show_error(exc):
-        print(exc, file=sys.stderr)
-
+    """Each directive that runs a term calls the command it names, on the
+    session's options in args; the session starts untraced."""
+    args.trace = "none"
     while True:
         try:
             line = input("hgmp> ")
@@ -151,47 +139,36 @@ def repl(args) -> int:
         try:
             if line.startswith(":"):
                 head, _, rest = line.partition(" ")
-                rest = rest.strip()
-                if head == ":quit":
+                head, rest = head[1:], rest.strip()
+                if head == "quit":
                     return 0
-                if head == ":help":
+                if head == "help":
                     print(_REPL_HELP)
-                elif head == ":mode":
+                elif head == "mode":
                     if rest not in MODES:
                         raise ValueError(f"mode must be one of {MODES}")
-                    mode = rest
-                elif head == ":fuel":
-                    fuel = _fuel(int(rest))
-                elif head == ":trace":
+                    args.mode = rest
+                elif head == "fuel":
+                    args.fuel = _fuel(int(rest))
+                elif head == "trace":
                     if rest not in ("on", "off"):
                         raise ValueError(":trace takes on or off")
-                    tracing = rest == "on"
-                elif head in (":ct", ":dl", ":ul", ":rt"):
-                    term = parse_term(rest, mode)
-                    out, deriv = _step(head[1:], term, mode, fuel, tracing)
-                    if tracing:
-                        print(render_derivation(deriv), file=sys.stderr)
-                    print(pretty(out))
-                elif head == ":t":
-                    term = parse_term(rest, mode)
-                    print(pretty_type(typecheck.infer(EMPTY_ENV, term)))
-                elif head == ":load":
-                    _repl_run(parse_term(_read_text(rest), mode), mode, fuel,
-                              tracing)
+                    args.trace = "text" if rest == "on" else "none"
+                elif head in _STEPPERS:
+                    args.relation = head
+                    cmd_step(args, parse_term(rest, args.mode))
+                elif head == "t":
+                    cmd_typecheck(args, parse_term(rest, args.mode))
+                elif head == "load":
+                    cmd_run(args, parse_term(_read_text(rest), args.mode))
                 else:
-                    raise ValueError(f"unknown directive {head} (:help lists them)")
+                    raise ValueError(
+                        f"unknown directive :{head} (:help lists them)")
             else:
-                _repl_run(parse_term(line, mode), mode, fuel, tracing)
+                cmd_run(args, parse_term(line, args.mode))
         except (ParseError, EvalError, TypeErrorDetail, ValueError,
                 OSError) as exc:
-            show_error(exc)
-
-
-def _repl_run(term: Term, mode: str, fuel: int, tracing: bool):
-    result = run_pipeline(term, mode, fuel, trace=tracing)
-    if tracing:
-        print(render_trace(result.stages), file=sys.stderr)
-    print(pretty(result.value))
+            print(exc, file=sys.stderr)
 
 
 ### corpus runner
@@ -341,8 +318,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     common(sub.add_parser("compile", help="run the compile-time relation"))
     common(sub.add_parser("run", help="compile, check (typed), execute"))
     step = sub.add_parser("step", help="apply a single relation")
-    step.add_argument("--relation", choices=("ct", "dl", "ul", "rt"),
-                      required=True)
+    step.add_argument("--relation", choices=tuple(_STEPPERS), required=True)
     common(step)
     common(sub.add_parser("typecheck", help="infer a term's type"))
     common(sub.add_parser("repl", help="interactive session"), file_meta=None)
@@ -351,13 +327,11 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
-_COMMANDS = {
+_TERM_COMMANDS = {  # each runs the term in args.file
     "compile": cmd_compile,
     "run": cmd_run,
     "step": cmd_step,
     "typecheck": cmd_typecheck,
-    "repl": repl,
-    "corpus": cmd_corpus,
 }
 
 
@@ -371,7 +345,12 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "repl":
+            return repl(args)
+        if args.command == "corpus":
+            return cmd_corpus(args)
+        term = parse_term(_read_text(args.file), args.mode)
+        return _TERM_COMMANDS[args.command](args, term)
     except (ParseError, TypeErrorDetail, EvalError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 1

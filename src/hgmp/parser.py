@@ -339,7 +339,7 @@ class _Parser:
                 raise ParseError(SourceSpan(*after[2:]),
                                  f"only {ctor} carries a type annotation")
             return None, pos
-        name = {"eval": "eval", "astctor": "astEval", "tag": "#eval"}[tok[0]]
+        name = self._spelling(tok)
         if self.typed:
             if after[0] != "{":
                 raise ParseError(SourceSpan(*tok[2:]),

@@ -610,11 +610,7 @@ def _arith(op: str, a: Term, b: Term, at: Term) -> Term:
         _stuck("rt", at, "== compares two integers or two strings")
     if not (isinstance(a, IntLit) and isinstance(b, IntLit)):
         _stuck("rt", at, f"{op} needs integer operands")
-    if op == "add":
-        return IntLit(a.value + b.value)
-    if op == "sub":
-        return IntLit(a.value - b.value)
-    return IntLit(a.value * b.value)
+    return IntLit(_INT_OPS[op](a.value, b.value))
 
 
 ### public entry points

@@ -1,13 +1,13 @@
 """Constructor signature registry.
 
-One row per syntactic construct: its tag (when it has an AST mirror),
-arity and binder positions. Who reads it:
+One row per syntactic construct: its tag's spelling (when it has an AST
+mirror), arity and binder positions. Who reads it:
 
-* `syntax` derives the tag set from the tagged rows and attaches each
-  Term class to its row; the binder positions decide which of the
-  class's fields are bound names and which are children. Free
-  variables, substitution and alpha-equivalence read the binders from
-  that view, with one case for every binding constructor.
+* `syntax` derives the tag set and the `#t` / `astT` spellings from the
+  tagged rows and attaches each Term class to its row; the binder
+  positions decide which of the class's fields are bound names and
+  which are children. Free variables, substitution and alpha-equivalence
+  read the binders from that view, one case per binding constructor.
 * `reduction` writes the congruence rules of ct, ul and dl once over
   that view, and the JSON encoding writes the bound names as its atom;
   dl checks arities here and requires the arguments at the binder
@@ -31,7 +31,7 @@ VARIADIC = None  # arity marker; only promote uses it
 @dataclass(frozen=True)
 class CtorSpec:
     name: str
-    tag: str | None
+    tag: str | None  # the tag's spelling; None when there is no AST mirror
     arity: int | None  # None means variadic (at least one argument)
     binders: tuple[int, ...] = ()
 
@@ -52,7 +52,7 @@ _REGISTRY = (
     CtorSpec("lam", "lam", 2, binders=(0,)),
     CtorSpec("rec", "rec", 3, binders=(0, 1)),
     CtorSpec("int", "int", 1),
-    CtorSpec("string", "string", 1),
+    CtorSpec("string", "str", 1),
     CtorSpec("bool", "bool", 1),
     CtorSpec("add", "add", 2),
     CtorSpec("sub", "sub", 2),

@@ -18,29 +18,15 @@ from . import signature
 ### types
 
 class TypeExpr:
-    """Base for static types: Int | Bool | String | Code | Tag#t | arrows."""
+    """Base for static types: a base type (Int, Bool, String or Code),
+    Tag#t, an arrow, or an inference-only meta-variable."""
 
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class IntType(TypeExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class BoolType(TypeExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class StrType(TypeExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class CodeType(TypeExpr):
-    pass
+class BaseType(TypeExpr):
+    name: str
 
 
 @dataclass(frozen=True)
@@ -61,22 +47,16 @@ class MetaVar(TypeExpr):
     ident: int
 
 
-INT = IntType()
-BOOL = BoolType()
-STRING = StrType()
-CODE = CodeType()
+INT = BaseType("Int")
+BOOL = BaseType("Bool")
+STRING = BaseType("String")
+CODE = BaseType("Code")
 
 
 def pretty_type(t: TypeExpr, prec: int = 0) -> str:
     match t:
-        case IntType():
-            return "Int"
-        case BoolType():
-            return "Bool"
-        case StrType():
-            return "String"
-        case CodeType():
-            return "Code"
+        case BaseType(name):
+            return name
         case TagType(tag):
             return "Tag#" + SURFACE_OF_TAG[tag]
         case Arrow(src, dst):
@@ -92,9 +72,9 @@ def pretty_type(t: TypeExpr, prec: int = 0) -> str:
 # Closed set of AST-constructor names: the tagged rows of the signature.
 TAG_NAMES = tuple(s.name for s in signature.registry() if s.tag is not None)
 
-# Concrete-syntax spellings: #str / astStr abbreviate the "string" tag.
-SURFACE_OF_TAG = {name: name for name in TAG_NAMES}
-SURFACE_OF_TAG["string"] = "str"
+# Concrete-syntax spellings, the rows' tags: #str / astStr spell "string".
+SURFACE_OF_TAG = {s.name: s.tag for s in signature.registry()
+                  if s.tag is not None}
 TAG_OF_SURFACE = {v: k for k, v in SURFACE_OF_TAG.items()}
 
 AST_CTOR_OF_TAG = {
