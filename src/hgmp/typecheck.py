@@ -107,7 +107,7 @@ class _Engine:
               at: Term | None = None):
         found = self.prune(found)
         expected = self.prune(expected)
-        if found == expected:
+        if found is expected or found == expected:  # INT etc. are shared
             return
         if isinstance(found, MetaVar):
             if self._occurs(found.ident, expected):
