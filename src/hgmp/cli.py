@@ -149,7 +149,12 @@ def repl(args) -> int:
                         raise ValueError(f"mode must be one of {MODES}")
                     args.mode = rest
                 elif head == "fuel":
-                    args.fuel = _fuel(int(rest))
+                    try:
+                        fuel = int(rest)
+                    except ValueError:
+                        raise ValueError(
+                            f":fuel takes an integer, got {rest!r}") from None
+                    args.fuel = _fuel(fuel)
                 elif head == "trace":
                     if rest not in ("on", "off"):
                         raise ValueError(":trace takes on or off")
@@ -160,6 +165,8 @@ def repl(args) -> int:
                 elif head == "t":
                     cmd_typecheck(args, parse_term(rest, args.mode))
                 elif head == "load":
+                    if not rest:
+                        raise ValueError(":load takes a file name")
                     cmd_run(args, parse_term(_read_text(rest), args.mode))
                 else:
                     raise ValueError(
@@ -305,13 +312,14 @@ def _build_argparser() -> argparse.ArgumentParser:
         description="compile and run staged meta-programs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, file_meta="FILE"):
+    def common(p, file_meta="FILE", trace=True):
         p.add_argument("--mode", choices=MODES, default="untyped")
         p.add_argument("--fuel", type=int, default=None,
                        help=f"rule budget (default {DEFAULT_FUEL}, "
                             "or HGMP_FUEL)")
-        p.add_argument("--trace", choices=("none", "text", "json"),
-                       default="none")
+        if trace:
+            p.add_argument("--trace", choices=("none", "text", "json"),
+                           default="none")
         if file_meta:
             p.add_argument("file", metavar=file_meta)
 
@@ -321,7 +329,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     step.add_argument("--relation", choices=tuple(_STEPPERS), required=True)
     common(step)
     common(sub.add_parser("typecheck", help="infer a term's type"))
-    common(sub.add_parser("repl", help="interactive session"), file_meta=None)
+    # A session starts untraced; its :trace directive switches that.
+    common(sub.add_parser("repl", help="interactive session"), file_meta=None,
+           trace=False)
     common(sub.add_parser("corpus", help="run a corpus directory"),
            file_meta="DIR")
     return top

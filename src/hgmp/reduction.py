@@ -31,11 +31,15 @@ returned as the node it was, not rebuilt. A leaf operand (a variable
 bound to a value that is not an AST, or an integer literal) and an
 operator on two integer leaves are evaluated inside the step that
 consumes them, with no call of their own (fused operands, in the manner
-of Proebsting's superoperators). The machine runs every untraced rt of
-a closed term: the pipeline's, eval_rt's, and those ct runs for splices
-and letdown. The read-back is exact only while every value is closed,
-so the machine runs closed terms only; when eval produces open code,
-the call is rerun on `_rt` with its fuel restored.
+of Proebsting's superoperators), and so is a literal or tag argument of
+an AST constructor. The machine runs every untraced rt of a closed term:
+the pipeline's, eval_rt's, and those ct runs for splices and letdown.
+The read-back is exact only while every value is closed, so the machine
+runs closed terms only; when eval produces open code, the call is rerun
+on `_rt` with its fuel restored. Closedness costs a walk of the term,
+which is skipped wherever a typed check against the empty environment
+has just accepted it: the residual, a splice, a letdown and, in a typed
+run, the code eval runs.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from .syntax import (
     AST_CTOR_OF_TAG, CLASS_OF_TAG,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, TypeExpr, UpML, Var,
-    free_vars, int_of_text, int_text, mk_ast, pretty, pretty_type, printer,
-    subst,
+    free_vars, int_of_text, int_text, mk_ast, node, pretty, pretty_type,
+    printer, subst,
 )
 from . import signature, typecheck
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
@@ -60,7 +64,7 @@ from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
 DEFAULT_FUEL = 100_000
 
 
-@dataclass(frozen=True)
+@node
 class Derivation:
     """One rule application: premises in left-to-right rule order.
 
@@ -184,13 +188,13 @@ def _ct(m: Term, run: _Run):
         case DownML(body):
             a, d1 = _ct(body, run)
             checked = _checked(run, a, "downML check", CODE)
-            b, d2 = _rt_entry(a, run)
+            b, d2 = _rt_entry(a, run, run.typed)
             c, d3 = _dl(b, run)
             return _d(run, "DownML ct", "ct", m, c, d1, *checked, d2, d3)
         case LetDown(name, bound, body):
             a, d1 = _ct(bound, run)
             checked = _checked(run, a, "letdown check")
-            b, d2 = _rt_entry(a, run)
+            b, d2 = _rt_entry(a, run, run.typed)
             c, d3 = _ct(subst(body, b, name), run)
             return _d(run, "Let ct", "ct", m, c, d1, *checked, d2, d3)
     # Every other constructor compiles its children and is rebuilt.
@@ -398,6 +402,7 @@ class _OpenCode(Exception):
 # a library caller) is not unboxed: the machine keeps its node.
 _BOX = {int: IntLit, bool: BoolLit, str: StrLit}
 _HOST = {IntLit: int, BoolLit: bool, StrLit: str}
+_LITERALS = frozenset((*_HOST, TagLit))  # each runs to itself in one unit
 _INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
             "eq": operator.eq}
 
@@ -429,12 +434,16 @@ def _close(m: Term, env: dict) -> Term:
     return m
 
 
-def _rt_entry(m: Term, run: _Run):
+def _rt_entry(m: Term, run: _Run, checked: bool = False):
     """rt as the pipeline, a splice, a letdown and eval_rt run it: on the
     machine when the run builds no derivation and m is closed, else on
     the reference _rt. If eval produces open code, the call is rerun on
-    the reference with its fuel restored; both are deterministic."""
-    if run.trace or free_vars(m):
+    the reference with its fuel restored; both are deterministic.
+
+    checked says that m has just passed a typed check against the empty
+    environment, which types no free variable, so m is closed and its
+    closedness walk is skipped. eval_rt runs no check, so it walks."""
+    if run.trace or not checked and free_vars(m):
         return _rt(m, run)
     remaining = run.remaining
     try:
@@ -455,10 +464,15 @@ def _machine(m: Term, env: dict, run: _Run):
     application, when it is a variable bound to a closure; a BinOp's
     operands, and an application's argument or an if's condition, when
     they are a variable bound to a value that is not an AST or an integer
-    literal holding an int; and such an argument or condition that is a
-    BinOp of two of these holding ints. A fused operand spends the units
-    its own call would, and is taken only when the fuel left covers them
-    all; else it gets its call, which runs out on the term _rt names."""
+    literal holding an int; such an argument or condition that is a
+    BinOp of two of these holding ints; and an AST constructor's literal
+    and tag arguments. A fused operand spends the units its own call
+    would, and is taken only when the fuel left covers them all; else it
+    gets its call, which runs out on the term _rt names.
+
+    Code that eval produces is walked for free variables, and open code
+    raises _OpenCode, unless the run is typed: then eval has checked it
+    against the empty environment, so it is closed."""
     while True:
         run.remaining -= 1
         if run.remaining < 0:
@@ -557,19 +571,23 @@ def _machine(m: Term, env: dict, run: _Run):
         elif cls is TagLit:
             return m
         elif cls is AstCtor:
-            # A literal argument runs to its own value: its node is kept.
-            # A node whose arguments all come back as they were is kept.
+            # A literal argument runs to itself, its node kept, in this
+            # step when the fuel left covers its unit. A node whose
+            # arguments all come back as they were is kept.
             args, outs = m.args, []
             for a in args:
-                v = _machine(a, env, run)
-                outs.append(a if type(a) in _HOST else _read_back(v))
+                if type(a) in _LITERALS and run.remaining:
+                    run.remaining -= 1
+                    outs.append(a)
+                else:
+                    outs.append(_read_back(_machine(a, env, run)))
             if all(map(operator.is_, outs, args)):
                 return m
             return AstCtor(m.tag, tuple(outs))
         elif cls is Eval:
             v = _read_back(_machine(m.body, env, run))
             n, _ = _eval_code(v, m, env, run)
-            if free_vars(n):
+            if not run.typed and free_vars(n):
                 raise _OpenCode
             m, env = n, {}
         elif cls is Lift:
@@ -687,7 +705,7 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
     for d_type in _checked(run, residual, "residual check"):
         residual_type = d_type.term_out
         stages.append(("type", d_type))
-    value, d_rt = _rt_entry(residual, run)
+    value, d_rt = _rt_entry(residual, run, run.typed)
     stages.append(("rt", d_rt))
     return PipelineResult(residual, residual_type, value,
                           tuple(stages) if trace else None)

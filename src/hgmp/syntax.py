@@ -9,10 +9,41 @@ astInt(1, 1) must be representable so later stages can reject them).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 
 from . import signature
+
+
+### nodes
+
+def node(cls):
+    """Class decorator: cls as a frozen, slotted dataclass whose __init__
+    sets each field's slot through that slot's descriptor.
+
+    A frozen dataclass's own __init__ assigns each field with
+    object.__setattr__, which costs about three times a call of the slot
+    descriptor's __set__, and a quoted program builds tens of thousands
+    of nodes. As dataclasses does, the __init__ is written as source: the
+    fields in order, each with its default, then __post_init__ when the
+    class has one. Immutability, ==, hash, repr and __match_args__ are
+    the dataclass's own."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    ns, params, body = {}, [], []
+    for f in fields(cls):
+        ns["_set_" + f.name] = getattr(cls, f.name).__set__
+        params.append(f.name)
+        if f.default is not MISSING:
+            ns["_default_" + f.name] = f.default
+            params[-1] += "=_default_" + f.name
+        body.append(f"_set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n "
+         + "\n ".join(body), ns)
+    cls.__init__ = ns["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
 
 
 ### types
@@ -24,23 +55,23 @@ class TypeExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class BaseType(TypeExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class TagType(TypeExpr):
     tag: str
 
 
-@dataclass(frozen=True)
+@node
 class Arrow(TypeExpr):
     src: TypeExpr
     dst: TypeExpr
 
 
-@dataclass(frozen=True)
+@node
 class MetaVar(TypeExpr):
     """Inference-only placeholder; never part of a reported type."""
 
@@ -83,7 +114,7 @@ AST_CTOR_OF_TAG = {
 TAG_OF_AST_CTOR = {v: k for k, v in AST_CTOR_OF_TAG.items()}
 
 
-@dataclass(frozen=True)
+@node
 class Tag:
     """First-class constructor name. The eval tag carries the result-type
     annotation in typed pipelines (eval's AST mirror has no extra slot)."""
@@ -189,20 +220,20 @@ def _shape(rows: str | tuple[str, ...], *args: str):
 
 
 @_shape("var")
-@dataclass(frozen=True)
+@node
 class Var(Term):
     name: str
 
 
 @_shape("app", "fn", "arg")
-@dataclass(frozen=True)
+@node
 class App(Term):
     fn: Term
     arg: Term
 
 
 @_shape("lam", "param", "body")
-@dataclass(frozen=True)
+@node
 class Lam(Term):
     param: str
     body: Term
@@ -210,7 +241,7 @@ class Lam(Term):
 
 
 @_shape("rec", "self_name", "param", "body")
-@dataclass(frozen=True)
+@node
 class Rec(Term):
     """Recursive function; self_name is bound to the whole function in body."""
 
@@ -221,19 +252,19 @@ class Rec(Term):
 
 
 @_shape("int")
-@dataclass(frozen=True)
+@node
 class IntLit(Term):
     value: int
 
 
 @_shape("string")
-@dataclass(frozen=True)
+@node
 class StrLit(Term):
     value: str
 
 
 @_shape("bool")
-@dataclass(frozen=True)
+@node
 class BoolLit(Term):
     value: bool
 
@@ -247,7 +278,7 @@ BINOP_LEVEL = {"eq": _EQ, "add": _ADD, "sub": _ADD, "mul": _MUL}
 
 
 @_shape(BINOPS, "lhs", "rhs")
-@dataclass(frozen=True)
+@node
 class BinOp(Term):
     op: str
     lhs: Term
@@ -267,14 +298,14 @@ class BinOp(Term):
 
 
 @_shape("if", "cond", "then", "orelse")
-@dataclass(frozen=True)
+@node
 class If(Term):
     cond: Term
     then: Term
     orelse: Term
 
 
-@dataclass(frozen=True)
+@node
 class AstCtor(Term):
     tag: Tag
     args: tuple[Term, ...]
@@ -286,13 +317,13 @@ class AstCtor(Term):
         return AstCtor(self.tag, tuple(kids))
 
 
-@dataclass(frozen=True)
+@node
 class TagLit(Term):
     tag: Tag
 
 
 @_shape("downML", "body")
-@dataclass(frozen=True)
+@node
 class DownML(Term):
     """Splice $(e): run at compile time, replaced by the code it returns."""
 
@@ -300,7 +331,7 @@ class DownML(Term):
 
 
 @_shape("upML", "body")
-@dataclass(frozen=True)
+@node
 class UpML(Term):
     """Quote [| e |]: compile-time expansion of e into AST constructors."""
 
@@ -308,7 +339,7 @@ class UpML(Term):
 
 
 @_shape("eval", "body")
-@dataclass(frozen=True)
+@node
 class Eval(Term):
     """Run-time code execution; annot is the declared result type (typed mode)."""
 
@@ -324,13 +355,13 @@ class Eval(Term):
 
 
 @_shape("lift", "body")
-@dataclass(frozen=True)
+@node
 class Lift(Term):
     body: Term
 
 
 @_shape("letdown", "name", "bound", "body")
-@dataclass(frozen=True)
+@node
 class LetDown(Term):
     """Compile-time let: bound value is visible inside splices in body."""
 

@@ -207,7 +207,7 @@ class _Engine:
                 f"{signature.arity_text(name)} argument(s), "
                 f"got {len(args)}", kind="arity", at=m, phase=self.phase)
         if name in _ATOM_TYPE:
-            self.unify(self.infer(env, args[0]), _ATOM_TYPE[name], at=args[0])
+            self._check_atom(env, args[0], _ATOM_TYPE[name])
             return CODE
         if name == "promote":
             head = self.resolve(self.infer(env, args[0]))
@@ -239,6 +239,9 @@ class _Engine:
             # Remaining children are Code, except that tag values may
             # ride along one level.
             for a in rest:
+                if type(a) is AstCtor:
+                    self._infer_ast(env, a, a.tag.name, a.args)
+                    continue
                 ty = self.resolve(self.infer(env, a))
                 if isinstance(ty, TagType):
                     continue
@@ -250,7 +253,7 @@ class _Engine:
             # binder could not be named statically.
             match binder:
                 case AstCtor(tag, (inner,)) if tag.name == "string":
-                    self.unify(self.infer(env, inner), STRING, at=inner)
+                    self._check_atom(env, inner, STRING)
                 case _:
                     raise TypeErrorDetail(
                         f"binder argument of ast constructor for {name} "
@@ -258,8 +261,17 @@ class _Engine:
                         at=binder, phase=self.phase)
         # The arguments after the binders are code.
         for a in args[n_binders:]:
-            self.unify(self.infer(env, a), CODE, at=a)
+            if type(a) is AstCtor:
+                self._infer_ast(env, a, a.tag.name, a.args)
+            else:
+                self.unify(self.infer(env, a), CODE, at=a)
         return CODE
+
+    def _check_atom(self, env: TypeEnv, a: Term, ty: TypeExpr):
+        """a, the atom an AST constructor wraps, checked against ty: a
+        literal by its class, anything else by infer and unify."""
+        if _LIT_TYPE.get(type(a)) is not ty:
+            self.unify(self.infer(env, a), ty, at=a)
 
 
 _HOLE = re.compile(r"\?(\d+)")  # a meta-variable, as pretty_type writes it

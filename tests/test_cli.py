@@ -349,6 +349,16 @@ def test_repl_load(monkeypatch, capsys, tmp_path):
     assert "2" in out
 
 
+def test_repl_takes_no_trace_flag(monkeypatch, capsys):
+    # A session starts untraced and :trace switches it, so a --trace
+    # flag would be ignored: it is a usage error instead.
+    monkeypatch.setattr("builtins.input", lambda prompt="": ":quit")
+    with pytest.raises(SystemExit) as exc:
+        main(["repl", "--trace", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace json" in capsys.readouterr().err
+
+
 def test_repl_trace(monkeypatch, capsys):
     code, out, err = repl_session(monkeypatch, capsys, [
         ":trace on", "1 + 1", ":trace off", "2 + 2"])
@@ -399,6 +409,8 @@ def test_repl_transcript_matches_each_command(monkeypatch, capsys,
         (":mode sideways",
          ("", "mode must be one of ('typed', 'untyped')\n")),
         (":fuel 0", ("", "fuel must be at least 1\n")),
+        (":fuel x", ("", ":fuel takes an integer, got 'x'\n")),
+        (":load", ("", ":load takes a file name\n")),
         (":trace on", ("", "")),
         *[(f":{relation} {src}", step(relation, src, "--trace", "text"))
           for relation, src in relations],

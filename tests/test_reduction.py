@@ -19,7 +19,8 @@ from hgmp.syntax import (
     AST_CTOR_OF_TAG, BINOP_SYMBOL,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, UpML, Var,
-    _escape, _tag_surface, alpha_eq, is_ml_free, mk_ast, pretty, pretty_type,
+    _escape, _tag_surface, alpha_eq, free_vars, is_ml_free, mk_ast, pretty,
+    pretty_type,
 )
 from hgmp.typecheck import EMPTY_ENV, infer
 
@@ -203,13 +204,42 @@ def test_rt_rec_unfolds():
     assert eval_rt(App(fact, IntLit(5))) == IntLit(120)
 
 
-def _rt_outcome(m, mode="untyped", trace=False):
+def _rt_outcome(m, mode="untyped", trace=False, fuel=None):
     """eval_rt's value, or the error's kind, phase, message and term."""
     try:
-        out = eval_rt(m, mode, trace=trace)
+        out = eval_rt(m, mode, fuel, trace=trace)
     except EvalError as exc:
         return exc.kind, exc.phase, exc.message, exc.offending
     return out[0] if trace else out
+
+
+def _reference_rt_outcome(m, mode, fuel):
+    """What the reference _rt, untraced, gives for m, as _rt_outcome."""
+    try:
+        return reduction._rt(m, reduction._Run(fuel, mode == "typed",
+                                               False))[0]
+    except EvalError as exc:
+        return exc.kind, exc.phase, exc.message, exc.offending
+
+
+def test_typed_eval_rt_of_open_code_is_the_reference_outcome():
+    # eval_rt runs no type check, so in a typed run too it walks its term
+    # for closedness, and open code runs on the reference. The machine
+    # would close \z. a b over {a: \q. b, b: 1} as \z. (\q. 1) 1.
+    capture = t(r"(\a. \b. \z. a b) (\q. b) 1")
+    assert _rt_outcome(capture, "typed") == t(r"\z. (\q. b) 1")
+    rng = random.Random(4417)
+    seen = set()
+    for _ in range(1_500):
+        m = gen_ml_free(rng, rng.randint(1, 4), ("a", "b"), with_eval=True,
+                        typed=True)
+        if not free_vars(m):
+            continue
+        fuel = rng.randint(1, 30) if rng.random() < 0.2 else 20_000
+        got = _rt_outcome(m, "typed", fuel=fuel)
+        assert got == _reference_rt_outcome(m, "typed", fuel), pretty(m)
+        seen.add(got[0] if isinstance(got, tuple) else "value")
+    assert seen == {"value", EvalError.STUCK, EvalError.TYPE, EvalError.FUEL}
 
 
 def test_rt_rec_param_shadows_self():
@@ -545,6 +575,11 @@ FUSED_OPERANDS = [
     ("k * x", t(r"(\k. \x. k * x) 3 7")),
     ("closures", t(r"(\f. \g. \x. f g x) (\h. \y. h (h y)) (\y. y * 2) 5")),
     ("bool condition", t(r"(\b. if b then 1 else 2) (3 == 3)")),
+    # An AST constructor's literal and tag arguments.
+    ("ast literals", t('astAdd(astInt(1), astVar("x"))')),
+    ("ast literals under eval", t('eval(astLam(astStr("x"), astVar("x")))')),
+    ("promote tag", t("astPromote(#int, astInt(1))")),
+    ("ast IntLit(True)", AstCtor(Tag("int"), (IntLit(True),))),
     # And these it must not: each runs on its own call.
     ("ast argument", t(r"(\a. (\b. b) a) astAdd(astInt(1), astInt(2))")),
     ("ast operand", t(r"(\a. (\f. f (a + 1)) (\y. y)) astInt(1)")),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgmp import syntax
 from hgmp.parser import parse_term
-from hgmp.reduction import term_to_json
+from hgmp.reduction import Derivation, term_to_json
 from hgmp.syntax import (
-    App, AstCtor, BinOp, BoolLit, DownML, IntLit, Lam, LetDown,
-    Rec, StrLit, Tag, UpML, Var,
+    BOOL, INT,
+    App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
+    LetDown, Lift, MetaVar, Rec, StrLit, Tag, TagLit, TagType, Term,
+    TypeExpr, UpML, Var,
     alpha_eq, free_vars, int_of_text, int_text, is_ml_free, mk_ast, pretty,
     subst,
 )
@@ -421,8 +425,54 @@ def test_tag_and_binop_validation():
         Tag("nosuch")
     with pytest.raises(ValueError):
         Tag("lam", eval_annot=INT)  # only eval carries an annotation
+    with pytest.raises(ValueError, match="only the eval tag"):
+        Tag("int", INT)
     with pytest.raises(ValueError):
         BinOp("div", IntLit(1), IntLit(2))
+    with pytest.raises(ValueError, match="unknown operator: 'pow'"):
+        BinOp("pow", IntLit(1), IntLit(2))
+
+
+def _node_samples():
+    """One instance of every node class: each Term and TypeExpr class of
+    syntax, Tag and Derivation."""
+    x = Var("x")
+    return [
+        x, App(x, x), Lam("x", x, INT), Rec("f", "x", x, Arrow(INT, INT)),
+        IntLit(1), StrLit("s"), BoolLit(True), BinOp("add", x, x),
+        If(x, x, x), mk_ast("int", IntLit(1)), TagLit(Tag("eval", INT)),
+        DownML(x), UpML(x), Eval(x, INT), Lift(x), LetDown("y", x, x),
+        INT, TagType("int"), Arrow(INT, BOOL), MetaVar(0),
+        Tag("eval", INT), Derivation("Var ct", "ct", x, x, ()),
+    ]
+
+
+def test_every_node_class_has_a_sample():
+    classes = {c for c in vars(syntax).values() if isinstance(c, type)
+               and issubclass(c, (Term, TypeExpr))} - {Term, TypeExpr}
+    assert {type(m) for m in _node_samples()} == classes | {Tag, Derivation}
+
+
+@pytest.mark.parametrize("m", _node_samples(), ids=lambda m: type(m).__name__)
+def test_nodes_are_frozen_slotted_values(m):
+    cls = type(m)
+    fields = dataclasses.fields(cls)
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, f.name, getattr(m, f.name))
+    assert not hasattr(m, "__dict__")
+    values = {f.name: getattr(m, f.name) for f in fields}
+    for again in (cls(**values), cls(*values.values())):
+        assert again is not m
+        assert again == m and hash(again) == hash(m)
+    assert cls.__match_args__ == tuple(values)
+    # The fields left out take their defaults.
+    required = {f.name: values[f.name] for f in fields
+                if f.default is dataclasses.MISSING}
+    made = cls(**required)
+    for f in fields:
+        if f.default is not dataclasses.MISSING:
+            assert getattr(made, f.name) is f.default
 
 
 def test_subst_rec_renames_captured_binders():

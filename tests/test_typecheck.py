@@ -3,13 +3,13 @@ import random
 import pytest
 
 from hgmp.parser import parse_term
-from hgmp.reduction import EvalError, run_pipeline
+from hgmp.reduction import EvalError, eval_ct, run_pipeline
 from hgmp.syntax import (
-    BOOL, CODE, INT,
-    Arrow, IntLit, MetaVar, TagType, pretty,
+    BOOL, CODE, INT, STRING,
+    Arrow, IntLit, MetaVar, TagType, free_vars, pretty,
 )
 from hgmp.typecheck import (
-    TypeEnv, TypeErrorDetail, check, infer, infer_open, unify,
+    EMPTY_ENV, TypeEnv, TypeErrorDetail, check, infer, infer_open, unify,
 )
 
 from gen_terms import gen_type, gen_typed_term
@@ -340,3 +340,39 @@ def test_promote_of_an_unknown_tag_is_ambiguous():
     err = rejects(r"\t. astPromote(t, astInt(1))", kind="ambiguous")
     assert err.message == "cannot tell which tag astPromote promotes"
     assert pretty(err.at) == "t"
+
+
+def test_a_term_checked_against_the_empty_environment_is_closed():
+    # The pipeline skips the closedness walk of a term that a typed check
+    # against the empty environment has just accepted. Many candidates
+    # here are open: terms, and their residuals, typed under an
+    # environment that binds their free variables.
+    rng = random.Random(4416)
+    scope = (("x", INT), ("f", Arrow(INT, INT)), ("c", CODE), ("s", STRING))
+    under_scope = TypeEnv(dict(scope))
+    accepted = open_typed = 0
+    for _ in range(2_000):
+        ty = gen_type(rng, 1)
+        m = gen_typed_term(rng, ty, scope, rng.randint(1, 4))
+        candidates = [m]
+        try:
+            candidates.append(eval_ct(m, "typed", fuel=10_000))
+        except EvalError:
+            pass
+        for m in candidates:
+            closed = not free_vars(m)
+            for checker in (lambda m: infer(EMPTY_ENV, m),
+                            lambda m: check(EMPTY_ENV, m, ty)):
+                try:
+                    checker(m)
+                except TypeErrorDetail:
+                    continue
+                assert closed, pretty(m)
+                accepted += 1
+            if not closed:
+                try:
+                    infer(under_scope, m)
+                except TypeErrorDetail:
+                    continue
+                open_typed += 1
+    assert accepted > 1_000 and open_typed > 500
