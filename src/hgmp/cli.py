@@ -328,12 +328,13 @@ def _build_argparser() -> argparse.ArgumentParser:
     step = sub.add_parser("step", help="apply a single relation")
     step.add_argument("--relation", choices=tuple(_STEPPERS), required=True)
     common(step)
-    common(sub.add_parser("typecheck", help="infer a term's type"))
-    # A session starts untraced; its :trace directive switches that.
+    # typecheck and corpus print no derivation; a session starts untraced.
+    common(sub.add_parser("typecheck", help="infer a term's type"),
+           trace=False)
     common(sub.add_parser("repl", help="interactive session"), file_meta=None,
            trace=False)
     common(sub.add_parser("corpus", help="run a corpus directory"),
-           file_meta="DIR")
+           file_meta="DIR", trace=False)
     return top
 
 

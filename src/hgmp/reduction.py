@@ -13,33 +13,28 @@ names follow the conventional bracketed names for these relations.
 
 rt has two evaluators with the same values, errors and fuel. `_rt` is the
 reference: call-by-value with capture-avoiding substitution. It runs
-every traced run, because derivations show substituted terms, and any
-open term. A traced run builds and runs each application's body once
-per function and argument (an equal literal, or the same other value):
-an application met again returns the same body, value and Derivation
-object, and spends the fuel the first run spent, so a trace is a DAG
-that reads as the same tree, and the renderers write each repeated
-derivation once.
+every traced run, because derivations show substituted terms. A traced
+run builds and runs each application's body once per function and
+argument (an equal literal, or the same other value): an application
+met again returns the same body, value and Derivation object, and
+spends the fuel the first run spent, so a trace is a DAG that reads as
+the same tree, and the renderers write each repeated derivation once.
 `_machine` is an environment machine: a variable looks its value up,
 a function evaluates to a closure, and integers, booleans and strings
 are host values (Python ints, bools and strs), so arithmetic builds no
 term. Values are read back wherever the reference would hold a
 term (a result, an AST argument, eval's input to dl, lift, an error's
 offending term): a host value is boxed into its literal, and a closure
-is closed with `subst`. An AST whose arguments all run to themselves is
-returned as the node it was, not rebuilt. A leaf operand (a variable
-bound to a value that is not an AST, or an integer literal) and an
-operator on two integer leaves are evaluated inside the step that
-consumes them, with no call of their own (fused operands, in the manner
-of Proebsting's superoperators), and so is a literal or tag argument of
-an AST constructor. The machine runs every untraced rt of a closed term:
-the pipeline's, eval_rt's, and those ct runs for splices and letdown.
-The read-back is exact only while every value is closed, so the machine
-runs closed terms only; when eval produces open code, the call is rerun
-on `_rt` with its fuel restored. Closedness costs a walk of the term,
-which is skipped wherever a typed check against the empty environment
-has just accepted it: the residual, a splice, a letdown and, in a typed
-run, the code eval runs.
+is read back with its environment substituted at once (`subst_all`),
+which holds for open values too. An AST whose arguments all run to
+themselves is returned as the node it was, not rebuilt. A leaf operand
+(a variable bound to a value that is not an AST, or an integer literal)
+and an operator on two integer leaves are evaluated inside the step
+that consumes them, with no call of their own (fused operands, in the
+manner of Proebsting's superoperators), and so is a literal or tag
+argument of an AST constructor. The machine runs every untraced rt, of
+open terms and of the open code eval builds too: the pipeline's,
+eval_rt's, and those ct runs for splices and letdown.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from .syntax import (
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, TypeExpr, UpML, Var,
     free_vars, int_of_text, int_text, mk_ast, node, pretty, pretty_type,
-    printer, subst,
+    printer, subst, subst_all,
 )
 from . import signature, typecheck
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
@@ -188,13 +183,13 @@ def _ct(m: Term, run: _Run):
         case DownML(body):
             a, d1 = _ct(body, run)
             checked = _checked(run, a, "downML check", CODE)
-            b, d2 = _rt_entry(a, run, run.typed)
+            b, d2 = _rt_entry(a, run)
             c, d3 = _dl(b, run)
             return _d(run, "DownML ct", "ct", m, c, d1, *checked, d2, d3)
         case LetDown(name, bound, body):
             a, d1 = _ct(bound, run)
             checked = _checked(run, a, "letdown check")
-            b, d2 = _rt_entry(a, run, run.typed)
+            b, d2 = _rt_entry(a, run)
             c, d3 = _ct(subst(body, b, name), run)
             return _d(run, "Let ct", "ct", m, c, d1, *checked, d2, d3)
     # Every other constructor compiles its children and is rebuilt.
@@ -381,9 +376,9 @@ def _instance(f: Lam | Rec, v: Term, run: _Run):
 
 class _Closure:
     """The machine's value for a function: its code and the environment
-    it was evaluated in. An integer, boolean or string is the host value
-    itself (an int, bool or str), boxed into its literal by _read_back;
-    every other value is the closed term the reference semantics holds."""
+    it was evaluated in, read back by _close. An integer, boolean or
+    string is the host value itself, boxed into its literal by _read_back;
+    every other value is the term the reference semantics holds."""
 
     __slots__ = ("code", "env", "term")
 
@@ -391,10 +386,6 @@ class _Closure:
         self.code = code  # a Lam or a Rec
         self.env = env
         self.term = None  # the read-back, once it is asked for
-
-
-class _OpenCode(Exception):
-    """eval produced open code, whose values the machine cannot read back."""
 
 
 # The literal class of each host value, and the host type of each literal
@@ -409,7 +400,7 @@ _INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 
 def _read_back(v) -> Term:
     """The term the substitution semantics holds for the machine value v:
-    a host value boxed into its literal, a closure closed by subst."""
+    a host value boxed into its literal, a closure read back by _close."""
     cls = type(v)
     box = _BOX.get(cls)
     if box is not None:
@@ -422,40 +413,29 @@ def _read_back(v) -> Term:
 
 
 def _close(m: Term, env: dict) -> Term:
-    """m with the values of env substituted: the term the reference holds
-    where the machine holds m in env. Every value in env is closed, so
-    subst renames nothing and the order of the substitutions is free."""
+    """m with the values of env substituted at once, the term the
+    reference holds where the machine holds m in env. This holds for open
+    values too: a name free in one value is not replaced by another, as
+    it would be one name at a time. A binder renamed to avoid capture can
+    get other primes than the reference gives it one value at a time."""
     if not env:
         return m
     free = free_vars(m)
-    for name, v in env.items():
-        if name in free:
-            m = subst(m, _read_back(v), name)
-    return m
+    return subst_all(m, {name: _read_back(v) for name, v in env.items()
+                         if name in free})
 
 
-def _rt_entry(m: Term, run: _Run, checked: bool = False):
+def _rt_entry(m: Term, run: _Run):
     """rt as the pipeline, a splice, a letdown and eval_rt run it: on the
-    machine when the run builds no derivation and m is closed, else on
-    the reference _rt. If eval produces open code, the call is rerun on
-    the reference with its fuel restored; both are deterministic.
-
-    checked says that m has just passed a typed check against the empty
-    environment, which types no free variable, so m is closed and its
-    closedness walk is skipped. eval_rt runs no check, so it walks."""
-    if run.trace or not checked and free_vars(m):
+    reference _rt when the run builds a derivation, else on the machine."""
+    if run.trace:
         return _rt(m, run)
-    remaining = run.remaining
-    try:
-        return _read_back(_machine(m, {}, run)), None
-    except _OpenCode:
-        run.remaining = remaining
-        return _rt(m, run)
+    return _read_back(_machine(m, {}, run)), None
 
 
 def _machine(m: Term, env: dict, run: _Run):
-    """rt of m, whose free variables env binds to closed values, without
-    substitution: a variable looks its value up in env, a function
+    """rt of m without substitution: a variable looks its value up in
+    env (one env does not bind is stuck, as in _rt), a function
     evaluates to a _Closure, and a literal to its host value. It spends
     one unit of fuel wherever _rt spends one, in the same order, and its
     errors hold the terms _rt's would. Tail positions loop.
@@ -468,11 +448,8 @@ def _machine(m: Term, env: dict, run: _Run):
     BinOp of two of these holding ints; and an AST constructor's literal
     and tag arguments. A fused operand spends the units its own call
     would, and is taken only when the fuel left covers them all; else it
-    gets its call, which runs out on the term _rt names.
-
-    Code that eval produces is walked for free variables, and open code
-    raises _OpenCode, unless the run is typed: then eval has checked it
-    against the empty environment, so it is closed."""
+    gets its call, which runs out on the term _rt names. The code eval
+    produces runs in the empty environment, closed or not."""
     while True:
         run.remaining -= 1
         if run.remaining < 0:
@@ -586,10 +563,7 @@ def _machine(m: Term, env: dict, run: _Run):
             return AstCtor(m.tag, tuple(outs))
         elif cls is Eval:
             v = _read_back(_machine(m.body, env, run))
-            n, _ = _eval_code(v, m, env, run)
-            if not run.typed and free_vars(n):
-                raise _OpenCode
-            m, env = n, {}
+            m, env = _eval_code(v, m, env, run)[0], {}
         elif cls is Lift:
             return _lift(_read_back(_machine(m.body, env, run)), m, env)
         elif cls is DownML or cls is UpML or cls is LetDown:
@@ -675,9 +649,9 @@ def eval_rt(m: Term, mode: str = "untyped", fuel: int | None = None,
             trace: bool = False):
     """Call-by-value evaluation of a compiled (meta-level-free) term.
 
-    Untraced, a closed term runs on the environment machine; traced, or
-    open, on substitution. Both give the same value, error and fuel use;
-    the machine hands open code from eval over to substitution."""
+    Untraced, it runs on the environment machine, open or closed;
+    traced, on substitution. Both give the same value, error and fuel
+    use."""
     return _evaluate(_rt_entry, m, mode, fuel, trace)
 
 
@@ -705,7 +679,7 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
     for d_type in _checked(run, residual, "residual check"):
         residual_type = d_type.term_out
         stages.append(("type", d_type))
-    value, d_rt = _rt_entry(residual, run, run.typed)
+    value, d_rt = _rt_entry(residual, run)
     stages.append(("rt", d_rt))
     return PipelineResult(residual, residual_type, value,
                           tuple(stages) if trace else None)

@@ -64,6 +64,9 @@ class BaseType(TypeExpr):
 class TagType(TypeExpr):
     tag: str
 
+    def __post_init__(self):
+        _known_tag(self.tag)
+
 
 @node
 class Arrow(TypeExpr):
@@ -123,10 +126,18 @@ class Tag:
     eval_annot: TypeExpr | None = None
 
     def __post_init__(self):
-        if self.name not in TAG_NAMES:
-            raise ValueError(f"unknown tag name: {self.name!r}")
+        _known_tag(self.name)
         if self.eval_annot is not None and self.name != "eval":
             raise ValueError("only the eval tag carries a type annotation")
+
+
+def _known_tag(name: str):
+    if name not in SURFACE_OF_TAG:
+        raise ValueError(f"unknown tag name: {name!r}")
+
+
+# Each constructor's tag without an annotation, one immutable value.
+_PLAIN_TAG = {name: Tag(name) for name in TAG_NAMES}
 
 
 ### terms
@@ -162,8 +173,8 @@ class Term:
         return self
 
     def ast_tag(self) -> Tag:
-        """The tag of this node's AST one meta-level up."""
-        return Tag(self.ctor)
+        """The tag of this node's AST one meta-level up (shared)."""
+        return _PLAIN_TAG.get(self.ctor) or Tag(self.ctor)
 
     @classmethod
     def from_ast(cls, tag: Tag, args: list) -> Term:
@@ -347,7 +358,8 @@ class Eval(Term):
     annot: TypeExpr | None = None
 
     def ast_tag(self) -> Tag:
-        return Tag("eval", self.annot)
+        plain = self.annot is None
+        return _PLAIN_TAG["eval"] if plain else Tag("eval", self.annot)
 
     @classmethod
     def from_ast(cls, tag: Tag, args: list) -> Term:
@@ -403,45 +415,56 @@ def free_vars(m: Term) -> set[str]:
 ### substitution
 
 def subst(m: Term, n: Term, x: str) -> Term:
-    """Capture-avoiding substitution m{n/x}.
+    """Capture-avoiding substitution m{n/x}: subst_all with one entry."""
+    return subst_all(m, {x: n})
+
+
+def subst_all(m: Term, sigma: dict) -> Term:
+    """Capture-avoiding simultaneous substitution of each value in sigma
+    for the free occurrences of its name in m.
 
     Pushes unchanged through splices, quotes, lift and eval. Every binder
-    is handled alike, from its signature row: a binder of x shadows it in
-    all the node's children (a LetDown's bound term too), and bound names
-    that would capture a free variable of n are renamed first.
+    is handled alike, from its signature row: it shadows its names in
+    all the node's children (a LetDown's bound term too). Of the other
+    entries it keeps those free in its children, and renames a bound name
+    free in one of their values to its first primed variant outside the
+    free variables of those values and of the children, and its names.
     """
     if m.binds:
-        return _subst_binder(m, n, x)
+        return _subst_binder(m, sigma)
     if type(m) is Var:
-        return n if m.name == x else m
+        return sigma.get(m.name, m)
     kids = m.children()
     if not kids:
         return m
-    return m.rebuild([subst(k, n, x) for k in kids])
+    return m.rebuild([subst_all(k, sigma) for k in kids])
 
 
-def _subst_binder(m: Term, n: Term, x: str) -> Term:
+def _subst_binder(m: Term, sigma: dict) -> Term:
     names = m.bound_names()
-    if x in names:
-        return m
+    if not sigma.keys().isdisjoint(names):
+        sigma = {x: n for x, n in sigma.items() if x not in names}
     kids = m.children()
-    fv_n = free_vars(n)
-    if not fv_n.isdisjoint(names):
+    fvs = {x: free_vars(n) for x, n in sigma.items()}
+    if not all(map(set(names).isdisjoint, fvs.values())):
         fv_kids = set().union(*map(free_vars, kids))
-        if x in fv_kids:
-            avoid = fv_n | fv_kids | {x, *names}
-            names = list(names)
-            # Each to its first free primed variant, innermost binder
-            # first: of a repeated name (rec f f.) the last one owns the uses.
-            for i in reversed(range(len(names))):
-                if names[i] in fv_n:
-                    renamed = names[i] + "'"
-                    while renamed in avoid:
-                        renamed += "'"
-                    kids = [subst(k, Var(renamed), names[i]) for k in kids]
-                    names[i] = renamed
-                    avoid.add(renamed)
-    return m.rebind(names, [subst(k, n, x) for k in kids])
+        sigma = {x: n for x, n in sigma.items() if x in fv_kids}
+        captured = set().union(*[fvs[x] for x in sigma])
+        avoid = captured | fv_kids | set(names)  # fv_kids holds sigma's names
+        names = list(names)
+        # Each to its first free primed variant, innermost binder
+        # first: of a repeated name (rec f f.) the last one owns the uses.
+        for i in reversed(range(len(names))):
+            if names[i] in captured:
+                renamed = names[i] + "'"
+                while renamed in avoid:
+                    renamed += "'"
+                avoid.add(renamed)
+                sigma.setdefault(names[i], Var(renamed))
+                names[i] = renamed
+    if not sigma:
+        return m
+    return m.rebind(names, [subst_all(k, sigma) for k in kids])
 
 
 ### alpha equivalence

@@ -227,6 +227,38 @@ def gen_open_eval(rng: random.Random):
     return program
 
 
+def gen_env_capture(rng: random.Random, typed: bool = False):
+    """Open programs whose closures bind, in one environment, a name that
+    is free in another of the values they bind:
+
+        (\\a. \\b. \\z. a b) (\\q. b) 1
+
+    Read back one name at a time, \\z. a b would become \\z. (\\q. 1) 1;
+    substitution renames \\b instead, giving \\z. (\\q. b) 1. The open
+    value is a lambda or the open code of an eval, and the closure is
+    returned, applied, or built inside generated code."""
+    a, b = rng.sample(NAMES, 2)
+    q = rng.choice([n for n in NAMES if n != b])
+    if rng.random() < 0.3 and not typed:
+        value = Eval(AstCtor(Tag("lam"), (_ast_name(q), AstCtor(
+            Tag("var"), (StrLit(b),)))))
+    else:
+        uses_b = rng.choice((Var(b), App(Var(b), Var(q)),
+                             BinOp(rng.choice(BINOP_NAMES), Var(q), Var(b))))
+        value = Lam(q, uses_b)
+    z = rng.choice(NAMES)
+    body = gen_ml_free(rng, rng.randint(0, 3), (a, b, z), with_eval=True,
+                       typed=typed)
+    if rng.random() < 0.5:
+        body = App(Var(a), body if rng.random() < 0.5 else Var(b))
+    program = App(App(Lam(a, Lam(b, Lam(z, body))), value),
+                  gen_ml_free(rng, rng.randint(0, 2), with_eval=True,
+                              typed=typed))
+    if rng.random() < 0.4:
+        program = App(program, gen_ml_free(rng, rng.randint(0, 1)))
+    return program
+
+
 def _numeric_leaf(rng: random.Random, ints: tuple[str, ...],
                   scope: tuple[str, ...] = ()):
     """A variable holding an int or a small integer; now and then any

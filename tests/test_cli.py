@@ -359,6 +359,17 @@ def test_repl_takes_no_trace_flag(monkeypatch, capsys):
     assert "unrecognized arguments: --trace json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["typecheck", "corpus"])
+def test_typecheck_and_corpus_take_no_trace_flag(command, tmp_path, capsys):
+    # Neither prints a derivation, so a --trace flag would be ignored:
+    # it is a usage error instead.
+    target = tmp_path if command == "corpus" else write(tmp_path, "1 + 1")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--trace", "json", str(target)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+
 def test_repl_trace(monkeypatch, capsys):
     code, out, err = repl_session(monkeypatch, capsys, [
         ":trace on", "1 + 1", ":trace off", "2 + 2"])

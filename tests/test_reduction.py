@@ -25,8 +25,8 @@ from hgmp.syntax import (
 from hgmp.typecheck import EMPTY_ENV, infer
 
 from gen_terms import (
-    gen_compile_candidate, gen_constant, gen_ml_free, gen_numeric_rec,
-    gen_open_eval, gen_term,
+    gen_compile_candidate, gen_constant, gen_env_capture, gen_ml_free,
+    gen_numeric_rec, gen_open_eval, gen_term,
 )
 
 
@@ -222,24 +222,54 @@ def _reference_rt_outcome(m, mode, fuel):
         return exc.kind, exc.phase, exc.message, exc.offending
 
 
-def test_typed_eval_rt_of_open_code_is_the_reference_outcome():
-    # eval_rt runs no type check, so in a typed run too it walks its term
-    # for closedness, and open code runs on the reference. The machine
-    # would close \z. a b over {a: \q. b, b: 1} as \z. (\q. 1) 1.
+@pytest.mark.parametrize("mode", ["untyped", "typed"])
+def test_eval_rt_of_open_code_on_the_machine_is_the_reference_outcome(mode):
+    # Open terms, and the open code eval builds, run on the machine. It
+    # reads \z. a b over {a: \q. b, b: 1} back in one substitution: one
+    # name at a time, it would be \z. (\q. 1) 1.
     capture = t(r"(\a. \b. \z. a b) (\q. b) 1")
     assert _rt_outcome(capture, "typed") == t(r"\z. (\q. b) 1")
+    assert _rt_outcome(capture) == t(r"\z. (\q. b) 1")
     rng = random.Random(4417)
     seen = set()
-    for _ in range(1_500):
-        m = gen_ml_free(rng, rng.randint(1, 4), ("a", "b"), with_eval=True,
-                        typed=True)
+    for i in range(1_500):
+        if i % 2:
+            m = gen_env_capture(rng, typed=mode == "typed")
+        else:
+            m = gen_ml_free(rng, rng.randint(1, 4), ("a", "b"),
+                            with_eval=True, typed=mode == "typed")
         if not free_vars(m):
             continue
         fuel = rng.randint(1, 30) if rng.random() < 0.2 else 20_000
-        got = _rt_outcome(m, "typed", fuel=fuel)
-        assert got == _reference_rt_outcome(m, "typed", fuel), pretty(m)
+        got = _rt_outcome(m, mode, fuel=fuel)
+        assert repr(got) == repr(_reference_rt_outcome(m, mode, fuel)), \
+            pretty(m)
         seen.add(got[0] if isinstance(got, tuple) else "value")
-    assert seen == {"value", EvalError.STUCK, EvalError.TYPE, EvalError.FUEL}
+    assert seen == {"value", EvalError.STUCK, EvalError.FUEL,
+                    *[EvalError.TYPE] * (mode == "typed")}
+
+
+OPEN_CODE = [
+    r"(\a. \b. \z. a b) (\q. b) 1",
+    r'(\a. \b. \z. a b) (eval(astLam(astStr("q"), astVar("b")))) 5',
+    r'(\a. \b. (a b) + 1) (eval(astLam(astStr("q"), astVar("b")))) 5',
+]
+
+
+@pytest.mark.parametrize("src", OPEN_CODE, ids=["lambda", "eval", "stuck"])
+def test_open_code_on_every_fuel_budget(src):
+    # The machine, untraced _rt and traced _rt, from a budget of 1 to the
+    # first that does not run out: the same value, or the same error.
+    m = t(src)
+    for fuel in range(1, 1_000):
+        machine = _rt_outcome(m, fuel=fuel)
+        reference = _reference_rt_outcome(m, "untyped", fuel)
+        traced = _rt_outcome(m, fuel=fuel, trace=True)
+        assert repr(machine) == repr(reference) == repr(traced), fuel
+        if not isinstance(machine, tuple) or machine[0] != EvalError.FUEL:
+            break
+    else:
+        pytest.fail("out of fuel at every budget")
 
 
 def test_rt_rec_param_shadows_self():

@@ -106,7 +106,7 @@ def pair(monkeypatch):
     """A 2-ary `pair` row and its class, registered for one test only."""
     monkeypatch.setitem(signature._BY_NAME, "pair",
                         signature.CtorSpec("pair", "pair", 2))
-    monkeypatch.setattr(syntax, "TAG_NAMES", TAG_NAMES + ("pair",))
+    monkeypatch.setitem(syntax.SURFACE_OF_TAG, "pair", "pair")
     monkeypatch.setitem(syntax.CLASS_OF_TAG, "pair", None)  # undone: deleted
 
     @syntax._shape("pair", "fst", "snd")

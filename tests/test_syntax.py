@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from hgmp import syntax
 from hgmp.parser import parse_term
-from hgmp.reduction import Derivation, term_to_json
+from hgmp.reduction import Derivation, eval_ul, term_to_json
 from hgmp.syntax import (
     BOOL, INT,
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
     LetDown, Lift, MetaVar, Rec, StrLit, Tag, TagLit, TagType, Term,
     TypeExpr, UpML, Var,
     alpha_eq, free_vars, int_of_text, int_text, is_ml_free, mk_ast, pretty,
-    subst,
+    subst, subst_all,
 )
 
 from gen_terms import gen_ml_free, gen_term
@@ -148,6 +148,42 @@ def test_subst_rec_shared_binder_name():
     assert got == m
     n = App(Rec("f", "f", Var("f")), Var("x"))
     assert subst(n, Var("f"), "x") == App(Rec("f", "f", Var("f")), Var("f"))
+
+
+@pytest.mark.parametrize("src, sigma, want", [
+    # A name free in one value is not replaced by another value.
+    (r"\z. a b", {"a": r"\q. b", "b": "1"}, r"\z. (\q. b) 1"),
+    ("a b", {"a": "b", "b": "a"}, "b a"),
+    # A binder shadows its own entry only.
+    (r"\a. a b", {"a": "1", "b": "2"}, r"\a. a 2"),
+    # A value whose name is not free below a binder renames nothing.
+    (r"\y. b", {"a": "y", "b": "2"}, r"\y. 2"),
+    # One rename, clear of the free variables of every value kept.
+    (r"\y. a b", {"a": "y", "b": "y'"}, r"\y''. y y'"),
+    (r"rec f f. a (b f)", {"a": "f", "b": "f'"},
+     r"rec f''' f''. f (f' f'')"),
+])
+def test_subst_all_substitutes_every_name_at_once(src, sigma, want):
+    sigma = {x: t(v) for x, v in sigma.items()}
+    assert subst_all(t(src), sigma) == t(want)
+
+
+def test_subst_all_is_subst_through_a_fresh_name():
+    # m{A/a, B/b} at once is m{#/b}{A/a}{B/#}, for a name # used nowhere:
+    # B does not reach into A.
+    rng = random.Random(SEED + 5)
+    scope = ("x", "y", "f")
+    renamed = 0
+    for _ in range(1_000):
+        m, a_val, b_val = (gen_term(rng, rng.randint(0, depth), scope)
+                           for depth in (4, 2, 2))
+        a, b = rng.sample(scope, 2)
+        got = subst_all(m, {a: a_val, b: b_val})
+        one_at_a_time = subst(subst(subst(m, Var("fresh"), b), a_val, a),
+                              b_val, "fresh")
+        assert alpha_eq(got, one_at_a_time), (pretty(m), a, b)
+        renamed += "'" in pretty(got)
+    assert renamed >= 10
 
 
 ### alpha equivalence
@@ -431,6 +467,20 @@ def test_tag_and_binop_validation():
         BinOp("div", IntLit(1), IntLit(2))
     with pytest.raises(ValueError, match="unknown operator: 'pow'"):
         BinOp("pow", IntLit(1), IntLit(2))
+
+
+def test_quoted_nodes_of_one_constructor_share_one_tag():
+    # A tag without an annotation is one immutable value per constructor;
+    # an eval with an annotation builds its own.
+    ast = eval_ul(t(r"(\x. 1 + 2) (\y. 3 + 4)"))
+    lams = [a for a in ast.args if a.tag.name == "lam"]
+    adds = [lam.args[1] for lam in lams]
+    assert lams[0].tag is lams[1].tag and adds[0].tag is adds[1].tag
+    assert adds[0].args[0].tag is adds[1].args[1].tag  # the ints
+    assert Eval(Var("c")).ast_tag() is Eval(Var("d")).ast_tag()
+    typed = Eval(Var("c"), INT).ast_tag()
+    assert typed == Tag("eval", INT) and typed is not Eval(Var("c"),
+                                                           INT).ast_tag()
 
 
 def _node_samples():

@@ -93,6 +93,12 @@ def test_infer_tags():
     assert infer(None, t("#eval{Int}")) == TagType("eval")
 
 
+def test_an_unknown_tag_type_name_is_a_value_error():
+    # As for Tag: not a KeyError when the type is printed.
+    with pytest.raises(ValueError, match="unknown tag name: 'nosuch'"):
+        check(None, IntLit(1), TagType("nosuch"))
+
+
 def test_infer_unbound():
     rejects("x + 1", kind="unbound")
 
@@ -343,10 +349,11 @@ def test_promote_of_an_unknown_tag_is_ambiguous():
 
 
 def test_a_term_checked_against_the_empty_environment_is_closed():
-    # The pipeline skips the closedness walk of a term that a typed check
-    # against the empty environment has just accepted. Many candidates
-    # here are open: terms, and their residuals, typed under an
-    # environment that binds their free variables.
+    # The empty environment types no variable, so a term that a typed
+    # check against it accepts is closed: in a typed run the residual,
+    # a splice, a letdown and the code eval runs are all closed. Many
+    # candidates here are open: terms, and their residuals, typed under
+    # an environment that binds their free variables.
     rng = random.Random(4416)
     scope = (("x", INT), ("f", Arrow(INT, INT)), ("c", CODE), ("s", STRING))
     under_scope = TypeEnv(dict(scope))
