@@ -19,22 +19,22 @@ argument (an equal literal, or the same other value): an application
 met again returns the same body, value and Derivation object, and
 spends the fuel the first run spent, so a trace is a DAG that reads as
 the same tree, and the renderers write each repeated derivation once.
-`_machine` is an environment machine: a variable looks its value up,
-a function evaluates to a closure, and integers, booleans and strings
-are host values (Python ints, bools and strs), so arithmetic builds no
-term. Values are read back wherever the reference would hold a
-term (a result, an AST argument, eval's input to dl, lift, an error's
-offending term): a host value is boxed into its literal, and a closure
-is read back with its environment substituted at once (`subst_all`),
-which holds for open values too. An AST whose arguments all run to
-themselves is returned as the node it was, not rebuilt. A leaf operand
-(a variable bound to a value that is not an AST, or an integer literal)
-and an operator on two integer leaves are evaluated inside the step
-that consumes them, with no call of their own (fused operands, in the
-manner of Proebsting's superoperators), and so is a literal or tag
-argument of an AST constructor. The machine runs every untraced rt, of
-open terms and of the open code eval builds too: the pipeline's,
-eval_rt's, and those ct runs for splices and letdown.
+`_machine`, an environment machine, runs every untraced rt (the
+pipeline's, eval_rt's, and ct's for splices and letdown), open terms
+and the open code eval builds included. A function evaluates to a
+closure, and integers, booleans and strings are host values (Python
+ints, bools and strs), so arithmetic builds no term. Values are read
+back wherever the reference would hold a term (a result, an AST
+argument, eval's input to dl, lift, an error's offending term): a host
+value is boxed into its literal, and a closure is read back by
+replaying the substitutions the reference made, one value at a time,
+so a binder renamed to avoid capture gets the same primes. An AST whose
+arguments all run to themselves is returned as the node it was. A leaf
+operand (a variable bound to a value that is not an AST, or an integer
+literal) and an operator on two integer leaves are evaluated inside the
+step that consumes them, with no call of their own (fused operands, in
+the manner of Proebsting's superoperators), and so is a literal or tag
+argument of an AST constructor.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .syntax import (
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, TypeExpr, UpML, Var,
     free_vars, int_of_text, int_text, mk_ast, node, pretty, pretty_type,
-    printer, subst, subst_all,
+    printer, subst,
 )
 from . import signature, typecheck
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
@@ -322,12 +322,12 @@ def _rt(m: Term, run: _Run):
             return _d(run, None, "rt", m, AstCtor(tag, tuple(outs)), *derivs)
         case Eval(body):
             v, d1 = _rt(body, run)
-            n, premises = _eval_code(v, m, {}, run)
+            n, premises = _eval_code(v, m, run)
             res, d3 = _rt(n, run)
             return _d(run, "Eval rt", "rt", m, res, d1, *premises, d3)
         case Lift(body):
             v, d1 = _rt(body, run)
-            return _d(run, "Lift", "rt", m, _lift(v, m, {}), d1)
+            return _d(run, "Lift", "rt", m, _lift(v, m), d1)
         case DownML() | UpML() | LetDown():
             _stuck("rt", m, "compile-time construct reached run time")
     raise TypeError(f"not a Term: {m!r}")
@@ -375,16 +375,18 @@ def _instance(f: Lam | Rec, v: Term, run: _Run):
 ### run time on an environment machine
 
 class _Closure:
-    """The machine's value for a function: its code and the environment
-    it was evaluated in, read back by _close. An integer, boolean or
-    string is the host value itself, boxed into its literal by _read_back;
-    every other value is the term the reference semantics holds."""
+    """The machine's value for a function: its code, and the environment
+    it was evaluated in with the closure whose application made that
+    (see _close). An integer, boolean or string is the host value itself,
+    boxed into its literal by _read_back; every other value is the term
+    the reference semantics holds."""
 
-    __slots__ = ("code", "env", "term")
+    __slots__ = ("code", "env", "origin", "term")
 
-    def __init__(self, code: Term, env: dict):
+    def __init__(self, code: Term, env: dict, origin: _Closure | None):
         self.code = code  # a Lam or a Rec
         self.env = env
+        self.origin = origin
         self.term = None  # the read-back, once it is asked for
 
 
@@ -408,21 +410,32 @@ def _read_back(v) -> Term:
     if cls is not _Closure:
         return v
     if v.term is None:
-        v.term = _close(v.code, v.env)
+        v.term = _close(v.code, v.env, v.origin)
     return v.term
 
 
-def _close(m: Term, env: dict) -> Term:
-    """m with the values of env substituted at once, the term the
-    reference holds where the machine holds m in env. This holds for open
-    values too: a name free in one value is not replaced by another, as
-    it would be one name at a time. A binder renamed to avoid capture can
-    get other primes than the reference gives it one value at a time."""
-    if not env:
+def _close(m: Term, env: dict | None = None,
+           origin: _Closure | None = None) -> Term:
+    """The term the reference holds where the machine holds m in env.
+    Every env but the empty one is made by applying a closure, origin,
+    and m lies in its body under no binder: the reference holds m's
+    place in origin's read-back with the substitutions _instance makes,
+    one value at a time, so a binder renamed to avoid capture gets the
+    same primes."""
+    if origin is None:
         return m
-    free = free_vars(m)
-    return subst_all(m, {name: _read_back(v) for name, v in env.items()
-                         if name in free})
+    code, ref = origin.code, _read_back(origin)
+    # ref is code with values substituted: the same shape down to m.
+    # Where m stands at more than one place, each holds the same term.
+    pairs = [(code.body, ref.body)]
+    while pairs[-1][0] is not m:
+        part, body = pairs.pop()
+        if not part.binds:
+            pairs.extend(zip(part.children(), body.children()))
+    body = pairs[-1][1]
+    if type(ref) is Rec and ref.self_name != ref.param:
+        body = subst(body, ref, ref.self_name)
+    return subst(body, _read_back(env[code.param]), ref.param)
 
 
 def _rt_entry(m: Term, run: _Run):
@@ -430,15 +443,16 @@ def _rt_entry(m: Term, run: _Run):
     reference _rt when the run builds a derivation, else on the machine."""
     if run.trace:
         return _rt(m, run)
-    return _read_back(_machine(m, {}, run)), None
+    return _read_back(_machine(m, {}, None, run)), None
 
 
-def _machine(m: Term, env: dict, run: _Run):
+def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
     """rt of m without substitution: a variable looks its value up in
     env (one env does not bind is stuck, as in _rt), a function
-    evaluates to a _Closure, and a literal to its host value. It spends
-    one unit of fuel wherever _rt spends one, in the same order, and its
-    errors hold the terms _rt's would. Tail positions loop.
+    evaluates to a _Closure, and a literal to its host value. A closure's
+    body runs in its env with its parameter bound, and itself as origin.
+    It spends one unit of fuel wherever _rt spends one, in the same
+    order, and its errors hold the terms _rt's would. Tail positions loop.
 
     Leaf operands are fused into their parent's step: the function of an
     application, when it is a variable bound to a closure; a BinOp's
@@ -453,7 +467,7 @@ def _machine(m: Term, env: dict, run: _Run):
     while True:
         run.remaining -= 1
         if run.remaining < 0:
-            raise EvalError(EvalError.FUEL, "rt", _close(m, env),
+            raise EvalError(EvalError.FUEL, "rt", _close(m, env, origin),
                             "rule application budget exhausted")
         cls = type(m)
         if cls is Var:
@@ -465,7 +479,7 @@ def _machine(m: Term, env: dict, run: _Run):
             # _rt would run the AST substituted here again: one unit for
             # each of its nodes, so it runs again here too.
             run.remaining += 1
-            m, env = v, {}
+            m, env, origin = v, {}, None
         elif cls is App or cls is If:
             if cls is If:
                 x = m.cond
@@ -475,9 +489,9 @@ def _machine(m: Term, env: dict, run: _Run):
                         and type(f := env.get(x.name)) is _Closure):
                     run.remaining -= 1
                 else:
-                    f = _machine(x, env, run)
+                    f = _machine(x, env, origin, run)
                     if type(f) is not _Closure:
-                        _stuck("rt", _close(m, env),
+                        _stuck("rt", _close(m, env, origin),
                                "application of a non-function value")
                 x = m.arg
             t = type(x)
@@ -491,19 +505,19 @@ def _machine(m: Term, env: dict, run: _Run):
                     run.remaining -= 3
                     v = _INT_OPS[x.op](a, b)
                 else:
-                    v = _machine(x, env, run)
+                    v = _machine(x, env, origin, run)
             elif run.remaining and (
                     t is Var and (v := env.get(x.name)) is not None
                     and type(v) is not AstCtor
                     or t is IntLit and type(v := x.value) is int):
                 run.remaining -= 1
             else:
-                v = _machine(x, env, run)
+                v = _machine(x, env, origin, run)
             if cls is If:
                 if type(v) is not bool:
                     v = _read_back(v)
                     if type(v) is not BoolLit:
-                        _stuck("rt", _close(m, env),
+                        _stuck("rt", _close(m, env, origin),
                                "if condition is not a boolean")
                     v = v.value
                 m = m.then if v else m.orelse
@@ -513,7 +527,7 @@ def _machine(m: Term, env: dict, run: _Run):
                 env = {**f.env, code.param: v}
             else:  # the parameter wins when it is also the self name
                 env = {**f.env, code.self_name: f, code.param: v}
-            m = code.body
+            m, origin = code.body, f
         elif cls is BinOp:
             x = m.lhs
             if run.remaining and (
@@ -522,7 +536,7 @@ def _machine(m: Term, env: dict, run: _Run):
                     or type(x) is IntLit and type(a := x.value) is int):
                 run.remaining -= 1
             else:
-                a = _machine(x, env, run)
+                a = _machine(x, env, origin, run)
             x = m.rhs
             if run.remaining and (
                     type(x) is Var and (b := env.get(x.name)) is not None
@@ -530,7 +544,7 @@ def _machine(m: Term, env: dict, run: _Run):
                     or type(x) is IntLit and type(b := x.value) is int):
                 run.remaining -= 1
             else:
-                b = _machine(x, env, run)
+                b = _machine(x, env, origin, run)
             if type(a) is int and type(b) is int:
                 return _INT_OPS[m.op](a, b)
             if type(a) is str and type(b) is str and m.op == "eq":
@@ -538,13 +552,13 @@ def _machine(m: Term, env: dict, run: _Run):
             try:
                 return _arith(m.op, _read_back(a), _read_back(b), m)
             except EvalError as err:
-                err.offending = _close(m, env)
+                err.offending = _close(m, env, origin)
                 raise
         elif cls is IntLit or cls is StrLit or cls is BoolLit:
             v = m.value
             return v if type(v) is _HOST[cls] else m
         elif cls is Lam or cls is Rec:
-            return _Closure(m, env)
+            return _Closure(m, env, origin)
         elif cls is TagLit:
             return m
         elif cls is AstCtor:
@@ -557,38 +571,41 @@ def _machine(m: Term, env: dict, run: _Run):
                     run.remaining -= 1
                     outs.append(a)
                 else:
-                    outs.append(_read_back(_machine(a, env, run)))
+                    outs.append(_read_back(_machine(a, env, origin, run)))
             if all(map(operator.is_, outs, args)):
                 return m
             return AstCtor(m.tag, tuple(outs))
         elif cls is Eval:
-            v = _read_back(_machine(m.body, env, run))
-            m, env = _eval_code(v, m, env, run)[0], {}
+            v = _read_back(_machine(m.body, env, origin, run))
+            m = _eval_code(v, m, run, env, origin)[0]
+            env, origin = {}, None
         elif cls is Lift:
-            return _lift(_read_back(_machine(m.body, env, run)), m, env)
+            v = _read_back(_machine(m.body, env, origin, run))
+            return _lift(v, m, env, origin)
         elif cls is DownML or cls is UpML or cls is LetDown:
-            _stuck("rt", _close(m, env),
+            _stuck("rt", _close(m, env, origin),
                    "compile-time construct reached run time")
         else:
             raise TypeError(f"not a Term: {m!r}")
 
 
-def _eval_code(v: Term, m: Eval, env: dict, run: _Run):
+def _eval_code(v: Term, m: Eval, run: _Run, *where):
     """The code eval m runs once its body has run to v: v converted down
     and, in a typed run, checked against m's annotation. Returns the code
-    and the premises for dl and the check. env binds m's free variables,
-    as in _machine, so a stuck eval names the term _rt holds."""
+    and the premises for dl and the check. On the machine, where is m's
+    env and origin, so a stuck eval names the term _rt holds."""
     n, d = _dl(v, run)
     if run.typed and m.annot is None:
-        _stuck("rt", _close(m, env), "eval without annotation in a typed run")
+        _stuck("rt", _close(m, *where),
+               "eval without annotation in a typed run")
     return n, [d, *_checked(run, n, "eval check", m.annot)]
 
 
-def _lift(v: Term, m: Lift, env: dict) -> AstCtor:
-    """The AST lift m builds once its body has run to v. env binds m's free
-    variables, as in _eval_code, so a stuck lift names the term _rt holds."""
+def _lift(v: Term, m: Lift, *where) -> AstCtor:
+    """The AST lift m builds once its body has run to v. where is as in
+    _eval_code, so a stuck lift names the term _rt holds."""
     if type(v) not in _HOST:
-        _stuck("rt", _close(m, env),
+        _stuck("rt", _close(m, *where),
                "lift applies to integers, strings and booleans")
     return AstCtor(v.ast_tag(), (v,))
 
@@ -650,8 +667,8 @@ def eval_rt(m: Term, mode: str = "untyped", fuel: int | None = None,
     """Call-by-value evaluation of a compiled (meta-level-free) term.
 
     Untraced, it runs on the environment machine, open or closed;
-    traced, on substitution. Both give the same value, error and fuel
-    use."""
+    traced, on substitution. Both give the same value, primes included,
+    error and fuel use."""
     return _evaluate(_rt_entry, m, mode, fuel, trace)
 
 

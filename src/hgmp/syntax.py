@@ -174,7 +174,7 @@ class Term:
 
     def ast_tag(self) -> Tag:
         """The tag of this node's AST one meta-level up (shared)."""
-        return _PLAIN_TAG.get(self.ctor) or Tag(self.ctor)
+        return _PLAIN_TAG[self.ctor]
 
     @classmethod
     def from_ast(cls, tag: Tag, args: list) -> Term:

@@ -56,8 +56,9 @@ def _tag(rng: random.Random, name: str, typed: bool) -> Tag:
 
 def gen_ml_free(rng: random.Random, depth: int = 4,
                 scope: tuple[str, ...] = (), with_eval: bool = False,
-                typed: bool = False):
-    """Closed ml-free terms (scope lists usable variables).
+                typed: bool = False, names: tuple[str, ...] = NAMES):
+    """Closed ml-free terms (scope lists usable variables, and names
+    those a binder may take).
 
     By default also eval- and lift-free, which is what the up/down
     round-trip property wants; with_eval adds untyped evals and lifts.
@@ -79,29 +80,30 @@ def gen_ml_free(rng: random.Random, depth: int = 4,
     if kind == "var" and scope:
         return Var(rng.choice(scope))
     if kind == "lam":
-        name = rng.choice(NAMES)
-        return Lam(name, gen_ml_free(rng, d, scope + (name,), with_eval, typed))
+        name = rng.choice(names)
+        return Lam(name, gen_ml_free(rng, d, scope + (name,), with_eval,
+                                     typed, names))
     if kind == "rec":
-        self_name, param = rng.choice(NAMES), rng.choice(NAMES)
+        self_name, param = rng.choice(names), rng.choice(names)
         return Rec(self_name, param,
                    gen_ml_free(rng, d, scope + (self_name, param), with_eval,
-                               typed))
+                               typed, names))
     if kind == "app":
-        return App(gen_ml_free(rng, d, scope, with_eval, typed),
-                   gen_ml_free(rng, d, scope, with_eval, typed))
+        return App(gen_ml_free(rng, d, scope, with_eval, typed, names),
+                   gen_ml_free(rng, d, scope, with_eval, typed, names))
     if kind == "binop":
         return BinOp(rng.choice(BINOP_NAMES),
-                     gen_ml_free(rng, d, scope, with_eval, typed),
-                     gen_ml_free(rng, d, scope, with_eval, typed))
+                     gen_ml_free(rng, d, scope, with_eval, typed, names),
+                     gen_ml_free(rng, d, scope, with_eval, typed, names))
     if kind == "if":
-        return If(gen_ml_free(rng, d, scope, with_eval, typed),
-                  gen_ml_free(rng, d, scope, with_eval, typed),
-                  gen_ml_free(rng, d, scope, with_eval, typed))
+        return If(gen_ml_free(rng, d, scope, with_eval, typed, names),
+                  gen_ml_free(rng, d, scope, with_eval, typed, names),
+                  gen_ml_free(rng, d, scope, with_eval, typed, names))
     if kind == "ast":
         name = rng.choice(TAGS)
         spec = lookup(name)
         count = spec.arity if spec.arity is not None else rng.randint(1, 3)
-        args = [gen_ml_free(rng, d, scope, with_eval, typed)
+        args = [gen_ml_free(rng, d, scope, with_eval, typed, names)
                 for _ in range(count)]
         if name == "promote":
             # A promote whose head is not a tag literal has no conversion
@@ -111,10 +113,10 @@ def gen_ml_free(rng: random.Random, depth: int = 4,
     if kind == "tag":
         return TagLit(_tag(rng, rng.choice(TAGS), typed))
     if kind == "eval":
-        return Eval(gen_ml_free(rng, d, scope, with_eval, typed),
+        return Eval(gen_ml_free(rng, d, scope, with_eval, typed, names),
                     gen_type(rng, 1) if typed else None)
     if kind == "lift":
-        return Lift(gen_ml_free(rng, d, scope, with_eval, typed))
+        return Lift(gen_ml_free(rng, d, scope, with_eval, typed, names))
     return gen_constant(rng)
 
 
@@ -227,6 +229,10 @@ def gen_open_eval(rng: random.Random):
     return program
 
 
+# Names with primes, as substitution renames to, for gen_env_capture.
+PRIMED_NAMES = ("a", "b", "a'", "b'", "b''")
+
+
 def gen_env_capture(rng: random.Random, typed: bool = False):
     """Open programs whose closures bind, in one environment, a name that
     is free in another of the values they bind:
@@ -234,11 +240,16 @@ def gen_env_capture(rng: random.Random, typed: bool = False):
         (\\a. \\b. \\z. a b) (\\q. b) 1
 
     Read back one name at a time, \\z. a b would become \\z. (\\q. 1) 1;
-    substitution renames \\b instead, giving \\z. (\\q. b) 1. The open
-    value is a lambda or the open code of an eval, and the closure is
-    returned, applied, or built inside generated code."""
-    a, b = rng.sample(NAMES, 2)
-    q = rng.choice([n for n in NAMES if n != b])
+    substitution renames \\b instead, giving \\z. (\\q. b) 1. Every name,
+    bound or free, is one of PRIMED_NAMES, so a binder is renamed to a
+    name that a binder or a value already holds, and renamed again at a
+    later substitution: (\\b. \\a. \\a'. b a) (\\z. a) 5 gives
+    \\a''. (\\z. a) 5. The open value is a lambda or the open code of an
+    eval, and the closure is returned, applied, or built inside
+    generated code."""
+    names = PRIMED_NAMES
+    a, b = rng.sample(names, 2)
+    q = rng.choice([n for n in names if n != b])
     if rng.random() < 0.3 and not typed:
         value = Eval(AstCtor(Tag("lam"), (_ast_name(q), AstCtor(
             Tag("var"), (StrLit(b),)))))
@@ -246,14 +257,14 @@ def gen_env_capture(rng: random.Random, typed: bool = False):
         uses_b = rng.choice((Var(b), App(Var(b), Var(q)),
                              BinOp(rng.choice(BINOP_NAMES), Var(q), Var(b))))
         value = Lam(q, uses_b)
-    z = rng.choice(NAMES)
+    z = rng.choice(names)
     body = gen_ml_free(rng, rng.randint(0, 3), (a, b, z), with_eval=True,
-                       typed=typed)
+                       typed=typed, names=names)
     if rng.random() < 0.5:
         body = App(Var(a), body if rng.random() < 0.5 else Var(b))
     program = App(App(Lam(a, Lam(b, Lam(z, body))), value),
                   gen_ml_free(rng, rng.randint(0, 2), with_eval=True,
-                              typed=typed))
+                              typed=typed, names=names))
     if rng.random() < 0.4:
         program = App(program, gen_ml_free(rng, rng.randint(0, 1)))
     return program

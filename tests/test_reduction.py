@@ -225,11 +225,16 @@ def _reference_rt_outcome(m, mode, fuel):
 @pytest.mark.parametrize("mode", ["untyped", "typed"])
 def test_eval_rt_of_open_code_on_the_machine_is_the_reference_outcome(mode):
     # Open terms, and the open code eval builds, run on the machine. It
-    # reads \z. a b over {a: \q. b, b: 1} back in one substitution: one
-    # name at a time, it would be \z. (\q. 1) 1.
+    # reads \z. a b over {a: \q. b, b: 1} back with the substitutions
+    # the reference made: the names of the env substituted one at a
+    # time, it would be \z. (\q. 1) 1.
     capture = t(r"(\a. \b. \z. a b) (\q. b) 1")
     assert _rt_outcome(capture, "typed") == t(r"\z. (\q. b) 1")
     assert _rt_outcome(capture) == t(r"\z. (\q. b) 1")
+    # The reference renames \a to \a' and so \a' to \a'', with (\z. a)
+    # for b; substituted at once, the env would leave \a'. (\z. a) 5.
+    renamed = t(r"(\b. \a. \a'. b a) (\z. a) 5")
+    assert repr(_rt_outcome(renamed, mode)) == repr(t(r"\a''. (\z. a) 5"))
     rng = random.Random(4417)
     seen = set()
     for i in range(1_500):
@@ -253,10 +258,13 @@ OPEN_CODE = [
     r"(\a. \b. \z. a b) (\q. b) 1",
     r'(\a. \b. \z. a b) (eval(astLam(astStr("q"), astVar("b")))) 5',
     r'(\a. \b. (a b) + 1) (eval(astLam(astStr("q"), astVar("b")))) 5',
+    r"(\b. \a. \a'. b a) (\z. a) 5",
+    r"(\b''. (\c. \b. b'' c) (\z. b')) (\z. b)",
 ]
 
 
-@pytest.mark.parametrize("src", OPEN_CODE, ids=["lambda", "eval", "stuck"])
+@pytest.mark.parametrize("src", OPEN_CODE, ids=[
+    "lambda", "eval", "stuck", "outer-rename", "rename-twice"])
 def test_open_code_on_every_fuel_budget(src):
     # The machine, untraced _rt and traced _rt, from a budget of 1 to the
     # first that does not run out: the same value, or the same error.

@@ -107,6 +107,7 @@ def pair(monkeypatch):
     monkeypatch.setitem(signature._BY_NAME, "pair",
                         signature.CtorSpec("pair", "pair", 2))
     monkeypatch.setitem(syntax.SURFACE_OF_TAG, "pair", "pair")
+    monkeypatch.setitem(syntax._PLAIN_TAG, "pair", syntax.Tag("pair"))
     monkeypatch.setitem(syntax.CLASS_OF_TAG, "pair", None)  # undone: deleted
 
     @syntax._shape("pair", "fst", "snd")
