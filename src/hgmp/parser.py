@@ -38,9 +38,8 @@ from .syntax import (
     INT, BOOL, STRING, CODE,
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
     LetDown, Lift, Rec, StrLit, Tag, TagLit, TagType, Term, TypeExpr, UpML,
-    Var, AST_CTOR_OF_TAG, BINOP_LEVEL, BINOP_SYMBOL, SURFACE_OF_TAG,
-    TAG_OF_AST_CTOR, TAG_OF_SURFACE, _APP, int_of_text, int_text,
-    pretty_type,
+    Var, BINOP_LEVEL, BINOP_SYMBOL, TAG_OF_SPELLING, TAGS, _APP,
+    int_of_text, int_text, pretty_type,
 )
 
 MODES = ("typed", "untyped")
@@ -71,11 +70,9 @@ class ParseError(Exception):
 
 ### lexer
 
-# the kind and value of each word that is not a name: the keywords, then
-# the AST constructors
-_WORDS = {**{w: (w, w) for w in ("let", "letdown", "in", "if", "then", "else",
-                                 "rec", "true", "false", "eval", "lift")},
-          **{name: ("astctor", tag) for name, tag in TAG_OF_AST_CTOR.items()}}
+# keywords: each its own kind, and one string that all its tokens share
+_KEYWORDS = {w: w for w in ("let", "letdown", "in", "if", "then", "else",
+                            "rec", "true", "false", "eval", "lift")}
 
 # Tokens a value can end with: a '-' directly after one of these is the
 # binary operator, otherwise '-' right before digits starts a negative
@@ -116,10 +113,10 @@ def _tokens(text: str) -> list[tuple]:
         else:
             start = end + size(text[m.start():j])
             end = start + size(s)
-        if kind == "symbol":
-            kind = value = s
-        elif kind == "word" and s in _WORDS:
-            kind, value = _WORDS[s]
+        if kind == "symbol" or s in _KEYWORDS:
+            kind = value = _KEYWORDS.get(s, s)
+        elif kind == "word" and s in TAG_OF_SPELLING:
+            kind, value = "astctor", TAG_OF_SPELLING[s]
         elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
             kind, value = "ident", s
         elif kind == "int":
@@ -133,8 +130,8 @@ def _tokens(text: str) -> list[tuple]:
             raise ParseError(SourceSpan(start, end),
                              f"bad escape {m['close']}" if len(m["close"]) == 2
                              else "unterminated string literal")
-        elif kind == "tag" and s[1:] in TAG_OF_SURFACE:
-            value = TAG_OF_SURFACE[s[1:]]
+        elif kind == "tag" and s in TAG_OF_SPELLING:
+            value = TAG_OF_SPELLING[s]
         elif kind == "tag":
             raise ParseError(SourceSpan(start, end), f"unknown tag {s}")
         elif kind == "eof":
@@ -191,8 +188,8 @@ class _Parser:
     def _spelling(tok: tuple) -> str:
         kind, value = tok[0], tok[1]  # a keyword's or symbol's value is itself
         return (int_text(value) if kind == "int" else
-                AST_CTOR_OF_TAG[value] if kind == "astctor" else
-                "#" + SURFACE_OF_TAG[value] if kind == "tag" else value)
+                TAGS[value].ast if kind == "astctor" else
+                TAGS[value].sharp if kind == "tag" else value)
 
     ### terms
 

@@ -47,13 +47,13 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .syntax import (
-    AST_CTOR_OF_TAG, CLASS_OF_TAG,
+    TAGS,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, TypeExpr, UpML, Var,
     free_vars, int_of_text, int_text, mk_ast, node, pretty, pretty_type,
     printer, subst,
 )
-from . import signature, typecheck
+from . import typecheck
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
 
 DEFAULT_FUEL = 100_000
@@ -206,13 +206,13 @@ def _dl(m: Term, run: _Run):
     if not isinstance(m, AstCtor):
         _stuck("dl", m, "term is not an AST value")
     tag, args = m.tag, m.args
-    name, count = tag.name, len(m.args)
-    cls = CLASS_OF_TAG.get(name)
+    name, count, row = tag.name, len(args), TAGS[tag.name]
+    cls = row.cls  # one lookup: the row's class, arity and spelling
     if name == "var" and count == 1 and isinstance(args[0], StrLit):
         return _d(run, "Var dl", "dl", m, Var(args[0].value))
-    if cls in _HOST and count == 1 and isinstance(args[0], cls):
+    if cls in _CONSTS and count == 1 and isinstance(args[0], cls):
         return _d(run, None, "dl", m, args[0])  # a literal's AST
-    if cls is not None and cls.kids and signature.check_arity(name, count):
+    if cls is not None and cls.kids and count == row.arity:
         bound = len(cls.binds)  # the row's binder positions
         if not bound:
             outs, derivs = _each(_dl, args, run)
@@ -222,7 +222,7 @@ def _dl(m: Term, run: _Run):
         if not all(isinstance(s, StrLit) for s in names):
             what = ("binder did not reduce to a string" if bound == 1
                     else "binders did not reduce to strings")
-            _stuck("dl", m, f"{AST_CTOR_OF_TAG[name]} {what}")
+            _stuck("dl", m, f"{row.ast} {what}")
         outs, kid_derivs = _each(_dl, args[bound:], run)
         out = cls.from_ast(tag, [s.value for s in names] + outs)
         return _d(run, None, "dl", m, out, *derivs, *kid_derivs)
@@ -338,20 +338,18 @@ def _instance(f: Lam | Rec, v: Term, run: _Run):
     unless its parameter hides the name.
 
     A traced run keeps one entry per f and argument in run.bodies: a
-    literal holding its class's host type is keyed by value (IntLit(True)
-    is not IntLit(1)), any other argument by identity, and the entry
-    holds f and v, so their ids stay valid. It holds the body, built
-    once, and once that has run, its value, derivation and the fuel the
-    run spent, dl rules and eval re-checks included. rt is deterministic,
-    so with that much fuel left a repeat spends it and returns the same
-    value and Derivation object; with less, the body runs again and runs
-    out on the term a fresh run would. A run that raises stores no result."""
+    literal is keyed by its class and value (BoolLit(True) is not
+    IntLit(1)), any other argument by identity, and the entry holds f and
+    v, so their ids stay valid. It holds the body, built once, and once
+    that has run, its value, derivation and the fuel the run spent, dl
+    rules and eval re-checks included. rt is deterministic, so with that
+    much fuel left a repeat spends it and returns the same value and
+    Derivation object; with less, the body runs again and runs out on the
+    term a fresh run would. A run that raises stores no result."""
     entry = None
     if run.trace:
-        key = id(f), id(v)
-        host = _HOST.get(type(v))
-        if host is not None and type(v.value) is host:
-            key = id(f), type(v), v.value
+        key = ((id(f), type(v), v.value) if type(v) in _CONSTS
+               else (id(f), id(v)))
         entry = run.bodies.get(key)
     if entry is None:
         body = f.body
@@ -390,12 +388,9 @@ class _Closure:
         self.term = None  # the read-back, once it is asked for
 
 
-# The literal class of each host value, and the host type of each literal
-# class. A literal holding a value of another type (IntLit(True), built by
-# a library caller) is not unboxed: the machine keeps its node.
-_BOX = {int: IntLit, bool: BoolLit, str: StrLit}
-_HOST = {IntLit: int, BoolLit: bool, StrLit: str}
-_LITERALS = frozenset((*_HOST, TagLit))  # each runs to itself in one unit
+_BOX = {int: IntLit, bool: BoolLit, str: StrLit}  # each host value's literal
+_CONSTS = frozenset(_BOX.values())  # the literals rt's Const rule takes
+_LITERALS = _CONSTS | {TagLit}  # each runs to itself in one unit
 _INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
             "eq": operator.eq}
 
@@ -458,12 +453,12 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
     application, when it is a variable bound to a closure; a BinOp's
     operands, and an application's argument or an if's condition, when
     they are a variable bound to a value that is not an AST or an integer
-    literal holding an int; such an argument or condition that is a
-    BinOp of two of these holding ints; and an AST constructor's literal
-    and tag arguments. A fused operand spends the units its own call
-    would, and is taken only when the fuel left covers them all; else it
-    gets its call, which runs out on the term _rt names. The code eval
-    produces runs in the empty environment, closed or not."""
+    literal; such an argument or condition that is a BinOp of two of
+    these holding ints; and an AST constructor's literal and tag
+    arguments. A fused operand spends the units its own call would, and
+    is taken only when the fuel left covers them all; else it gets its
+    call, which runs out on the term _rt names. The code eval produces
+    runs in the empty environment, closed or not."""
     while True:
         run.remaining -= 1
         if run.remaining < 0:
@@ -515,11 +510,8 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                 v = _machine(x, env, origin, run)
             if cls is If:
                 if type(v) is not bool:
-                    v = _read_back(v)
-                    if type(v) is not BoolLit:
-                        _stuck("rt", _close(m, env, origin),
-                               "if condition is not a boolean")
-                    v = v.value
+                    _stuck("rt", _close(m, env, origin),
+                           "if condition is not a boolean")
                 m = m.then if v else m.orelse
                 continue
             code = f.code
@@ -555,8 +547,7 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                 err.offending = _close(m, env, origin)
                 raise
         elif cls is IntLit or cls is StrLit or cls is BoolLit:
-            v = m.value
-            return v if type(v) is _HOST[cls] else m
+            return m.value
         elif cls is Lam or cls is Rec:
             return _Closure(m, env, origin)
         elif cls is TagLit:
@@ -604,7 +595,7 @@ def _eval_code(v: Term, m: Eval, run: _Run, *where):
 def _lift(v: Term, m: Lift, *where) -> AstCtor:
     """The AST lift m builds once its body has run to v. where is as in
     _eval_code, so a stuck lift names the term _rt holds."""
-    if type(v) not in _HOST:
+    if type(v) not in _CONSTS:
         _stuck("rt", _close(m, *where),
                "lift applies to integers, strings and booleans")
     return AstCtor(v.ast_tag(), (v,))

@@ -3,15 +3,15 @@
 One row per syntactic construct: its tag's spelling (when it has an AST
 mirror), arity and binder positions. Who reads it:
 
-* `syntax` derives the tag set and the `#t` / `astT` spellings from the
-  tagged rows and attaches each Term class to its row; the binder
-  positions decide which of the class's fields are bound names and
-  which are children. Free variables, substitution and alpha-equivalence
-  read the binders from that view, one case per binding constructor.
+* `syntax` attaches each Term class to its row, and gives each tagged
+  row one record in `syntax.TAGS`: its `#t` and `astT` spellings, plain
+  tag, class and arity, which the lexer, `pretty`, ul, dl and the checker
+  read, so a new row parses and prints. The binder positions decide
+  which of a class's fields are bound names and which are children;
+  free variables, substitution and alpha-equivalence read that view.
 * `reduction` writes the congruence rules of ct, ul and dl once over
-  that view, and the JSON encoding writes the bound names as its atom;
-  dl checks arities here and requires the arguments at the binder
-  positions to convert down to strings.
+  that view; the JSON encoding writes the bound names as its atom, and
+  dl requires binder arguments to convert down to strings.
 * `parser` and `typecheck` check AST-constructor arities here and state
   them in their errors through `arity_text`; the checker requires
   `astStr(..)` at the binder positions. The checker's type environment
@@ -80,10 +80,6 @@ def lookup(name: str) -> CtorSpec:
         return _BY_NAME[name]
     except KeyError:
         raise KeyError(f"no constructor named {name!r}") from None
-
-
-def tagged_names() -> frozenset[str]:
-    return frozenset(s.name for s in _REGISTRY if s.tag is not None)
 
 
 def check_arity(tag: str, arg_count: int) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import signature
 
@@ -92,7 +93,7 @@ def pretty_type(t: TypeExpr, prec: int = 0) -> str:
         case BaseType(name):
             return name
         case TagType(tag):
-            return "Tag#" + SURFACE_OF_TAG[tag]
+            return "Tag" + TAGS[tag].sharp
         case Arrow(src, dst):
             s = f"{pretty_type(src, 1)} -> {pretty_type(dst, 0)}"
             return f"({s})" if prec > 0 else s
@@ -102,20 +103,6 @@ def pretty_type(t: TypeExpr, prec: int = 0) -> str:
 
 
 ### tags
-
-# Closed set of AST-constructor names: the tagged rows of the signature.
-TAG_NAMES = tuple(s.name for s in signature.registry() if s.tag is not None)
-
-# Concrete-syntax spellings, the rows' tags: #str / astStr spell "string".
-SURFACE_OF_TAG = {s.name: s.tag for s in signature.registry()
-                  if s.tag is not None}
-TAG_OF_SURFACE = {v: k for k, v in SURFACE_OF_TAG.items()}
-
-AST_CTOR_OF_TAG = {
-    name: "ast" + SURFACE_OF_TAG[name].capitalize() for name in TAG_NAMES
-}
-TAG_OF_AST_CTOR = {v: k for k, v in AST_CTOR_OF_TAG.items()}
-
 
 @node
 class Tag:
@@ -132,12 +119,31 @@ class Tag:
 
 
 def _known_tag(name: str):
-    if name not in SURFACE_OF_TAG:
+    if name not in TAGS:
         raise ValueError(f"unknown tag name: {name!r}")
 
 
-# Each constructor's tag without an annotation, one immutable value.
-_PLAIN_TAG = {name: Tag(name) for name in TAG_NAMES}
+class TagRow(NamedTuple):
+    """A tagged signature row's record in TAGS: what the parser, pretty,
+    the tag checks, ul, dl and the checker read of the tag."""
+
+    sharp: str  # the tag literal's spelling: #str for the row "string"
+    ast: str  # the AST constructor's spelling: astStr
+    tag: Tag  # the tag without an annotation, one shared value
+    cls: type | None  # the Term class _shape attaches; None for promote
+    arity: int | None  # the row's; None when variadic
+
+
+TAGS: dict[str, TagRow] = {}  # by row name
+TAG_OF_SPELLING: dict[str, str] = {}  # #str and astStr to "string"
+
+
+def _register_tag(spec: signature.CtorSpec, cls: type | None):
+    """Enter a tagged row in TAGS and its #t and astT in TAG_OF_SPELLING."""
+    sharp, ast = "#" + spec.tag, "ast" + spec.tag.capitalize()
+    TAGS[spec.name] = row = TagRow(sharp, ast, None, cls, spec.arity)
+    TAGS[spec.name] = row._replace(tag=Tag(spec.name))  # Tag reads TAGS
+    TAG_OF_SPELLING[sharp] = TAG_OF_SPELLING[ast] = spec.name
 
 
 ### terms
@@ -174,16 +180,13 @@ class Term:
 
     def ast_tag(self) -> Tag:
         """The tag of this node's AST one meta-level up (shared)."""
-        return _PLAIN_TAG[self.ctor]
+        return TAGS[self.ctor].tag
 
     @classmethod
     def from_ast(cls, tag: Tag, args: list) -> Term:
         """The node an AST tagged `tag` denotes, from its arguments one
         level down: bound names as strings, then the children."""
         return cls(*args)
-
-
-CLASS_OF_TAG: dict[str, type] = {}
 
 
 def _reader(names):
@@ -223,9 +226,9 @@ def _shape(rows: str | tuple[str, ...], *args: str):
                                                     *after(m))
         if isinstance(rows, str):
             cls.ctor = rows
-        for row in names:
-            if signature.lookup(row).tag is not None:
-                CLASS_OF_TAG[row] = cls
+        for spec in map(signature.lookup, names):
+            if spec.tag is not None:
+                _register_tag(spec, cls)
         return cls
     return attach
 
@@ -262,22 +265,34 @@ class Rec(Term):
     annot: Arrow | None = None
 
 
+def _holding(host: type):
+    """A literal's __post_init__: its value must be exactly of type host."""
+    def check(lit):
+        if type(lit.value) is not host:
+            raise ValueError(f"{type(lit).__name__} value must be "
+                             f"{host.__name__}, got {type(lit.value).__name__}")
+    return check
+
+
 @_shape("int")
 @node
 class IntLit(Term):
     value: int
+    __post_init__ = _holding(int)
 
 
 @_shape("string")
 @node
 class StrLit(Term):
     value: str
+    __post_init__ = _holding(str)
 
 
 @_shape("bool")
 @node
 class BoolLit(Term):
     value: bool
+    __post_init__ = _holding(bool)
 
 
 BINOPS = ("add", "sub", "mul", "eq")
@@ -359,7 +374,7 @@ class Eval(Term):
 
     def ast_tag(self) -> Tag:
         plain = self.annot is None
-        return _PLAIN_TAG["eval"] if plain else Tag("eval", self.annot)
+        return TAGS["eval"].tag if plain else Tag("eval", self.annot)
 
     @classmethod
     def from_ast(cls, tag: Tag, args: list) -> Term:
@@ -380,6 +395,9 @@ class LetDown(Term):
     name: str
     bound: Term
     body: Term
+
+
+_register_tag(signature.lookup("promote"), None)
 
 
 def mk_ast(tag_name: str, *args: Term, annot: TypeExpr | None = None) -> AstCtor:
@@ -560,10 +578,6 @@ def _eval_annot(annot: TypeExpr | None) -> str:
     return "" if annot is None else "{" + pretty_type(annot) + "}"
 
 
-def _tag_surface(tag: Tag) -> str:
-    return "#" + SURFACE_OF_TAG[tag.name] + _eval_annot(tag.eval_annot)
-
-
 def pretty(m: Term) -> str:
     """Concrete syntax for m; parsing it back yields m structurally.
 
@@ -601,9 +615,10 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
             case BoolLit(value):
                 laid = "true" if value else "false", _ATOM
             case TagLit(tag):
-                laid = _tag_surface(tag), _ATOM
+                laid = (TAGS[tag.name].sharp + _eval_annot(tag.eval_annot),
+                        _ATOM)
             case AstCtor(tag, args):
-                head = AST_CTOR_OF_TAG[tag.name] + _eval_annot(tag.eval_annot)
+                head = TAGS[tag.name].ast + _eval_annot(tag.eval_annot)
                 laid = (head + "(" + ", ".join([_pp(a, _TERM, memo)
                                                 for a in args]) + ")", _ATOM)
             case DownML(body):

@@ -16,8 +16,8 @@ from . import signature
 from .syntax import (
     BOOL, CODE, INT, STRING,
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
-    LetDown, Lift, MetaVar, Rec, StrLit, TagLit, TagType, Term, TypeExpr,
-    UpML, Var, pretty, pretty_type,
+    LetDown, Lift, MetaVar, Rec, StrLit, TAGS, TagLit, TagType, Term,
+    TypeExpr, UpML, Var, pretty, pretty_type,
 )
 
 class TypeErrorDetail(Exception):
@@ -200,12 +200,13 @@ class _Engine:
 
     def _infer_ast(self, env: TypeEnv, m: Term, name: str,
                    args: tuple[Term, ...]) -> TypeExpr:
-        spec = signature.lookup(name)
-        if not signature.check_arity(name, len(args)):
+        row, count = TAGS[name], len(args)
+        # A fixed arity is one comparison; check_arity decides the rest.
+        if count != row.arity and not signature.check_arity(name, count):
             raise TypeErrorDetail(
                 f"AST constructor for {name} takes "
                 f"{signature.arity_text(name)} argument(s), "
-                f"got {len(args)}", kind="arity", at=m, phase=self.phase)
+                f"got {count}", kind="arity", at=m, phase=self.phase)
         if name in _ATOM_TYPE:
             self._check_atom(env, args[0], _ATOM_TYPE[name])
             return CODE
@@ -247,7 +248,7 @@ class _Engine:
                     continue
                 self.unify(ty, CODE, at=a)
             return CODE
-        n_binders = len(spec.binders)
+        n_binders = len(row.cls.binds)
         for binder in args[:n_binders]:
             # Binder slots must literally be astStr(..): a computed
             # binder could not be named statically.

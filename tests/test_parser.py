@@ -14,7 +14,7 @@ from hgmp.syntax import (
     BOOL, CODE, INT, STRING,
     App, Arrow, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
     LetDown, Rec, StrLit, Tag, TagLit, TagType, Term, UpML, Var,
-    TAG_OF_AST_CTOR, TAG_OF_SURFACE, int_of_text, mk_ast, pretty,
+    TAGS, int_of_text, mk_ast, pretty,
 )
 
 from gen_terms import gen_term
@@ -199,7 +199,9 @@ def test_token_spans_slice_their_source():
 # token, and byte offsets counted per match. It is kept as the reference
 # the lexer must match token for token and error for error. Its one
 # change: an integer literal is read with int_of_text, not int(), so that
-# literals past int()'s digit limit are compared too.
+# literals past int()'s digit limit are compared too. Its spellings of
+# tags and AST constructors are its own maps, read off syntax.TAGS's
+# records, not the lexer's syntax.TAG_OF_SPELLING.
 
 class _RefToken(NamedTuple):
     kind: str
@@ -211,6 +213,9 @@ _REF_KEYWORDS = {
     "let", "letdown", "in", "if", "then", "else", "rec",
     "true", "false", "eval", "lift",
 }
+
+_REF_AST_CTORS = {row.ast: name for name, row in TAGS.items()}
+_REF_TAGS = {row.sharp: name for name, row in TAGS.items()}
 
 _REF_OPERAND_ENDERS = frozenset(
     {"int", "string", "ident", "true", "false", "tag", ")", "|]", "}"})
@@ -239,8 +244,8 @@ def ref_tokens(text):
         if kind == "symbol" or s in _REF_KEYWORDS:
             kind = value = s
         elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
-            kind = "astctor" if s in TAG_OF_AST_CTOR else "ident"
-            value = TAG_OF_AST_CTOR.get(s, s)
+            kind = "astctor" if s in _REF_AST_CTORS else "ident"
+            value = _REF_AST_CTORS.get(s, s)
         elif kind == "int":
             if s[0] == "-" and out and out[-1].kind in _REF_OPERAND_ENDERS:
                 out.append(_RefToken("-", "-", SourceSpan(start, start + 1)))
@@ -252,8 +257,8 @@ def ref_tokens(text):
             raise ParseError(SourceSpan(start, end),
                              f"bad escape {m['close']}" if len(m["close"]) == 2
                              else "unterminated string literal")
-        elif kind == "tag" and s[1:] in TAG_OF_SURFACE:
-            value = TAG_OF_SURFACE[s[1:]]
+        elif kind == "tag" and s in _REF_TAGS:
+            value = _REF_TAGS[s]
         elif kind == "tag":
             raise ParseError(SourceSpan(start, end), f"unknown tag {s}")
         else:

@@ -16,10 +16,10 @@ from hgmp.reduction import (
     render_derivation, render_trace, run_pipeline, term_to_json, to_json,
 )
 from hgmp.syntax import (
-    AST_CTOR_OF_TAG, BINOP_SYMBOL,
+    BINOP_SYMBOL, TAGS,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, UpML, Var,
-    _escape, _tag_surface, alpha_eq, free_vars, is_ml_free, mk_ast, pretty,
+    _escape, alpha_eq, free_vars, is_ml_free, mk_ast, pretty,
     pretty_type,
 )
 from hgmp.typecheck import EMPTY_ENV, infer
@@ -520,20 +520,17 @@ def test_untraced_rt_charges_a_bound_ast_as_substitution_does():
     assert _outcome(m, fuel=28)[0] == t('astAdd(astInt(1), astVar("v"))')
 
 
-@pytest.mark.parametrize("m, value", [
-    (BinOp("add", IntLit(True), IntLit(1)), IntLit(2)),
-    (BinOp("eq", IntLit(True), IntLit(1)), BoolLit(True)),
-    (If(BoolLit(1), IntLit(2), IntLit(3)), IntLit(2)),
-    (If(BoolLit(0), IntLit(2), IntLit(3)), IntLit(3)),
-    (Lift(IntLit(True)), mk_ast("int", IntLit(True))),
-], ids=["add-bool-int", "eq-bool-int", "if-int-true", "if-int-false",
-        "lift-bool-int"])
-def test_untraced_rt_keeps_library_built_literals_on_the_reference(m, value):
-    # A literal whose value has another Python type than its class's
-    # (built by a library caller, never by the parser) is not unboxed by
-    # the machine: it computes as the reference does.
-    assert _outcome(m) == _outcome(m, trace=True) == (value, m, None)
-    assert eval_rt(m) == eval_rt(m, trace=True)[0] == value
+def test_literals_of_another_host_type_are_rejected():
+    # A literal holds exactly its class's host type, so the machine has
+    # one representation of each: IntLit(True) or BoolLit(1) is no term.
+    host = {IntLit: "int", BoolLit: "bool", StrLit: "str"}
+    for cls, value in [(IntLit, True), (IntLit, 1.5), (IntLit, "3"),
+                       (BoolLit, 1), (BoolLit, 0), (BoolLit, "no"),
+                       (StrLit, 1), (StrLit, None)]:
+        with pytest.raises(ValueError) as exc:
+            cls(value)
+        assert str(exc.value) == (f"{cls.__name__} value must be "
+                                  f"{host[cls]}, got {type(value).__name__}")
 
 
 VALUE_EDGES = [
@@ -617,22 +614,11 @@ FUSED_OPERANDS = [
     ("ast literals", t('astAdd(astInt(1), astVar("x"))')),
     ("ast literals under eval", t('eval(astLam(astStr("x"), astVar("x")))')),
     ("promote tag", t("astPromote(#int, astInt(1))")),
-    ("ast IntLit(True)", AstCtor(Tag("int"), (IntLit(True),))),
     # And these it must not: each runs on its own call.
     ("ast argument", t(r"(\a. (\b. b) a) astAdd(astInt(1), astInt(2))")),
     ("ast operand", t(r"(\a. (\f. f (a + 1)) (\y. y)) astInt(1)")),
     ("ast condition", t(r"(\a. if a == 1 then 1 else 2) astInt(1)")),
     ("ast function", t(r"(\k. k 1) astInt(1)")),
-    ("IntLit(True) operands", _app("x", BinOp("add", Var("x"), IntLit(True)),
-                                   IntLit(True))),
-    ("IntLit(True) argument", _app("f", App(Var("f"), BinOp(
-        "sub", IntLit(True), IntLit(1))), Lam("y", Var("y")))),
-    ("BoolLit(1) condition", _app("x", If(BoolLit(1), Var("x"), IntLit(0)),
-                                  IntLit(4))),
-    ("BoolLit(1) operand", _app("x", If(BinOp("eq", Var("x"), BoolLit(1)),
-                                        IntLit(1), IntLit(2)), IntLit(1))),
-    ("BoolLit(1) argument", _app("f", App(Var("f"), BinOp(
-        "add", BoolLit(1), IntLit(1))), Lam("y", Var("y")))),
     ("bool operand", t(r"(\b. b + 1) true")),
     ("bool argument", t(r"(\b. \f. f (b == b)) true (\y. y)")),
     ("str operands", t(r'(\s. \u. if s == u then s else u) "a" "b"')),
@@ -718,7 +704,6 @@ ARITH_OPERANDS = [
     ("bool", BoolLit(True)),
     ("lambda", Lam("x", Var("x"))),
     ("ast", AstCtor(Tag("int"), (IntLit(1),))),
-    ("IntLit(True)", IntLit(True)),  # a library-built literal
 ]
 
 
@@ -781,12 +766,12 @@ def test_typed_downml_trace_has_type_premise():
 
 
 def test_traced_bodies_are_keyed_by_argument_class_and_host_type():
-    # 1 == True == BoolLit(True).value in Python, yet IntLit(1),
-    # IntLit(True) and BoolLit(True) are three terms: one traced run that
-    # applies one Lam to each gives each body its own argument, and the
-    # trace that fresh runs of the applications give one by one.
+    # 1 == True == BoolLit(True).value in Python, yet IntLit(1) and
+    # BoolLit(True) are two terms: one traced run that applies one Lam to
+    # each gives each body its own argument, and the trace that fresh
+    # runs of the applications give one by one.
     f = Lam("x", Lift(Var("x")))
-    args = (IntLit(1), IntLit(True), BoolLit(True), StrLit("1"), IntLit(1))
+    args = (IntLit(1), BoolLit(True), StrLit("1"), IntLit(1))
     _, d = eval_rt(mk_ast("promote", *[App(f, a) for a in args]), trace=True)
     for app, a in zip(d.premises, args, strict=True):
         held = app.premises[2].term_in.body
@@ -1075,9 +1060,12 @@ def ref_pretty(m, prec=_R_TERM):
         case BoolLit(value):
             return "true" if value else "false"
         case TagLit(tag):
-            return _tag_surface(tag)
+            head = TAGS[tag.name].sharp
+            if tag.eval_annot is not None:
+                head += "{" + pretty_type(tag.eval_annot) + "}"
+            return head
         case AstCtor(tag, args):
-            head = AST_CTOR_OF_TAG[tag.name]
+            head = TAGS[tag.name].ast
             if tag.eval_annot is not None:
                 head += "{" + pretty_type(tag.eval_annot) + "}"
             return head + "(" + ", ".join(ref_pretty(a) for a in args) + ")"

@@ -2,13 +2,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from hgmp import parser, signature, syntax, typecheck
+from hgmp import signature, syntax, typecheck
+from hgmp.parser import parse_term, parse_type
 from hgmp.reduction import eval_ct, eval_dl, eval_ul, term_to_json
-from hgmp.signature import check_arity, lookup, registry, tagged_names
+from hgmp.signature import check_arity, lookup, registry
 from hgmp.syntax import (
-    AST_CTOR_OF_TAG, CODE, TAG_NAMES, TAG_OF_SURFACE,
-    App, AstCtor, BoolLit, IntLit, Lam, StrLit, Tag, TagLit, Term, Var,
-    alpha_eq, free_vars, mk_ast, subst,
+    CODE, INT, TAGS,
+    App, AstCtor, BoolLit, IntLit, Lam, StrLit, Tag, TagLit, TagType, Term,
+    Var, alpha_eq, free_vars, mk_ast, pretty, pretty_type, subst,
 )
 
 
@@ -25,7 +26,13 @@ def test_registry_rows():
 
 
 def test_registry_tagged_subset_matches_tag_type():
-    assert tagged_names() == frozenset(TAG_NAMES)
+    # One record per tagged row, in the registry's order; no other name
+    # makes a tag.
+    assert list(TAGS) == [s.name for s in registry() if s.tag is not None]
+    for spec in registry():
+        if spec.tag is None:
+            with pytest.raises(ValueError, match="unknown tag name"):
+                Tag(spec.name)
 
 
 def test_exactly_one_variadic_and_no_variadic_binders():
@@ -55,6 +62,8 @@ def test_lookup_unknown():
 def _canonical(name: str) -> AstCtor:
     code = mk_ast("int", IntLit(1))
     s = mk_ast("string", StrLit("x"))
+    if name == "pair":  # the row of the fixture below
+        return mk_ast("pair", code, mk_ast("int", IntLit(2)))
     return {
         "var": mk_ast("var", StrLit("x")),
         "app": mk_ast("app", code, code),
@@ -75,27 +84,46 @@ def _canonical(name: str) -> AstCtor:
 
 
 def test_parser_surface_covers_tagged_registry():
-    assert set(AST_CTOR_OF_TAG) == tagged_names()
-    assert set(TAG_OF_SURFACE.values()) == tagged_names()
-    for name in tagged_names():
-        surface = parser.parse_term("#" + {"string": "str"}.get(name, name))
-        assert surface.tag.name == name
+    # Each tagged row's tag t is spelled #t and astT.
+    for spec in registry():
+        if spec.tag is not None:
+            assert parse_term("#" + spec.tag) == TagLit(Tag(spec.name))
+            ast = _canonical(spec.name)
+            args = ", ".join(map(pretty, ast.args))
+            assert parse_term(f"ast{spec.tag.capitalize()}({args})") == ast
+
+
+def _assert_round_trips(name: str):
+    """Row name's #t, astT(..) and Tag#t print and parse back: untyped,
+    and typed, where the eval row's are #eval{Int} and astEval{Int}(..)."""
+    args = _canonical(name).args
+    for mode, annot in (("untyped", None),
+                        ("typed", INT if name == "eval" else None)):
+        tag = Tag(name, annot)
+        for m in (TagLit(tag), AstCtor(tag, args)):
+            assert parse_term(pretty(m), mode) == m
+    assert parse_type(pretty_type(TagType(name))) == TagType(name)
+
+
+def test_every_tagged_row_round_trips():
+    for name in TAGS:
+        _assert_round_trips(name)
 
 
 def test_dl_covers_every_tagged_constructor():
-    for name in sorted(tagged_names()):
+    for name in sorted(TAGS):
         eval_dl(_canonical(name))  # raises if some tag had no rule
 
 
 def test_ul_covers_every_tagged_constructor():
-    for name in sorted(tagged_names()):
+    for name in sorted(TAGS):
         out = eval_ul(_canonical(name))
         assert out.tag.name == "promote"
         assert out.args[0].tag.name == name
 
 
 def test_typing_covers_every_tagged_constructor():
-    for name in sorted(tagged_names()):
+    for name in sorted(TAGS):
         assert typecheck.infer(None, _canonical(name)) == CODE
 
 
@@ -103,12 +131,14 @@ def test_typing_covers_every_tagged_constructor():
 
 @pytest.fixture
 def pair(monkeypatch):
-    """A 2-ary `pair` row and its class, registered for one test only."""
+    """A 2-ary `pair` row and its class, registered for one test only:
+    _shape enters its tag and its spellings #pair and astPair."""
     monkeypatch.setitem(signature._BY_NAME, "pair",
                         signature.CtorSpec("pair", "pair", 2))
-    monkeypatch.setitem(syntax.SURFACE_OF_TAG, "pair", "pair")
-    monkeypatch.setitem(syntax._PLAIN_TAG, "pair", syntax.Tag("pair"))
-    monkeypatch.setitem(syntax.CLASS_OF_TAG, "pair", None)  # undone: deleted
+    for table, key in ((syntax.TAGS, "pair"),
+                       (syntax.TAG_OF_SPELLING, "#pair"),
+                       (syntax.TAG_OF_SPELLING, "astPair")):
+        monkeypatch.setitem(table, key, None)  # undone: deleted
 
     @syntax._shape("pair", "fst", "snd")
     @dataclass(frozen=True)
@@ -146,3 +176,13 @@ def test_a_signature_row_drives_the_generic_layers(pair):
     assert encoded["ctor"] == "pair"
     assert encoded["children"] == [term_to_json(one), term_to_json(two)]
     assert typecheck.infer(None, ast) == CODE
+
+    # and its concrete syntax: #pair, astPair(..) and Tag#pair
+    assert pretty(ast) == "astPair(astInt(1), astInt(2))"
+    assert parse_term("astPair(astInt(1), astInt(2))") == ast
+    assert (pretty(TagLit(Tag("pair"))), parse_term("#pair")) == (
+        "#pair", TagLit(Tag("pair")))
+    assert pretty_type(TagType("pair")) == "Tag#pair"
+    assert parse_type("Tag#pair") == TagType("pair")
+    assert parse_term("#pair", "typed") == TagLit(Tag("pair"))
+    _assert_round_trips("pair")
