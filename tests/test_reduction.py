@@ -520,6 +520,33 @@ def test_untraced_rt_charges_a_bound_ast_as_substitution_does():
     assert _outcome(m, fuel=28)[0] == t('astAdd(astInt(1), astVar("v"))')
 
 
+_ADD_NEEDS_INTS = "add needs integer operands"
+_IF_NEEDS_BOOL = "if condition is not a boolean"
+
+
+@pytest.mark.parametrize("m, value", [
+    (BinOp("add", BoolLit(True), IntLit(1)), _ADD_NEEDS_INTS),
+    (BinOp("eq", BoolLit(True), IntLit(1)),
+     "== compares two integers or two strings"),
+    (If(IntLit(1), IntLit(2), IntLit(3)), _IF_NEEDS_BOOL),
+    (If(IntLit(0), IntLit(2), IntLit(3)), _IF_NEEDS_BOOL),
+    (Lift(BoolLit(True)), mk_ast("bool", BoolLit(True))),
+], ids=["add-bool-int", "eq-bool-int", "if-int-true", "if-int-false",
+        "lift-bool-int"])
+def test_untraced_rt_keeps_library_built_literals_on_the_reference(m, value):
+    # Python takes True for 1 (True + 1 == 2, True == 1, `if 1` picks the
+    # then branch), but BoolLit(True) and IntLit(1) are two terms: built
+    # by a library caller next to each other, the machine computes them as
+    # the reference does, down to the Python types of the result.
+    untraced, traced = _outcome(m), _outcome(m, trace=True)
+    assert (untraced, repr(untraced)) == (traced, repr(traced))
+    if isinstance(value, str):
+        assert untraced == (EvalError.STUCK, "rt", value, m)
+    else:
+        assert untraced == (value, m, None)
+        assert repr(eval_rt(m)) == repr(value)
+
+
 def test_literals_of_another_host_type_are_rejected():
     # A literal holds exactly its class's host type, so the machine has
     # one representation of each: IntLit(True) or BoolLit(1) is no term.
@@ -614,11 +641,26 @@ FUSED_OPERANDS = [
     ("ast literals", t('astAdd(astInt(1), astVar("x"))')),
     ("ast literals under eval", t('eval(astLam(astStr("x"), astVar("x")))')),
     ("promote tag", t("astPromote(#int, astInt(1))")),
+    # The rows named after IntLit(True) and BoolLit(1), which are no
+    # longer terms, hold the literal of the other class that Python takes
+    # for the same value: true where an integer goes, 1 where a boolean
+    # goes. The machine must not compute them as Python would.
+    ("ast IntLit(True)", AstCtor(Tag("int"), (BoolLit(True),))),
     # And these it must not: each runs on its own call.
     ("ast argument", t(r"(\a. (\b. b) a) astAdd(astInt(1), astInt(2))")),
     ("ast operand", t(r"(\a. (\f. f (a + 1)) (\y. y)) astInt(1)")),
     ("ast condition", t(r"(\a. if a == 1 then 1 else 2) astInt(1)")),
     ("ast function", t(r"(\k. k 1) astInt(1)")),
+    ("IntLit(True) operands", _app("x", BinOp("add", Var("x"), BoolLit(True)),
+                                   BoolLit(True))),
+    ("IntLit(True) argument", _app("f", App(Var("f"), BinOp(
+        "sub", BoolLit(True), IntLit(1))), Lam("y", Var("y")))),
+    ("BoolLit(1) condition", _app("x", If(IntLit(1), Var("x"), IntLit(0)),
+                                  IntLit(4))),
+    ("BoolLit(1) operand", _app("x", If(BinOp("eq", Var("x"), IntLit(1)),
+                                        IntLit(1), IntLit(2)), BoolLit(True))),
+    ("BoolLit(1) argument", _app("f", App(Var("f"), BinOp(
+        "add", IntLit(1), BoolLit(True))), Lam("y", Var("y")))),
     ("bool operand", t(r"(\b. b + 1) true")),
     ("bool argument", t(r"(\b. \f. f (b == b)) true (\y. y)")),
     ("str operands", t(r'(\s. \u. if s == u then s else u) "a" "b"')),
