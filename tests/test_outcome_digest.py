@@ -6,7 +6,11 @@ out about one time in five. Every outcome is written as text: the
 printed value, residual and residual type plus the to_json trace, or
 else the error's kind, phase, message and str(), with the
 TypeErrorDetail fields. The texts of one generator are hashed into one
-SHA-256, so a failure names the generator whose outcomes moved. The
+SHA-256, so a failure names the generator whose outcomes moved. A
+second set of digests pins each relation on its own entry, traced:
+eval_ct and eval_ul of the program, eval_dl of eval_ul's output and
+eval_rt of eval_ct's (or of the program, when ct fails), each written
+as the printed output and the to_json derivation, or the error. The
 digests in outcome_digests.json were written by the code a refactor
 starts from; a refactor that keeps behaviour keeps them.
 
@@ -24,7 +28,9 @@ import random
 import sys
 from pathlib import Path
 
-from hgmp.reduction import EvalError, run_pipeline, to_json
+from hgmp.reduction import (
+    EvalError, eval_ct, eval_dl, eval_rt, eval_ul, run_pipeline, to_json,
+)
 from hgmp.syntax import pretty, pretty_type
 
 from gen_terms import (
@@ -52,19 +58,23 @@ def _shown(x, show) -> str:
     return "-" if x is None else show(x)
 
 
+def error_text(err: EvalError) -> str:
+    text = [err.kind, err.phase, err.message, str(err)]
+    detail = err.detail
+    if detail is not None:
+        text += [detail.kind, detail.message, detail.phase,
+                 _shown(detail.expected, pretty_type),
+                 _shown(detail.found, pretty_type),
+                 _shown(detail.at, pretty)]
+    return "error\n" + "\n".join(text)
+
+
 def outcome(program, mode: str, fuel: int, trace: bool) -> str:
     """One run's outcome as text."""
     try:
         result = run_pipeline(program, mode, fuel, trace=trace)
     except EvalError as err:
-        text = [err.kind, err.phase, err.message, str(err)]
-        detail = err.detail
-        if detail is not None:
-            text += [detail.kind, detail.message, detail.phase,
-                     _shown(detail.expected, pretty_type),
-                     _shown(detail.found, pretty_type),
-                     _shown(detail.at, pretty)]
-        return "error\n" + "\n".join(text)
+        return error_text(err)
     return "\n".join([
         "value", pretty(result.value), pretty(result.residual),
         _shown(result.residual_type, pretty_type),
@@ -84,15 +94,55 @@ def digest(name: str) -> str:
     return h.hexdigest()
 
 
+def traced_outcomes(program, mode: str, fuel: int):
+    """The traced outcomes of ct, ul, dl and rt, each on its own entry."""
+    runs = [("ct", lambda m: eval_ct(m, mode, fuel, trace=True), program),
+            ("ul", lambda m: eval_ul(m, mode, fuel, trace=True), program),
+            ("dl", lambda m: eval_dl(m, fuel, trace=True), None),
+            ("rt", lambda m: eval_rt(m, mode, fuel, trace=True), None)]
+    outs = {}
+    for name, relation, m in runs:
+        if m is None:  # dl takes ul's output, rt ct's, if they have one
+            m = outs.get("ul" if name == "dl" else "ct", program)
+        try:
+            out, derivation = relation(m)
+        except EvalError as err:
+            yield error_text(err)
+            continue
+        outs[name] = out
+        yield "\n".join([name, pretty(out), to_json(derivation)])
+
+
+def traced_digest(name: str) -> str:
+    make, mode, rounds = GENERATORS[name]
+    rng = random.Random(f"{SEED}:{name}:traced")
+    h = hashlib.sha256()
+    for _ in range(rounds):
+        program = make(rng)
+        fuel = rng.randint(1, 40) if rng.random() < 0.2 else FUEL
+        for text in traced_outcomes(program, mode, fuel):
+            h.update(text.encode("utf-8"))
+            h.update(b"\0")
+    return h.hexdigest()
+
+
 def test_outcomes_match_the_pinned_digests():
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert (pinned["seed"], pinned["fuel"]) == (SEED, FUEL)
     assert {name: digest(name) for name in GENERATORS} == pinned["digests"]
 
 
+def test_traced_relations_match_the_pinned_digests():
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert ({name: traced_digest(name) for name in GENERATORS}
+            == pinned["traced_relations"])
+
+
 if __name__ == "__main__":
     sys.setrecursionlimit(20_000)  # as tests/conftest.py sets it
     DIGESTS.write_text(json.dumps(
         {"seed": SEED, "fuel": FUEL,
-         "digests": {name: digest(name) for name in GENERATORS}},
+         "digests": {name: digest(name) for name in GENERATORS},
+         "traced_relations": {name: traced_digest(name)
+                              for name in GENERATORS}},
         indent=2) + "\n", encoding="utf-8")
