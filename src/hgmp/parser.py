@@ -37,9 +37,9 @@ from . import signature
 from .syntax import (
     INT, BOOL, STRING, CODE,
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
-    LetDown, Lift, Rec, StrLit, Tag, TagLit, TagType, Term, TypeExpr, UpML,
+    LetDown, Lift, Rec, StrLit, TagLit, TagType, Term, TypeExpr, UpML,
     Var, BINOP_LEVEL, BINOP_SYMBOL, TAG_OF_SPELLING, TAGS, _APP,
-    int_of_text, int_text, pretty_type,
+    int_of_text, int_text, pretty_type, tag_of,
 )
 
 MODES = ("typed", "untyped")
@@ -221,7 +221,7 @@ class _Parser:
                 m = BoolLit(kind == "true")
             elif kind == "tag":
                 annot, pos = self._eval_annot(tok, pos)
-                m = TagLit(Tag(tok[1], annot))
+                m = TagLit(tag_of(tok[1], annot))
             elif kind == "\\":
                 param, pos = self.want(pos, "ident", "a parameter name")
                 annot, pos = self._binder_annot(tok, pos)
@@ -358,7 +358,7 @@ class _Parser:
             raise ParseError(
                 SourceSpan(tok[2], self.tokens[pos][3]),
                 f"{self._spelling(tok)} takes {wanted} argument(s), got {len(args)}")
-        return AstCtor(Tag(tok[1], annot), tuple(args)), after
+        return AstCtor(tag_of(tok[1], annot), tuple(args)), after
 
     ### types
 

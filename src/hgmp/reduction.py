@@ -8,17 +8,19 @@ execution extended with AST values, eval, lift and promoted ASTs.
 
 Every rule application burns one unit from a shared fuel budget, so
 divergence surfaces as a distinct FuelExhausted outcome rather than a
-hang. Each run also (optionally) records a derivation tree whose rule
-names follow the conventional bracketed names for these relations.
+hang. A relation returns only its output. A traced run also records
+derivations, whose rule names follow the conventional bracketed names
+for these relations: a rule's premises are the derivations of the
+sub-evaluations it ran, in the order they ran, collected on one trail.
 
 rt has two evaluators with the same values, errors and fuel. `_rt` is the
 reference: call-by-value with capture-avoiding substitution. It runs
 every traced run, because derivations show substituted terms. A traced
-run builds and runs each application's body once per function and
-argument (an equal literal, or the same other value): an application
-met again returns the same body, value and Derivation object, and
-spends the fuel the first run spent, so a trace is a DAG that reads as
-the same tree, and the renderers write each repeated derivation once.
+run runs each application's body once per function and argument (an
+equal literal, or the same other value): a repeat spends the fuel the
+first run spent and returns its value and Derivation object, so a
+trace is a DAG that reads as a tree, and the renderers write each
+repeated derivation once.
 `_machine`, an environment machine, runs every untraced rt (the
 pipeline's, eval_rt's, and ct's for splices and letdown), open terms
 and the open code eval builds included. A function evaluates to a
@@ -49,7 +51,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .syntax import (
     TAGS,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
-    Lift, Rec, StrLit, Tag, TagLit, Term, TypeExpr, UpML, Var,
+    Lift, Rec, StrLit, TagLit, Term, TypeExpr, UpML, Var,
     free_vars, int_of_text, int_text, mk_ast, node, pretty, pretty_type,
     printer, subst,
 )
@@ -97,54 +99,62 @@ class EvalError(Exception):
 
 
 class _Run:
-    """Per-run state: fuel budget, pipeline mode, trace switch, and, for
-    each application a traced run has met, the body it built and, once
-    that has run, its value, derivation and fuel (see _instance)."""
+    """Per-run state: fuel budget, pipeline mode, trace switch, trail and
+    traced applications (bodies, see _rt's App). spend says where on the
+    trail a rule's premises start; in a traced run each sub-evaluation
+    the rule runs leaves its derivation there, in the order it runs, and
+    _d replaces them with the rule's own. Exceptions are never caught
+    inside a run, so a partial trail dies with its run."""
 
-    __slots__ = ("remaining", "typed", "trace", "bodies")
+    __slots__ = ("remaining", "typed", "trace", "bodies", "trail")
 
     def __init__(self, fuel: int, typed: bool, trace: bool):
         self.remaining = fuel
         self.typed = typed
         self.trace = trace
         self.bodies = {}
+        self.trail = []
 
-    def spend(self, phase: str, term: Term):
+    def spend(self, phase: str, term: Term) -> int:
         self.remaining -= 1
         if self.remaining < 0:
             raise EvalError(EvalError.FUEL, phase, term,
                             "rule application budget exhausted")
+        return len(self.trail)
 
 
 def _stuck(phase: str, term: Term, message: str):
     raise EvalError(EvalError.STUCK, phase, term, message)
 
 
-def _d(run: _Run, rule: str | None, relation: str, m: Term, out,
-       *premises) -> tuple[object, Derivation | None]:
-    """out, the result of a rule about m, and the rule's derivation when
-    the run is traced (else None). A rule of None is named after the
-    constructor of the side that is not an AST (the output, for dl):
-    `App ct`, or a bare `Add` in rt. Interned: every node holds one."""
-    if not run.trace:
-        return out, None
-    if rule is None:
-        named = out if relation == "dl" else m
-        if isinstance(named, AstCtor):
-            stem = "Promote" if named.tag.name == "promote" else "Ast_c"
-        else:
-            stem = named.ctor.capitalize()
-        rule = sys.intern(stem if relation == "rt" else f"{stem} {relation}")
-    return out, Derivation(rule, relation, m, out, premises)
+def _d(run: _Run, at: int, rule: str | None, relation: str, m: Term, out):
+    """out, the result of a rule about m whose premises start at trail
+    position at. A traced run first replaces them with the rule's
+    Derivation. A rule of None is named after the constructor of the side
+    that is not an AST (the output, for dl): `App ct`, or a bare `Add` in
+    rt. Interned: every node holds one."""
+    if run.trace:
+        if rule is None:
+            named = out if relation == "dl" else m
+            if isinstance(named, AstCtor):
+                stem = "Promote" if named.tag.name == "promote" else "Ast_c"
+            else:
+                stem = named.ctor.capitalize()
+            rule = sys.intern(stem if relation == "rt"
+                              else f"{stem} {relation}")
+        trail = run.trail
+        trail[at:] = [Derivation(rule, relation, m, out, tuple(trail[at:]))]
+    return out
 
 
 def _checked(run: _Run, m: Term, phase: str,
-             expected: TypeExpr | None = None) -> list[Derivation]:
+             expected: TypeExpr | None = None) -> TypeExpr | None:
     """In a typed run, m checked against expected, or its type inferred
-    when expected is None: the Type premise, as a list that is empty in
-    an untyped run. A rejection is an EvalError of kind TypeError."""
+    when expected is None: that type, with its Type premise on a traced
+    run's trail; None when untyped. A rejection is an EvalError of kind
+    TypeError."""
     if not run.typed:
-        return []
+        return None
     try:
         if expected is None:
             expected = typecheck.infer(EMPTY_ENV, m, phase=phase)
@@ -153,96 +163,82 @@ def _checked(run: _Run, m: Term, phase: str,
     except TypeErrorDetail as err:
         raise EvalError(EvalError.TYPE, "type", m, err.describe(),
                         detail=err)
-    return [Derivation("Type", "type", m, expected)]
-
-
-def _each(relation, terms, run: _Run):
-    """relation applied to each of terms in order: outputs, derivations."""
-    outs, derivs = [], []
-    for t in terms:
-        out, d = relation(t, run)
-        outs.append(out)
-        derivs.append(d)
-    return outs, derivs
+    if run.trace:
+        run.trail.append(Derivation("Type", "type", m, expected))
+    return expected
 
 
 ### compile time
 
 def _ct(m: Term, run: _Run):
-    run.spend("ct", m)
+    at = run.spend("ct", m)
     match m:
         case Var():
-            return _d(run, "Var ct", "ct", m, m)
+            return _d(run, at, "Var ct", "ct", m, m)
         case IntLit() | StrLit() | BoolLit():
-            return _d(run, "Const ct", "ct", m, m)
+            return _d(run, at, "Const ct", "ct", m, m)
         case TagLit():
-            return _d(run, "Tag ct", "ct", m, m)
+            return _d(run, at, "Tag ct", "ct", m, m)
         case UpML(body):
-            a, d1 = _ul(body, run)
-            return _d(run, "UpML ct", "ct", m, a, d1)
+            return _d(run, at, "UpML ct", "ct", m, _ul(body, run))
         case DownML(body):
-            a, d1 = _ct(body, run)
-            checked = _checked(run, a, "downML check", CODE)
-            b, d2 = _rt_entry(a, run)
-            c, d3 = _dl(b, run)
-            return _d(run, "DownML ct", "ct", m, c, d1, *checked, d2, d3)
+            a = _ct(body, run)
+            _checked(run, a, "downML check", CODE)
+            c = _dl(_rt_entry(a, run), run)
+            return _d(run, at, "DownML ct", "ct", m, c)
         case LetDown(name, bound, body):
-            a, d1 = _ct(bound, run)
-            checked = _checked(run, a, "letdown check")
-            b, d2 = _rt_entry(a, run)
-            c, d3 = _ct(subst(body, b, name), run)
-            return _d(run, "Let ct", "ct", m, c, d1, *checked, d2, d3)
+            a = _ct(bound, run)
+            _checked(run, a, "letdown check")
+            c = _ct(subst(body, _rt_entry(a, run), name), run)
+            return _d(run, at, "Let ct", "ct", m, c)
     # Every other constructor compiles its children and is rebuilt.
-    outs, derivs = _each(_ct, m.children(), run)
-    return _d(run, None, "ct", m, m.rebuild(outs), *derivs)
+    outs = [_ct(k, run) for k in m.children()]
+    return _d(run, at, None, "ct", m, m.rebuild(outs))
 
 
 ### down one meta-level
 
 def _dl(m: Term, run: _Run):
-    run.spend("dl", m)
+    at = run.spend("dl", m)
     if isinstance(m, TagLit):
-        return _d(run, "Tag dl", "dl", m, m)
+        return _d(run, at, "Tag dl", "dl", m, m)
     if not isinstance(m, AstCtor):
         _stuck("dl", m, "term is not an AST value")
     tag, args = m.tag, m.args
     name, count, row = tag.name, len(args), TAGS[tag.name]
     cls = row.cls  # one lookup: the row's class, arity and spelling
     if name == "var" and count == 1 and isinstance(args[0], StrLit):
-        return _d(run, "Var dl", "dl", m, Var(args[0].value))
+        return _d(run, at, "Var dl", "dl", m, Var(args[0].value))
     if cls in _CONSTS and count == 1 and isinstance(args[0], cls):
-        return _d(run, None, "dl", m, args[0])  # a literal's AST
+        return _d(run, at, None, "dl", m, args[0])  # a literal's AST
     if cls is not None and cls.kids and count == row.arity:
         bound = len(cls.binds)  # the row's binder positions
         if not bound:
-            outs, derivs = _each(_dl, args, run)
-            return _d(run, None, "dl", m, cls.from_ast(tag, outs), *derivs)
+            outs = [_dl(a, run) for a in args]
+            return _d(run, at, None, "dl", m, cls.from_ast(tag, outs))
         # Bound names come first and must convert down to strings.
-        names, derivs = _each(_dl, args[:bound], run)
+        names = [_dl(a, run) for a in args[:bound]]
         if not all(isinstance(s, StrLit) for s in names):
             what = ("binder did not reduce to a string" if bound == 1
                     else "binders did not reduce to strings")
             _stuck("dl", m, f"{row.ast} {what}")
-        outs, kid_derivs = _each(_dl, args[bound:], run)
-        out = cls.from_ast(tag, [s.value for s in names] + outs)
-        return _d(run, None, "dl", m, out, *derivs, *kid_derivs)
+        outs = [s.value for s in names] + [_dl(a, run) for a in args[bound:]]
+        return _d(run, at, None, "dl", m, cls.from_ast(tag, outs))
     if name == "promote" and count >= 1:
-        head, d0 = _dl(args[0], run)
+        head = _dl(args[0], run)
         if not isinstance(head, TagLit):
             _stuck("dl", m, "astPromote head did not reduce to a tag")
         if head.tag.name != "promote":
             # Children move down with it; the rebuilt constructor is not
             # arity-checked here -- a later stage (dl again, or a type
             # check) owns rejecting a malformed result.
-            outs, derivs = _each(_dl, args[1:], run)
-            out = AstCtor(head.tag, tuple(outs))
-            return _d(run, "Promote dl 1", "dl", m, out, d0, *derivs)
+            out = AstCtor(head.tag, tuple([_dl(a, run) for a in args[1:]]))
+            return _d(run, at, "Promote dl 1", "dl", m, out)
         if count >= 2:
-            inner, d1 = _dl(args[1], run)
+            inner = _dl(args[1], run)
             if isinstance(inner, TagLit):
-                outs, derivs = _each(_dl, args[2:], run)
-                out = AstCtor(tag, (inner, *outs))
-                return _d(run, "Promote dl 2", "dl", m, out, d0, d1, *derivs)
+                out = AstCtor(tag, (inner, *[_dl(a, run) for a in args[2:]]))
+                return _d(run, at, "Promote dl 2", "dl", m, out)
         _stuck("dl", m, "promoted astPromote needs a tag in second position")
     _stuck("dl", m,
            f"no down-level rule for ast constructor {name} "
@@ -252,122 +248,110 @@ def _dl(m: Term, run: _Run):
 ### up one meta-level
 
 def _ul(m: Term, run: _Run):
-    run.spend("ul", m)
+    at = run.spend("ul", m)
     match m:
         case Var(name):
-            return _d(run, "Var ul", "ul", m, mk_ast("var", StrLit(name)))
+            return _d(run, at, "Var ul", "ul", m, mk_ast("var", StrLit(name)))
         case IntLit() | StrLit() | BoolLit():
-            return _d(run, None, "ul", m, AstCtor(m.ast_tag(), (m,)))
+            return _d(run, at, None, "ul", m, AstCtor(m.ast_tag(), (m,)))
         case TagLit():
-            return _d(run, "Tag ul", "ul", m, m)
+            return _d(run, at, "Tag ul", "ul", m, m)
         case AstCtor(tag, args):
-            outs, derivs = _each(_ul, args, run)
-            out = AstCtor(Tag("promote"), (TagLit(tag), *outs))
-            return _d(run, "Ast ul", "ul", m, out, *derivs)
+            outs = [_ul(a, run) for a in args]
+            out = AstCtor(TAGS["promote"].tag, (TagLit(tag), *outs))
+            return _d(run, at, "Ast ul", "ul", m, out)
         case UpML(body):
-            a, d1 = _ul(body, run)
-            b, d2 = _ul(a, run)
-            return _d(run, "UpML ul", "ul", m, b, d1, d2)
+            return _d(run, at, "UpML ul", "ul", m, _ul(_ul(body, run), run))
         case DownML(body):
             # The hole's code is compiled and spliced as-is: it will
             # produce its AST when the surrounding residual runs.
-            a, d1 = _ct(body, run)
-            return _d(run, "DownML ul", "ul", m, a, d1)
+            return _d(run, at, "DownML ul", "ul", m, _ct(body, run))
         case LetDown():
             _stuck("ul", m,
                    "letdown has no AST representation and cannot be quoted")
     # Every other constructor becomes its AST: bound names as strings,
     # then the children's ASTs.
-    outs, derivs = _each(_ul, m.children(), run)
+    outs = [_ul(k, run) for k in m.children()]
     names = [mk_ast("string", StrLit(s)) for s in m.bound_names()]
     out = AstCtor(m.ast_tag(), tuple(names + outs))
-    return _d(run, None, "ul", m, out, *derivs)
+    return _d(run, at, None, "ul", m, out)
 
 
 ### run time
 
 def _rt(m: Term, run: _Run):
-    run.spend("rt", m)
+    at = run.spend("rt", m)
     match m:
         case IntLit() | StrLit() | BoolLit():
-            return _d(run, "Const", "rt", m, m)
-        case Lam():
-            return _d(run, "Lam", "rt", m, m)
-        case Rec():
-            return _d(run, "Rec", "rt", m, m)
+            return _d(run, at, "Const", "rt", m, m)
+        case Lam() | Rec():
+            return _d(run, at, None, "rt", m, m)
         case TagLit():
-            return _d(run, "Tag", "rt", m, m)
+            return _d(run, at, "Tag", "rt", m, m)
         case Var(name):
             _stuck("rt", m, f"unbound variable {name}")
         case App(fn, arg):
-            f, d1 = _rt(fn, run)
+            f = _rt(fn, run)
             if not isinstance(f, (Lam, Rec)):
                 _stuck("rt", m, "application of a non-function value")
-            v, d2 = _rt(arg, run)
-            res, d3 = _instance(f, v, run)
-            return _d(run, "App", "rt", m, res, d1, d2, d3)
+            v = _rt(arg, run)
+            # A traced run keeps one entry per f and argument (a literal
+            # by its class and value, so BoolLit(True) is not IntLit(1),
+            # any other by identity), holding f and v so the ids stay
+            # valid, the body and, once that has run, the fuel it spent,
+            # its value and derivation. rt is deterministic: a repeat with
+            # that fuel left spends it and returns them; with less, it runs
+            # out as a fresh run would. A run that raises stores no result.
+            entry = None
+            if run.trace:
+                key = ((id(f), type(v), v.value) if type(v) in _CONSTS
+                       else (id(f), id(v)))
+                entry = run.bodies.get(key)
+            if entry is None:
+                body = _beta(f, f.body, v)
+                if run.trace:  # a diverging body meets its own pair again
+                    run.bodies[key] = f, v, body, None, None, None
+            else:
+                body, cost, res, derivation = entry[2:]
+                if cost is not None and cost <= run.remaining:
+                    run.remaining -= cost
+                    run.trail.append(derivation)
+                    return _d(run, at, "App", "rt", m, res)
+            remaining = run.remaining
+            res = _rt(body, run)
+            if run.trace:
+                run.bodies[key] = (f, v, body, remaining - run.remaining,
+                                   res, run.trail[-1])
+            return _d(run, at, "App", "rt", m, res)
         case BinOp(op, lhs, rhs):
-            a, d1 = _rt(lhs, run)
-            b, d2 = _rt(rhs, run)
-            return _d(run, None, "rt", m, _arith(op, a, b, m), d1, d2)
+            out = _arith(op, _rt(lhs, run), _rt(rhs, run), m)
+            return _d(run, at, None, "rt", m, out)
         case If(cond, then, orelse):
-            c, d1 = _rt(cond, run)
+            c = _rt(cond, run)
             if not isinstance(c, BoolLit):
                 _stuck("rt", m, "if condition is not a boolean")
-            branch = then if c.value else orelse
-            v, d2 = _rt(branch, run)
-            return _d(run, "If", "rt", m, v, d1, d2)
+            v = _rt(then if c.value else orelse, run)
+            return _d(run, at, "If", "rt", m, v)
         case AstCtor(tag, args):
-            outs, derivs = _each(_rt, args, run)
-            return _d(run, None, "rt", m, AstCtor(tag, tuple(outs)), *derivs)
+            out = AstCtor(tag, tuple([_rt(a, run) for a in args]))
+            return _d(run, at, None, "rt", m, out)
         case Eval(body):
-            v, d1 = _rt(body, run)
-            n, premises = _eval_code(v, m, run)
-            res, d3 = _rt(n, run)
-            return _d(run, "Eval rt", "rt", m, res, d1, *premises, d3)
+            n = _eval_code(_rt(body, run), m, run)
+            return _d(run, at, "Eval rt", "rt", m, _rt(n, run))
         case Lift(body):
-            v, d1 = _rt(body, run)
-            return _d(run, "Lift", "rt", m, _lift(v, m), d1)
+            return _d(run, at, "Lift", "rt", m, _lift(_rt(body, run), m))
         case DownML() | UpML() | LetDown():
             _stuck("rt", m, "compile-time construct reached run time")
     raise TypeError(f"not a Term: {m!r}")
 
 
-def _instance(f: Lam | Rec, v: Term, run: _Run):
-    """rt of f's body with v for its parameter; a Rec unfolds to itself,
-    unless its parameter hides the name.
-
-    A traced run keeps one entry per f and argument in run.bodies: a
-    literal is keyed by its class and value (BoolLit(True) is not
-    IntLit(1)), any other argument by identity, and the entry holds f and
-    v, so their ids stay valid. It holds the body, built once, and once
-    that has run, its value, derivation and the fuel the run spent, dl
-    rules and eval re-checks included. rt is deterministic, so with that
-    much fuel left a repeat spends it and returns the same value and
-    Derivation object; with less, the body runs again and runs out on the
-    term a fresh run would. A run that raises stores no result."""
-    entry = None
-    if run.trace:
-        key = ((id(f), type(v), v.value) if type(v) in _CONSTS
-               else (id(f), id(v)))
-        entry = run.bodies.get(key)
-    if entry is None:
-        body = f.body
-        if isinstance(f, Rec) and f.self_name != f.param:
-            body = subst(body, f, f.self_name)
-        body = subst(body, v, f.param)
-        if run.trace:  # a diverging body meets its own pair again
-            run.bodies[key] = f, v, body, None, None
-    else:
-        body, cost, done = entry[2:]
-        if cost is not None and cost <= run.remaining:
-            run.remaining -= cost
-            return done
-    remaining = run.remaining
-    done = _rt(body, run)
-    if run.trace:
-        run.bodies[key] = f, v, body, remaining - run.remaining, done
-    return done
+def _beta(f: Lam | Rec, part: Term, v: Term) -> Term:
+    """part of f's body with the substitutions applying f to v makes: f
+    for a Rec's self name, unless its parameter hides it, then v for the
+    parameter."""
+    if type(f) is Rec and f.self_name != f.param:
+        part = subst(part, f, f.self_name)
+    return subst(part, v, f.param)
 
 
 ### run time on an environment machine
@@ -414,7 +398,7 @@ def _close(m: Term, env: dict | None = None,
     """The term the reference holds where the machine holds m in env.
     Every env but the empty one is made by applying a closure, origin,
     and m lies in its body under no binder: the reference holds m's
-    place in origin's read-back with the substitutions _instance makes,
+    place in origin's read-back with the substitutions _beta makes,
     one value at a time, so a binder renamed to avoid capture gets the
     same primes."""
     if origin is None:
@@ -427,18 +411,15 @@ def _close(m: Term, env: dict | None = None,
         part, body = pairs.pop()
         if not part.binds:
             pairs.extend(zip(part.children(), body.children()))
-    body = pairs[-1][1]
-    if type(ref) is Rec and ref.self_name != ref.param:
-        body = subst(body, ref, ref.self_name)
-    return subst(body, _read_back(env[code.param]), ref.param)
+    return _beta(ref, pairs[-1][1], _read_back(env[code.param]))
 
 
-def _rt_entry(m: Term, run: _Run):
+def _rt_entry(m: Term, run: _Run) -> Term:
     """rt as the pipeline, a splice, a letdown and eval_rt run it: on the
-    reference _rt when the run builds a derivation, else on the machine."""
+    reference _rt when the run is traced, else on the machine."""
     if run.trace:
         return _rt(m, run)
-    return _read_back(_machine(m, {}, None, run)), None
+    return _read_back(_machine(m, {}, None, run))
 
 
 def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
@@ -568,7 +549,7 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
             return AstCtor(m.tag, tuple(outs))
         elif cls is Eval:
             v = _read_back(_machine(m.body, env, origin, run))
-            m = _eval_code(v, m, run, env, origin)[0]
+            m = _eval_code(v, m, run, env, origin)
             env, origin = {}, None
         elif cls is Lift:
             v = _read_back(_machine(m.body, env, origin, run))
@@ -580,16 +561,17 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
             raise TypeError(f"not a Term: {m!r}")
 
 
-def _eval_code(v: Term, m: Eval, run: _Run, *where):
+def _eval_code(v: Term, m: Eval, run: _Run, *where) -> Term:
     """The code eval m runs once its body has run to v: v converted down
-    and, in a typed run, checked against m's annotation. Returns the code
-    and the premises for dl and the check. On the machine, where is m's
-    env and origin, so a stuck eval names the term _rt holds."""
-    n, d = _dl(v, run)
+    and, in a typed run, checked against m's annotation. A traced run
+    leaves the dl and check premises on the trail. On the machine, where
+    is m's env and origin, so a stuck eval names the term _rt holds."""
+    n = _dl(v, run)
     if run.typed and m.annot is None:
         _stuck("rt", _close(m, *where),
                "eval without annotation in a typed run")
-    return n, [d, *_checked(run, n, "eval check", m.annot)]
+    _checked(run, n, "eval check", m.annot)
+    return n
 
 
 def _lift(v: Term, m: Lift, *where) -> AstCtor:
@@ -632,8 +614,8 @@ def _fuel(fuel: int | None) -> int:
 
 def _evaluate(relation, m: Term, mode: str, fuel: int | None, trace: bool):
     run = _Run(_fuel(fuel), mode == "typed", trace)
-    out, deriv = relation(m, run)
-    return (out, deriv) if trace else out
+    out = relation(m, run)
+    return (out, run.trail[-1]) if trace else out
 
 
 def eval_ct(m: Term, mode: str = "untyped", fuel: int | None = None,
@@ -675,22 +657,18 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
                  trace: bool = False) -> PipelineResult:
     """Compile once, then run: ct, an optional whole-residual type check,
     then rt. The residual is returned so it can be re-run without
-    recompiling."""
+    recompiling. A traced run's trail ends as the stages' derivations."""
     fv = free_vars(m)
     if fv:
         raise EvalError(EvalError.STUCK, "ct", m,
                         "term is not closed: free " + ", ".join(sorted(fv)))
     run = _Run(_fuel(fuel), mode == "typed", trace)
-    residual, d_ct = _ct(m, run)
-    stages = [("ct", d_ct)]
-    residual_type = None
-    for d_type in _checked(run, residual, "residual check"):
-        residual_type = d_type.term_out
-        stages.append(("type", d_type))
-    value, d_rt = _rt_entry(residual, run)
-    stages.append(("rt", d_rt))
+    residual = _ct(m, run)
+    residual_type = _checked(run, residual, "residual check")
+    value = _rt_entry(residual, run)
+    names = ("ct", "type", "rt") if run.typed else ("ct", "rt")
     return PipelineResult(residual, residual_type, value,
-                          tuple(stages) if trace else None)
+                          tuple(zip(names, run.trail)) if trace else None)
 
 
 ### rendering

@@ -373,8 +373,7 @@ class Eval(Term):
     annot: TypeExpr | None = None
 
     def ast_tag(self) -> Tag:
-        plain = self.annot is None
-        return TAGS["eval"].tag if plain else Tag("eval", self.annot)
+        return tag_of("eval", self.annot)
 
     @classmethod
     def from_ast(cls, tag: Tag, args: list) -> Term:
@@ -400,8 +399,14 @@ class LetDown(Term):
 _register_tag(signature.lookup("promote"), None)
 
 
+def tag_of(name: str, annot: TypeExpr | None = None) -> Tag:
+    """The tag named name with annot: without one, the shared plain tag."""
+    row = TAGS.get(name)
+    return row.tag if row is not None and annot is None else Tag(name, annot)
+
+
 def mk_ast(tag_name: str, *args: Term, annot: TypeExpr | None = None) -> AstCtor:
-    return AstCtor(Tag(tag_name, annot), tuple(args))
+    return AstCtor(tag_of(tag_name, annot), tuple(args))
 
 
 ### free variables

@@ -217,7 +217,7 @@ def _reference_rt_outcome(m, mode, fuel):
     """What the reference _rt, untraced, gives for m, as _rt_outcome."""
     try:
         return reduction._rt(m, reduction._Run(fuel, mode == "typed",
-                                               False))[0]
+                                               False))
     except EvalError as exc:
         return exc.kind, exc.phase, exc.message, exc.offending
 
@@ -700,20 +700,38 @@ def test_untraced_matches_traced_on_generated_numeric_programs():
     assert seen == {"value", EvalError.STUCK, EvalError.FUEL}
 
 
-def test_untraced_count_900_fits_the_default_recursion_limit():
-    # One Python frame per non-tail level of the machine: a library run
-    # of count 900 fits CPython's default limit of 1,000.
-    code = ("import sys\n"
+def _count_in_a_fresh_process(n: int, setup: str, trace: bool):
+    """Run count n through run_pipeline in a new interpreter after setup:
+    its exit code, stdout (the recursion limit and the value) and
+    stderr."""
+    code = (f"import sys\n{setup}"
             "from hgmp.parser import parse_term\n"
             "from hgmp.reduction import run_pipeline\n"
             "m = parse_term('(rec count n. if n == 0 then 0 "
-            "else 1 + count (n - 1)) 900')\n"
-            "print(sys.getrecursionlimit(), run_pipeline(m).value.value)\n")
+            f"else 1 + count (n - 1)) {n}')\n"
+            f"value = run_pipeline(m, fuel=10**8, trace={trace}).value\n"
+            "print(sys.getrecursionlimit(), value.value)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1000 900\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_untraced_count_900_fits_the_default_recursion_limit():
+    # One Python frame per non-tail level of the machine: a library run
+    # of count 900 fits CPython's default limit of 1,000.
+    assert _count_in_a_fresh_process(900, "", False) == (0, "1000 900\n", "")
+
+
+def test_traced_count_6000_fits_the_cli_recursion_limit():
+    # Three frames of the reference _rt per level of count (if, +, and
+    # the application, which runs the body in its own frame): traced
+    # count 6000 fits the limit the CLI sets.
+    setup = ("from hgmp import cli\n"
+             "sys.setrecursionlimit(cli._RECURSION_LIMIT)\n")
+    assert _count_in_a_fresh_process(6000, setup, True) == (
+        0, "20000 6000\n", "")
 
 
 def test_untraced_pipeline_matches_traced_on_generated_terms():
