@@ -18,8 +18,8 @@ Unicode decimal digits, of any length; a - right before it makes it
 negative unless the token before the - ends a value. A string is
 double-quoted, with the four escapes \\\\ \\" \\n and \\t. A tag is # and
 the name characters after it. Any other character is an error. Tokens
-are plain tuples (kind, value, start byte, end byte), one regex match
-each; a SourceSpan is built only for a ParseError.
+are parallel sequences of kinds, values and start and end bytes, one
+regex match each; a SourceSpan is built only for a ParseError.
 
 In typed mode eval, astEval and #eval require a {Type} annotation; in
 untyped mode the annotation is rejected. Surface arity of every AST
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 
 from . import signature
@@ -95,16 +96,15 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-def _tokens(text: str) -> list[tuple]:
-    """The tokens of text as (kind, value, start, end), ending with "eof";
-    start and end are UTF-8 byte offsets."""
+def _tokens(text: str) -> tuple[list, list, array, array]:
+    """The tokens of text, ending with "eof": their kinds, their values,
+    and their UTF-8 byte start and end offsets, as parallel sequences."""
     # surrogatepass: a lone surrogate counts its 3 bytes, not a crash
     size = len if text.isascii() else (
         lambda s: len(s.encode("utf-8", "surrogatepass")))
-    out: list[tuple] = []
-    i = end = 0  # where the next match starts; the byte end of the last one
-    while True:
-        m = _TOKEN.match(text, i)
+    kinds, values, starts, ends = [], [], array("q"), array("q")
+    end = 0  # the byte end of the last token
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         j, i = m.span(kind)
         s = text[j:i]
@@ -120,8 +120,11 @@ def _tokens(text: str) -> list[tuple]:
         elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
             kind, value = "ident", s
         elif kind == "int":
-            if s[0] == "-" and out and out[-1][0] in _OPERAND_ENDERS:
-                out.append(("-", "-", start, start + 1))
+            if s[0] == "-" and kinds and kinds[-1] in _OPERAND_ENDERS:
+                kinds.append("-")
+                values.append("-")
+                starts.append(start)
+                ends.append(start + 1)
                 s, start = s[1:], start + 1
             value = int_of_text(s)
         elif kind == "string" and m["close"] == '"':
@@ -135,12 +138,16 @@ def _tokens(text: str) -> list[tuple]:
         elif kind == "tag":
             raise ParseError(SourceSpan(start, end), f"unknown tag {s}")
         elif kind == "eof":
-            out.append(("eof", None, end, end))
-            return out
+            value = None
         else:  # any other character; \w also takes ² and Ⅻ, which start no name
             raise ParseError(SourceSpan(start, start + size(s[0])),
                              f"unexpected character {s[0]!r}")
-        out.append((kind, value, start, end))
+        kinds.append(kind)
+        values.append(value)
+        starts.append(start)
+        ends.append(end)
+        if kind == "eof":
+            return kinds, values, starts, ends
 
 
 ### parser
@@ -164,29 +171,31 @@ class _Parser:
     def __init__(self, text: str, mode: str):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self.tokens = _tokens(text)
+        self.kinds, self.values, self.starts, self.ends = _tokens(text)
         self.typed = mode == "typed"
 
     def want(self, pos: int, kind: str, what: str) -> tuple[object, int]:
         """The value of token pos, which must be of this kind, and pos + 1."""
-        tok = self.tokens[pos]
-        if tok[0] != kind:
-            self.fail(tok, what)
-        return tok[1], pos + 1
+        if self.kinds[pos] != kind:
+            self.fail(pos, what)
+        return self.values[pos], pos + 1
 
-    def fail(self, tok: tuple, *expected: str):
-        kind, size = tok[0], tok[3] - tok[2]
+    def span(self, tok: int) -> SourceSpan:
+        return SourceSpan(self.starts[tok], self.ends[tok])
+
+    def fail(self, tok: int, *expected: str):
+        kind, size = self.kinds[tok], self.ends[tok] - self.starts[tok]
         # a long literal is described by its span: spelling it back would
         # copy every digit into the message, at a quadratic conversion
         found = ("end of input" if kind == "eof" else
                  f"integer literal {size} bytes long"
                  if kind == "int" and size > _SPELLED_INT else
                  repr(self._spelling(tok)))
-        raise ParseError(SourceSpan(*tok[2:]), f"unexpected {found}", expected)
+        raise ParseError(self.span(tok), f"unexpected {found}", expected)
 
-    @staticmethod
-    def _spelling(tok: tuple) -> str:
-        kind, value = tok[0], tok[1]  # a keyword's or symbol's value is itself
+    def _spelling(self, tok: int) -> str:
+        # a keyword's or symbol's value is itself
+        kind, value = self.kinds[tok], self.values[tok]
         return (int_text(value) if kind == "int" else
                 TAGS[value].ast if kind == "astctor" else
                 TAGS[value].sharp if kind == "tag" else value)
@@ -203,25 +212,24 @@ class _Parser:
         bracket waiting for its term and closer; no operator reduces it,
         so an operator chain inside a construct ends at the construct.
         """
-        toks = self.tokens
+        kinds, values = self.kinds, self.values
         stack: list[tuple] = [(-1, "top")]  # "top" takes the whole term
         while True:
             # a term starts here: push the constructs that open it, up to
             # its first atom
-            tok = toks[pos]
-            kind = tok[0]
-            pos += 1
+            tok, pos = pos, pos + 1
+            kind = kinds[tok]
             if kind == "ident":
-                m = Var(tok[1])
+                m = Var(values[tok])
             elif kind == "int":
-                m = IntLit(tok[1])
+                m = IntLit(values[tok])
             elif kind == "string":
-                m = StrLit(tok[1])
+                m = StrLit(values[tok])
             elif kind == "true" or kind == "false":
                 m = BoolLit(kind == "true")
             elif kind == "tag":
                 annot, pos = self._eval_annot(tok, pos)
-                m = TagLit(tag_of(tok[1], annot))
+                m = TagLit(tag_of(values[tok], annot))
             elif kind == "\\":
                 param, pos = self.want(pos, "ident", "a parameter name")
                 annot, pos = self._binder_annot(tok, pos)
@@ -250,7 +258,7 @@ class _Parser:
             elif kind == "astctor":
                 annot, pos = self._eval_annot(tok, pos)
                 _, pos = self.want(pos, "(", "'('")
-                if toks[pos][0] != ")":
+                if kinds[pos] != ")":
                     stack.append((-1, kind, tok, annot, []))
                     continue
                 m, pos = self._ast_ctor(tok, annot, [], pos)
@@ -259,7 +267,7 @@ class _Parser:
             while True:
                 # m is an operand: the operators before it that bind at
                 # least as tightly as the token after it take it
-                kind = toks[pos][0]
+                kind = kinds[pos]
                 if kind in _ATOM_STARTERS:
                     level, op = _APP, "app"
                 else:
@@ -315,75 +323,75 @@ class _Parser:
                             break
                         m, pos = self._ast_ctor(tok, annot, args, pos)
 
-    def _binder_annot(self, tok, pos: int) -> tuple[TypeExpr | None, int]:
+    def _binder_annot(self, tok: int, pos: int) -> tuple[TypeExpr | None, int]:
         """The optional `: T` and the `.` after a binder's names."""
         annot = None
-        if self.tokens[pos][0] == ":":
+        if self.kinds[pos] == ":":
             annot, pos = self.type_expr(pos + 1)
-            if tok[0] == "rec" and not isinstance(annot, Arrow):
-                raise ParseError(SourceSpan(*tok[2:]),
+            if self.kinds[tok] == "rec" and not isinstance(annot, Arrow):
+                raise ParseError(self.span(tok),
                                  "recursion annotation must be a function type")
         _, pos = self.want(pos, ".", "'.'")
         return annot, pos
 
-    def _eval_annot(self, tok, pos: int) -> tuple[TypeExpr | None, int]:
+    def _eval_annot(self, tok: int, pos: int) -> tuple[TypeExpr | None, int]:
         """The {Type} after eval, astEval or #eval: required in typed mode,
         rejected in untyped mode and after any other tag or constructor."""
-        after = self.tokens[pos]
-        if tok[1] != "eval":
-            if after[0] == "{":
-                ctor = "astEval" if tok[0] == "astctor" else "eval"
-                raise ParseError(SourceSpan(*after[2:]),
+        brace = self.kinds[pos] == "{"
+        if self.values[tok] != "eval":
+            if brace:
+                ctor = "astEval" if self.kinds[tok] == "astctor" else "eval"
+                raise ParseError(self.span(pos),
                                  f"only {ctor} carries a type annotation")
             return None, pos
         name = self._spelling(tok)
         if self.typed:
-            if after[0] != "{":
-                raise ParseError(SourceSpan(*tok[2:]),
+            if not brace:
+                raise ParseError(self.span(tok),
                                  f"{name} requires a {{Type}} annotation in typed mode")
             annot, pos = self.type_expr(pos + 1)
             _, pos = self.want(pos, "}", "'}'")
             return annot, pos
-        if after[0] == "{":
-            raise ParseError(SourceSpan(*after[2:]),
+        if brace:
+            raise ParseError(self.span(pos),
                              f"{name} takes no annotation in untyped mode")
         return None, pos
 
-    def _ast_ctor(self, tok: tuple, annot: TypeExpr | None,
+    def _ast_ctor(self, tok: int, annot: TypeExpr | None,
                   args: list[Term], pos: int) -> tuple[Term, int]:
         """The AST constructor tok(args), once its ')' is token pos."""
         _, after = self.want(pos, ")", "')'")
-        if not signature.check_arity(tok[1], len(args)):
-            wanted = signature.arity_text(tok[1])
+        if not signature.check_arity(self.values[tok], len(args)):
+            wanted = signature.arity_text(self.values[tok])
             raise ParseError(
-                SourceSpan(tok[2], self.tokens[pos][3]),
+                SourceSpan(self.starts[tok], self.ends[pos]),
                 f"{self._spelling(tok)} takes {wanted} argument(s), got {len(args)}")
-        return AstCtor(tag_of(tok[1], annot), tuple(args)), after
+        return AstCtor(tag_of(self.values[tok], annot), tuple(args)), after
 
     ### types
 
     def type_expr(self, pos: int) -> tuple[TypeExpr, int]:
         """A type; arrows associate to the right. The stack holds each
         domain waiting for its codomain, and None for each open '('."""
-        toks = self.tokens
+        kinds = self.kinds
         stack: list[TypeExpr | None] = []
         while True:
-            tok = toks[pos]
-            pos += 1
-            if tok[0] == "(":
+            tok, pos = pos, pos + 1
+            name = self.values[tok]
+            if kinds[tok] == "(":
                 stack.append(None)
                 continue
-            if tok[0] != "ident":
+            if kinds[tok] != "ident":
                 self.fail(tok, "a type")
-            if tok[1] in _TYPE_NAMES:
-                ty = _TYPE_NAMES[tok[1]]
-            elif tok[1] == "Tag":
+            if name in _TYPE_NAMES:
+                ty = _TYPE_NAMES[name]
+            elif name == "Tag":
                 tag, pos = self.want(pos, "tag", "a #tag")
                 ty = TagType(tag)
             else:
-                raise ParseError(SourceSpan(*tok[2:]),
-                                 f"unknown type name {tok[1]!r}")
-            while toks[pos][0] != "->":
+                raise ParseError(self.span(tok),
+                                 f"unknown type name {name!r}")
+            while kinds[pos] != "->":
                 while stack and stack[-1] is not None:
                     ty = Arrow(stack.pop(), ty)
                 if not stack:
@@ -394,8 +402,8 @@ class _Parser:
             stack.append(ty)
 
     def finish(self, pos: int):
-        if self.tokens[pos][0] != "eof":
-            self.fail(self.tokens[pos], "end of input")
+        if self.kinds[pos] != "eof":
+            self.fail(pos, "end of input")
 
 
 def parse_term(text: str, mode: str = "untyped") -> Term:
