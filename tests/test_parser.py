@@ -609,8 +609,8 @@ def test_parse_deterministic():
 def test_parse_memory_does_not_depend_on_the_free_lists():
     """A token makes no object of its own, so a parse allocates the same
     memory whether or not a full collection has just emptied the
-    interpreter's free lists: tokens as 4-tuples drew on them, and the
-    tracemalloc peak rose by a third after a collection."""
+    interpreter's free lists, which serve small tuples without a traced
+    allocation."""
     src = " + ".join(f"f{i} ({i} * x{i})" for i in range(400))
     peaks = []
     for collect in (False, True):
