@@ -10,9 +10,14 @@ SHA-256, so a failure names the generator whose outcomes moved. A
 second set of digests pins each relation on its own entry, traced:
 eval_ct and eval_ul of the program, eval_dl of eval_ul's output and
 eval_rt of eval_ct's (or of the program, when ct fails), each written
-as the printed output and the to_json derivation, or the error. The
-digests in outcome_digests.json were written by the code a refactor
-starts from; a refactor that keeps behaviour keeps them.
+as the printed output and the to_json derivation, or the error. Two
+more pin the pieces underneath: the printed result of subst on seeded
+(body, value, name) triples, primed names among them so that binders
+get renamed, and the checker's outcomes on seeded typed programs and
+their residuals, against the empty environment and one that binds
+their free variables. The digests in outcome_digests.json were written
+by the code a refactor starts from; a refactor that keeps behaviour
+keeps them.
 
 A change that alters an outcome on purpose rewrites the file, and says
 so, with:
@@ -31,10 +36,12 @@ from pathlib import Path
 from hgmp.reduction import (
     EvalError, eval_ct, eval_dl, eval_rt, eval_ul, run_pipeline, to_json,
 )
-from hgmp.syntax import pretty, pretty_type
+from hgmp.syntax import CODE, INT, STRING, Arrow, pretty, pretty_type, subst
+from hgmp.typecheck import EMPTY_ENV, TypeEnv, TypeErrorDetail, check, infer
 
 from gen_terms import (
-    gen_compile_candidate, gen_numeric_rec, gen_open_eval, gen_term,
+    NAMES, PRIMED_NAMES, gen_compile_candidate, gen_ml_free,
+    gen_numeric_rec, gen_open_eval, gen_term, gen_type, gen_typed_term,
 )
 
 DIGESTS = Path(__file__).resolve().parent / "outcome_digests.json"
@@ -126,6 +133,55 @@ def traced_digest(name: str) -> str:
     return h.hexdigest()
 
 
+def _hashed(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode("utf-8"))
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def subst_texts(rounds: int = 20_000):
+    """pretty(subst(m, v, x)) on seeded triples. Bodies and names come
+    from two small name sets in turn, one of them primed; a value is
+    closed or a small term open over the same names."""
+    rng = random.Random(f"{SEED}:subst")
+    for i in range(rounds):
+        names = PRIMED_NAMES if i % 2 else NAMES[:4]
+        m = gen_ml_free(rng, rng.randint(0, 4), names, names=names)
+        v = gen_ml_free(rng, rng.randint(0, 2),
+                        names if rng.random() < 0.5 else (), names=names)
+        yield pretty(subst(m, v, rng.choice(names)))
+
+
+# The variables the checker's programs may use, and their types.
+SCOPE = (("x", INT), ("f", Arrow(INT, INT)), ("c", CODE), ("s", STRING))
+
+
+def checker_texts(rounds: int = 2_000):
+    """Each seeded typed program's, and its residual's, inferred type and
+    check against the type it was made at, or the rejection, under the
+    empty environment and under SCOPE."""
+    rng = random.Random(f"{SEED}:checker")
+    under_scope = TypeEnv(dict(SCOPE))
+    for _ in range(rounds):
+        ty = gen_type(rng, 1)
+        m = gen_typed_term(rng, ty, SCOPE, rng.randint(1, 4))
+        candidates = [m]
+        try:
+            candidates.append(eval_ct(m, "typed", fuel=10_000))
+        except EvalError:
+            pass
+        for m in candidates:
+            for env in (EMPTY_ENV, under_scope):
+                for run in (lambda: pretty_type(infer(env, m)),
+                            lambda: check(env, m, ty) or pretty_type(ty)):
+                    try:
+                        yield run()
+                    except TypeErrorDetail as err:
+                        yield f"{err.kind}: {err.describe()}"
+
+
 def test_outcomes_match_the_pinned_digests():
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert (pinned["seed"], pinned["fuel"]) == (SEED, FUEL)
@@ -138,11 +194,23 @@ def test_traced_relations_match_the_pinned_digests():
             == pinned["traced_relations"])
 
 
+def test_subst_matches_its_pinned_digest():
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert _hashed(subst_texts()) == pinned["subst"]
+
+
+def test_checker_matches_its_pinned_digest():
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert _hashed(checker_texts()) == pinned["checker"]
+
+
 if __name__ == "__main__":
     sys.setrecursionlimit(20_000)  # as tests/conftest.py sets it
     DIGESTS.write_text(json.dumps(
         {"seed": SEED, "fuel": FUEL,
          "digests": {name: digest(name) for name in GENERATORS},
          "traced_relations": {name: traced_digest(name)
-                              for name in GENERATORS}},
+                              for name in GENERATORS},
+         "subst": _hashed(subst_texts()),
+         "checker": _hashed(checker_texts())},
         indent=2) + "\n", encoding="utf-8")
