@@ -10,6 +10,6 @@ from .reduction import (
     Derivation, EvalError, PipelineResult,
     eval_ct, eval_dl, eval_rt, eval_ul, run_pipeline,
 )
-from .typecheck import TypeEnv, TypeErrorDetail, check, infer, unify
+from .typecheck import TypeErrorDetail, check, infer, unify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

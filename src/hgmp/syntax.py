@@ -438,56 +438,47 @@ def free_vars(m: Term) -> set[str]:
 ### substitution
 
 def subst(m: Term, n: Term, x: str) -> Term:
-    """Capture-avoiding substitution m{n/x}: subst_all with one entry."""
-    return subst_all(m, {x: n})
-
-
-def subst_all(m: Term, sigma: dict) -> Term:
-    """Capture-avoiding simultaneous substitution of each value in sigma
-    for the free occurrences of its name in m.
+    """Capture-avoiding substitution m{n/x} of the one value n.
 
     Pushes unchanged through splices, quotes, lift and eval. Every binder
-    is handled alike, from its signature row: it shadows its names in
-    all the node's children (a LetDown's bound term too). Of the other
-    entries it keeps those free in its children, and renames a bound name
-    free in one of their values to its first primed variant outside the
-    free variables of those values and of the children, and its names.
-    """
+    is handled alike, from its signature row: a binder of x shadows it in
+    all the node's children (a LetDown's bound term too). Where x is free
+    in its children, a bound name free in n is first renamed to its first
+    primed variant outside the free variables of n and of the children,
+    and its names."""
     if m.binds:
-        return _subst_binder(m, sigma)
+        return _subst_binder(m, n, x)
     if type(m) is Var:
-        return sigma.get(m.name, m)
+        return n if m.name == x else m
     kids = m.children()
     if not kids:
         return m
-    return m.rebuild([subst_all(k, sigma) for k in kids])
+    return m.rebuild([subst(k, n, x) for k in kids])
 
 
-def _subst_binder(m: Term, sigma: dict) -> Term:
+def _subst_binder(m: Term, n: Term, x: str) -> Term:
     names = m.bound_names()
-    if not sigma.keys().isdisjoint(names):
-        sigma = {x: n for x, n in sigma.items() if x not in names}
+    if x in names:
+        return m
     kids = m.children()
-    fvs = {x: free_vars(n) for x, n in sigma.items()}
-    if not all(map(set(names).isdisjoint, fvs.values())):
+    fv_n = free_vars(n)
+    if not fv_n.isdisjoint(names):
         fv_kids = set().union(*map(free_vars, kids))
-        sigma = {x: n for x, n in sigma.items() if x in fv_kids}
-        captured = set().union(*[fvs[x] for x in sigma])
-        avoid = captured | fv_kids | set(names)  # fv_kids holds sigma's names
+        if x not in fv_kids:
+            return m
+        avoid = fv_n | fv_kids | set(names)  # fv_kids holds x
         names = list(names)
         # Each to its first free primed variant, innermost binder
         # first: of a repeated name (rec f f.) the last one owns the uses.
         for i in reversed(range(len(names))):
-            if names[i] in captured:
+            if names[i] in fv_n:
                 renamed = names[i] + "'"
                 while renamed in avoid:
                     renamed += "'"
                 avoid.add(renamed)
-                sigma.setdefault(names[i], Var(renamed))
+                kids = [subst(k, Var(renamed), names[i]) for k in kids]
                 names[i] = renamed
-    if not sigma:
-        return m
-    return m.rebind(names, [subst_all(k, sigma) for k in kids])
+    return m.rebind(names, [subst(k, n, x) for k in kids])
 
 
 ### alpha equivalence

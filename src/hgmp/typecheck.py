@@ -5,12 +5,18 @@ bodies must have type Code, the compiled residual is checked as a whole,
 and each eval re-checks the code it is about to run against its
 annotation. Inference is monomorphic (no generalisation); it exists
 because compiled-in lambdas built from astLam carry no annotations.
+
+An environment maps variable names to types: any mapping, or None for
+the empty one. A binder extends it into a new dict, so an inner binder
+hides an outer one of the same name.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from . import signature
 from .syntax import (
@@ -47,25 +53,7 @@ class TypeErrorDetail(Exception):
         return f"error[type]: {self.describe()}"
 
 
-class TypeEnv:
-    """Finite map from variables to types; extension shadows, so an
-    inner binder hides an outer one of the same name."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, bindings: dict[str, TypeExpr] | None = None):
-        self._map = dict(bindings) if bindings else {}
-
-    def lookup(self, name: str) -> TypeExpr | None:
-        return self._map.get(name)
-
-    def extend(self, name: str, ty: TypeExpr) -> "TypeEnv":
-        out = TypeEnv(self._map)
-        out._map[name] = ty
-        return out
-
-
-EMPTY_ENV = TypeEnv()
+EMPTY_ENV = MappingProxyType({})  # no variable is typed
 
 # Each literal's type, which lift takes; and by tag, the atom an AST
 # constructor for a variable or a literal wraps.
@@ -131,10 +119,10 @@ class _Engine:
 
     ### inference proper
 
-    def infer(self, env: TypeEnv, m: Term) -> TypeExpr:
+    def infer(self, env: Mapping[str, TypeExpr], m: Term) -> TypeExpr:
         match m:
             case Var(name):
-                ty = env.lookup(name)
+                ty = env.get(name)
                 if ty is None:
                     raise TypeErrorDetail(f"unbound variable {name}",
                                           kind="unbound", at=m,
@@ -146,14 +134,13 @@ class _Engine:
                 return TagType(tag.name)
             case Lam(param, body, annot):
                 arg_ty = annot if annot is not None else self.fresh()
-                return Arrow(arg_ty, self.infer(env.extend(param, arg_ty),
-                                                body))
+                return Arrow(arg_ty, self.infer({**env, param: arg_ty}, body))
             case Rec(self_name, param, body, annot):
                 fn_ty = (annot if annot is not None
                          else Arrow(self.fresh(), self.fresh()))
                 # Of a repeated name (rec f f.) the parameter wins.
-                env2 = env.extend(self_name, fn_ty).extend(param, fn_ty.src)
-                self.unify(self.infer(env2, body), fn_ty.dst, at=m)
+                env = {**env, self_name: fn_ty, param: fn_ty.src}
+                self.unify(self.infer(env, body), fn_ty.dst, at=m)
                 return fn_ty
             case App(fn, arg):
                 fn_ty = self.infer(env, fn)
@@ -198,7 +185,7 @@ class _Engine:
                     kind="malformed", at=m, phase=self.phase)
         raise TypeError(f"not a Term: {m!r}")
 
-    def _infer_ast(self, env: TypeEnv, m: Term, name: str,
+    def _infer_ast(self, env: Mapping[str, TypeExpr], m: Term, name: str,
                    args: tuple[Term, ...]) -> TypeExpr:
         row, count = TAGS[name], len(args)
         # A fixed arity is one comparison; check_arity decides the rest.
@@ -268,7 +255,8 @@ class _Engine:
                 self.unify(self.infer(env, a), CODE, at=a)
         return CODE
 
-    def _check_atom(self, env: TypeEnv, a: Term, ty: TypeExpr):
+    def _check_atom(self, env: Mapping[str, TypeExpr], a: Term,
+                    ty: TypeExpr):
         """a, the atom an AST constructor wraps, checked against ty: a
         literal by its class, anything else by infer and unify."""
         if _LIT_TYPE.get(type(a)) is not ty:
@@ -296,15 +284,15 @@ def display_type(t: TypeExpr, names: dict[int, str] | None = None) -> str:
     return _HOLE.sub(name, pretty_type(t))
 
 
-def infer_open(env: TypeEnv | None, m: Term,
+def infer_open(env: Mapping[str, TypeExpr] | None, m: Term,
                phase: str = "residual check") -> TypeExpr:
-    """Inference without the ambiguity gate; the result may contain
-    unresolved meta-variables. Mostly for tests and diagnostics."""
+    """Inference under env without the ambiguity gate; the result may
+    contain unresolved meta-variables. Mostly for tests and diagnostics."""
     eng = _Engine(phase)
     return eng.resolve(eng.infer(env or EMPTY_ENV, m))
 
 
-def _solve(env: TypeEnv | None, m: Term, phase: str,
+def _solve(env: Mapping[str, TypeExpr] | None, m: Term, phase: str,
            expected: TypeExpr | None = None) -> TypeExpr:
     """m's type, unified with expected when one is given. A type that
     still contains meta-variables after solving is reported as ambiguous
@@ -321,15 +309,15 @@ def _solve(env: TypeEnv | None, m: Term, phase: str,
     return ty
 
 
-def infer(env: TypeEnv | None, m: Term,
+def infer(env: Mapping[str, TypeExpr] | None, m: Term,
           phase: str = "residual check") -> TypeExpr:
-    """Principal monomorphic type of m, or a TypeErrorDetail."""
+    """Principal monomorphic type of m under env, or a TypeErrorDetail."""
     return _solve(env, m, phase)
 
 
-def check(env: TypeEnv | None, m: Term, expected: TypeExpr,
+def check(env: Mapping[str, TypeExpr] | None, m: Term, expected: TypeExpr,
           phase: str = "residual check") -> None:
-    """Infer m's type and unify it with expected; raises on failure."""
+    """Infer m's type under env, unify it with expected; raises on failure."""
     _solve(env, m, phase, expected)
 
 

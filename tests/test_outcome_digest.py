@@ -37,7 +37,7 @@ from hgmp.reduction import (
     EvalError, eval_ct, eval_dl, eval_rt, eval_ul, run_pipeline, to_json,
 )
 from hgmp.syntax import CODE, INT, STRING, Arrow, pretty, pretty_type, subst
-from hgmp.typecheck import EMPTY_ENV, TypeEnv, TypeErrorDetail, check, infer
+from hgmp.typecheck import EMPTY_ENV, TypeErrorDetail, check, infer
 
 from gen_terms import (
     NAMES, PRIMED_NAMES, gen_compile_candidate, gen_ml_free,
@@ -163,7 +163,7 @@ def checker_texts(rounds: int = 2_000):
     check against the type it was made at, or the rejection, under the
     empty environment and under SCOPE."""
     rng = random.Random(f"{SEED}:checker")
-    under_scope = TypeEnv(dict(SCOPE))
+    under_scope = dict(SCOPE)
     for _ in range(rounds):
         ty = gen_type(rng, 1)
         m = gen_typed_term(rng, ty, SCOPE, rng.randint(1, 4))

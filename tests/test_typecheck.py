@@ -9,7 +9,7 @@ from hgmp.syntax import (
     Arrow, IntLit, MetaVar, TagType, free_vars, pretty,
 )
 from hgmp.typecheck import (
-    EMPTY_ENV, TypeEnv, TypeErrorDetail, check, infer, infer_open, unify,
+    EMPTY_ENV, TypeErrorDetail, check, infer, infer_open, unify,
 )
 
 from gen_terms import gen_type, gen_typed_term
@@ -143,13 +143,6 @@ def test_type_error_names_the_source_variable():
     assert "x'" not in err.describe()
 
 
-def test_env_extend_shadows():
-    outer = TypeEnv().extend("x", INT)
-    inner = outer.extend("x", BOOL)
-    assert inner.lookup("x") == BOOL
-    assert outer.lookup("x") == INT
-
-
 ### check
 
 def test_check_examples():
@@ -268,7 +261,7 @@ def test_substitution_lemma():
         body = gen_typed_term(rng, beta, (("x", alpha),), rng.randint(0, 3))
         arg = gen_typed_term(rng, alpha, (), rng.randint(0, 2))
         try:
-            infer_open(TypeEnv({"x": alpha}), body)
+            infer_open({"x": alpha}, body)
             infer_open(None, arg)
         except TypeErrorDetail:
             continue
@@ -356,7 +349,7 @@ def test_a_term_checked_against_the_empty_environment_is_closed():
     # an environment that binds their free variables.
     rng = random.Random(4416)
     scope = (("x", INT), ("f", Arrow(INT, INT)), ("c", CODE), ("s", STRING))
-    under_scope = TypeEnv(dict(scope))
+    under_scope = dict(scope)
     accepted = open_typed = 0
     for _ in range(2_000):
         ty = gen_type(rng, 1)
