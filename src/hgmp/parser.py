@@ -46,6 +46,13 @@ from .syntax import (
 MODES = ("typed", "untyped")
 
 
+def is_typed(mode: str) -> bool:
+    """Whether mode, one of MODES, is "typed"; a ValueError otherwise."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode == "typed"
+
+
 @dataclass(frozen=True)
 class SourceSpan:
     start: int  # byte offset, inclusive
@@ -169,10 +176,8 @@ class _Parser:
     what it took; every path that reads the last token, eof, fails."""
 
     def __init__(self, text: str, mode: str):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        self.typed = is_typed(mode)
         self.kinds, self.values, self.starts, self.ends = _tokens(text)
-        self.typed = mode == "typed"
 
     def want(self, pos: int, kind: str, what: str) -> tuple[object, int]:
         """The value of token pos, which must be of this kind, and pos + 1."""

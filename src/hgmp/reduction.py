@@ -56,6 +56,7 @@ from .syntax import (
     printer, subst,
 )
 from . import typecheck
+from .parser import is_typed
 from .typecheck import CODE, EMPTY_ENV, TypeErrorDetail
 
 DEFAULT_FUEL = 100_000
@@ -143,7 +144,11 @@ def _d(run: _Run, at: int, rule: str | None, relation: str, m: Term, out):
             rule = sys.intern(stem if relation == "rt"
                               else f"{stem} {relation}")
         trail = run.trail
-        trail[at:] = [Derivation(rule, relation, m, out, tuple(trail[at:]))]
+        if at == len(trail):  # a leaf: nothing to slice
+            trail.append(Derivation(rule, relation, m, out))
+        else:
+            trail[at:] = [Derivation(rule, relation, m, out,
+                                     tuple(trail[at:]))]
     return out
 
 
@@ -612,8 +617,17 @@ def _fuel(fuel: int | None) -> int:
     return fuel
 
 
+def _start(m: Term, mode: str, fuel: int | None, trace: bool) -> _Run:
+    """The run an entry point starts on m, once its arguments are checked:
+    the budget by _fuel, the mode against MODES, and m is a Term."""
+    fuel, typed = _fuel(fuel), is_typed(mode)
+    if not isinstance(m, Term):
+        raise TypeError(f"not a Term: {m!r}")
+    return _Run(fuel, typed, trace)
+
+
 def _evaluate(relation, m: Term, mode: str, fuel: int | None, trace: bool):
-    run = _Run(_fuel(fuel), mode == "typed", trace)
+    run = _start(m, mode, fuel, trace)
     out = relation(m, run)
     return (out, run.trail[-1]) if trace else out
 
@@ -658,11 +672,11 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
     """Compile once, then run: ct, an optional whole-residual type check,
     then rt. The residual is returned so it can be re-run without
     recompiling. A traced run's trail ends as the stages' derivations."""
+    run = _start(m, mode, fuel, trace)
     fv = free_vars(m)
     if fv:
         raise EvalError(EvalError.STUCK, "ct", m,
                         "term is not closed: free " + ", ".join(sorted(fv)))
-    run = _Run(_fuel(fuel), mode == "typed", trace)
     residual = _ct(m, run)
     residual_type = _checked(run, residual, "residual check")
     value = _rt_entry(residual, run)

@@ -631,6 +631,12 @@ def test_mode_validation():
         parse_term("1", "strict")
 
 
+def test_a_span_ends_at_or_after_its_start():
+    assert SourceSpan(3, 3).end == 3
+    with pytest.raises(ValueError, match="span ends before it starts"):
+        SourceSpan(3, 2)
+
+
 ### round trip
 
 def test_round_trip_spec_examples():

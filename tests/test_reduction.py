@@ -423,6 +423,30 @@ def test_fuel_env_must_be_an_integer(monkeypatch):
     assert exc.value.kind == EvalError.FUEL
 
 
+MODE_ERROR = "mode must be one of ('typed', 'untyped'), got 'Typed'"
+ARGUMENT_ERRORS = [
+    # (id, entry point, its arguments, the error's class and message)
+    *[(f"{entry.__name__}-mode", entry, (IntLit(1), "Typed"), ValueError,
+       MODE_ERROR) for entry in (run_pipeline, eval_ct, eval_ul, eval_rt)],
+    *[(f"{entry.__name__}-term", entry, (5,), TypeError, "not a Term: 5")
+      for entry in (run_pipeline, eval_ct, eval_ul, eval_dl, eval_rt)],
+    # A value inside a term that is no Term reaches the evaluator itself.
+    ("eval_rt-argument", eval_rt, (App(Lam("x", Var("x")), 5),), TypeError,
+     "not a Term: 5"),
+]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("entry, args, error, message",
+                         [row[1:] for row in ARGUMENT_ERRORS],
+                         ids=[row[0] for row in ARGUMENT_ERRORS])
+def test_entry_points_reject_a_bad_mode_or_term(entry, args, error, message,
+                                                trace):
+    with pytest.raises(Exception) as exc:
+        entry(*args, trace=trace)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
 def _rule_count(d: Derivation) -> int:
     return (d.relation != "type") + sum(_rule_count(p) for p in d.premises)
 
@@ -545,6 +569,12 @@ def test_untraced_rt_keeps_library_built_literals_on_the_reference(m, value):
     else:
         assert untraced == (value, m, None)
         assert repr(eval_rt(m)) == repr(value)
+
+
+def test_to_json_rejects_what_is_no_trace():
+    with pytest.raises(TypeError) as exc:
+        to_json({"stages": [1.5]})
+    assert str(exc.value) == "cannot write 1.5 as trace JSON"
 
 
 def test_literals_of_another_host_type_are_rejected():

@@ -52,6 +52,19 @@ def test_check_arity():
     assert not check_arity("lam", 1)
 
 
+@pytest.mark.parametrize("arity, binders, message", [
+    (2, (1,), "binder positions must lead the arguments"),
+    (None, (0,), "a binding constructor needs a fixed arity and a body "
+                 "after its binders"),
+    (1, (0,), "a binding constructor needs a fixed arity and a body after "
+              "its binders"),
+])
+def test_ctor_spec_rejects_misplaced_binders(arity, binders, message):
+    with pytest.raises(ValueError) as exc:
+        signature.CtorSpec("pair", "pair", arity, binders)
+    assert str(exc.value) == message
+
+
 def test_lookup_unknown():
     with pytest.raises(KeyError):
         lookup("nosuch")

@@ -19,7 +19,7 @@ from hgmp.syntax import (
     LetDown, Lift, MetaVar, Rec, StrLit, Tag, TagLit, TagType, Term,
     TypeExpr, UpML, Var,
     alpha_eq, free_vars, int_of_text, int_text, is_ml_free, mk_ast, pretty,
-    subst,
+    pretty_type, subst,
 )
 
 from gen_terms import gen_ml_free, gen_term
@@ -431,6 +431,16 @@ def test_tag_and_binop_validation():
         BinOp("div", IntLit(1), IntLit(2))
     with pytest.raises(ValueError, match="unknown operator: 'pow'"):
         BinOp("pow", IntLit(1), IntLit(2))
+
+
+def test_printers_reject_what_they_do_not_print():
+    for show, value, message in [
+            (pretty, 5, "not a Term: 5"),
+            (pretty, App(Var("f"), 5), "not a Term: 5"),
+            (pretty_type, IntLit(1), "not a TypeExpr: IntLit(value=1)")]:
+        with pytest.raises(TypeError) as exc:
+            show(value)
+        assert str(exc.value) == message
 
 
 def test_quoted_nodes_of_one_constructor_share_one_tag():

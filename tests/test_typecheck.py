@@ -6,7 +6,7 @@ from hgmp.parser import parse_term
 from hgmp.reduction import EvalError, eval_ct, run_pipeline
 from hgmp.syntax import (
     BOOL, CODE, INT, STRING,
-    Arrow, IntLit, MetaVar, TagType, free_vars, pretty,
+    App, Arrow, IntLit, Lam, MetaVar, TagType, Var, free_vars, pretty,
 )
 from hgmp.typecheck import (
     EMPTY_ENV, TypeErrorDetail, check, infer, infer_open, unify,
@@ -97,6 +97,13 @@ def test_an_unknown_tag_type_name_is_a_value_error():
     # As for Tag: not a KeyError when the type is printed.
     with pytest.raises(ValueError, match="unknown tag name: 'nosuch'"):
         check(None, IntLit(1), TagType("nosuch"))
+
+
+def test_infer_rejects_what_is_not_a_term():
+    for m in (5, App(Lam("x", Var("x")), 5)):
+        with pytest.raises(TypeError) as exc:
+            infer(EMPTY_ENV, m)
+        assert str(exc.value) == "not a Term: 5"
 
 
 def test_infer_unbound():
