@@ -15,7 +15,11 @@ more pin the pieces underneath: the printed result of subst on seeded
 (body, value, name) triples, primed names among them so that binders
 get renamed, and the checker's outcomes on seeded typed programs and
 their residuals, against the empty environment and one that binds
-their free variables. The digests in outcome_digests.json were written
+their free variables. A last one pins the parser: the repr of each
+seeded source's term, or the ParseError with its span and expected list,
+in both modes, over lexer pieces, printed generated terms cut short, and
+parser-raised errors after multi-byte text and after a '-' split off an
+integer literal. The digests in outcome_digests.json were written
 by the code a refactor starts from; a refactor that keeps behaviour
 keeps them.
 
@@ -33,6 +37,7 @@ import random
 import sys
 from pathlib import Path
 
+from hgmp.parser import MODES, ParseError, parse_term
 from hgmp.reduction import (
     EvalError, eval_ct, eval_dl, eval_rt, eval_ul, run_pipeline, to_json,
 )
@@ -43,6 +48,7 @@ from gen_terms import (
     NAMES, PRIMED_NAMES, gen_compile_candidate, gen_ml_free,
     gen_numeric_rec, gen_open_eval, gen_term, gen_type, gen_typed_term,
 )
+from test_parser import LEX_ERRORS, LEX_GAPS, LEX_PIECES
 
 DIGESTS = Path(__file__).resolve().parent / "outcome_digests.json"
 SEED = 12
@@ -182,6 +188,55 @@ def checker_texts(rounds: int = 2_000):
                         yield f"{err.kind}: {err.describe()}"
 
 
+# Errors the parser, not the lexer, raises, and a long literal; each is
+# parsed after every prefix, so that its span lies past ASCII text, past
+# multi-byte text, and past a '-' split off an integer literal.
+PARSE_PREFIXES = ("", "1 + ", '"日本" é + ', "x-1 + ", "é -1-2 + ")
+PARSE_CASES = [
+    "astInt(1, 2)", "astLam(x)", "astPromote()", "astInt(-1-1, é)",
+    "astInt(" + "9" * 4400 + ", -" + "1" * 4400 + ")",
+    "astLam{Int}(x, 1)", "#lam{Int}", "eval(1)", "#eval", "astEval(1)",
+    "eval{Int}(1)", "#eval{Code}", "astEval{Int}(1)", "eval{Int",
+    "rec g x : Int . g x", r"\x : Foo . x", r"\x : (Int -> é) . x",
+    "let " + "9" * 4400 + " = 1 in 2", "let -" + "1" * 4400 + " = 1 in 2",
+    "x -" + "9" * 4400 + " let", "(1 -1", "[| x-1 |] -1 )",
+    r"\x : Int -1 . x", "let x -" + "9" * 4400 + " = 1 in x",
+]
+
+
+def _parsed(text: str, mode: str) -> str:
+    try:
+        term = parse_term(text, mode)
+    except ParseError as err:
+        return "error\n" + str(err)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # repr spells literals of any length
+    try:
+        return repr(term)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def parser_texts(rounds: int = 3_000):
+    """Each source parsed in both modes: seeded runs of lexer pieces,
+    printed generated terms, whole and cut short, and every prefixed
+    PARSE_CASES entry."""
+    rng = random.Random(f"{SEED}:parser")
+    sources = []
+    for _ in range(rounds):
+        sources.append("".join(
+            rng.choice(LEX_ERRORS if rng.random() < 0.05 else LEX_PIECES)
+            + rng.choice(LEX_GAPS) for _ in range(rng.randint(0, 12))))
+        text = pretty(gen_term(rng, rng.randint(0, 4),
+                               typed=rng.random() < 0.5))
+        sources += [text, text[:rng.randint(0, len(text))]]
+    sources += [prefix + case for prefix in PARSE_PREFIXES
+                for case in PARSE_CASES]
+    for text in sources:
+        for mode in MODES:
+            yield _parsed(text, mode)
+
+
 def test_outcomes_match_the_pinned_digests():
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert (pinned["seed"], pinned["fuel"]) == (SEED, FUEL)
@@ -204,6 +259,11 @@ def test_checker_matches_its_pinned_digest():
     assert _hashed(checker_texts()) == pinned["checker"]
 
 
+def test_parser_matches_its_pinned_digest():
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert _hashed(parser_texts()) == pinned["parser"]
+
+
 if __name__ == "__main__":
     sys.setrecursionlimit(20_000)  # as tests/conftest.py sets it
     DIGESTS.write_text(json.dumps(
@@ -212,5 +272,6 @@ if __name__ == "__main__":
          "traced_relations": {name: traced_digest(name)
                               for name in GENERATORS},
          "subst": _hashed(subst_texts()),
-         "checker": _hashed(checker_texts())},
+         "checker": _hashed(checker_texts()),
+         "parser": _hashed(parser_texts())},
         indent=2) + "\n", encoding="utf-8")
