@@ -18,8 +18,10 @@ Unicode decimal digits, of any length; a - right before it makes it
 negative unless the token before the - ends a value. A string is
 double-quoted, with the four escapes \\\\ \\" \\n and \\t. A tag is # and
 the name characters after it. Any other character is an error. Tokens
-are parallel sequences of kinds, values and start and end bytes, one
-regex match each; a SourceSpan is built only for a ParseError.
+are two parallel lists, of kinds and of values, one regex match each
+(a negative literal split after a value is two). No token keeps its
+offsets: a ParseError finds its token's byte span again by matching the
+text once more.
 
 In typed mode eval, astEval and #eval require a {Type} annotation; in
 untyped mode the annotation is rejected. Surface arity of every AST
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import json
 import re
-from array import array
 from dataclasses import dataclass
 
 from . import signature
@@ -90,38 +91,39 @@ _OPERAND_ENDERS = frozenset(
 
 # One match per token: spaces and comments (each runs to a newline), then
 # one alternative per token class, tried in order; "other" takes any one
-# character and "eof" the end of the text, so every match succeeds.
+# character and "eof" the end of the text, so every match succeeds. A
+# symbol comes first, as the commonest class; a '-' right before digits
+# is left to "int".
 _TOKEN = re.compile(r"""
     [ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*
-    (?:(?P<int>-?\d+)
+    (?:(?P<symbol>\[\||\|]|->|==|-(?!\d)|[(){},.:\\$+*=])
+     | (?P<int>-?\d+)
      | (?P<word>[^\W\d][\w']*)
      | (?P<string>"[^"\\]*(?:\\[\\"nt][^"\\]*)*(?P<close>"|\\.|\\?\Z))
      | (?P<tag>\#[\w']*)
-     | (?P<symbol>\[\||\|]|->|==|[(){},.:\\$+*=-])
      | (?P<other>.)
      | (?P<eof>\Z))
 """, re.VERBOSE | re.DOTALL)
 
 
-def _tokens(text: str) -> tuple[list, list, array, array]:
-    """The tokens of text, ending with "eof": their kinds, their values,
-    and their UTF-8 byte start and end offsets, as parallel sequences."""
-    # surrogatepass: a lone surrogate counts its 3 bytes, not a crash
-    size = len if text.isascii() else (
-        lambda s: len(s.encode("utf-8", "surrogatepass")))
-    kinds, values, starts, ends = [], [], array("q"), array("q")
-    end = 0  # the byte end of the last token
+def _byte_span(text: str, j: int, i: int) -> SourceSpan:
+    """The UTF-8 byte span of text[j:i]; a lone surrogate counts the 3
+    bytes surrogatepass gives it, not a crash."""
+    return SourceSpan(*(len(text[:k].encode("utf-8", "surrogatepass"))
+                        for k in (j, i)))
+
+
+def _tokens(text: str) -> tuple[list, list]:
+    """The tokens of text, ending with "eof": their kinds and their
+    values, as parallel lists."""
+    kinds, values = [], []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        j, i = m.span(kind)
-        s = text[j:i]
-        if size is len:  # byte offsets are character indices
-            start, end = j, i
-        else:
-            start = end + size(text[m.start():j])
-            end = start + size(s)
-        if kind == "symbol" or s in _KEYWORDS:
-            kind = value = _KEYWORDS.get(s, s)
+        s = m[kind]
+        if kind == "symbol":
+            kind = value = s
+        elif keyword := _KEYWORDS.get(s):
+            kind = value = keyword
         elif kind == "word" and s in TAG_OF_SPELLING:
             kind, value = "astctor", TAG_OF_SPELLING[s]
         elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
@@ -130,31 +132,29 @@ def _tokens(text: str) -> tuple[list, list, array, array]:
             if s[0] == "-" and kinds and kinds[-1] in _OPERAND_ENDERS:
                 kinds.append("-")
                 values.append("-")
-                starts.append(start)
-                ends.append(start + 1)
-                s, start = s[1:], start + 1
+                s = s[1:]
             value = int_of_text(s)
         elif kind == "string" and m["close"] == '"':
             value = json.loads(s, strict=False)  # the four escapes are JSON's
         elif kind == "string":  # stopped at a bad escape or the end of text
-            raise ParseError(SourceSpan(start, end),
+            raise ParseError(_byte_span(text, *m.span(kind)),
                              f"bad escape {m['close']}" if len(m["close"]) == 2
                              else "unterminated string literal")
         elif kind == "tag" and s in TAG_OF_SPELLING:
             value = TAG_OF_SPELLING[s]
         elif kind == "tag":
-            raise ParseError(SourceSpan(start, end), f"unknown tag {s}")
+            raise ParseError(_byte_span(text, *m.span(kind)),
+                             f"unknown tag {s}")
         elif kind == "eof":
-            value = None
+            kinds.append(kind)
+            values.append(None)
+            return kinds, values
         else:  # any other character; \w also takes ² and Ⅻ, which start no name
-            raise ParseError(SourceSpan(start, start + size(s[0])),
+            j = m.start(kind)
+            raise ParseError(_byte_span(text, j, j + 1),
                              f"unexpected character {s[0]!r}")
         kinds.append(kind)
         values.append(value)
-        starts.append(start)
-        ends.append(end)
-        if kind == "eof":
-            return kinds, values, starts, ends
 
 
 ### parser
@@ -177,7 +177,8 @@ class _Parser:
 
     def __init__(self, text: str, mode: str):
         self.typed = is_typed(mode)
-        self.kinds, self.values, self.starts, self.ends = _tokens(text)
+        self.text = text
+        self.kinds, self.values = _tokens(text)
 
     def want(self, pos: int, kind: str, what: str) -> tuple[object, int]:
         """The value of token pos, which must be of this kind, and pos + 1."""
@@ -186,17 +187,32 @@ class _Parser:
         return self.values[pos], pos + 1
 
     def span(self, tok: int) -> SourceSpan:
-        return SourceSpan(self.starts[tok], self.ends[tok])
+        """Token tok's UTF-8 byte span, found again for an error by
+        matching the text once more. Each match is one token, but an int
+        match whose token is "-" is two: a negative literal split after
+        a value."""
+        n = 0
+        for m in _TOKEN.finditer(self.text):
+            kind = m.lastgroup
+            j, i = m.span(kind)
+            if kind == "int" and self.kinds[n] == "-":
+                if n == tok:
+                    return _byte_span(self.text, j, j + 1)
+                n, j = n + 1, j + 1
+            if n == tok:
+                return _byte_span(self.text, j, i)
+            n += 1
 
     def fail(self, tok: int, *expected: str):
-        kind, size = self.kinds[tok], self.ends[tok] - self.starts[tok]
+        kind, span = self.kinds[tok], self.span(tok)
+        size = span.end - span.start
         # a long literal is described by its span: spelling it back would
         # copy every digit into the message, at a quadratic conversion
         found = ("end of input" if kind == "eof" else
                  f"integer literal {size} bytes long"
                  if kind == "int" and size > _SPELLED_INT else
                  repr(self._spelling(tok)))
-        raise ParseError(self.span(tok), f"unexpected {found}", expected)
+        raise ParseError(span, f"unexpected {found}", expected)
 
     def _spelling(self, tok: int) -> str:
         # a keyword's or symbol's value is itself
@@ -369,7 +385,7 @@ class _Parser:
         if not signature.check_arity(self.values[tok], len(args)):
             wanted = signature.arity_text(self.values[tok])
             raise ParseError(
-                SourceSpan(self.starts[tok], self.ends[pos]),
+                SourceSpan(self.span(tok).start, self.span(pos).end),
                 f"{self._spelling(tok)} takes {wanted} argument(s), got {len(args)}")
         return AstCtor(tag_of(self.values[tok], annot), tuple(args)), after
 

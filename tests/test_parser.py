@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmp.parser import (
-    ParseError, SourceSpan, _tokens, parse_term, parse_type,
+    ParseError, SourceSpan, _Parser, _tokens, parse_term, parse_type,
 )
 from hgmp.syntax import (
     BOOL, CODE, INT, STRING,
@@ -25,8 +25,13 @@ from gen_terms import gen_term
 ### lexer: exact tokens and errors
 
 def lex(src):
-    """(kind, value, start, end) for every token, the closing eof included."""
-    return list(zip(*_tokens(src)))
+    """(kind, value, start, end) for every token, the closing eof included:
+    the kinds and values the lexer gives, and each token's span as the
+    parser finds it again for an error."""
+    kinds, values = _tokens(src)
+    spans = map(_Parser(src, "untyped").span, range(len(kinds)))
+    return [(kind, value, span.start, span.end)
+            for kind, value, span in zip(kinds, values, spans)]
 
 
 TOKEN_TABLE = [
