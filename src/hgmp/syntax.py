@@ -416,22 +416,26 @@ def free_vars(m: Term) -> set[str]:
     constructors are data. A binder binds its names in all its children (a
     LetDown's bound term too, as subst does). The walk is top-down on one
     stack: `bound` counts the binders of each name around the node at hand,
-    and a binder's names, pushed under its children, unbind them after."""
+    and a binder's names, pushed under its children, unbind them after.
+    A child that is no Term is a TypeError."""
     out, bound, stack = set(), {}, [m]
-    while stack:
-        m = stack.pop()
-        if type(m) is Var:
-            if not bound.get(m.name):
-                out.add(m.name)
-        elif type(m) is tuple:  # a binder's names, after its children
-            for x in m:
-                bound[x] -= 1
-        else:
-            if m.binds:
-                stack.append(names := m.bound_names())
-                for x in names:
-                    bound[x] = bound.get(x, 0) + 1
-            stack.extend(m.children())
+    try:
+        while stack:
+            m = stack.pop()
+            if type(m) is Var:
+                if not bound.get(m.name):
+                    out.add(m.name)
+            elif type(m) is tuple:  # a binder's names, after its children
+                for x in m:
+                    bound[x] -= 1
+            else:
+                if m.binds:
+                    stack.append(names := m.bound_names())
+                    for x in names:
+                        bound[x] = bound.get(x, 0) + 1
+                stack.extend(m.children())
+    except (AttributeError, KeyError):  # no binds, or a tuple posing as names
+        raise TypeError(f"not a Term: {m!r}") from None
     return out
 
 

@@ -430,9 +430,14 @@ ARGUMENT_ERRORS = [
        MODE_ERROR) for entry in (run_pipeline, eval_ct, eval_ul, eval_rt)],
     *[(f"{entry.__name__}-term", entry, (5,), TypeError, "not a Term: 5")
       for entry in (run_pipeline, eval_ct, eval_ul, eval_dl, eval_rt)],
-    # A value inside a term that is no Term reaches the evaluator itself.
+    # A value inside a term that is no Term reaches the evaluator itself,
+    # or run_pipeline's walk for free variables.
     ("eval_rt-argument", eval_rt, (App(Lam("x", Var("x")), 5),), TypeError,
      "not a Term: 5"),
+    ("run_pipeline-argument", run_pipeline, (App(Lam("x", Var("x")), 5),),
+     TypeError, "not a Term: 5"),
+    ("run_pipeline-tuple-argument", run_pipeline,
+     (App(Lam("x", Var("x")), (5,)),), TypeError, "not a Term: (5,)"),
 ]
 
 
