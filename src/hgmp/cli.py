@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import typecheck
-from .parser import MODES, ParseError, parse_term
+from .parser import MODES, ParseError, is_typed, parse_term
 from .reduction import (
     DEFAULT_FUEL, Derivation, EvalError, _fuel, derivation_to_json, eval_ct,
     eval_dl, eval_rt, eval_ul, render_derivation, render_trace, run_pipeline,
@@ -145,8 +145,7 @@ def repl(args) -> int:
                 if head == "help":
                     print(_REPL_HELP)
                 elif head == "mode":
-                    if rest not in MODES:
-                        raise ValueError(f"mode must be one of {MODES}")
+                    is_typed(rest)  # a ValueError unless rest is a mode
                     args.mode = rest
                 elif head == "fuel":
                     try:

@@ -418,7 +418,7 @@ def test_repl_transcript_matches_each_command(monkeypatch, capsys,
         (":trace maybe", ("", ":trace takes on or off\n")),
         (":frob 1", ("", "unknown directive :frob (:help lists them)\n")),
         (":mode sideways",
-         ("", "mode must be one of ('typed', 'untyped')\n")),
+         ("", "mode must be one of ('typed', 'untyped'), got 'sideways'\n")),
         (":fuel 0", ("", "fuel must be at least 1\n")),
         (":fuel x", ("", ":fuel takes an integer, got 'x'\n")),
         (":load", ("", ":load takes a file name\n")),
