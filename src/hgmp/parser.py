@@ -90,10 +90,9 @@ _OPERAND_ENDERS = frozenset(
     {"int", "string", "ident", "true", "false", "tag", ")", "|]", "}"})
 
 # One match per token: spaces and comments (each runs to a newline), then
-# one alternative per token class, tried in order; "other" takes any one
-# character and "eof" the end of the text, so every match succeeds. A
-# symbol comes first, as the commonest class; a '-' right before digits
-# is left to "int".
+# one alternative per token class, tried in order, the commonest first;
+# "other" takes any one character and "eof" the end of the text, so every
+# match succeeds. A '-' right before digits is left to "int".
 _TOKEN = re.compile(r"""
     [ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*
     (?:(?P<symbol>\[\||\|]|->|==|-(?!\d)|[(){},.:\\$+*=])
@@ -187,10 +186,9 @@ class _Parser:
         return self.values[pos], pos + 1
 
     def span(self, tok: int) -> SourceSpan:
-        """Token tok's UTF-8 byte span, found again for an error by
-        matching the text once more. Each match is one token, but an int
-        match whose token is "-" is two: a negative literal split after
-        a value."""
+        """Token tok's UTF-8 byte span, found again by matching the text
+        once more: each match is one token, but an int match whose token
+        is "-" is two, a negative literal split after a value."""
         n = 0
         for m in _TOKEN.finditer(self.text):
             kind = m.lastgroup

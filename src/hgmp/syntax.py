@@ -417,7 +417,8 @@ def free_vars(m: Term) -> set[str]:
     LetDown's bound term too, as subst does). The walk is top-down on one
     stack: `bound` counts the binders of each name around the node at hand,
     and a binder's names, pushed under its children, unbind them after.
-    A child that is no Term is a TypeError."""
+    A child that is no Term is a TypeError, but for a tuple of names bound
+    around it, which passes for a binder's names."""
     out, bound, stack = set(), {}, [m]
     try:
         while stack:
