@@ -17,11 +17,11 @@ get renamed, and the checker's outcomes on seeded typed programs and
 their residuals, against the empty environment and one that binds
 their free variables. A last one pins the parser: the repr of each
 seeded source's term, or the ParseError with its span and expected list,
-in both modes, over lexer pieces, printed generated terms cut short, and
-parser-raised errors after multi-byte text and after a '-' split off an
-integer literal. The digests in outcome_digests.json were written
-by the code a refactor starts from; a refactor that keeps behaviour
-keeps them.
+in both modes, over lexer pieces, printed generated terms whole and cut
+short, and parser-raised errors after multi-byte text and after a
+'-' split off an integer literal. The digests in outcome_digests.json
+were written by the code a refactor starts from; a refactor that keeps
+behaviour keeps them.
 
 A change that alters an outcome on purpose rewrites the file, and says
 so, with:
