@@ -15,7 +15,8 @@ more pin the pieces underneath: the printed result of subst on seeded
 (body, value, name) triples, primed names among them so that binders
 get renamed, and the checker's outcomes on seeded typed programs and
 their residuals, against the empty environment and one that binds
-their free variables. A last one pins the parser: the repr of each
+their free variables, and their rejections when checked against a type
+they were not made at. A last one pins the parser: the repr of each
 seeded source's term, or the ParseError with its span and expected list,
 in both modes, over lexer pieces, printed generated terms whole and cut
 short, and parser-raised errors after multi-byte text and after a
@@ -41,7 +42,9 @@ from hgmp.parser import MODES, ParseError, parse_term
 from hgmp.reduction import (
     EvalError, eval_ct, eval_dl, eval_rt, eval_ul, run_pipeline, to_json,
 )
-from hgmp.syntax import CODE, INT, STRING, Arrow, pretty, pretty_type, subst
+from hgmp.syntax import (
+    CODE, INT, STRING, Arrow, Rec, pretty, pretty_type, subst,
+)
 from hgmp.typecheck import EMPTY_ENV, TypeErrorDetail, check, infer
 
 from gen_terms import (
@@ -188,6 +191,64 @@ def checker_texts(rounds: int = 2_000):
                         yield f"{err.kind}: {err.describe()}"
 
 
+def _size(m) -> int:
+    return 1 + sum(map(_size, m.children()))
+
+
+def _planted(m, k: int, graft):
+    """m with its k-th subterm in preorder (m itself is the 0th)
+    replaced by graft."""
+    if k == 0:
+        return graft
+    k -= 1
+    kids = list(m.children())
+    for i, kid in enumerate(kids):
+        size = _size(kid)
+        if k < size:
+            kids[i] = _planted(kid, k, graft)
+            return m.rebuild(kids)
+        k -= size
+    raise IndexError("no such subterm")
+
+
+def _rejection(run) -> str:
+    try:
+        return run()
+    except TypeErrorDetail as err:
+        return f"{err.kind}: {err.describe()}"
+
+
+def checker_mismatch_texts(rounds: int = 2_000):
+    """Each seeded typed program, and its residual, under the empty
+    environment and under SCOPE: checked against a type other than the
+    one it was made at; as the body of a rec annotated to return that
+    type; and, with one seeded subterm replaced by a term of that type,
+    checked against its own. Each gives the rejection's kind and
+    description, or the type. A message, its `at` term and which side
+    is found depend on the order in which the checker unifies."""
+    rng = random.Random(f"{SEED}:checker_mismatch")
+    under_scope = dict(SCOPE)
+    for _ in range(rounds):
+        ty = gen_type(rng, 1)
+        m = gen_typed_term(rng, ty, SCOPE, rng.randint(1, 4))
+        other = gen_type(rng, 1)
+        while other == ty:
+            other = gen_type(rng, 1)
+        graft = gen_typed_term(rng, other, SCOPE, rng.randint(0, 2))
+        candidates = [m]
+        try:
+            candidates.append(eval_ct(m, "typed", fuel=10_000))
+        except EvalError:
+            pass
+        for m in candidates:
+            rec = Rec("f", "x", m, Arrow(INT, other))
+            planted = _planted(m, rng.randrange(_size(m)), graft)
+            for env in (EMPTY_ENV, under_scope):
+                yield _rejection(lambda: check(env, m, other) or "ok")
+                yield _rejection(lambda: pretty_type(infer(env, rec)))
+                yield _rejection(lambda: check(env, planted, ty) or "ok")
+
+
 # Errors the parser, not the lexer, raises, and a long literal; each is
 # parsed after every prefix, so that its span lies past ASCII text, past
 # multi-byte text, and past a '-' split off an integer literal.
@@ -259,6 +320,11 @@ def test_checker_matches_its_pinned_digest():
     assert _hashed(checker_texts()) == pinned["checker"]
 
 
+def test_checker_mismatches_match_their_pinned_digest():
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert _hashed(checker_mismatch_texts()) == pinned["checker_mismatch"]
+
+
 def test_parser_matches_its_pinned_digest():
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert _hashed(parser_texts()) == pinned["parser"]
@@ -273,5 +339,6 @@ if __name__ == "__main__":
                               for name in GENERATORS},
          "subst": _hashed(subst_texts()),
          "checker": _hashed(checker_texts()),
+         "checker_mismatch": _hashed(checker_mismatch_texts()),
          "parser": _hashed(parser_texts())},
         indent=2) + "\n", encoding="utf-8")
