@@ -6,6 +6,10 @@ and each eval re-checks the code it is about to run against its
 annotation. Inference is monomorphic (no generalisation); it exists
 because compiled-in lambdas built from astLam carry no annotations.
 
+Inference unifies in one fixed order, and each unification names a term
+and which side is found: the order decides which mismatch is reported
+and how it reads, so inference skips only unifications that cannot fail.
+
 An environment maps variable names to types: any mapping, or None for
 the empty one. A binder extends it into a new dict, so an inner binder
 hides an outer one of the same name.
@@ -72,7 +76,7 @@ class _Engine:
 
     def prune(self, t: TypeExpr) -> TypeExpr:
         """Follow solved meta-variables one level."""
-        while isinstance(t, MetaVar) and t.ident in self.solution:
+        while type(t) is MetaVar and t.ident in self.solution:
             t = self.solution[t.ident]
         return t
 
@@ -93,6 +97,8 @@ class _Engine:
 
     def unify(self, found: TypeExpr, expected: TypeExpr,
               at: Term | None = None):
+        if found is expected:
+            return
         found = self.prune(found)
         expected = self.prune(expected)
         if found is expected or found == expected:  # INT etc. are shared
@@ -120,21 +126,43 @@ class _Engine:
     ### inference proper
 
     def infer(self, env: Mapping[str, TypeExpr], m: Term) -> TypeExpr:
+        # The commonest classes first, each tested by identity.
+        cls = type(m)
+        if cls is BinOp:
+            self._expect(env, m.lhs, INT, m.lhs)
+            self._expect(env, m.rhs, INT, m.rhs)
+            return BOOL if m.op == "eq" else INT
+        if cls is Var:
+            ty = env.get(m.name)
+            if ty is None:
+                raise TypeErrorDetail(f"unbound variable {m.name}",
+                                      kind="unbound", at=m, phase=self.phase)
+            return ty
+        if cls in _LIT_TYPE:
+            return _LIT_TYPE[cls]
+        if cls is App:
+            fn_ty = self.infer(env, m.fn)
+            arg_ty = self.infer(env, m.arg)
+            fn_ty = self.prune(fn_ty)  # inferring arg may have solved it
+            if type(fn_ty) is Arrow:
+                # What unifying with Arrow(arg_ty, fresh) would do, but
+                # for the fresh variable, which would only alias dst.
+                self.unify(fn_ty.src, arg_ty, at=m)
+                return fn_ty.dst
+            res = self.fresh()
+            self.unify(fn_ty, Arrow(arg_ty, res), at=m)
+            return res
+        if cls is Lam:
+            arg_ty = m.annot if m.annot is not None else self.fresh()
+            return Arrow(arg_ty, self.infer({**env, m.param: arg_ty}, m.body))
+        if cls is If:
+            self._expect(env, m.cond, BOOL, m.cond)
+            then_ty = self.infer(env, m.then)
+            self._expect(env, m.orelse, then_ty, m)
+            return then_ty
         match m:
-            case Var(name):
-                ty = env.get(name)
-                if ty is None:
-                    raise TypeErrorDetail(f"unbound variable {name}",
-                                          kind="unbound", at=m,
-                                          phase=self.phase)
-                return ty
-            case IntLit() | StrLit() | BoolLit():
-                return _LIT_TYPE[type(m)]
             case TagLit(tag):
                 return TagType(tag.name)
-            case Lam(param, body, annot):
-                arg_ty = annot if annot is not None else self.fresh()
-                return Arrow(arg_ty, self.infer({**env, param: arg_ty}, body))
             case Rec(self_name, param, body, annot):
                 fn_ty = (annot if annot is not None
                          else Arrow(self.fresh(), self.fresh()))
@@ -142,27 +170,12 @@ class _Engine:
                 env = {**env, self_name: fn_ty, param: fn_ty.src}
                 self.unify(self.infer(env, body), fn_ty.dst, at=m)
                 return fn_ty
-            case App(fn, arg):
-                fn_ty = self.infer(env, fn)
-                arg_ty = self.infer(env, arg)
-                res = self.fresh()
-                self.unify(fn_ty, Arrow(arg_ty, res), at=m)
-                return res
-            case BinOp(op, lhs, rhs):
-                self.unify(self.infer(env, lhs), INT, at=lhs)
-                self.unify(self.infer(env, rhs), INT, at=rhs)
-                return BOOL if op == "eq" else INT
-            case If(cond, then, orelse):
-                self.unify(self.infer(env, cond), BOOL, at=cond)
-                then_ty = self.infer(env, then)
-                self.unify(self.infer(env, orelse), then_ty, at=m)
-                return then_ty
             case Eval(body, annot):
                 if annot is None:
                     raise TypeErrorDetail(
                         "eval without a type annotation cannot be checked",
                         kind="malformed", at=m, phase=self.phase)
-                self.unify(self.infer(env, body), CODE, at=body)
+                self._expect(env, body, CODE, body)
                 return annot
             case Lift(body):
                 ty = self.resolve(self.infer(env, body))
@@ -185,6 +198,13 @@ class _Engine:
                     kind="malformed", at=m, phase=self.phase)
         raise TypeError(f"not a Term: {m!r}")
 
+    def _expect(self, env: Mapping[str, TypeExpr], m: Term, ty: TypeExpr,
+                at: Term):
+        """Unify m's inferred type, as the found side, with ty at at."""
+        found = self.infer(env, m)
+        if found is not ty:
+            self.unify(found, ty, at=at)
+
     def _infer_ast(self, env: Mapping[str, TypeExpr], m: Term, name: str,
                    args: tuple[Term, ...]) -> TypeExpr:
         row, count = TAGS[name], len(args)
@@ -194,8 +214,10 @@ class _Engine:
                 f"AST constructor for {name} takes "
                 f"{signature.arity_text(name)} argument(s), "
                 f"got {count}", kind="arity", at=m, phase=self.phase)
-        if name in _ATOM_TYPE:
-            self._check_atom(env, args[0], _ATOM_TYPE[name])
+        atom_ty = _ATOM_TYPE.get(name)
+        if atom_ty is not None:  # a literal of that type needs no inference
+            if _LIT_TYPE.get(type(args[0])) is not atom_ty:
+                self._expect(env, args[0], atom_ty, args[0])
             return CODE
         if name == "promote":
             head = self.resolve(self.infer(env, args[0]))
@@ -241,7 +263,7 @@ class _Engine:
             # binder could not be named statically.
             match binder:
                 case AstCtor(tag, (inner,)) if tag.name == "string":
-                    self._check_atom(env, inner, STRING)
+                    self._expect(env, inner, STRING, inner)
                 case _:
                     raise TypeErrorDetail(
                         f"binder argument of ast constructor for {name} "
@@ -252,15 +274,8 @@ class _Engine:
             if type(a) is AstCtor:
                 self._infer_ast(env, a, a.tag.name, a.args)
             else:
-                self.unify(self.infer(env, a), CODE, at=a)
+                self._expect(env, a, CODE, a)
         return CODE
-
-    def _check_atom(self, env: Mapping[str, TypeExpr], a: Term,
-                    ty: TypeExpr):
-        """a, the atom an AST constructor wraps, checked against ty: a
-        literal by its class, anything else by infer and unify."""
-        if _LIT_TYPE.get(type(a)) is not ty:
-            self.unify(self.infer(env, a), ty, at=a)
 
 
 _HOLE = re.compile(r"\?(\d+)")  # a meta-variable, as pretty_type writes it
