@@ -411,14 +411,16 @@ def mk_ast(tag_name: str, *args: Term, annot: TypeExpr | None = None) -> AstCtor
 
 ### free variables
 
+_UNBIND = object()  # on free_vars' stack: the binder's names lie under it
+
+
 def free_vars(m: Term) -> set[str]:
     """Variables occurring outside any binder for them; strings inside AST
     constructors are data. A binder binds its names in all its children (a
     LetDown's bound term too, as subst does). The walk is top-down on one
     stack: `bound` counts the binders of each name around the node at hand,
-    and a binder's names, pushed under its children, unbind them after.
-    A child that is no Term is a TypeError, but for a tuple of names bound
-    around it, which passes for a binder's names."""
+    and a binder's names, pushed under its children with a private marker
+    on top, unbind them after. A child that is no Term is a TypeError."""
     out, bound, stack = set(), {}, [m]
     try:
         while stack:
@@ -426,16 +428,17 @@ def free_vars(m: Term) -> set[str]:
             if type(m) is Var:
                 if not bound.get(m.name):
                     out.add(m.name)
-            elif type(m) is tuple:  # a binder's names, after its children
-                for x in m:
+            elif m is _UNBIND:  # a binder's children are done
+                for x in stack.pop():
                     bound[x] -= 1
             else:
                 if m.binds:
                     stack.append(names := m.bound_names())
+                    stack.append(_UNBIND)
                     for x in names:
                         bound[x] = bound.get(x, 0) + 1
                 stack.extend(m.children())
-    except (AttributeError, KeyError):  # no binds, or a tuple posing as names
+    except AttributeError:  # no binds, or no children
         raise TypeError(f"not a Term: {m!r}") from None
     return out
 

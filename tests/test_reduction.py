@@ -438,6 +438,10 @@ ARGUMENT_ERRORS = [
      TypeError, "not a Term: 5"),
     ("run_pipeline-tuple-argument", run_pipeline,
      (App(Lam("x", Var("x")), (5,)),), TypeError, "not a Term: (5,)"),
+    # A tuple of names bound around it is no binder's names either.
+    ("run_pipeline-bound-tuple-argument", run_pipeline,
+     (App(Lam("x", App(Var("x"), ("x",))), IntLit(1)),), TypeError,
+     "not a Term: ('x',)"),
 ]
 
 
