@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import MISSING, dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 from . import signature
@@ -157,7 +157,9 @@ class Term:
     names, which bound_names() reads; the rest are `kids`, which
     children() reads and rebuild() replaces; a binder class also has
     rebind(names, kids), which replaces both. Any other field (an
-    annotation, an operator) is data that rebuild and rebind keep. The
+    annotation, an operator) is data that rebuild and rebind keep. Both
+    return the node itself when nothing would change, so a term that a
+    traversal leaves alone stays one object. The
     generic traversals below (free variables, substitution,
     alpha-equivalence), the JSON encoding and the congruence rules of
     ct, ul and dl read nothing else.
@@ -175,7 +177,8 @@ class Term:
         return ()
 
     def rebuild(self, kids) -> Term:
-        """This node with its children replaced, in order."""
+        """This node with its children replaced, in order: the node
+        itself when each new child is the old child object."""
         return self
 
     def ast_tag(self) -> Tag:
@@ -215,15 +218,24 @@ def _shape(rows: str | tuple[str, ...], *args: str):
             end = start + len(cls.kids)
             assert tuple(order[start:end]) == cls.kids
             before, after = _reader(order[:start]), _reader(order[end:])
-            cls.children = _reader(cls.kids)
-            cls.rebuild = lambda m, kids: cls(*before(m), *kids, *after(m))
+            children = cls.children = _reader(cls.kids)
+
+            def rebuild(m, kids):
+                if all(map(is_, kids, children(m))):
+                    return m
+                return cls(*before(m), *kids, *after(m))
+            cls.rebuild = rebuild
         if cls.binds:
             # The bound names are the fields just before the children.
             first = start - len(cls.binds)
             assert tuple(order[first:start]) == cls.binds
             ahead = _reader(order[:first])
-            cls.rebind = lambda m, names, kids: cls(*ahead(m), *names, *kids,
-                                                    *after(m))
+
+            def rebind(m, names, kids):
+                if tuple(names) == cls.bound_names(m):  # rebuild keeps them
+                    return rebuild(m, kids)
+                return cls(*ahead(m), *names, *kids, *after(m))
+            cls.rebind = rebind
         if isinstance(rows, str):
             cls.ctor = rows
         for spec in map(signature.lookup, names):
@@ -340,6 +352,8 @@ class AstCtor(Term):
         return self.args
 
     def rebuild(self, kids) -> Term:
+        if all(map(is_, kids, self.args)):
+            return self
         return AstCtor(self.tag, tuple(kids))
 
 

@@ -1006,6 +1006,21 @@ def test_shared_bodies_match_on_every_fuel_budget(mode, m):
     assert objects < nodes
 
 
+def test_subst_keeps_closed_lambdas_so_equal_calls_share():
+    # subst returns a term that holds no free use of its name as the
+    # object it was, so both `twice inc 1` apply the same two closures and
+    # the second takes the first one's run: the rt stage reads as 41 nodes
+    # in 29 Derivation objects, and writes the JSON a run sharing nothing
+    # writes.
+    m = t(r"(\twice. \inc. twice inc 1 + twice inc 1) "
+          r"(\f. \x. f (f x)) (\y. y + 1)")
+    shared = run_pipeline(m, trace=True)
+    fresh = _uncached(lambda: run_pipeline(m, trace=True))
+    assert _tree_and_objects(shared.stages[-1][1]) == (41, 29)
+    assert _tree_and_objects(fresh.stages[-1][1]) == (41, 41)
+    assert to_json(shared.stages[-1][1]) == to_json(fresh.stages[-1][1])
+
+
 def test_traced_fib_shares_repeated_derivations():
     # fib 10's rt stage reads as the same 2,340-node tree, and costs as
     # much fuel, but holds one Derivation object per distinct application
