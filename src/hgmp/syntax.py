@@ -159,10 +159,10 @@ class Term:
     rebind(names, kids), which replaces both. Any other field (an
     annotation, an operator) is data that rebuild and rebind keep. Both
     return the node itself when nothing would change, so a term that a
-    traversal leaves alone stays one object. The
-    generic traversals below (free variables, substitution,
-    alpha-equivalence), the JSON encoding and the congruence rules of
-    ct, ul and dl read nothing else.
+    traversal leaves alone stays one object. The generic traversals
+    below (free variables, substitution, alpha-equivalence), the JSON
+    encoding and the congruence rules of ct, ul and dl read nothing
+    else.
     """
 
     __slots__ = ()
