@@ -168,7 +168,7 @@ class _Engine:
                          else Arrow(self.fresh(), self.fresh()))
                 # Of a repeated name (rec f f.) the parameter wins.
                 env = {**env, self_name: fn_ty, param: fn_ty.src}
-                self.unify(self.infer(env, body), fn_ty.dst, at=m)
+                self._expect(env, body, fn_ty.dst, m)
                 return fn_ty
             case Eval(body, annot):
                 if annot is None:
