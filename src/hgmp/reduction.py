@@ -14,13 +14,16 @@ for these relations: a rule's premises are the derivations of the
 sub-evaluations it ran, in the order they ran, collected on one trail.
 
 rt has two evaluators with the same values, errors and fuel. `_rt` is the
-reference: call-by-value with capture-avoiding substitution. It runs
-every traced run, because derivations show substituted terms. A traced
-run runs each application's body once per function and argument (an
-equal literal, or the same other value): a repeat spends the fuel the
-first run spent and returns its value and Derivation object, so a
-trace is a DAG that reads as a tree, and the renderers write each
-repeated derivation once.
+reference: call-by-value with capture-avoiding substitution, dispatched
+on the node's class, commonest first. It runs every traced run, because
+derivations show substituted terms. A traced run runs each
+application's body once per function and argument (an equal literal,
+or the same other value): a repeat spends the fuel the first run spent
+and returns its value and Derivation object. A leaf, a rule with no
+premises, is one Derivation per rule, term and output object in a
+traced run of any relation, though each occurrence still spends its
+unit. So a trace is a DAG that reads as a tree, and the renderers write
+each repeated derivation once, a leaf in one step.
 `_machine`, an environment machine, runs every untraced rt (the
 pipeline's, eval_rt's, and ct's for splices and letdown), open terms
 and the open code eval builds included. A function evaluates to a
@@ -30,13 +33,13 @@ back wherever the reference would hold a term (a result, an AST
 argument, eval's input to dl, lift, an error's offending term): a host
 value is boxed into its literal, and a closure is read back by
 replaying the substitutions the reference made, one value at a time,
-so a binder renamed to avoid capture gets the same primes. An AST whose
-arguments all run to themselves is returned as the node it was. A leaf
-operand (a variable bound to a value that is not an AST, or an integer
-literal) and an operator on two integer leaves are evaluated inside the
-step that consumes them, with no call of their own (fused operands, in
-the manner of Proebsting's superoperators), and so is a literal or tag
-argument of an AST constructor.
+so a binder renamed to avoid capture gets the same primes. On both
+evaluators, an AST whose arguments all run to themselves is returned as
+the node it was. A leaf operand (a variable bound to a value that is not
+an AST, or an integer literal) and an operator on two integer leaves are
+evaluated inside the step that consumes them, with no call of their own
+(fused operands, in the manner of Proebsting's superoperators), and so
+is a literal or tag argument of an AST constructor.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ class Derivation:
 
     Derivations are immutable and may be shared: a traced rt run returns
     one object for every application of a function to an argument it has
-    run before. A derivation is read as a tree all the same: a shared
+    run before, and a traced run of any relation one object for every
+    leaf (a rule with no premises) on the same rule, term and output
+    objects. A derivation is read as a tree all the same: a shared
     premise counts, costs fuel and is rendered at each place it occurs."""
 
     rule: str
@@ -100,8 +105,10 @@ class EvalError(Exception):
 
 
 class _Run:
-    """Per-run state: fuel budget, pipeline mode, trace switch, trail and
-    traced applications (bodies, see _rt's App). spend says where on the
+    """Per-run state: fuel budget, pipeline mode, trace switch, trail and,
+    in bodies, what a traced run shares: its applications (keyed by the
+    function and argument, see _rt's App) and its leaves (keyed by rule,
+    term and output, see _d). spend says where on the
     trail a rule's premises start; in a traced run each sub-evaluation
     the rule runs leaves its derivation there, in the order it runs, and
     _d replaces them with the rule's own. Exceptions are never caught
@@ -132,24 +139,47 @@ def _d(run: _Run, at: int, rule: str | None, relation: str, m: Term, out):
     """out, the result of a rule about m whose premises start at trail
     position at. A traced run first replaces them with the rule's
     Derivation. A rule of None is named after the constructor of the side
-    that is not an AST (the output, for dl): `App ct`, or a bare `Add` in
-    rt. Interned: every node holds one."""
+    that is not an AST (the output, for dl), from _RULE_NAMES: `App ct`,
+    or a bare `Add` in rt. A leaf, a rule with no premises, is one
+    Derivation per rule, term and output object in a run, kept in
+    run.bodies under (rule, id(m), id(out)); the Derivation holds both,
+    so the ids stay valid."""
     if run.trace:
         if rule is None:
             named = out if relation == "dl" else m
-            if isinstance(named, AstCtor):
-                stem = "Promote" if named.tag.name == "promote" else "Ast_c"
-            else:
-                stem = named.ctor.capitalize()
-            rule = sys.intern(stem if relation == "rt"
-                              else f"{stem} {relation}")
+            ctor = named.ctor
+            if ctor is None:  # an AST value: a promote, or any other
+                ctor = "promote" if named.tag.name == "promote" else None
+            rule = _RULE_NAMES[ctor, relation]
         trail = run.trail
-        if at == len(trail):  # a leaf: nothing to slice
-            trail.append(Derivation(rule, relation, m, out))
+        if at == len(trail):  # a leaf
+            key = rule, id(m), id(out)
+            d = run.bodies.get(key)
+            if d is None:
+                d = run.bodies[key] = Derivation(rule, relation, m, out)
+            trail.append(d)
         else:
             trail[at:] = [Derivation(rule, relation, m, out,
                                      tuple(trail[at:]))]
     return out
+
+
+class _RuleNames(dict):
+    """The names of the rules named after a constructor: by its row and
+    the relation, and an AST value's by whether it is a promote
+    ("promote") or not (None). The row, not the class: BinOp stands for
+    four rows. Each is made when first asked for, so a row registered
+    later has names too. Interned: every node holds one."""
+
+    def __missing__(self, key):
+        ctor, relation = key
+        stem = "Ast_c" if ctor is None else ctor.capitalize()
+        name = self[key] = sys.intern(stem if relation == "rt"
+                                      else f"{stem} {relation}")
+        return name
+
+
+_RULE_NAMES = _RuleNames()
 
 
 def _checked(run: _Run, m: Term, phase: str,
@@ -286,67 +316,71 @@ def _ul(m: Term, run: _Run):
 
 def _rt(m: Term, run: _Run):
     at = run.spend("rt", m)
-    match m:
-        case IntLit() | StrLit() | BoolLit():
-            return _d(run, at, "Const", "rt", m, m)
-        case Lam() | Rec():
-            return _d(run, at, None, "rt", m, m)
-        case TagLit():
-            return _d(run, at, "Tag", "rt", m, m)
-        case Var(name):
-            _stuck("rt", m, f"unbound variable {name}")
-        case App(fn, arg):
-            f = _rt(fn, run)
-            if not isinstance(f, (Lam, Rec)):
-                _stuck("rt", m, "application of a non-function value")
-            v = _rt(arg, run)
-            # A traced run keeps one entry per f and argument (a literal
-            # by its class and value, so BoolLit(True) is not IntLit(1),
-            # any other by identity), holding f and v so the ids stay
-            # valid, the body and, once that has run, the fuel it spent,
-            # its value and derivation. rt is deterministic: a repeat with
-            # that fuel left spends it and returns them; with less, it runs
-            # out as a fresh run would. A run that raises stores no result.
-            entry = None
-            if run.trace:
-                key = ((id(f), type(v), v.value) if type(v) in _CONSTS
-                       else (id(f), id(v)))
-                entry = run.bodies.get(key)
-            if entry is None:
-                body = _beta(f, f.body, v)
-                if run.trace:  # a diverging body meets its own pair again
-                    run.bodies[key] = f, v, body, None, None, None
-            else:
-                body, cost, res, derivation = entry[2:]
-                if cost is not None and cost <= run.remaining:
-                    run.remaining -= cost
-                    run.trail.append(derivation)
-                    return _d(run, at, "App", "rt", m, res)
-            remaining = run.remaining
-            res = _rt(body, run)
-            if run.trace:
-                run.bodies[key] = (f, v, body, remaining - run.remaining,
-                                   res, run.trail[-1])
-            return _d(run, at, "App", "rt", m, res)
-        case BinOp(op, lhs, rhs):
-            out = _arith(op, _rt(lhs, run), _rt(rhs, run), m)
-            return _d(run, at, None, "rt", m, out)
-        case If(cond, then, orelse):
-            c = _rt(cond, run)
-            if not isinstance(c, BoolLit):
-                _stuck("rt", m, "if condition is not a boolean")
-            v = _rt(then if c.value else orelse, run)
-            return _d(run, at, "If", "rt", m, v)
-        case AstCtor(tag, args):
-            out = AstCtor(tag, tuple([_rt(a, run) for a in args]))
-            return _d(run, at, None, "rt", m, out)
-        case Eval(body):
-            n = _eval_code(_rt(body, run), m, run)
-            return _d(run, at, "Eval rt", "rt", m, _rt(n, run))
-        case Lift(body):
-            return _d(run, at, "Lift", "rt", m, _lift(_rt(body, run), m))
-        case DownML() | UpML() | LetDown():
-            _stuck("rt", m, "compile-time construct reached run time")
+    cls = type(m)  # the commonest classes first
+    if cls is App:
+        f = _rt(m.fn, run)
+        if not isinstance(f, (Lam, Rec)):
+            _stuck("rt", m, "application of a non-function value")
+        v = _rt(m.arg, run)
+        # A traced run keeps one entry per f and argument (a literal
+        # by its class and value, so BoolLit(True) is not IntLit(1),
+        # any other by identity), holding f and v so the ids stay
+        # valid, the body and, once that has run, the fuel it spent,
+        # its value and derivation. rt is deterministic: a repeat with
+        # that fuel left spends it and returns them; with less, it runs
+        # out as a fresh run would. A run that raises stores no result.
+        entry = None
+        if run.trace:
+            key = ((id(f), type(v), v.value) if type(v) in _CONSTS
+                   else (id(f), id(v)))
+            entry = run.bodies.get(key)
+        if entry is None:
+            body = _beta(f, f.body, v)
+            if run.trace:  # a diverging body meets its own pair again
+                run.bodies[key] = f, v, body, None, None, None
+        else:
+            body, cost, res, derivation = entry[2:]
+            if cost is not None and cost <= run.remaining:
+                run.remaining -= cost
+                run.trail.append(derivation)
+                return _d(run, at, "App", "rt", m, res)
+        remaining = run.remaining
+        res = _rt(body, run)
+        if run.trace:
+            run.bodies[key] = (f, v, body, remaining - run.remaining,
+                               res, run.trail[-1])
+        return _d(run, at, "App", "rt", m, res)
+    if cls is BinOp:
+        out = _arith(m.op, _rt(m.lhs, run), _rt(m.rhs, run), m)
+        return _d(run, at, None, "rt", m, out)
+    if cls in _CONSTS:
+        return _d(run, at, "Const", "rt", m, m)
+    if cls is If:
+        c = _rt(m.cond, run)
+        if not isinstance(c, BoolLit):
+            _stuck("rt", m, "if condition is not a boolean")
+        v = _rt(m.then if c.value else m.orelse, run)
+        return _d(run, at, "If", "rt", m, v)
+    if cls is AstCtor:
+        # A node whose arguments all run to themselves is kept.
+        args = m.args
+        outs = [_rt(a, run) for a in args]
+        out = (m if all(map(operator.is_, outs, args))
+               else AstCtor(m.tag, tuple(outs)))
+        return _d(run, at, None, "rt", m, out)
+    if cls is Lam or cls is Rec:
+        return _d(run, at, None, "rt", m, m)
+    if cls is TagLit:
+        return _d(run, at, "Tag", "rt", m, m)
+    if cls is Var:
+        _stuck("rt", m, f"unbound variable {m.name}")
+    if cls is Eval:
+        n = _eval_code(_rt(m.body, run), m, run)
+        return _d(run, at, "Eval rt", "rt", m, _rt(n, run))
+    if cls is Lift:
+        return _d(run, at, "Lift", "rt", m, _lift(_rt(m.body, run), m))
+    if cls is DownML or cls is UpML or cls is LetDown:
+        _stuck("rt", m, "compile-time construct reached run time")
     raise TypeError(f"not a Term: {m!r}")
 
 
@@ -617,17 +651,19 @@ def _fuel(fuel: int | None) -> int:
     return fuel
 
 
-def _start(m: Term, mode: str, fuel: int | None, trace: bool) -> _Run:
-    """The run an entry point starts on m, once its arguments are checked:
-    the budget by _fuel, the mode against MODES, and m is a Term."""
+def _start(m: Term, mode: str, fuel: int | None,
+           trace: bool) -> tuple[_Run, set[str]]:
+    """The run an entry point starts on m, once its arguments are checked
+    (the budget by _fuel, the mode against MODES, and m by free_vars'
+    walk, which raises TypeError at the first value in it that is not a
+    Term), and m's free variables."""
     fuel, typed = _fuel(fuel), is_typed(mode)
-    if not isinstance(m, Term):
-        raise TypeError(f"not a Term: {m!r}")
-    return _Run(fuel, typed, trace)
+    fv = free_vars(m)
+    return _Run(fuel, typed, trace), fv
 
 
 def _evaluate(relation, m: Term, mode: str, fuel: int | None, trace: bool):
-    run = _start(m, mode, fuel, trace)
+    run, _ = _start(m, mode, fuel, trace)
     out = relation(m, run)
     return (out, run.trail[-1]) if trace else out
 
@@ -672,8 +708,7 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
     """Compile once, then run: ct, an optional whole-residual type check,
     then rt. The residual is returned so it can be re-run without
     recompiling. A traced run's trail ends as the stages' derivations."""
-    run = _start(m, mode, fuel, trace)
-    fv = free_vars(m)
+    run, fv = _start(m, mode, fuel, trace)
     if fv:
         raise EvalError(EvalError.STUCK, "ct", m,
                         "term is not closed: free " + ", ".join(sorted(fv)))
@@ -719,17 +754,21 @@ def to_json(obj) -> str:
             key = id(o)
             span = spans.get(key)
             if span is None:  # its head, its premises, then o again
-                spans[key] = len(parts)
                 out = o.term_out
                 out = (_term_json(out, memo) if isinstance(out, Term)
                        else '{"type":' + _json_str(pretty_type(out)) + "}")
-                parts.append('{"in":' + _term_json(o.term_in, memo)
-                             + ',"out":' + out + ',"premises":[')
-                stack.append(o)
-                _push_items(stack, o.premises)
+                head = ('{"in":' + _term_json(o.term_in, memo)
+                        + ',"out":' + out + ',"premises":[')
+                if o.premises:
+                    spans[key] = len(parts)
+                    parts.append(head)
+                    stack.append(o)
+                    _push_items(stack, o.premises)
+                else:  # a leaf: its whole text at once
+                    spans[key] = text = head + _json_tail(o)
+                    parts.append(text)
             elif type(span) is int:  # its premises are written: close it
-                parts.append('],"relation":' + _json_str(o.relation)
-                             + ',"rule":' + _json_str(o.rule) + "}")
+                parts.append(_json_tail(o))
                 spans[key] = span, len(parts)
             else:  # written before
                 if type(span) is tuple:
@@ -754,6 +793,12 @@ def to_json(obj) -> str:
     return "".join(parts)
 
 
+def _json_tail(d: Derivation) -> str:
+    """The text that closes d's JSON object after its premises."""
+    return ('],"relation":' + _json_str(d.relation)
+            + ',"rule":' + _json_str(d.rule) + "}")
+
+
 def _push_items(stack: list, items):
     """Push items so that they are written in order, comma-separated."""
     for i in range(len(items) - 1, -1, -1):
@@ -770,6 +815,13 @@ def _term_json(m: Term, memo: dict) -> str:
     text = memo.get(key)
     if text is not None:
         return text
+    cls = type(m)
+    if cls is App or cls is BinOp or cls is If:  # the commonest: children only
+        memo[key] = text = ('{"children":['
+                            + ",".join([_term_json(k, memo)
+                                        for k in m.children()])
+                            + '],"ctor":' + _json_str(m.ctor) + "}")
+        return text
     annot = None
     match m:
         case Var(name):
@@ -781,7 +833,7 @@ def _term_json(m: Term, memo: dict) -> str:
         case BoolLit(value):
             ctor, atom = "bool", "true" if value else "false"
         case AstCtor(tag) | TagLit(tag):
-            ctor = "ast" if type(m) is AstCtor else "tag"
+            ctor = "ast" if cls is AstCtor else "tag"
             atom, annot = _json_str(tag.name), tag.eval_annot
         case _:
             # Every other constructor: its bound names as the atom (one
@@ -851,12 +903,15 @@ def _render(d: Derivation, show, lines: list[str], spans: dict):
         node, indent = stack.pop()
         key = id(node)
         span = spans.get(key)
-        if span is None:  # its premises, then node again for its line
-            spans[key] = len(lines)
-            stack.append((node, indent))
-            deeper = indent + "  "
-            stack.extend([(p, deeper) for p in reversed(node.premises)])
-        elif type(span) is int:
+        if span is None:
+            if node.premises:  # its premises, then node again for its line
+                spans[key] = len(lines)
+                stack.append((node, indent))
+                deeper = indent + "  "
+                stack.extend([(p, deeper) for p in reversed(node.premises)])
+                continue
+            span = len(lines)  # a leaf: its line at once
+        if type(span) is int:
             out = node.term_out
             out = show(out) if isinstance(out, Term) else pretty_type(out)
             lines.append(f"{indent}{node.rule}: {show(node.term_in)}"

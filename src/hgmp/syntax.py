@@ -411,6 +411,7 @@ class LetDown(Term):
 
 
 _register_tag(signature.lookup("promote"), None)
+_LEAVES = frozenset({IntLit, StrLit, BoolLit, TagLit})  # no children
 
 
 def tag_of(name: str, annot: TypeExpr | None = None) -> Tag:
@@ -475,7 +476,10 @@ def subst(m: Term, n: Term, x: str) -> Term:
     kids = m.children()
     if not kids:
         return m
-    return m.rebuild([subst(k, n, x) for k in kids])
+    # A variable or leaf child is substituted here, without a call.
+    return m.rebuild([(n if k.name == x else k) if type(k) is Var
+                      else k if type(k) in _LEAVES else subst(k, n, x)
+                      for k in kids])
 
 
 def _subst_binder(m: Term, n: Term, x: str) -> Term:
@@ -621,7 +625,18 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
     key = id(m)
     laid = memo.get(key)
     if laid is None:
-        match m:
+        match m:  # the commonest classes first
+            case App(fn, arg):
+                laid = (f"{_pp(fn, _APP, memo)} {_pp(arg, _ATOM, memo)}",
+                        _APP)
+            case BinOp(op, lhs, rhs):
+                level = BINOP_LEVEL[op]
+                laid = (f"{_pp(lhs, level, memo)} {BINOP_SYMBOL[op]} "
+                        f"{_pp(rhs, level + 1, memo)}", level)
+            case If(cond, then, orelse):
+                laid = (f"if {_pp(cond, _TERM, memo)} "
+                        f"then {_pp(then, _TERM, memo)} "
+                        f"else {_pp(orelse, _TERM, memo)}", _TERM)
             case Var(name):
                 laid = name, _ATOM
             case IntLit(value):
@@ -648,17 +663,6 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
                         + _pp(body, _TERM, memo) + ")", _ATOM)
             case Lift(body):
                 laid = "lift(" + _pp(body, _TERM, memo) + ")", _ATOM
-            case App(fn, arg):
-                laid = (f"{_pp(fn, _APP, memo)} {_pp(arg, _ATOM, memo)}",
-                        _APP)
-            case BinOp(op, lhs, rhs):
-                level = BINOP_LEVEL[op]
-                laid = (f"{_pp(lhs, level, memo)} {BINOP_SYMBOL[op]} "
-                        f"{_pp(rhs, level + 1, memo)}", level)
-            case If(cond, then, orelse):
-                laid = (f"if {_pp(cond, _TERM, memo)} "
-                        f"then {_pp(then, _TERM, memo)} "
-                        f"else {_pp(orelse, _TERM, memo)}", _TERM)
             case Lam(param, body, annot):
                 head = (f"\\{param}" if annot is None
                         else f"\\{param}:{pretty_type(annot)}")

@@ -430,10 +430,11 @@ ARGUMENT_ERRORS = [
        MODE_ERROR) for entry in (run_pipeline, eval_ct, eval_ul, eval_rt)],
     *[(f"{entry.__name__}-term", entry, (5,), TypeError, "not a Term: 5")
       for entry in (run_pipeline, eval_ct, eval_ul, eval_dl, eval_rt)],
-    # A value inside a term that is no Term reaches the evaluator itself,
-    # or run_pipeline's walk for free variables.
-    ("eval_rt-argument", eval_rt, (App(Lam("x", Var("x")), 5),), TypeError,
-     "not a Term: 5"),
+    # A value inside a term that is no Term: every entry point checks the
+    # whole term in the walk that finds its free variables.
+    *[(f"{entry.__name__}-argument", entry, (App(Lam("x", Var("x")), 5),),
+       TypeError, "not a Term: 5")
+      for entry in (eval_ct, eval_ul, eval_dl, eval_rt)],
     ("run_pipeline-argument", run_pipeline, (App(Lam("x", Var("x")), 5),),
      TypeError, "not a Term: 5"),
     ("run_pipeline-tuple-argument", run_pipeline,
@@ -925,7 +926,8 @@ def test_traced_fib_builds_each_body_once_with_unchanged_bytes(monkeypatch):
 
 class _NeverStores(dict):
     """A _Run.bodies that stores nothing: every application builds and
-    runs its body afresh, as a run without the cache would."""
+    runs its body afresh, and every leaf is a Derivation of its own, as
+    a run that shares nothing would."""
 
     def __setitem__(self, key, value):
         pass
@@ -1010,13 +1012,13 @@ def test_subst_keeps_closed_lambdas_so_equal_calls_share():
     # subst returns a term that holds no free use of its name as the
     # object it was, so both `twice inc 1` apply the same two closures and
     # the second takes the first one's run: the rt stage reads as 41 nodes
-    # in 29 Derivation objects, and writes the JSON a run sharing nothing
-    # writes.
+    # in 20 Derivation objects (a leaf on the same term and output is one
+    # object too), and writes the JSON a run sharing nothing writes.
     m = t(r"(\twice. \inc. twice inc 1 + twice inc 1) "
           r"(\f. \x. f (f x)) (\y. y + 1)")
     shared = run_pipeline(m, trace=True)
     fresh = _uncached(lambda: run_pipeline(m, trace=True))
-    assert _tree_and_objects(shared.stages[-1][1]) == (41, 29)
+    assert _tree_and_objects(shared.stages[-1][1]) == (41, 20)
     assert _tree_and_objects(fresh.stages[-1][1]) == (41, 41)
     assert to_json(shared.stages[-1][1]) == to_json(fresh.stages[-1][1])
 
@@ -1024,18 +1026,93 @@ def test_subst_keeps_closed_lambdas_so_equal_calls_share():
 def test_traced_fib_shares_repeated_derivations():
     # fib 10's rt stage reads as the same 2,340-node tree, and costs as
     # much fuel, but holds one Derivation object per distinct application
-    # and step: 188. A run that shares nothing holds one object per node.
+    # and step, and per distinct leaf (rule, term and output): 106. A run
+    # that shares nothing holds one object per node.
     shared = run_pipeline(t(FIB_10), trace=True)
     fresh = _uncached(lambda: run_pipeline(t(FIB_10), trace=True))
     d_shared, d_fresh = shared.stages[-1][1], fresh.stages[-1][1]
     assert _rule_count(d_shared) == _rule_count(d_fresh) == 2_340
-    assert _tree_and_objects(d_shared) == (2_340, 188)
+    assert _tree_and_objects(d_shared) == (2_340, 106)
     assert _tree_and_objects(d_fresh) == (2_340, 2_340)
     need = sum(_rule_count(d) for _, d in shared.stages)
     assert run_pipeline(t(FIB_10), fuel=need, trace=True).value == IntLit(55)
     with pytest.raises(EvalError) as exc:
         run_pipeline(t(FIB_10), fuel=need - 1, trace=True)
     assert exc.value.kind == EvalError.FUEL
+
+
+def _rules_by_op(d: Derivation, relation: str) -> dict[str, set[str]]:
+    """The rules of d's nodes about a BinOp (its output, for dl), by
+    operator."""
+    rules, todo = {}, [d]
+    while todo:
+        node = todo.pop()
+        named = node.term_out if relation == "dl" else node.term_in
+        if type(named) is BinOp:
+            rules.setdefault(named.op, set()).add(node.rule)
+        todo.extend(node.premises)
+    return rules
+
+
+def test_each_operator_keeps_its_own_rule_name():
+    # A rule named after a constructor is named after its signature row,
+    # not its class: BinOp stands for four rows, so names looked up by
+    # class would give every operator the first one's.
+    m = t("1 + 2 - 3 * 4 == 0 - 9")
+    runs = {"ct": eval_ct(m, trace=True), "ul": eval_ul(m, trace=True),
+            "dl": eval_dl(eval_ul(m), trace=True),
+            "rt": eval_rt(m, trace=True)}
+    names = {"add": "Add", "sub": "Sub", "mul": "Mul", "eq": "Eq"}
+    for relation, (_, d) in runs.items():
+        suffix = "" if relation == "rt" else " " + relation
+        assert _rules_by_op(d, relation) == {
+            op: {name + suffix} for op, name in names.items()}, relation
+
+
+@pytest.mark.parametrize("src", [
+    'astApp(astLam("x", astVar("x")), astInt(1))',
+    "astPromote(#add, astInt(1), astInt(2))",
+    r"astApp(\y. y, astBool(true))",
+])
+def test_traced_rt_keeps_an_ast_of_values_as_its_node(src):
+    # An AST whose arguments all run to themselves is the node it was,
+    # traced or not; one whose argument computes is a new node.
+    ast = t(src)
+    assert eval_rt(ast) is ast
+    value, d = eval_rt(ast, trace=True)
+    assert value is ast and d.term_out is ast
+    computed = AstCtor(ast.tag, (*ast.args[:-1], t("1 + 1")))
+    assert eval_rt(computed, trace=True)[0] == AstCtor(
+        ast.tag, (*ast.args[:-1], IntLit(2)))
+
+
+def _const_leaves(d: Derivation) -> tuple[int, dict[int, set[int]]]:
+    """How many Const nodes d holds read as a tree, and the ids of the
+    Derivation objects among them, by the id of their literal."""
+    count, objects, todo = 0, {}, [d]
+    while todo:
+        node = todo.pop()
+        if node.rule == "Const":
+            count += 1
+            objects.setdefault(id(node.term_in), set()).add(id(node))
+        todo.extend(node.premises)
+    return count, objects
+
+
+def test_traced_fib_shares_each_literal_leaf():
+    # A leaf is one Derivation per rule, term and output object: every
+    # Const on one literal object in fib 5's rt stage is one object,
+    # however often it occurs. A run that shares nothing holds one per
+    # occurrence.
+    m = t("(rec fib n. if n == 0 then 0 else if n == 1 then 1 "
+          "else fib (n - 1) + fib (n - 2)) 5")
+    count, objects = _const_leaves(run_pipeline(m, trace=True).stages[-1][1])
+    assert count > len(objects)
+    assert all(len(ids) == 1 for ids in objects.values())
+    fresh = _uncached(lambda: run_pipeline(m, trace=True)).stages[-1][1]
+    fresh_count, fresh_objects = _const_leaves(fresh)
+    assert fresh_count == count
+    assert sum(map(len, fresh_objects.values())) == count
 
 
 TYPED_TRACES = Path(__file__).resolve().parent / "typed_traces.json"
