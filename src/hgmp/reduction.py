@@ -40,6 +40,16 @@ an AST, or an integer literal) and an operator on two integer leaves are
 evaluated inside the step that consumes them, with no call of their own
 (fused operands, in the manner of Proebsting's superoperators), and so
 is a literal or tag argument of an AST constructor.
+
+rt is deterministic, so the machine shares repeats too, as memo
+functions: a closure keeps the value of its application to an integer,
+boolean or string that returns one of these, with the fuel the body
+spent. A repeat with that fuel left spends it and returns the value;
+with less, the body runs again and runs out on the term a fresh run
+names. It keeps only the values it can record without holding anything
+per pending call, so a chain of distinct calls stores one value while
+fib stores each value it meets again, and a closure's table is emptied
+when it is full (see _machine).
 """
 
 from __future__ import annotations
@@ -108,13 +118,16 @@ class _Run:
     """Per-run state: fuel budget, pipeline mode, trace switch, trail and,
     in bodies, what a traced run shares: its applications (keyed by the
     function and argument, see _rt's App) and its leaves (keyed by rule,
-    term and output, see _d). spend says where on the
-    trail a rule's premises start; in a traced run each sub-evaluation
-    the rule runs leaves its derivation there, in the order it runs, and
-    _d replaces them with the rule's own. Exceptions are never caught
-    inside a run, so a partial trail dies with its run."""
+    term and output, see _d). latest and latest_fuel are the env and the
+    fuel left when the machine's latest recorded application began (see
+    _machine). spend says where on the trail a rule's premises start; in
+    a traced run each sub-evaluation the rule runs leaves its derivation
+    there, in the order it runs, and _d replaces them with the rule's
+    own. Exceptions are never caught inside a run, so a partial trail
+    dies with its run."""
 
-    __slots__ = ("remaining", "typed", "trace", "bodies", "trail")
+    __slots__ = ("remaining", "typed", "trace", "bodies", "trail",
+                 "latest", "latest_fuel")
 
     def __init__(self, fuel: int, typed: bool, trace: bool):
         self.remaining = fuel
@@ -122,6 +135,8 @@ class _Run:
         self.trace = trace
         self.bodies = {}
         self.trail = []
+        self.latest = None
+        self.latest_fuel = 0
 
     def spend(self, phase: str, term: Term) -> int:
         self.remaining -= 1
@@ -400,20 +415,25 @@ class _Closure:
     it was evaluated in with the closure whose application made that
     (see _close). An integer, boolean or string is the host value itself,
     boxed into its literal by _read_back; every other value is the term
-    the reference semantics holds."""
+    the reference semantics holds. memo maps an argument that is a host
+    value (a bool by its own key, so True is not 1) to the host value the
+    closure's application to it returned and the fuel its body spent."""
 
-    __slots__ = ("code", "env", "origin", "term")
+    __slots__ = ("code", "env", "origin", "term", "memo")
 
     def __init__(self, code: Term, env: dict, origin: _Closure | None):
         self.code = code  # a Lam or a Rec
         self.env = env
         self.origin = origin
         self.term = None  # the read-back, once it is asked for
+        self.memo = None  # made when the first value is stored
 
 
 _BOX = {int: IntLit, bool: BoolLit, str: StrLit}  # each host value's literal
 _CONSTS = frozenset(_BOX.values())  # the literals rt's Const rule takes
 _LITERALS = _CONSTS | {TagLit}  # each runs to itself in one unit
+_BOOL_KEYS = (object(), object())  # False's and True's memo keys, not 0 or 1
+_MEMO_SIZE = 1024  # the most values a closure's memo holds
 _INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
             "eq": operator.eq}
 
@@ -478,7 +498,23 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
     arguments. A fused operand spends the units its own call would, and
     is taken only when the fuel left covers them all; else it gets its
     call, which runs out on the term _rt names. The code eval produces
-    runs in the empty environment, closed or not."""
+    runs in the empty environment, closed or not.
+
+    An application of a closure to a host value first looks the argument
+    up in the closure's memo: with the stored fuel left, it spends that
+    fuel and takes the stored value; else it runs the body. Every return
+    goes through one exit, which stores a host value under the first such
+    application this call ran: every later one is its tail call, with
+    the same value. The fuel stored is the fuel left when that
+    application began less the fuel left now. Its start is kept only
+    where that holds nothing per pending call: in start, when the closure
+    already had a memo as it began (fib after its first descent), or in
+    run.latest_fuel while run.latest is still its env, that is, while no
+    later call's first application has begun (count's deepest call). A
+    full memo (_MEMO_SIZE values) is emptied before the next store, so
+    arguments that never come again fill a bounded table. A call that
+    raises stores nothing."""
+    first = None  # the env of this call's first application to a host value
     while True:
         run.remaining -= 1
         if run.remaining < 0:
@@ -490,7 +526,8 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                 _stuck("rt", m, f"unbound variable {m.name}")
             v = env[m.name]
             if type(v) is not AstCtor:
-                return v
+                out = v
+                break
             # _rt would run the AST substituted here again: one unit for
             # each of its nodes, so it runs again here too.
             run.remaining += 1
@@ -534,12 +571,28 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                            "if condition is not a boolean")
                 m = m.then if v else m.orelse
                 continue
+            t = type(v)
+            if t is int or t is str or t is bool:
+                key = _BOOL_KEYS[v] if t is bool else v
+                memo = f.memo
+                if memo is not None:
+                    done = memo.get(key)
+                    if done is not None and done[1] <= run.remaining:
+                        run.remaining -= done[1]
+                        out = done[0]
+                        break
+            else:
+                key = None
             code = f.code
             if type(code) is Lam:
                 env = {**f.env, code.param: v}
             else:  # the parameter wins when it is also the self name
                 env = {**f.env, code.self_name: f, code.param: v}
             m, origin = code.body, f
+            if key is not None and first is None:
+                first, caller, first_key = env, f, key
+                start = run.remaining if memo is not None else None
+                run.latest, run.latest_fuel = env, run.remaining
         elif cls is BinOp:
             x = m.lhs
             if run.remaining and (
@@ -558,20 +611,25 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
             else:
                 b = _machine(x, env, origin, run)
             if type(a) is int and type(b) is int:
-                return _INT_OPS[m.op](a, b)
-            if type(a) is str and type(b) is str and m.op == "eq":
-                return a == b
-            try:
-                return _arith(m.op, _read_back(a), _read_back(b), m)
-            except EvalError as err:
-                err.offending = _close(m, env, origin)
-                raise
+                out = _INT_OPS[m.op](a, b)
+            elif type(a) is str and type(b) is str and m.op == "eq":
+                out = a == b
+            else:
+                try:
+                    out = _arith(m.op, _read_back(a), _read_back(b), m)
+                except EvalError as err:
+                    err.offending = _close(m, env, origin)
+                    raise
+            break
         elif cls is IntLit or cls is StrLit or cls is BoolLit:
-            return m.value
+            out = m.value
+            break
         elif cls is Lam or cls is Rec:
-            return _Closure(m, env, origin)
+            out = _Closure(m, env, origin)
+            break
         elif cls is TagLit:
-            return m
+            out = m
+            break
         elif cls is AstCtor:
             # A literal argument runs to itself, its node kept, in this
             # step when the fuel left covers its unit. A node whose
@@ -583,21 +641,33 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                     outs.append(a)
                 else:
                     outs.append(_read_back(_machine(a, env, origin, run)))
-            if all(map(operator.is_, outs, args)):
-                return m
-            return AstCtor(m.tag, tuple(outs))
+            out = (m if all(map(operator.is_, outs, args))
+                   else AstCtor(m.tag, tuple(outs)))
+            break
         elif cls is Eval:
             v = _read_back(_machine(m.body, env, origin, run))
             m = _eval_code(v, m, run, env, origin)
             env, origin = {}, None
         elif cls is Lift:
             v = _read_back(_machine(m.body, env, origin, run))
-            return _lift(v, m, env, origin)
+            out = _lift(v, m, env, origin)
+            break
         elif cls is DownML or cls is UpML or cls is LetDown:
             _stuck("rt", _close(m, env, origin),
                    "compile-time construct reached run time")
         else:
             raise TypeError(f"not a Term: {m!r}")
+    if first is not None and type(out) in _BOX:
+        if start is None and run.latest is first:
+            start = run.latest_fuel
+        if start is not None:
+            memo = caller.memo
+            if memo is None:
+                memo = caller.memo = {}
+            elif len(memo) == _MEMO_SIZE:
+                memo.clear()
+            memo[first_key] = out, start - run.remaining
+    return out
 
 
 def _eval_code(v: Term, m: Eval, run: _Run, *where) -> Term:

@@ -980,6 +980,22 @@ SHARED_BODIES = [
     ("typed eval", "typed", t(r"(\g:Int -> Int. g 3 + g 3) "
                               r"(\n:Int. eval{Int -> Int}([| \x. x * x |]) n)",
                               "typed")),
+    # Each level repeats its call three times: most of the fuel is shared.
+    ("three-way tree", "untyped",
+     t("(rec t n. if n == 0 then 1 else t (n - 1) + t (n - 1) "
+       "+ t (n - 1)) 4")),
+    # f true, then f 1: a key that let True stand for 1 would print true.
+    ("true then 1", "untyped",
+     t(r"let f = \b. b in if f true then f 1 else 0")),
+    # The first g 3 is stuck after spending fuel, so it stores nothing.
+    ("stuck twice", "untyped",
+     t(r"(\g. g 3 + g 3) (rec s n. if n == 0 then 1 + true "
+       r"else 1 + s (n - 1))")),
+    # \y. f y runs f 4 again as its tail call: the repeat's value is
+    # what \y. f y stores for 4, and its fuel part of what it stores.
+    ("tail-call repeat", "untyped",
+     t(r"(\f. f 4 + (\y. f y) 4 + (\y. f y) 4) "
+       r"(rec s n. if n == 0 then 0 else n + s (n - 1))")),
 ]
 
 
@@ -989,10 +1005,12 @@ SHARED_BODIES = [
 def test_shared_bodies_match_on_every_fuel_budget(mode, m):
     # Every budget from 1 to the first that does not run out: the traced
     # outcome is the untraced machine's, down to Python types, and that
-    # of a run that shares nothing, down to the trace's bytes. Short of
-    # the cached fuel, a body met again runs again and runs out on the
-    # term a fresh run names.
-    for fuel in range(1, 1_000):
+    # of a traced run that shares nothing, down to the trace's bytes.
+    # Both evaluators share: the machine reuses an application's stored
+    # value and fuel, and the traced run its value, fuel and derivation.
+    # Short of the stored fuel, a body met again runs again and runs out
+    # on the term a fresh run names.
+    for fuel in range(1, 2_000):
         untraced = _outcome(m, mode, fuel)
         traced = _outcome(m, mode, fuel, trace=True)
         assert (untraced, repr(untraced)) == (traced, repr(traced)), fuel
@@ -1003,9 +1021,48 @@ def test_shared_bodies_match_on_every_fuel_budget(mode, m):
             break
     else:
         pytest.fail("out of fuel at every budget")
+    if untraced[0] == EvalError.STUCK:
+        return  # no derivation to count
     nodes, objects = _tree_and_objects(run_pipeline(m, mode, fuel,
                                                     trace=True).stages[-1][1])
     assert objects < nodes
+
+
+def test_machine_stores_a_value_per_level_only_where_it_reuses_one():
+    # A chain of distinct calls, count 300, stores one value (its last
+    # call's, which began no other) and holds no start fuel per level;
+    # fib 12 stores the value of each argument it meets again, 0 to 12.
+    count = reduction._Closure(
+        t("rec count n. if n == 0 then 0 else 1 + count (n - 1)"), {}, None)
+    fib = reduction._Closure(
+        t("rec fib n. if n == 0 then 0 else if n == 1 then 1 "
+          "else fib (n - 1) + fib (n - 2)"), {}, None)
+    env = {"count": count, "fib": fib}
+    run = reduction._Run(10**6, False, False)
+    assert reduction._machine(t("count 300"), env, None, run) == 300
+    assert reduction._machine(t("fib 12"), env, None, run) == 144
+    assert len(count.memo or ()) <= 1
+    assert 0 < len(fib.memo or ()) <= 13
+
+
+def test_machine_memo_is_bounded():
+    # it applies f to 3,000 distinct arguments and meets none again: each
+    # value is stored, and f's memo is emptied whenever it is full, so it
+    # never holds more than _MEMO_SIZE. Value and fuel are the reference's.
+    src = (r"let f = \x. x + 1 in "
+           r"(rec it n. \x. if n == 0 then x else it (n - 1) (f x)) 3000 0")
+    f = reduction._Closure(t(r"\x. x + 1"), {}, None)
+    it = reduction._Closure(t(r"rec it n. \x. if n == 0 then x "
+                              r"else it (n - 1) (f x)"), {"f": f}, None)
+    run = reduction._Run(10**6, False, False)
+    assert reduction._machine(t("it 3000 0"), {"it": it}, None, run) == 3000
+    assert 0 < len(f.memo) <= reduction._MEMO_SIZE
+    need = sum(_rule_count(d)
+               for _, d in run_pipeline(t(src), trace=True).stages)
+    assert run_pipeline(t(src), fuel=need).value == IntLit(3000)
+    with pytest.raises(EvalError) as exc:
+        run_pipeline(t(src), fuel=need - 1)
+    assert exc.value.kind == EvalError.FUEL
 
 
 def test_subst_keeps_closed_lambdas_so_equal_calls_share():
