@@ -795,87 +795,95 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
 # A trace repeats the same term objects at many nodes (substitution leaves
 # unchanged subterms shared), and a traced run returns one Derivation
 # object for every application it has run before, so a derivation is a
-# DAG that reads as a tree. Each render call keeps memos keyed by
-# id(term) and id(derivation), and writes every distinct term object and
-# every distinct derivation object once: a repeat reuses the text it was
-# written as. The memos live for that call only, while the objects they
-# name are alive: an id is reused once its object dies.
+# DAG that reads as a tree. Every renderer reads it through _walk, and
+# keeps memos keyed by id(term) and id(derivation) to write every distinct
+# term object and derivation object once: a repeat reuses its text. The
+# memos live for that render call only, while the objects they name are
+# alive: an id is reused once its object dies.
+
+_ENTER, _EXIT, _AGAIN = "enter", "exit", "again"
+
+
+def _walk(d: Derivation, seen):
+    """Read d as a tree on one explicit stack, so depth costs no Python
+    recursion. The first time it meets an object x it yields (_ENTER, x),
+    the events of x's premises in order, then (_EXIT, x); every later
+    time, (_AGAIN, x). The caller stores id(x) in seen on _ENTER."""
+    stack = [d]
+    while stack:
+        x = stack.pop()
+        if x is _EXIT:
+            yield _EXIT, stack.pop()
+        elif id(x) in seen:
+            yield _AGAIN, x
+        else:
+            yield _ENTER, x
+            stack.append(x)
+            stack.append(_EXIT)
+            stack += x.premises[::-1]
+
 
 def to_json(obj) -> str:
     """The text json.dumps(obj, sort_keys=True, separators=(",", ":"))
     writes, for obj made of dicts, lists, tuples and strings whose leaves
     may also be Terms and Derivations, as term_to_json and
     derivation_to_json describe them. Each distinct term object is
-    encoded once per call, and so is each distinct derivation object;
-    derivations are walked on an explicit stack, so their depth costs no
-    Python recursion."""
-    memo: dict[int, str] = {}
-    # id(derivation): where its text starts in parts while its premises
-    # are written, then its [start, end) in parts, then that text joined.
-    spans: dict[int, object] = {}
+    encoded once per call, and so is each distinct derivation object."""
     parts: list[str] = []
-    stack = [_json_str(obj) if type(obj) is str else obj]
-    while stack:
-        o = stack.pop()
-        cls = type(o)
-        if cls is str:  # finished text: strings are encoded when pushed
-            parts.append(o)
-        elif cls is Derivation:
-            key = id(o)
-            span = spans.get(key)
-            if span is None:  # its head, its premises, then o again
-                out = o.term_out
-                out = (_term_json(out, memo) if isinstance(out, Term)
-                       else '{"type":' + _json_str(pretty_type(out)) + "}")
-                head = ('{"in":' + _term_json(o.term_in, memo)
-                        + ',"out":' + out + ',"premises":[')
-                if o.premises:
-                    spans[key] = len(parts)
-                    parts.append(head)
-                    stack.append(o)
-                    _push_items(stack, o.premises)
-                else:  # a leaf: its whole text at once
-                    spans[key] = text = head + _json_tail(o)
-                    parts.append(text)
-            elif type(span) is int:  # its premises are written: close it
-                parts.append(_json_tail(o))
-                spans[key] = span, len(parts)
-            else:  # written before
-                if type(span) is tuple:
-                    span = spans[key] = "".join(parts[span[0]:span[1]])
-                parts.append(span)
-        elif cls is dict:
-            parts.append("{")
-            stack.append("}")
-            keys = sorted(o)
-            for i in range(len(keys) - 1, -1, -1):
-                value = o[keys[i]]
-                stack.append(_json_str(value) if type(value) is str else value)
-                stack.append(("," if i else "") + _json_str(keys[i]) + ":")
-        elif cls is list or cls is tuple:
-            parts.append("[")
-            stack.append("]")
-            _push_items(stack, o)
-        elif isinstance(o, Term):
-            parts.append(_term_json(o, memo))
-        else:
-            raise TypeError(f"cannot write {o!r} as trace JSON")
+    _write_json(obj, parts, {}, {})
     return "".join(parts)
 
 
-def _json_tail(d: Derivation) -> str:
-    """The text that closes d's JSON object after its premises."""
-    return ('],"relation":' + _json_str(d.relation)
-            + ',"rule":' + _json_str(d.rule) + "}")
-
-
-def _push_items(stack: list, items):
-    """Push items so that they are written in order, comma-separated."""
-    for i in range(len(items) - 1, -1, -1):
-        item = items[i]
-        stack.append(_json_str(item) if type(item) is str else item)
-        if i:
-            stack.append(",")
+def _write_json(o, parts: list[str], memo: dict, spans: dict):
+    """Append o's text to parts: containers by plain recursion, as they
+    nest only a few levels, and derivations as _walk reads them. memo is
+    _term_json's; spans maps id(derivation) to where its text starts in
+    parts while its premises are written, then to its [start, end) in
+    parts, then to that text joined."""
+    cls = type(o)
+    if cls is str:
+        parts.append(_json_str(o))
+    elif cls is Derivation:
+        last = _ENTER  # a comma goes before each premise but the first
+        tails = {}  # (relation, rule): the text that closes its object
+        for event, x in _walk(o, spans):
+            if event is not _EXIT and last is not _ENTER:
+                parts.append(",")
+            last = event
+            if event is _ENTER:
+                spans[id(x)] = len(parts)
+                out = x.term_out
+                out = (_term_json(out, memo) if isinstance(out, Term)
+                       else '{"type":' + _json_str(pretty_type(out)) + "}")
+                parts.append('{"in":' + _term_json(x.term_in, memo)
+                             + ',"out":' + out + ',"premises":[')
+            elif event is _EXIT:
+                tail = tails.get((x.relation, x.rule))
+                if tail is None:
+                    tail = tails[x.relation, x.rule] = (
+                        '],"relation":' + _json_str(x.relation)
+                        + ',"rule":' + _json_str(x.rule) + "}")
+                parts.append(tail)
+                spans[id(x)] = spans[id(x)], len(parts)
+            else:  # _AGAIN: written before
+                span = spans[id(x)]
+                if type(span) is tuple:
+                    span = spans[id(x)] = "".join(parts[span[0]:span[1]])
+                parts.append(span)
+    elif cls is dict:
+        for i, key in enumerate(sorted(o)):
+            parts.append(("," if i else "{") + _json_str(key) + ":")
+            _write_json(o[key], parts, memo, spans)
+        parts.append("}" if o else "{}")
+    elif cls is list or cls is tuple:
+        for i, item in enumerate(o):
+            parts.append("," if i else "[")
+            _write_json(item, parts, memo, spans)
+        parts.append("]" if o else "[]")
+    elif isinstance(o, Term):
+        parts.append(_term_json(o, memo))
+    else:
+        raise TypeError(f"cannot write {o!r} as trace JSON")
 
 
 def _term_json(m: Term, memo: dict) -> str:
@@ -963,32 +971,24 @@ def render_trace(stages) -> str:
 
 
 def _render(d: Derivation, show, lines: list[str], spans: dict):
-    """Append d's lines, premises first, walking d on an explicit stack.
-    spans maps id(derivation) to where its lines start while its premises
-    are written, then to their [start, end) and its indent: a derivation
-    met again is those lines again, the same objects at the same indent,
-    else with the indent replaced."""
-    stack = [(d, "")]
-    while stack:
-        node, indent = stack.pop()
-        key = id(node)
-        span = spans.get(key)
-        if span is None:
-            if node.premises:  # its premises, then node again for its line
-                spans[key] = len(lines)
-                stack.append((node, indent))
-                deeper = indent + "  "
-                stack.extend([(p, deeper) for p in reversed(node.premises)])
-                continue
-            span = len(lines)  # a leaf: its line at once
-        if type(span) is int:
-            out = node.term_out
+    """Append d's lines, premises first, as _walk reads d. spans maps
+    id(derivation) to where its lines start and its indent while its
+    premises are written, then to their [start, end) and indent: a repeat
+    is those line objects again at that indent, else re-indented copies."""
+    indent = ""
+    for event, x in _walk(d, spans):
+        if event is _ENTER:
+            spans[id(x)] = len(lines), indent
+            indent += "  "
+        elif event is _EXIT:
+            start, indent = spans[id(x)]
+            out = x.term_out
             out = show(out) if isinstance(out, Term) else pretty_type(out)
-            lines.append(f"{indent}{node.rule}: {show(node.term_in)}"
-                         f"  ={node.relation}=>  {out}")
-            spans[key] = span, len(lines), indent
-        else:  # written before
-            start, end, at = span
+            lines.append(f"{indent}{x.rule}: {show(x.term_in)}"
+                         f"  ={x.relation}=>  {out}")
+            spans[id(x)] = start, len(lines), indent
+        else:  # _AGAIN: written before
+            start, end, at = spans[id(x)]
             if at == indent:
                 lines.extend(lines[start:end])
             else:

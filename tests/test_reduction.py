@@ -740,22 +740,28 @@ def test_untraced_matches_traced_on_generated_numeric_programs():
     assert seen == {"value", EvalError.STUCK, EvalError.FUEL}
 
 
-def _count_in_a_fresh_process(n: int, setup: str, trace: bool):
-    """Run count n through run_pipeline in a new interpreter after setup:
-    its exit code, stdout (the recursion limit and the value) and
-    stderr."""
-    code = (f"import sys\n{setup}"
-            "from hgmp.parser import parse_term\n"
-            "from hgmp.reduction import run_pipeline\n"
-            "m = parse_term('(rec count n. if n == 0 then 0 "
-            f"else 1 + count (n - 1)) {n}')\n"
-            f"value = run_pipeline(m, fuel=10**8, trace={trace}).value\n"
-            "print(sys.getrecursionlimit(), value.value)\n")
+def _in_a_fresh_process(code: str):
+    """Run code in a new interpreter that imports hgmp from src: its exit
+    code, stdout and stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _count_in_a_fresh_process(n: int, setup: str, trace: bool):
+    """Run count n through run_pipeline in a new interpreter after setup:
+    its exit code, stdout (the recursion limit and the value) and
+    stderr."""
+    return _in_a_fresh_process(
+        f"import sys\n{setup}"
+        "from hgmp.parser import parse_term\n"
+        "from hgmp.reduction import run_pipeline\n"
+        "m = parse_term('(rec count n. if n == 0 then 0 "
+        f"else 1 + count (n - 1)) {n}')\n"
+        f"value = run_pipeline(m, fuel=10**8, trace={trace}).value\n"
+        "print(sys.getrecursionlimit(), value.value)\n")
 
 
 def test_untraced_count_900_fits_the_default_recursion_limit():
@@ -1455,6 +1461,87 @@ def test_shared_derivations_render_as_their_tree(stages):
     assert to_json(payload) == ref_dumps(
         [{"stage": name, "derivation": ref_derivation_to_json(d)}
          for name, d in stages])
+
+
+def _tree_events(d: Derivation, entered: set, events: list):
+    """The events _walk should yield for d, by plain recursion: entered
+    holds the ids of the objects entered so far."""
+    if id(d) in entered:
+        events.append((reduction._AGAIN, id(d)))
+        return
+    entered.add(id(d))
+    events.append((reduction._ENTER, id(d)))
+    for p in d.premises:
+        _tree_events(p, entered, events)
+    events.append((reduction._EXIT, id(d)))
+
+
+def _check_walk(stages, seen: dict, entered: set):
+    """Walk each stage's derivation with seen as a renderer does, storing
+    id(x) on _ENTER, and check the events against the tree's. A node
+    count with multiplicity is made as rule counts would be: at _EXIT
+    1 + the premises' counts, with _AGAIN reusing the stored count."""
+    for _, d in stages:
+        events, want, totals = [], [], [0]
+        _tree_events(d, entered, want)
+        for event, x in reduction._walk(d, seen):
+            events.append((event, id(x)))
+            if event is reduction._ENTER:
+                seen[id(x)] = None
+                totals.append(0)
+            elif event is reduction._EXIT:
+                seen[id(x)] = 1 + totals.pop()
+                totals[-1] += seen[id(x)]
+            else:
+                totals[-1] += seen[id(x)]
+        assert events == want
+        assert totals == [_tree_and_objects(d)[0]]
+
+
+@pytest.mark.parametrize("stages", [s for _, s in _hand_built_sharings()],
+                         ids=[name for name, _ in _hand_built_sharings()])
+def test_walk_reads_a_shared_derivation_as_its_tree(stages):
+    # One seen dict across the stages, as render_trace and the CLI's
+    # payload keep, and a fresh one for each stage.
+    _check_walk(stages, {}, set())
+    for stage in stages:
+        _check_walk((stage,), {}, set())
+
+
+def test_walk_reads_generated_traces_as_their_trees():
+    for _, stages, _ in _seeded_traces(random.Random(5150), 300):
+        _check_walk(stages, {}, set())
+
+
+def test_renderers_take_a_deep_trace_at_the_default_recursion_limit():
+    # Derivations are read on _walk's stack, so a 3,000-level chain renders
+    # at CPython's default limit of 1,000. The depth stays at 3,000, as
+    # text grows with its square; derivation_to_json is left out, as its
+    # json.loads recurses.
+    code = """if True:
+        import sys
+        from hgmp.reduction import (Derivation, render_derivation,
+                                    render_trace, to_json)
+        from hgmp.syntax import IntLit
+        one = IntLit(1)
+        d = Derivation("Const", "rt", one, one)
+        for _ in range(3000):
+            d = Derivation("If", "rt", one, one, (d,))
+        inout = '{"in":' + to_json(one) + ',"out":' + to_json(one)
+        tree = (3000 * (inout + ',"premises":[') + inout
+                + ',"premises":[],"relation":"rt","rule":"Const"}'
+                + 3000 * '],"relation":"rt","rule":"If"}')
+        lines = "\\n".join(["  " * 3000 + "Const: 1  =rt=>  1"]
+                           + ["  " * i + "If: 1  =rt=>  1"
+                              for i in range(2999, -1, -1)])
+        assert to_json(d) == tree
+        assert (to_json({"stages": [{"stage": "rt", "derivation": d}]})
+                == '{"stages":[{"derivation":' + tree + ',"stage":"rt"}]}')
+        assert render_derivation(d) == lines
+        assert render_trace([("rt", d)]) == "-- rt --\\n" + lines
+        print(sys.getrecursionlimit(), len(tree), len(lines))
+    """
+    assert _in_a_fresh_process(code) == (0, "1000 390133 9051018\n", "")
 
 
 def test_generated_numeric_traces_match_the_reference_encoders():
