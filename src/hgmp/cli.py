@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 semantic/type/parse error, 2 usage error.
 Results go to stdout; every diagnostic goes to stderr. With --trace json
-stdout carries a single JSON document instead.
+stdout carries a single JSON document instead, or nothing if it fails.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import sys
 from . import typecheck
 from .parser import MODES, ParseError, is_typed, parse_term
 from .reduction import (
-    DEFAULT_FUEL, Derivation, EvalError, _fuel, derivation_to_json, eval_ct,
-    eval_dl, eval_rt, eval_ul, render_derivation, render_trace, run_pipeline,
-    to_json,
+    DEFAULT_FUEL, Derivation, EvalError, _fuel, eval_ct, eval_dl, eval_rt,
+    eval_ul, render_derivation, render_trace, run_pipeline, to_json,
 )
 from .syntax import Term, alpha_eq, pretty, pretty_type
 from .typecheck import EMPTY_ENV, TypeErrorDetail
@@ -263,12 +262,13 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
             failures.append(f"{name} [{mode}]: missing golden {golden_path}")
         else:
             with open(golden_path, encoding="utf-8") as handle:
-                want_deriv = json.load(handle)
+                want_text = json.dumps(json.load(handle)["derivation"],
+                                       sort_keys=True, separators=(",", ":"))
             got = {stage: deriv for stage, deriv in stages}.get(golden)
             if got is None:
                 failures.append(
                     f"{name} [{mode}]: no {golden} derivation recorded")
-            elif derivation_to_json(got) != want_deriv["derivation"]:
+            elif to_json(got) != want_text:
                 failures.append(f"{name} [{mode}]: derivation differs "
                                 f"from golden {golden_path}")
     return failures

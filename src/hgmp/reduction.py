@@ -18,12 +18,13 @@ reference: call-by-value with capture-avoiding substitution, dispatched
 on the node's class, commonest first. It runs every traced run, because
 derivations show substituted terms. A traced run runs each
 application's body once per function and argument (an equal literal,
-or the same other value): a repeat spends the fuel the first run spent
-and returns its value and Derivation object. A leaf, a rule with no
-premises, is one Derivation per rule, term and output object in a
-traced run of any relation, though each occurrence still spends its
-unit. So a trace is a DAG that reads as a tree, and the renderers write
-each repeated derivation once, a leaf in one step.
+or the same other value), recorded once it has run: a repeat spends
+the fuel that run spent and returns its value and Derivation object.
+A leaf, a rule with no premises (a type check too), is one Derivation
+per rule, term and output object in a traced run of any relation,
+though each occurrence still spends its unit. So a trace is a DAG read
+as a tree, and the renderers write each repeated derivation once, a
+leaf in one step.
 `_machine`, an environment machine, runs every untraced rt (the
 pipeline's, eval_rt's, and ct's for splices and letdown), open terms
 and the open code eval builds included. A function evaluates to a
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .syntax import (
-    TAGS,
+    HOST_LITERAL, LEAVES, TAGS,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, TagLit, Term, TypeExpr, UpML, Var,
     free_vars, int_of_text, int_text, mk_ast, node, pretty, pretty_type,
@@ -82,9 +83,9 @@ class Derivation:
     Derivations are immutable and may be shared: a traced rt run returns
     one object for every application of a function to an argument it has
     run before, and a traced run of any relation one object for every
-    leaf (a rule with no premises) on the same rule, term and output
-    objects. A derivation is read as a tree all the same: a shared
-    premise counts, costs fuel and is rendered at each place it occurs."""
+    leaf (a rule with no premises, a type check too) on the same rule,
+    term and output objects. A shared premise still counts, costs fuel
+    and is rendered at each place it occurs, as in a tree."""
 
     rule: str
     relation: str  # ct | dl | ul | rt | type
@@ -117,14 +118,14 @@ class EvalError(Exception):
 class _Run:
     """Per-run state: fuel budget, pipeline mode, trace switch, trail and,
     in bodies, what a traced run shares: its applications (keyed by the
-    function and argument, see _rt's App) and its leaves (keyed by rule,
-    term and output, see _d). latest and latest_fuel are the env and the
-    fuel left when the machine's latest recorded application began (see
-    _machine). spend says where on the trail a rule's premises start; in
-    a traced run each sub-evaluation the rule runs leaves its derivation
-    there, in the order it runs, and _d replaces them with the rule's
-    own. Exceptions are never caught inside a run, so a partial trail
-    dies with its run."""
+    function and argument, stored once its body has run, see _rt's App)
+    and its leaves (keyed by rule, term and output, see _d). latest and
+    latest_fuel are the env and the fuel left when the machine's latest
+    recorded application began (see _machine). spend says where on the
+    trail a rule's premises start; in a traced run each sub-evaluation
+    the rule runs leaves its derivation there, in the order it runs, and
+    _d replaces them with the rule's own. Exceptions are never caught
+    inside a run, so a partial trail dies with its run."""
 
     __slots__ = ("remaining", "typed", "trace", "bodies", "trail",
                  "latest", "latest_fuel")
@@ -155,10 +156,10 @@ def _d(run: _Run, at: int, rule: str | None, relation: str, m: Term, out):
     position at. A traced run first replaces them with the rule's
     Derivation. A rule of None is named after the constructor of the side
     that is not an AST (the output, for dl), from _RULE_NAMES: `App ct`,
-    or a bare `Add` in rt. A leaf, a rule with no premises, is one
-    Derivation per rule, term and output object in a run, kept in
-    run.bodies under (rule, id(m), id(out)); the Derivation holds both,
-    so the ids stay valid."""
+    or a bare `Add` in rt. A leaf, a rule with no premises (a Type check
+    too), is one Derivation per rule, term and output object in a run,
+    kept in run.bodies under (rule, id(m), id(out)); the Derivation
+    holds both, so the ids stay valid."""
     if run.trace:
         if rule is None:
             named = out if relation == "dl" else m
@@ -213,9 +214,7 @@ def _checked(run: _Run, m: Term, phase: str,
     except TypeErrorDetail as err:
         raise EvalError(EvalError.TYPE, "type", m, err.describe(),
                         detail=err)
-    if run.trace:
-        run.trail.append(Derivation("Type", "type", m, expected))
-    return expected
+    return _d(run, len(run.trail), "Type", "type", m, expected)
 
 
 ### compile time
@@ -339,31 +338,26 @@ def _rt(m: Term, run: _Run):
         v = _rt(m.arg, run)
         # A traced run keeps one entry per f and argument (a literal
         # by its class and value, so BoolLit(True) is not IntLit(1),
-        # any other by identity), holding f and v so the ids stay
-        # valid, the body and, once that has run, the fuel it spent,
-        # its value and derivation. rt is deterministic: a repeat with
-        # that fuel left spends it and returns them; with less, it runs
-        # out as a fresh run would. A run that raises stores no result.
-        entry = None
+        # any other by identity), stored once the body has run: f and v,
+        # so the ids stay valid, the fuel the body spent, its value and
+        # derivation. rt is deterministic: a repeat with that fuel left
+        # spends it and returns them; with less, its body, equal to the
+        # first's, runs out as a fresh run would. A body that raises
+        # stores nothing, and one that meets its own pair diverges.
         if run.trace:
             key = ((id(f), type(v), v.value) if type(v) in _CONSTS
                    else (id(f), id(v)))
             entry = run.bodies.get(key)
-        if entry is None:
-            body = _beta(f, f.body, v)
-            if run.trace:  # a diverging body meets its own pair again
-                run.bodies[key] = f, v, body, None, None, None
-        else:
-            body, cost, res, derivation = entry[2:]
-            if cost is not None and cost <= run.remaining:
+            if entry is not None and entry[2] <= run.remaining:
+                _, _, cost, res, derivation = entry
                 run.remaining -= cost
                 run.trail.append(derivation)
                 return _d(run, at, "App", "rt", m, res)
         remaining = run.remaining
-        res = _rt(body, run)
+        res = _rt(_beta(f, f.body, v), run)
         if run.trace:
-            run.bodies[key] = (f, v, body, remaining - run.remaining,
-                               res, run.trail[-1])
+            run.bodies[key] = (f, v, remaining - run.remaining, res,
+                               run.trail[-1])
         return _d(run, at, "App", "rt", m, res)
     if cls is BinOp:
         out = _arith(m.op, _rt(m.lhs, run), _rt(m.rhs, run), m)
@@ -378,10 +372,7 @@ def _rt(m: Term, run: _Run):
         return _d(run, at, "If", "rt", m, v)
     if cls is AstCtor:
         # A node whose arguments all run to themselves is kept.
-        args = m.args
-        outs = [_rt(a, run) for a in args]
-        out = (m if all(map(operator.is_, outs, args))
-               else AstCtor(m.tag, tuple(outs)))
+        out = m.rebuild([_rt(a, run) for a in m.args])
         return _d(run, at, None, "rt", m, out)
     if cls is Lam or cls is Rec:
         return _d(run, at, None, "rt", m, m)
@@ -429,9 +420,7 @@ class _Closure:
         self.memo = None  # made when the first value is stored
 
 
-_BOX = {int: IntLit, bool: BoolLit, str: StrLit}  # each host value's literal
-_CONSTS = frozenset(_BOX.values())  # the literals rt's Const rule takes
-_LITERALS = _CONSTS | {TagLit}  # each runs to itself in one unit
+_CONSTS = frozenset(HOST_LITERAL.values())  # the literals rt's Const takes
 _BOOL_KEYS = (object(), object())  # False's and True's memo keys, not 0 or 1
 _MEMO_SIZE = 1024  # the most values a closure's memo holds
 _INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
@@ -442,7 +431,7 @@ def _read_back(v) -> Term:
     """The term the substitution semantics holds for the machine value v:
     a host value boxed into its literal, a closure read back by _close."""
     cls = type(v)
-    box = _BOX.get(cls)
+    box = HOST_LITERAL.get(cls)
     if box is not None:
         return box(v)
     if cls is not _Closure:
@@ -631,18 +620,17 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
             out = m
             break
         elif cls is AstCtor:
-            # A literal argument runs to itself, its node kept, in this
-            # step when the fuel left covers its unit. A node whose
-            # arguments all come back as they were is kept.
-            args, outs = m.args, []
-            for a in args:
-                if type(a) in _LITERALS and run.remaining:
+            # A leaf argument (a literal or tag) runs to itself, its node
+            # kept, in this step when the fuel left covers its unit. A
+            # node whose arguments all come back as they were is kept.
+            outs = []
+            for a in m.args:
+                if type(a) in LEAVES and run.remaining:
                     run.remaining -= 1
                     outs.append(a)
                 else:
                     outs.append(_read_back(_machine(a, env, origin, run)))
-            out = (m if all(map(operator.is_, outs, args))
-                   else AstCtor(m.tag, tuple(outs)))
+            out = m.rebuild(outs)
             break
         elif cls is Eval:
             v = _read_back(_machine(m.body, env, origin, run))
@@ -657,7 +645,7 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                    "compile-time construct reached run time")
         else:
             raise TypeError(f"not a Term: {m!r}")
-    if first is not None and type(out) in _BOX:
+    if first is not None and type(out) in HOST_LITERAL:
         if start is None and run.latest is first:
             start = run.latest_fuel
         if start is not None:
@@ -826,9 +814,9 @@ def _walk(d: Derivation, seen):
 def to_json(obj) -> str:
     """The text json.dumps(obj, sort_keys=True, separators=(",", ":"))
     writes, for obj made of dicts, lists, tuples and strings whose leaves
-    may also be Terms and Derivations, as term_to_json and
-    derivation_to_json describe them. Each distinct term object is
-    encoded once per call, and so is each distinct derivation object."""
+    may also be Terms, as {"ctor", "children", "atom"?, "annot"?}, and
+    Derivations, as derivation_to_json describes them. Each distinct term
+    or derivation object is encoded once per call."""
     parts: list[str] = []
     _write_json(obj, parts, {}, {})
     return "".join(parts)
@@ -933,19 +921,10 @@ def _term_json(m: Term, memo: dict) -> str:
     return text
 
 
-def term_to_json(m: Term) -> dict:
-    """Structural JSON encoding: {"ctor": .., "children": [..], "atom"?: ..}.
-
-    Type annotations, when present, ride along under an "annot" key as a
-    pretty-printed type string. This is to_json's text of m, read back.
-    """
-    return json.loads(to_json(m), parse_int=int_of_text)
-
-
 def derivation_to_json(d: Derivation) -> dict:
-    """{"rule", "relation", "in", "out", "premises"}: the terms as
-    term_to_json encodes them, a type conclusion as {"type": ..}. This is
-    to_json's text of d, read back."""
+    """{"rule", "relation", "in", "out", "premises"}: the terms as to_json
+    encodes them, a type conclusion as {"type": ..}. This is to_json's
+    text of d, read back; outside the tests, only the benchmark reads it."""
     return json.loads(to_json(d), parse_int=int_of_text)
 
 

@@ -411,7 +411,8 @@ class LetDown(Term):
 
 
 _register_tag(signature.lookup("promote"), None)
-_LEAVES = frozenset({IntLit, StrLit, BoolLit, TagLit})  # no children
+HOST_LITERAL = {int: IntLit, bool: BoolLit, str: StrLit}  # by the value's type
+LEAVES = frozenset({*HOST_LITERAL.values(), TagLit})  # no children
 
 
 def tag_of(name: str, annot: TypeExpr | None = None) -> Tag:
@@ -478,7 +479,7 @@ def subst(m: Term, n: Term, x: str) -> Term:
         return m
     # A variable or leaf child is substituted here, without a call.
     return m.rebuild([(n if k.name == x else k) if type(k) is Var
-                      else k if type(k) in _LEAVES else subst(k, n, x)
+                      else k if type(k) in LEAVES else subst(k, n, x)
                       for k in kids])
 
 

@@ -13,7 +13,7 @@ from hgmp.cli import main
 from hgmp.parser import parse_term
 from hgmp.reduction import (
     Derivation, EvalError, eval_ct, eval_dl, eval_rt, eval_ul,
-    render_derivation, render_trace, run_pipeline, term_to_json, to_json,
+    render_derivation, render_trace, run_pipeline, to_json,
 )
 from hgmp.syntax import (
     BINOP_SYMBOL, TAGS,
@@ -356,7 +356,7 @@ def test_type_error_message_is_prefixed_once():
 
 def test_rec_annotation_json_keeps_arrow_grouping():
     def annot(src):
-        return term_to_json(t(src, "typed"))["annot"]
+        return json.loads(to_json(t(src, "typed")))["annot"]
     assert annot("rec f x : (Int -> Int) -> Int. 1") == "(Int -> Int) -> Int"
     assert annot("rec f x : Int -> Int -> Int. 1") == "Int -> Int -> Int"
 
@@ -1034,6 +1034,31 @@ def test_shared_bodies_match_on_every_fuel_budget(mode, m):
     assert objects < nodes
 
 
+DIVERGING = [
+    ("omega", t(r"(\x. x x) (\x. x x)")),
+    ("self loop", t("(rec loop n. loop n) 0")),
+    ("count down to a loop",
+     t("(rec f n. if n == 0 then f 0 else f (n - 1)) 3")),
+]
+
+
+@pytest.mark.parametrize("m", [m for _, m in DIVERGING],
+                         ids=[name for name, _ in DIVERGING])
+def test_diverging_runs_match_on_every_fuel_budget(m):
+    # Each body meets its own function and argument again while it runs,
+    # before the traced run has stored anything for that pair, and runs
+    # out at every budget: on the term the untraced machine names, and
+    # with the outcome of a traced run that shares nothing.
+    for fuel in range(1, 400):
+        untraced = _outcome(m, "untyped", fuel)
+        traced = _outcome(m, "untyped", fuel, trace=True)
+        assert untraced[0] == EvalError.FUEL, fuel
+        assert (untraced, repr(untraced)) == (traced, repr(traced)), fuel
+        shared = _traced_outcome(m, "untyped", fuel)
+        fresh = _uncached(lambda: _traced_outcome(m, "untyped", fuel))
+        assert (shared, repr(shared)) == (fresh, repr(fresh)), fuel
+
+
 def test_machine_stores_a_value_per_level_only_where_it_reuses_one():
     # A chain of distinct calls, count 300, stores one value (its last
     # call's, which began no other) and holds no start fuel per level;
@@ -1401,7 +1426,7 @@ def test_memoised_renders_match_the_reference_encoders():
     relations = set()
     for m, stages, result in _seeded_traces(random.Random(77), 2_000):
         relations.update(name for name, _ in stages)
-        assert term_to_json(m) == ref_term_to_json(m)
+        assert to_json(m) == ref_dumps(ref_term_to_json(m))
         for _, d in stages:
             assert to_json(d) == ref_dumps(ref_derivation_to_json(d))
             assert render_derivation(d) == ref_render_derivation(d)
@@ -1637,7 +1662,8 @@ def test_render_memo_does_not_outlive_its_call():
     # term's text to the new object that reuses the id.
     for i in range(20_000):
         assert pretty(IntLit(i)) == str(i)
-        assert term_to_json(Var(f"v{i}"))["atom"] == f"v{i}"
+        assert to_json(Var(f"v{i}")) == (
+            f'{{"atom":"v{i}","children":[],"ctor":"var"}}')
 
 
 ### property suites (smaller here; the acceptance suite runs the big ones)

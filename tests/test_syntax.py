@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hgmp import syntax
 from hgmp.parser import parse_term
-from hgmp.reduction import Derivation, eval_ul, term_to_json
+from hgmp.reduction import Derivation, eval_ul, to_json
 from hgmp.syntax import (
     BOOL, INT,
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
@@ -243,8 +243,8 @@ def test_pretty_prints_integers_over_the_str_limit():
     assert pretty(IntLit(n)) == decimal_digits(n)
     assert pretty(BinOp("sub", IntLit(1), IntLit(-n))) == (
         "1 - (" + decimal_digits(-n) + ")")
-    assert term_to_json(IntLit(n)) == {"ctor": "int", "atom": n,
-                                       "children": []}
+    assert to_json(IntLit(n)) == ('{"atom":' + decimal_digits(n)
+                                  + ',"children":[],"ctor":"int"}')
 
 
 def test_pretty_string_escapes():
