@@ -47,10 +47,10 @@ functions: a closure keeps the value of its application to an integer,
 boolean or string that returns one of these, with the fuel the body
 spent. A repeat with that fuel left spends it and returns the value;
 with less, the body runs again and runs out on the term a fresh run
-names. It keeps only the values it can record without holding anything
-per pending call, so a chain of distinct calls stores one value while
-fib stores each value it meets again, and a closure's table is emptied
-when it is full (see _machine).
+names. A closure's table is made at its first application that returns
+such a value, and stores only applications that begin once it is made,
+so a chain of distinct calls stores nothing while fib stores each value
+it meets again, and the table is emptied when it is full (see _machine).
 """
 
 from __future__ import annotations
@@ -119,16 +119,13 @@ class _Run:
     """Per-run state: fuel budget, pipeline mode, trace switch, trail and,
     in bodies, what a traced run shares: its applications (keyed by the
     function and argument, stored once its body has run, see _rt's App)
-    and its leaves (keyed by rule, term and output, see _d). latest and
-    latest_fuel are the env and the fuel left when the machine's latest
-    recorded application began (see _machine). spend says where on the
-    trail a rule's premises start; in a traced run each sub-evaluation
-    the rule runs leaves its derivation there, in the order it runs, and
-    _d replaces them with the rule's own. Exceptions are never caught
-    inside a run, so a partial trail dies with its run."""
+    and its leaves (keyed by rule, term and output, see _d). spend says
+    where on the trail a rule's premises start; in a traced run each
+    sub-evaluation the rule runs leaves its derivation there, in the
+    order it runs, and _d replaces them with the rule's own. Exceptions
+    are never caught inside a run, so a partial trail dies with its run."""
 
-    __slots__ = ("remaining", "typed", "trace", "bodies", "trail",
-                 "latest", "latest_fuel")
+    __slots__ = ("remaining", "typed", "trace", "bodies", "trail")
 
     def __init__(self, fuel: int, typed: bool, trace: bool):
         self.remaining = fuel
@@ -136,8 +133,6 @@ class _Run:
         self.trace = trace
         self.bodies = {}
         self.trail = []
-        self.latest = None
-        self.latest_fuel = 0
 
     def spend(self, phase: str, term: Term) -> int:
         self.remaining -= 1
@@ -406,9 +401,11 @@ class _Closure:
     it was evaluated in with the closure whose application made that
     (see _close). An integer, boolean or string is the host value itself,
     boxed into its literal by _read_back; every other value is the term
-    the reference semantics holds. memo maps an argument that is a host
-    value (a bool by its own key, so True is not 1) to the host value the
-    closure's application to it returned and the fuel its body spent."""
+    the reference semantics holds. memo is None until an application of
+    the closure to a host value first returns one; then it maps an
+    argument that is a host value (a bool by its own key, so True is not
+    1) to the host value the closure's application to it returned and
+    the fuel its body spent."""
 
     __slots__ = ("code", "env", "origin", "term", "memo")
 
@@ -417,7 +414,7 @@ class _Closure:
         self.env = env
         self.origin = origin
         self.term = None  # the read-back, once it is asked for
-        self.memo = None  # made when the first value is stored
+        self.memo = None  # made at the first host-valued return
 
 
 _CONSTS = frozenset(HOST_LITERAL.values())  # the literals rt's Const takes
@@ -495,15 +492,15 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
     goes through one exit, which stores a host value under the first such
     application this call ran: every later one is its tail call, with
     the same value. The fuel stored is the fuel left when that
-    application began less the fuel left now. Its start is kept only
-    where that holds nothing per pending call: in start, when the closure
-    already had a memo as it began (fib after its first descent), or in
-    run.latest_fuel while run.latest is still its env, that is, while no
-    later call's first application has begun (count's deepest call). A
+    application began less the fuel left now. It stores only when the
+    closure already had a memo as that application began; a closure with
+    none gets an empty one at that exit instead. So count's chain of
+    distinct calls, which all begin before the first returns, stores
+    nothing, and fib stores what it meets after its first descent. A
     full memo (_MEMO_SIZE values) is emptied before the next store, so
     arguments that never come again fill a bounded table. A call that
     raises stores nothing."""
-    first = None  # the env of this call's first application to a host value
+    first = None  # the closure this call first applied to a host value
     while True:
         run.remaining -= 1
         if run.remaining < 0:
@@ -579,9 +576,8 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                 env = {**f.env, code.self_name: f, code.param: v}
             m, origin = code.body, f
             if key is not None and first is None:
-                first, caller, first_key = env, f, key
+                first, first_key = f, key
                 start = run.remaining if memo is not None else None
-                run.latest, run.latest_fuel = env, run.remaining
         elif cls is BinOp:
             x = m.lhs
             if run.remaining and (
@@ -646,13 +642,11 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
         else:
             raise TypeError(f"not a Term: {m!r}")
     if first is not None and type(out) in HOST_LITERAL:
-        if start is None and run.latest is first:
-            start = run.latest_fuel
-        if start is not None:
-            memo = caller.memo
-            if memo is None:
-                memo = caller.memo = {}
-            elif len(memo) == _MEMO_SIZE:
+        memo = first.memo
+        if memo is None:
+            first.memo = {}
+        elif start is not None:
+            if len(memo) == _MEMO_SIZE:
                 memo.clear()
             memo[first_key] = out, start - run.remaining
     return out

@@ -277,34 +277,34 @@ class Rec(Term):
     annot: Arrow | None = None
 
 
-def _holding(host: type):
-    """A literal's __post_init__: its value must be exactly of type host."""
-    def check(lit):
-        if type(lit.value) is not host:
-            raise ValueError(f"{type(lit).__name__} value must be "
-                             f"{host.__name__}, got {type(lit.value).__name__}")
-    return check
+def _host_typed(lit):
+    """A literal's __post_init__: its value must be exactly of the host
+    type HOST_LITERAL pairs with its class."""
+    if HOST_LITERAL.get(type(lit.value)) is not type(lit):
+        host = next(h for h, c in HOST_LITERAL.items() if c is type(lit))
+        raise ValueError(f"{type(lit).__name__} value must be "
+                         f"{host.__name__}, got {type(lit.value).__name__}")
 
 
 @_shape("int")
 @node
 class IntLit(Term):
     value: int
-    __post_init__ = _holding(int)
+    __post_init__ = _host_typed
 
 
 @_shape("string")
 @node
 class StrLit(Term):
     value: str
-    __post_init__ = _holding(str)
+    __post_init__ = _host_typed
 
 
 @_shape("bool")
 @node
 class BoolLit(Term):
     value: bool
-    __post_init__ = _holding(bool)
+    __post_init__ = _host_typed
 
 
 BINOPS = ("add", "sub", "mul", "eq")

@@ -1060,26 +1060,32 @@ def test_diverging_runs_match_on_every_fuel_budget(m):
 
 
 def test_machine_stores_a_value_per_level_only_where_it_reuses_one():
-    # A chain of distinct calls, count 300, stores one value (its last
-    # call's, which began no other) and holds no start fuel per level;
-    # fib 12 stores the value of each argument it meets again, 0 to 12.
+    # A closure stores only applications that begin once its memo is
+    # made, at its first host-valued return. count 300's calls all begin
+    # before count 0 returns, so count stores nothing; fib 12 stores what
+    # it meets after its first descent, some of 0 to 12. A closure whose
+    # applications return closures never gets a memo.
     count = reduction._Closure(
         t("rec count n. if n == 0 then 0 else 1 + count (n - 1)"), {}, None)
     fib = reduction._Closure(
         t("rec fib n. if n == 0 then 0 else if n == 1 then 1 "
           "else fib (n - 1) + fib (n - 2)"), {}, None)
-    env = {"count": count, "fib": fib}
+    const = reduction._Closure(t(r"\x. \y. x"), {}, None)
+    env = {"count": count, "fib": fib, "const": const}
     run = reduction._Run(10**6, False, False)
     assert reduction._machine(t("count 300"), env, None, run) == 300
     assert reduction._machine(t("fib 12"), env, None, run) == 144
-    assert len(count.memo or ()) <= 1
-    assert 0 < len(fib.memo or ()) <= 13
+    assert reduction._machine(t("const 1 2 + const 1 3"), env, None, run) == 2
+    assert count.memo == {}
+    assert 0 < len(fib.memo) <= 13
+    assert const.memo is None
 
 
 def test_machine_memo_is_bounded():
     # it applies f to 3,000 distinct arguments and meets none again: each
-    # value is stored, and f's memo is emptied whenever it is full, so it
-    # never holds more than _MEMO_SIZE. Value and fuel are the reference's.
+    # value after the first is stored, and f's memo is emptied whenever it
+    # is full, so it never holds more than _MEMO_SIZE. Value and fuel are
+    # the reference's.
     src = (r"let f = \x. x + 1 in "
            r"(rec it n. \x. if n == 0 then x else it (n - 1) (f x)) 3000 0")
     f = reduction._Closure(t(r"\x. x + 1"), {}, None)

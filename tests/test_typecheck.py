@@ -299,6 +299,30 @@ def test_soundness_at_desk_scale():
         kept += 1
     assert kept >= 120
 
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_typed_values_keep_their_residual_type_on_both_evaluators(seed):
+    # Preservation: every typed program that runs to a value, untraced
+    # (on the machine) or traced (on substitution), gives a value that
+    # checks at its residual's type. A rejected or stuck program, or one
+    # that runs out of fuel, says nothing; at least half the runs must
+    # end in a value.
+    rng = random.Random(seed)
+    values = runs = 0
+    for _ in range(1_000):
+        ty = gen_type(rng)
+        m = gen_typed_term(rng, ty, (), rng.randint(0, 4))
+        for trace in (False, True):
+            runs += 1
+            try:
+                result = run_pipeline(m, "typed", fuel=50_000, trace=trace)
+            except EvalError:
+                continue
+            check(EMPTY_ENV, result.value, result.residual_type)
+            values += 1
+    assert values >= runs // 2, (values, runs)
+
+
 def test_eval_without_annotation_is_malformed():
     from hgmp.syntax import Eval, mk_ast
     with pytest.raises(TypeErrorDetail) as exc:
