@@ -311,12 +311,15 @@ def _build_argparser() -> argparse.ArgumentParser:
         description="compile and run staged meta-programs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, file_meta="FILE", trace=True):
-        p.add_argument("--mode", choices=MODES, default="untyped")
-        p.add_argument("--fuel", type=int, default=None,
-                       help=f"rule budget (default {DEFAULT_FUEL}, "
-                            "or HGMP_FUEL)")
-        if trace:
+    def common(p, options=("mode", "fuel", "trace"), file_meta="FILE"):
+        """p with the options its command reads, then its file argument."""
+        if "mode" in options:
+            p.add_argument("--mode", choices=MODES, default="untyped")
+        if "fuel" in options:
+            p.add_argument("--fuel", type=int, default=None,
+                           help=f"rule budget (default {DEFAULT_FUEL}, "
+                                "or HGMP_FUEL)")
+        if "trace" in options:
             p.add_argument("--trace", choices=("none", "text", "json"),
                            default="none")
         if file_meta:
@@ -327,13 +330,15 @@ def _build_argparser() -> argparse.ArgumentParser:
     step = sub.add_parser("step", help="apply a single relation")
     step.add_argument("--relation", choices=tuple(_STEPPERS), required=True)
     common(step)
-    # typecheck and corpus print no derivation; a session starts untraced.
+    # typecheck and corpus print no derivation, and a session starts
+    # untraced; typecheck runs nothing, and each corpus case names its
+    # modes.
     common(sub.add_parser("typecheck", help="infer a term's type"),
-           trace=False)
-    common(sub.add_parser("repl", help="interactive session"), file_meta=None,
-           trace=False)
+           ("mode",))
+    common(sub.add_parser("repl", help="interactive session"),
+           ("mode", "fuel"), file_meta=None)
     common(sub.add_parser("corpus", help="run a corpus directory"),
-           file_meta="DIR", trace=False)
+           ("fuel",), file_meta="DIR")
     return top
 
 
@@ -349,11 +354,12 @@ def main(argv: list[str] | None = None) -> int:
     sys.setrecursionlimit(_RECURSION_LIMIT)
     parser = _build_argparser()
     args = parser.parse_args(argv)
-    try:
-        args.fuel = _fuel(args.fuel)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    if "fuel" in args:
+        try:
+            args.fuel = _fuel(args.fuel)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     try:
         if args.command == "repl":
             return repl(args)

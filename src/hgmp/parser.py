@@ -40,7 +40,7 @@ from .syntax import (
     INT, BOOL, STRING, CODE,
     App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
     LetDown, Lift, Rec, StrLit, TagLit, TagType, Term, TypeExpr, UpML,
-    Var, BINOP_LEVEL, BINOP_SYMBOL, TAG_OF_SPELLING, TAGS, _APP,
+    Var, BINOPS, TAG_OF_SPELLING, TAGS, _APP,
     int_of_text, int_text, pretty_type, tag_of,
 )
 
@@ -162,7 +162,7 @@ _ATOM_STARTERS = frozenset({"ident", "int", "string", "true", "false", "tag",
                             "astctor", "eval", "lift", "$", "[|", "("})
 
 # binary operators by symbol: binding level and name
-_BINOPS = {BINOP_SYMBOL[op]: (level, op) for op, level in BINOP_LEVEL.items()}
+_BINOPS = {symbol: (level, op) for op, (symbol, level) in BINOPS.items()}
 
 # the most bytes of an integer literal that an error message spells out
 _SPELLED_INT = 40

@@ -355,8 +355,10 @@ def _rt(m: Term, run: _Run):
                                run.trail[-1])
         return _d(run, at, "App", "rt", m, res)
     if cls is BinOp:
-        out = _arith(m.op, _rt(m.lhs, run), _rt(m.rhs, run), m)
-        return _d(run, at, None, "rt", m, out)
+        a, b = _rt(m.lhs, run), _rt(m.rhs, run)
+        out = _arith(m.op, a.value if type(a) in _CONSTS else a,
+                     b.value if type(b) in _CONSTS else b, m)
+        return _d(run, at, None, "rt", m, HOST_LITERAL[type(out)](out))
     if cls in _CONSTS:
         return _d(run, at, "Const", "rt", m, m)
     if cls is If:
@@ -597,14 +599,8 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                 b = _machine(x, env, origin, run)
             if type(a) is int and type(b) is int:
                 out = _INT_OPS[m.op](a, b)
-            elif type(a) is str and type(b) is str and m.op == "eq":
-                out = a == b
             else:
-                try:
-                    out = _arith(m.op, _read_back(a), _read_back(b), m)
-                except EvalError as err:
-                    err.offending = _close(m, env, origin)
-                    raise
+                out = _arith(m.op, a, b, m, env, origin)
             break
         elif cls is IntLit or cls is StrLit or cls is BoolLit:
             out = m.value
@@ -674,16 +670,17 @@ def _lift(v: Term, m: Lift, *where) -> AstCtor:
     return AstCtor(v.ast_tag(), (v,))
 
 
-def _arith(op: str, a: Term, b: Term, at: Term) -> Term:
-    if op == "eq":
-        if isinstance(a, IntLit) and isinstance(b, IntLit):
-            return BoolLit(a.value == b.value)
-        if isinstance(a, StrLit) and isinstance(b, StrLit):
-            return BoolLit(a.value == b.value)
-        _stuck("rt", at, "== compares two integers or two strings")
-    if not (isinstance(a, IntLit) and isinstance(b, IntLit)):
-        _stuck("rt", at, f"{op} needs integer operands")
-    return IntLit(_INT_OPS[op](a.value, b.value))
+def _arith(op: str, a, b, m: BinOp, *where):
+    """The host value BinOp m computes from its operands' values a and b:
+    a literal's as its host value, any other value as it is. where is as
+    in _eval_code, so a stuck operator names the term _rt holds."""
+    if type(a) is int and type(b) is int:
+        return _INT_OPS[op](a, b)
+    if op != "eq":
+        _stuck("rt", _close(m, *where), f"{op} needs integer operands")
+    if type(a) is str and type(b) is str:
+        return a == b
+    _stuck("rt", _close(m, *where), "== compares two integers or two strings")
 
 
 ### public entry points

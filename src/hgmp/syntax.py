@@ -88,17 +88,29 @@ STRING = BaseType("String")
 CODE = BaseType("Code")
 
 
-def pretty_type(t: TypeExpr, prec: int = 0) -> str:
+def pretty_type(t: TypeExpr, prec: int = 0,
+                holes: dict[int, str] | None = None) -> str:
+    """t's text, an arrow in parentheses when prec is above 0. A hole
+    prints as ?n; given holes, which maps the holes already named and is
+    shared across calls, as a, b, .., z, then a1, a2, .. in order of
+    appearance, so that no raw meta-variable reaches a message."""
     match t:
         case BaseType(name):
             return name
         case TagType(tag):
             return "Tag" + TAGS[tag].sharp
         case Arrow(src, dst):
-            s = f"{pretty_type(src, 1)} -> {pretty_type(dst, 0)}"
+            s = (f"{pretty_type(src, 1, holes)} -> "
+                 f"{pretty_type(dst, 0, holes)}")
             return f"({s})" if prec > 0 else s
         case MetaVar(ident):
-            return f"?{ident}"
+            if holes is None:
+                return f"?{ident}"
+            if ident not in holes:
+                fresh = len(holes)
+                holes[ident] = (chr(ord("a") + fresh) if fresh < 26
+                                else f"a{fresh - 25}")
+            return holes[ident]
     raise TypeError(f"not a TypeExpr: {t!r}")
 
 
@@ -278,12 +290,12 @@ class Rec(Term):
 
 
 def _host_typed(lit):
-    """A literal's __post_init__: its value must be exactly of the host
-    type HOST_LITERAL pairs with its class."""
-    if HOST_LITERAL.get(type(lit.value)) is not type(lit):
-        host = next(h for h, c in HOST_LITERAL.items() if c is type(lit))
+    """A literal's __post_init__: its value must be exactly of its
+    class's host type, which HOST_LITERAL sets."""
+    if type(lit.value) is not lit.host:
         raise ValueError(f"{type(lit).__name__} value must be "
-                         f"{host.__name__}, got {type(lit.value).__name__}")
+                         f"{lit.host.__name__}, "
+                         f"got {type(lit.value).__name__}")
 
 
 @_shape("int")
@@ -307,15 +319,15 @@ class BoolLit(Term):
     __post_init__ = _host_typed
 
 
-BINOPS = ("add", "sub", "mul", "eq")
-BINOP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "eq": "=="}
 # Binding levels, for the parser and pretty: application binds tightest,
 # then * then +/- then ==; a whole term binds loosest, an atom tightest.
 _TERM, _EQ, _ADD, _MUL, _APP, _ATOM = range(6)
-BINOP_LEVEL = {"eq": _EQ, "add": _ADD, "sub": _ADD, "mul": _MUL}
+# The binary operators by row name: each one's symbol and binding level.
+BINOPS = {"add": ("+", _ADD), "sub": ("-", _ADD), "mul": ("*", _MUL),
+          "eq": ("==", _EQ)}
 
 
-@_shape(BINOPS, "lhs", "rhs")
+@_shape(tuple(BINOPS), "lhs", "rhs")
 @node
 class BinOp(Term):
     op: str
@@ -412,6 +424,8 @@ class LetDown(Term):
 
 _register_tag(signature.lookup("promote"), None)
 HOST_LITERAL = {int: IntLit, bool: BoolLit, str: StrLit}  # by the value's type
+for _host, _lit in HOST_LITERAL.items():
+    _lit.host = _host
 LEAVES = frozenset({*HOST_LITERAL.values(), TagLit})  # no children
 
 
@@ -631,8 +645,8 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
                 laid = (f"{_pp(fn, _APP, memo)} {_pp(arg, _ATOM, memo)}",
                         _APP)
             case BinOp(op, lhs, rhs):
-                level = BINOP_LEVEL[op]
-                laid = (f"{_pp(lhs, level, memo)} {BINOP_SYMBOL[op]} "
+                symbol, level = BINOPS[op]
+                laid = (f"{_pp(lhs, level, memo)} {symbol} "
                         f"{_pp(rhs, level + 1, memo)}", level)
             case If(cond, then, orelse):
                 laid = (f"if {_pp(cond, _TERM, memo)} "

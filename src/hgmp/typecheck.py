@@ -18,7 +18,6 @@ hides an outer one of the same name.
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -116,10 +115,10 @@ class _Engine:
             self.unify(found.src, expected.src, at)
             self.unify(found.dst, expected.dst, at)
             return
-        names: dict[int, str] = {}
+        holes: dict[int, str] = {}
         raise TypeErrorDetail(
-            f"expected {display_type(self.resolve(expected), names)}, "
-            f"found {display_type(self.resolve(found), names)}",
+            f"expected {pretty_type(self.resolve(expected), holes=holes)}, "
+            f"found {pretty_type(self.resolve(found), holes=holes)}",
             kind="mismatch", expected=self.resolve(expected),
             found=self.resolve(found), at=at, phase=self.phase)
 
@@ -188,8 +187,8 @@ class _Engine:
                         phase=self.phase)
                 raise TypeErrorDetail(
                     f"lift applies to Int, String or Bool, found "
-                    f"{display_type(ty)}", kind="mismatch", found=ty, at=m,
-                    phase=self.phase)
+                    f"{pretty_type(ty, holes={})}", kind="mismatch",
+                    found=ty, at=m, phase=self.phase)
             case AstCtor(tag, args):
                 return self._infer_ast(env, m, tag.name, args)
             case DownML() | UpML() | LetDown():
@@ -228,8 +227,8 @@ class _Engine:
             if not isinstance(head, TagType):
                 raise TypeErrorDetail(
                     f"first argument of astPromote must be a tag, found "
-                    f"{display_type(head)}", kind="mismatch", found=head,
-                    at=args[0], phase=self.phase)
+                    f"{pretty_type(head, holes={})}", kind="mismatch",
+                    found=head, at=args[0], phase=self.phase)
             rest = args[1:]
             if head.tag == "promote":
                 # A promoted promote names the tag it rebuilds in second
@@ -242,7 +241,7 @@ class _Engine:
                 if not isinstance(second, TagType):
                     raise TypeErrorDetail(
                         "second argument of a promoted astPromote must be "
-                        f"a tag, found {display_type(second)}",
+                        f"a tag, found {pretty_type(second, holes={})}",
                         kind="mismatch", found=second, at=args[1],
                         phase=self.phase)
                 rest = args[2:]
@@ -278,27 +277,6 @@ class _Engine:
         return CODE
 
 
-_HOLE = re.compile(r"\?(\d+)")  # a meta-variable, as pretty_type writes it
-
-
-def display_type(t: TypeExpr, names: dict[int, str] | None = None) -> str:
-    """Render a type for messages; unsolved holes become a, b, c, ..
-    (then a1, a2, ..) in order of appearance, so no raw meta-variable
-    ever reaches the user. names maps the holes already named."""
-    if names is None:
-        names = {}
-
-    def name(hole: re.Match) -> str:
-        ident = int(hole[1])
-        if ident not in names:
-            fresh = len(names)
-            names[ident] = (chr(ord("a") + fresh) if fresh < 26
-                            else f"a{fresh - 25}")
-        return names[ident]
-
-    return _HOLE.sub(name, pretty_type(t))
-
-
 def infer_open(env: Mapping[str, TypeExpr] | None, m: Term,
                phase: str = "residual check") -> TypeExpr:
     """Inference under env without the ambiguity gate; the result may
@@ -319,8 +297,8 @@ def _solve(env: Mapping[str, TypeExpr] | None, m: Term, phase: str,
     ty = eng.resolve(ty)
     if eng._occurs(None, ty):
         raise TypeErrorDetail(
-            f"ambiguous type {display_type(ty)}", kind="ambiguous", at=m,
-            phase=phase)
+            f"ambiguous type {pretty_type(ty, holes={})}",
+            kind="ambiguous", at=m, phase=phase)
     return ty
 
 

@@ -361,12 +361,17 @@ def test_repl_takes_no_trace_flag(monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["typecheck", "corpus"])
 def test_typecheck_and_corpus_take_no_trace_flag(command, tmp_path, capsys):
     # Neither prints a derivation, so a --trace flag would be ignored:
-    # it is a usage error instead.
+    # it is a usage error instead. So is each option the command does not
+    # read: typecheck runs nothing, so has no fuel, and each corpus case
+    # names its own modes.
     target = tmp_path if command == "corpus" else write(tmp_path, "1 + 1")
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--trace", "json", str(target)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+    unread = {"typecheck": ["--fuel", "5"], "corpus": ["--mode", "typed"]}
+    for flag in (["--trace", "json"], unread[command]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag, str(target)])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {flag[0]}"
+                in capsys.readouterr().err)
 
 
 def test_repl_trace(monkeypatch, capsys):

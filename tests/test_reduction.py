@@ -16,7 +16,7 @@ from hgmp.reduction import (
     render_derivation, render_trace, run_pipeline, to_json,
 )
 from hgmp.syntax import (
-    BINOP_SYMBOL, TAGS,
+    BINOPS, TAGS,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, UpML, Var,
     _escape, alpha_eq, free_vars, is_ml_free, mk_ast, pretty,
@@ -1370,7 +1370,7 @@ def ref_pretty(m, prec=_R_TERM):
         case BinOp(op, lhs, rhs):
             level = {"eq": _R_EQ, "add": _R_ADD, "sub": _R_ADD,
                      "mul": _R_MUL}[op]
-            return wrap(f"{ref_pretty(lhs, level)} {BINOP_SYMBOL[op]} "
+            return wrap(f"{ref_pretty(lhs, level)} {BINOPS[op][0]} "
                         f"{ref_pretty(rhs, level + 1)}", level)
         case If(cond, then, orelse):
             return wrap(f"if {ref_pretty(cond)} then {ref_pretty(then)} "

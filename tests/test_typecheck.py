@@ -7,6 +7,7 @@ from hgmp.reduction import EvalError, eval_ct, run_pipeline
 from hgmp.syntax import (
     BOOL, CODE, INT, STRING,
     App, Arrow, IntLit, Lam, MetaVar, TagType, Var, free_vars, pretty,
+    pretty_type,
 )
 from hgmp.typecheck import (
     EMPTY_ENV, TypeErrorDetail, check, infer, infer_open, unify,
@@ -337,33 +338,29 @@ def test_ml_constructs_cannot_be_typed():
     assert exc.value.kind == "malformed"
 
 
-def test_display_type_names_holes_consistently():
-    from hgmp.typecheck import display_type
-    from hgmp.syntax import Arrow, MetaVar
-    assert display_type(Arrow(MetaVar(3), MetaVar(3))) == "a -> a"
-    assert display_type(Arrow(MetaVar(1), MetaVar(2))) == "a -> b"
-    assert display_type(Arrow(Arrow(MetaVar(5), INT), MetaVar(5))) \
-        == "(a -> Int) -> a"
+def test_pretty_type_names_holes_consistently():
+    assert pretty_type(Arrow(MetaVar(3), MetaVar(3)), holes={}) == "a -> a"
+    assert pretty_type(Arrow(MetaVar(1), MetaVar(2)), holes={}) == "a -> b"
+    assert pretty_type(Arrow(Arrow(MetaVar(5), INT), MetaVar(5)),
+                       holes={}) == "(a -> Int) -> a"
 
 
-def test_display_type_names_holes_past_the_alphabet():
-    from hgmp.typecheck import display_type
+def test_pretty_type_names_holes_past_the_alphabet():
     ty = MetaVar(27)
     for ident in reversed(range(27)):
         ty = Arrow(MetaVar(ident), ty)
     names = [chr(ord("a") + i) for i in range(26)] + ["a1", "a2"]
-    assert display_type(ty) == " -> ".join(names)
-    assert display_type(ty).endswith("z -> a1 -> a2")
+    assert pretty_type(ty, holes={}) == " -> ".join(names)
+    assert pretty_type(ty, holes={}).endswith("z -> a1 -> a2")
 
 
-def test_display_type_shares_names_across_calls():
+def test_pretty_type_shares_hole_names_across_calls():
     # A mismatch names the holes of its expected and found types alike.
-    from hgmp.typecheck import display_type
-    names = {}
-    assert display_type(MetaVar(7), names) == "a"
-    assert display_type(Arrow(MetaVar(8), Arrow(INT, MetaVar(7))),
-                        names) == "b -> Int -> a"
-    assert names == {7: "a", 8: "b"}
+    holes = {}
+    assert pretty_type(MetaVar(7), holes=holes) == "a"
+    assert pretty_type(Arrow(MetaVar(8), Arrow(INT, MetaVar(7))),
+                       holes=holes) == "b -> Int -> a"
+    assert holes == {7: "a", 8: "b"}
 
 
 def test_promote_of_an_unknown_tag_is_ambiguous():
