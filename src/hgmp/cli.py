@@ -207,11 +207,17 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
               fuel: int, golden_dir: str) -> list[str]:
     """Returns a list of failure messages; empty means the case passed."""
     name = os.path.basename(base)
+    relation = directives.get("relation")
+    if mode not in MODES:
+        return [f"{name}: -- modes: " + (f"unknown mode {mode!r}" if mode
+                                         else "names no mode")]
+    if relation and relation not in _STEPPERS:
+        return [f"{name} [{mode}]: -- relation: unknown relation "
+                f"{relation!r}"]
     failures = []
     expected = _expected_for(base, mode)
     if expected is None:
         return [f"{name} [{mode}]: no .expected file"]
-    relation = directives.get("relation")
     compare = directives.get("compare", "value")
     golden = directives.get("golden")
     # Only a golden reads derivations; every other case runs untraced.
@@ -250,7 +256,10 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
         failures.append(f"{name} [{mode}]: expected a value, got "
                         f"error:{outcome_error[0]} ({outcome_error[1]})")
     else:
-        want = parse_term(expected, mode)
+        try:
+            want = parse_term(expected, mode)
+        except ParseError as exc:
+            return [f"{name} [{mode}]: .expected does not parse: {exc}"]
         if not alpha_eq(want, outcome_term):
             failures.append(
                 f"{name} [{mode}]: expected {pretty(want)}, got "
@@ -291,8 +300,8 @@ def cmd_corpus(args) -> int:
         base = path[:-len(".hgmp")]
         text = _read_text(path)
         directives = _corpus_directives(text)
-        modes = directives.get("modes", "untyped").split()
-        for mode in modes:
+        # An empty modes line runs the case once, to fail it.
+        for mode in directives.get("modes", "untyped").split() or [""]:
             total += 1
             failures.extend(
                 _run_case(base, text, directives, mode, args.fuel, golden_dir))

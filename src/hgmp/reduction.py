@@ -40,7 +40,10 @@ the node it was. A leaf operand (a variable bound to a value that is not
 an AST, or an integer literal) and an operator on two integer leaves are
 evaluated inside the step that consumes them, with no call of their own
 (fused operands, in the manner of Proebsting's superoperators), and so
-is a literal or tag argument of an AST constructor.
+is an AST constructor's argument that is a literal, a tag or an atom (an
+AST of one such leaf, as astInt(3)). ct and dl likewise take a leaf child
+(for ct a variable, literal or tag, for dl an atom) in the parent's step,
+leaving the derivation its own call would.
 
 rt is deterministic, so the machine shares repeats too, as memo
 functions: a closure keeps the value of its application to an integer,
@@ -191,6 +194,17 @@ class _RuleNames(dict):
 
 
 _RULE_NAMES = _RuleNames()
+# Leaf rules, which each relation's dispatch reads: ct's by class; ul's
+# by class, with the plain tag of the atom it makes; dl's atoms by tag,
+# with their one argument's class. ct's and dl's loops over a node's
+# children also take such a child in the node's step, when the fuel left
+# covers its unit, and leave the Derivation its own call would.
+_CT_LEAVES = {Var: "Var ct", IntLit: "Const ct", StrLit: "Const ct",
+              BoolLit: "Const ct", TagLit: "Tag ct"}
+_UL_LEAVES = {cls: (_RULE_NAMES[cls.ctor, "ul"], TAGS[cls.ctor].tag)
+              for cls in (Var, IntLit, StrLit, BoolLit)}
+_DL_ATOMS = {"var": (StrLit, "Var dl"), "int": (IntLit, "Int dl"),
+             "string": (StrLit, "String dl"), "bool": (BoolLit, "Bool dl")}
 
 
 def _checked(run: _Run, m: Term, phase: str,
@@ -216,57 +230,69 @@ def _checked(run: _Run, m: Term, phase: str,
 
 def _ct(m: Term, run: _Run):
     at = run.spend("ct", m)
-    match m:
-        case Var():
-            return _d(run, at, "Var ct", "ct", m, m)
-        case IntLit() | StrLit() | BoolLit():
-            return _d(run, at, "Const ct", "ct", m, m)
-        case TagLit():
-            return _d(run, at, "Tag ct", "ct", m, m)
-        case UpML(body):
-            return _d(run, at, "UpML ct", "ct", m, _ul(body, run))
-        case DownML(body):
-            a = _ct(body, run)
-            _checked(run, a, "downML check", CODE)
-            c = _dl(_rt_entry(a, run), run)
-            return _d(run, at, "DownML ct", "ct", m, c)
-        case LetDown(name, bound, body):
-            a = _ct(bound, run)
-            _checked(run, a, "letdown check")
-            c = _ct(subst(body, _rt_entry(a, run), name), run)
-            return _d(run, at, "Let ct", "ct", m, c)
-    # Every other constructor compiles its children and is rebuilt.
-    outs = [_ct(k, run) for k in m.children()]
-    return _d(run, at, None, "ct", m, m.rebuild(outs))
+    cls = type(m)
+    if cls is UpML:
+        return _d(run, at, "UpML ct", "ct", m, _ul(m.body, run))
+    if cls is DownML:
+        a = _ct(m.body, run)
+        _checked(run, a, "downML check", CODE)
+        c = _dl(_rt_entry(a, run), run)
+        return _d(run, at, "DownML ct", "ct", m, c)
+    if cls is LetDown:
+        a = _ct(m.bound, run)
+        _checked(run, a, "letdown check")
+        c = _ct(subst(m.body, _rt_entry(a, run), m.name), run)
+        return _d(run, at, "Let ct", "ct", m, c)
+    # Every other constructor compiles its children and is rebuilt; a
+    # leaf, which has none, is itself under its own rule.
+    rule, outs = _CT_LEAVES.get(cls), []
+    for k in m.children():
+        leaf = _CT_LEAVES.get(type(k))
+        if leaf is None or not run.remaining:
+            k = _ct(k, run)
+        else:
+            run.remaining -= 1
+            _d(run, len(run.trail), leaf, "ct", k, k)
+        outs.append(k)
+    return _d(run, at, rule, "ct", m, m.rebuild(outs))
 
 
 ### down one meta-level
 
 def _dl(m: Term, run: _Run):
     at = run.spend("dl", m)
-    if isinstance(m, TagLit):
+    cls = type(m)
+    if cls is TagLit:
         return _d(run, at, "Tag dl", "dl", m, m)
-    if not isinstance(m, AstCtor):
+    if cls is not AstCtor:
         _stuck("dl", m, "term is not an AST value")
     tag, args = m.tag, m.args
-    name, count, row = tag.name, len(args), TAGS[tag.name]
+    name, count = tag.name, len(args)
+    atom = _DL_ATOMS.get(name)
+    if atom is not None and count == 1 and type(x := args[0]) is atom[0]:
+        out = Var(x.value) if name == "var" else x  # else a literal's AST
+        return _d(run, at, atom[1], "dl", m, out)
+    row = TAGS[name]
     cls = row.cls  # one lookup: the row's class, arity and spelling
-    if name == "var" and count == 1 and isinstance(args[0], StrLit):
-        return _d(run, at, "Var dl", "dl", m, Var(args[0].value))
-    if cls in _CONSTS and count == 1 and isinstance(args[0], cls):
-        return _d(run, at, None, "dl", m, args[0])  # a literal's AST
     if cls is not None and cls.kids and count == row.arity:
-        bound = len(cls.binds)  # the row's binder positions
-        if not bound:
-            outs = [_dl(a, run) for a in args]
-            return _d(run, at, None, "dl", m, cls.from_ast(tag, outs))
         # Bound names come first and must convert down to strings.
-        names = [_dl(a, run) for a in args[:bound]]
-        if not all(isinstance(s, StrLit) for s in names):
-            what = ("binder did not reduce to a string" if bound == 1
-                    else "binders did not reduce to strings")
-            _stuck("dl", m, f"{row.ast} {what}")
-        outs = [s.value for s in names] + [_dl(a, run) for a in args[bound:]]
+        bound, outs = len(cls.binds), []
+        for a in args:
+            if bound and len(outs) == bound:
+                if not all(type(s) is StrLit for s in outs):
+                    what = ("binder did not reduce to a string" if bound == 1
+                            else "binders did not reduce to strings")
+                    _stuck("dl", m, f"{row.ast} {what}")
+                outs = [s.value for s in outs]
+            if (run.remaining and type(a) is AstCtor and len(a.args) == 1
+                    and (atom := _DL_ATOMS.get(a.tag.name)) is not None
+                    and type(x := a.args[0]) is atom[0]):
+                out = Var(x.value) if a.tag.name == "var" else x
+                run.remaining -= 1
+                a = _d(run, len(run.trail), atom[1], "dl", a, out)
+            else:
+                a = _dl(a, run)
+            outs.append(a)
         return _d(run, at, None, "dl", m, cls.from_ast(tag, outs))
     if name == "promote" and count >= 1:
         head = _dl(args[0], run)
@@ -293,32 +319,30 @@ def _dl(m: Term, run: _Run):
 
 def _ul(m: Term, run: _Run):
     at = run.spend("ul", m)
-    match m:
-        case Var(name):
-            return _d(run, at, "Var ul", "ul", m, mk_ast("var", StrLit(name)))
-        case IntLit() | StrLit() | BoolLit():
-            return _d(run, at, None, "ul", m, AstCtor(m.ast_tag(), (m,)))
-        case TagLit():
-            return _d(run, at, "Tag ul", "ul", m, m)
-        case AstCtor(tag, args):
-            outs = [_ul(a, run) for a in args]
-            out = AstCtor(TAGS["promote"].tag, (TagLit(tag), *outs))
-            return _d(run, at, "Ast ul", "ul", m, out)
-        case UpML(body):
-            return _d(run, at, "UpML ul", "ul", m, _ul(_ul(body, run), run))
-        case DownML(body):
-            # The hole's code is compiled and spliced as-is: it will
-            # produce its AST when the surrounding residual runs.
-            return _d(run, at, "DownML ul", "ul", m, _ct(body, run))
-        case LetDown():
-            _stuck("ul", m,
-                   "letdown has no AST representation and cannot be quoted")
+    cls = type(m)
+    leaf = _UL_LEAVES.get(cls)
+    if leaf is not None:
+        out = AstCtor(leaf[1], (StrLit(m.name) if cls is Var else m,))
+        return _d(run, at, leaf[0], "ul", m, out)
+    if cls is TagLit:
+        return _d(run, at, "Tag ul", "ul", m, m)
+    if cls is UpML:
+        return _d(run, at, "UpML ul", "ul", m, _ul(_ul(m.body, run), run))
+    if cls is DownML:
+        # The hole's code is compiled and spliced as-is: it will
+        # produce its AST when the surrounding residual runs.
+        return _d(run, at, "DownML ul", "ul", m, _ct(m.body, run))
+    if cls is LetDown:
+        _stuck("ul", m,
+               "letdown has no AST representation and cannot be quoted")
+    outs = [_ul(k, run) for k in m.children()]
+    if cls is AstCtor:  # a promote of its tag and its arguments' ASTs
+        out = AstCtor(TAGS["promote"].tag, (TagLit(m.tag), *outs))
+        return _d(run, at, "Ast ul", "ul", m, out)
     # Every other constructor becomes its AST: bound names as strings,
     # then the children's ASTs.
-    outs = [_ul(k, run) for k in m.children()]
     names = [mk_ast("string", StrLit(s)) for s in m.bound_names()]
-    out = AstCtor(m.ast_tag(), tuple(names + outs))
-    return _d(run, at, None, "ul", m, out)
+    return _d(run, at, None, "ul", m, AstCtor(m.ast_tag(), (*names, *outs)))
 
 
 ### run time
@@ -483,9 +507,10 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
     they are a variable bound to a value that is not an AST or an integer
     literal; such an argument or condition that is a BinOp of two of
     these holding ints; and an AST constructor's literal and tag
-    arguments. A fused operand spends the units its own call would, and
-    is taken only when the fuel left covers them all; else it gets its
-    call, which runs out on the term _rt names. The code eval produces
+    arguments, and its atoms (an AST of one literal or tag: two units).
+    A fused operand spends the units its own call would, and is taken
+    only when the fuel left covers them all; else it gets its call,
+    which runs out on the term _rt names. The code eval produces
     runs in the empty environment, closed or not.
 
     An application of a closure to a host value first looks the argument
@@ -612,16 +637,21 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
             out = m
             break
         elif cls is AstCtor:
-            # A leaf argument (a literal or tag) runs to itself, its node
-            # kept, in this step when the fuel left covers its unit. A
-            # node whose arguments all come back as they were is kept.
+            # A leaf argument (a literal or tag) and an AST of one leaf
+            # (an atom such as astInt(3)) run to themselves, their nodes
+            # kept, in this step when the fuel left covers their units.
+            # A node whose arguments all come back as they were is kept.
             outs = []
             for a in m.args:
-                if type(a) in LEAVES and run.remaining:
+                t = type(a)
+                if t in LEAVES and run.remaining:
                     run.remaining -= 1
-                    outs.append(a)
+                elif (t is AstCtor and run.remaining > 1 and len(a.args) == 1
+                      and type(a.args[0]) in LEAVES):
+                    run.remaining -= 2
                 else:
-                    outs.append(_read_back(_machine(a, env, origin, run)))
+                    a = _read_back(_machine(a, env, origin, run))
+                outs.append(a)
             out = m.rebuild(outs)
             break
         elif cls is Eval:

@@ -625,3 +625,41 @@ def test_corpus_of_a_file_is_usage_error(tmp_path, capsys):
     path = write(tmp_path, "1")
     code, out, err = run_cli(capsys, "corpus", path)
     assert (code, out, err) == (2, "", f"not a directory: {path}\n")
+
+
+def _corpus_with_a_good_case(tmp_path, source, expected):
+    """A corpus holding case c (source, expected) and a passing case ok."""
+    (tmp_path / "c.hgmp").write_text(source)
+    (tmp_path / "c.expected").write_text(expected)
+    (tmp_path / "ok.hgmp").write_text("1 + 1\n")
+    (tmp_path / "ok.expected").write_text("2\n")
+
+
+def test_corpus_unknown_mode_fails_its_case(tmp_path, capsys):
+    _corpus_with_a_good_case(tmp_path, "-- modes: typd\n1\n", "1\n")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out, err) == (1, "1/2 corpus cases passed\n",
+                                "FAIL c: -- modes: unknown mode 'typd'\n")
+
+
+def test_corpus_unknown_relation_fails_its_case(tmp_path, capsys):
+    _corpus_with_a_good_case(tmp_path, "-- relation: cx\n1\n", "1\n")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out, err) == (
+        1, "1/2 corpus cases passed\n",
+        "FAIL c [untyped]: -- relation: unknown relation 'cx'\n")
+
+
+def test_corpus_empty_modes_fails_its_case(tmp_path, capsys):
+    _corpus_with_a_good_case(tmp_path, "-- modes:\n1\n", "1\n")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out, err) == (1, "1/2 corpus cases passed\n",
+                                "FAIL c: -- modes: names no mode\n")
+
+
+def test_corpus_expected_that_does_not_parse_fails_its_case(tmp_path, capsys):
+    _corpus_with_a_good_case(tmp_path, "1\n", "1 +\n")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out) == (1, "1/2 corpus cases passed\n")
+    assert err.startswith("FAIL c [untyped]: .expected does not parse: "
+                          "parse error at bytes 3..3"), err

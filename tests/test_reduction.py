@@ -501,6 +501,82 @@ def test_fuel_needed_is_the_rule_count():
     assert checked >= 400
 
 
+def _spend_order(derivs) -> list[Derivation]:
+    """The nodes of derivs that cost fuel, read as trees in pre-order: a
+    rule spends its unit before its premises run, left to right, so the
+    n-th node is the n-th unit spent."""
+    order, stack = [], list(reversed(derivs))
+    while stack:
+        d = stack.pop()
+        if d.relation != "type":
+            order.append(d)
+        stack += reversed(d.premises)
+    return order
+
+
+def _fuel_oracle_jobs():
+    """(label, run) pairs, run(fuel, trace) returning the output and, when
+    traced, the derivations of the stages it ran."""
+    def relation(entry, m, *mode):
+        def go(fuel, trace):
+            out = entry(m, *mode, fuel=fuel, trace=trace)
+            return (out[0], (out[1],)) if trace else (out, ())
+        return go
+
+    def pipeline(m, mode):
+        def go(fuel, trace):
+            result = run_pipeline(m, mode, fuel, trace=trace)
+            return result.value, tuple(d for _, d in result.stages or ())
+        return go
+
+    rng = random.Random(2917)
+    jobs = []
+    for _ in range(150):
+        jobs.append(("ct", relation(eval_ct, gen_compile_candidate(rng))))
+        m = gen_ml_free(rng, rng.randint(0, 4))
+        jobs.append(("ul", relation(eval_ul, m)))
+        jobs.append(("dl", relation(eval_dl, eval_ul(m))))
+        for mode in ("untyped", "typed"):
+            m = gen_term(rng, rng.randint(0, 4), typed=mode == "typed")
+            jobs.append((mode, pipeline(m, mode)))
+    quoted = Eval(UpML(gen_numeric_rec(random.Random(0))))
+    jobs.append(("quoted", pipeline(quoted, "untyped")))
+    power = (CORPUS / "power_eval_cube_typed.hgmp").read_text()
+    jobs.append(("power", pipeline(t(power, "typed"), "typed")))
+    return jobs
+
+
+def test_fuel_runs_out_on_the_node_the_derivation_spends_next():
+    # An oracle the fused steps cannot share: with fuel b, traced and
+    # untraced runs both stop on the term of the (b + 1)-th node the full
+    # traced derivation spends on, and in its relation; with the whole
+    # need, they return the value.
+    rng = random.Random(3)
+    checked = budgets = 0
+    for label, run in _fuel_oracle_jobs():
+        try:
+            value, derivs = run(10**6, True)
+        except EvalError:
+            assert label not in ("quoted", "power")
+            continue
+        order = _spend_order(derivs)
+        need = len(order)
+        assert run(need, True)[0] == value == run(need, False)[0], label
+        tried = range(1, need)
+        for fuel in (tried if need <= 41 else rng.sample(tried, 40)):
+            node = order[fuel]
+            for trace in (False, True):
+                with pytest.raises(EvalError) as exc:
+                    run(fuel, trace)
+                err = exc.value
+                assert (err.kind, err.phase, err.offending) == (
+                    EvalError.FUEL, node.relation, node.term_in), (
+                    label, fuel, trace)
+            budgets += 1
+        checked += 1
+    assert checked >= 500 and budgets >= 2_500
+
+
 ### untraced rt: the environment machine against substitution
 
 def _outcome(m, mode="untyped", fuel=None, trace=False):
@@ -681,6 +757,9 @@ FUSED_OPERANDS = [
     ("ast literals", t('astAdd(astInt(1), astVar("x"))')),
     ("ast literals under eval", t('eval(astLam(astStr("x"), astVar("x")))')),
     ("promote tag", t("astPromote(#int, astInt(1))")),
+    # An AST constructor's arguments that are ASTs of one leaf (atoms).
+    ("ast atoms", t('astApp(astVar("f"), astInt(1))')),
+    ("ast string and bool atoms", t('astEq(astStr("a"), astBool(true))')),
     # The rows named after IntLit(True) and BoolLit(1), which are no
     # longer terms, hold the literal of the other class that Python takes
     # for the same value: true where an integer goes, 1 where a boolean
@@ -691,6 +770,9 @@ FUSED_OPERANDS = [
     ("ast operand", t(r"(\a. (\f. f (a + 1)) (\y. y)) astInt(1)")),
     ("ast condition", t(r"(\a. if a == 1 then 1 else 2) astInt(1)")),
     ("ast function", t(r"(\k. k 1) astInt(1)")),
+    ("ast of an operator", t("astAdd(astInt(1 + 1), astInt(2))")),
+    ("ast of an ast", t("astApp(astLift(astInt(1)), astInt(2))")),
+    ("ast of a variable", t(r"(\a. astAdd(astInt(a), astInt(1))) 2")),
     ("IntLit(True) operands", _app("x", BinOp("add", Var("x"), BoolLit(True)),
                                    BoolLit(True))),
     ("IntLit(True) argument", _app("f", App(Var("f"), BinOp(
