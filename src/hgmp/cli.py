@@ -178,8 +178,14 @@ def repl(args) -> int:
 
 ### corpus runner
 
+_DIRECTIVES = ("modes", "relation", "compare", "golden")
+_COMPARISONS = ("value", "residual")
+
+
 def _corpus_directives(text: str) -> dict:
-    """Leading `-- key: value` comment lines configure a corpus case."""
+    """Leading `-- key: value` comment lines configure a corpus case: each
+    whose key is one word, a directive or not (_run_case fails a case
+    with an unknown one). Any other comment line is prose."""
     out = {}
     for line in text.splitlines():
         line = line.strip()
@@ -187,12 +193,9 @@ def _corpus_directives(text: str) -> dict:
             if line:
                 break
             continue
-        body = line[2:].strip()
-        if ":" in body:
-            key, _, value = body.partition(":")
-            key = key.strip()
-            if key in ("modes", "relation", "compare", "golden"):
-                out[key] = value.strip()
+        key, colon, value = line[2:].partition(":")
+        if colon and len(key.split()) == 1:
+            out[key.strip()] = value.strip()
     return out
 
 
@@ -211,14 +214,21 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
     if mode not in MODES:
         return [f"{name}: -- modes: " + (f"unknown mode {mode!r}" if mode
                                          else "names no mode")]
+    unknown = [key for key in directives if key not in _DIRECTIVES]
+    if unknown:
+        return [f"{name} [{mode}]: -- {unknown[0]}: unknown directive "
+                f"{unknown[0]!r}"]
     if relation and relation not in _STEPPERS:
         return [f"{name} [{mode}]: -- relation: unknown relation "
                 f"{relation!r}"]
+    compare = directives.get("compare", "value")
+    if compare not in _COMPARISONS:
+        return [f"{name} [{mode}]: -- compare: unknown comparison "
+                f"{compare!r}"]
     failures = []
     expected = _expected_for(base, mode)
     if expected is None:
         return [f"{name} [{mode}]: no .expected file"]
-    compare = directives.get("compare", "value")
     golden = directives.get("golden")
     # Only a golden reads derivations; every other case runs untraced.
     traced = bool(golden) and mode == "untyped"

@@ -45,6 +45,16 @@ AST of one such leaf, as astInt(3)). ct and dl likewise take a leaf child
 (for ct a variable, literal or tag, for dl an atom) in the parent's step,
 leaving the derivation its own call would.
 
+ul and dl are inverse on a term with no quote, splice, letdown or AST
+constructor in it and no binder annotation (which quoting erases). An
+untraced run's ct records the AST of each quote of such a term (unless
+it is an atom) with the term and the fuel running the AST and
+converting it down spend, which ul counts as it walks the term. The
+machine then takes a recorded AST in one step, returning it, and dl
+returns the quoted term itself in one step. Each spends the units the
+node-by-node run would, and only when the fuel left covers them all;
+otherwise the node-by-node run runs out on the node it names.
+
 rt is deterministic, so the machine shares repeats too, as memo
 functions: a closure keeps the value of its application to an integer,
 boolean or string that returns one of these, with the fuel the body
@@ -122,7 +132,12 @@ class _Run:
     """Per-run state: fuel budget, pipeline mode, trace switch, trail and,
     in bodies, what a traced run shares: its applications (keyed by the
     function and argument, stored once its body has run, see _rt's App)
-    and its leaves (keyed by rule, term and output, see _d). spend says
+    and its leaves (keyed by rule, term and output, see _d). An untraced
+    run keeps ct's quote records there instead, keyed by the id of the
+    AST (see _ct's UpML): the AST, the term it converts down to, and the
+    units beyond the AST's own step that running it and converting it
+    down spend. The machine's AstCtor case and _dl take a record when
+    the fuel left covers its units. spend says
     where on the trail a rule's premises start; in a traced run each
     sub-evaluation the rule runs leaves its derivation there, in the
     order it runs, and _d replaces them with the rule's own. Exceptions
@@ -205,6 +220,8 @@ _UL_LEAVES = {cls: (_RULE_NAMES[cls.ctor, "ul"], TAGS[cls.ctor].tag)
               for cls in (Var, IntLit, StrLit, BoolLit)}
 _DL_ATOMS = {"var": (StrLit, "Var dl"), "int": (IntLit, "Int dl"),
              "string": (StrLit, "String dl"), "bool": (BoolLit, "Bool dl")}
+# What a quoted term may not hold for its AST to convert down to it.
+_UNRETURNED = frozenset({UpML, DownML, LetDown, AstCtor})
 
 
 def _checked(run: _Run, m: Term, phase: str,
@@ -232,7 +249,20 @@ def _ct(m: Term, run: _Run):
     at = run.spend("ct", m)
     cls = type(m)
     if cls is UpML:
-        return _d(run, at, "UpML ct", "ct", m, _ul(m.body, run))
+        body = m.body
+        # A leaf's AST is an atom, already cheap; an AST's never converts
+        # back to it.
+        if run.trace or not body.kids:
+            return _d(run, at, "UpML ct", "ct", m, _ul(body, run))
+        # An untraced run records an AST that converts down to body,
+        # with the units running it and converting it down spend.
+        tally, left = [0, 0, True], run.remaining
+        out = _ul(body, run, tally)
+        if tally[2]:
+            spent = left - run.remaining  # one unit per node of body
+            run.bodies[id(out)] = (out, body, spent + tally[0] - 1,
+                                   spent + tally[1] - 1)
+        return out
     if cls is DownML:
         a = _ct(m.body, run)
         _checked(run, a, "downML check", CODE)
@@ -266,6 +296,10 @@ def _dl(m: Term, run: _Run):
         return _d(run, at, "Tag dl", "dl", m, m)
     if cls is not AstCtor:
         _stuck("dl", m, "term is not an AST value")
+    quoted = run.bodies.get(id(m)) if run.bodies else None
+    if quoted is not None and quoted[3] <= run.remaining:
+        run.remaining -= quoted[3]
+        return quoted[1]
     tag, args = m.tag, m.args
     name, count = tag.name, len(args)
     atom = _DL_ATOMS.get(name)
@@ -317,15 +351,27 @@ def _dl(m: Term, run: _Run):
 
 ### up one meta-level
 
-def _ul(m: Term, run: _Run):
+def _ul(m: Term, run: _Run, tally: list | None = None):
+    """m's AST. tally, when given, is [rt's units, dl's units, whether
+    the AST converts down to m]: the units count those beyond one per
+    node of m, which running m's AST and converting it down spend, and
+    are exact only while the flag holds. A quote, splice, letdown or AST
+    constructor in m, or a binder annotation (which quoting erases),
+    clears the flag."""
     at = run.spend("ul", m)
     cls = type(m)
     leaf = _UL_LEAVES.get(cls)
     if leaf is not None:
+        if tally is not None:
+            tally[0] += 1  # the atom's argument
         out = AstCtor(leaf[1], (StrLit(m.name) if cls is Var else m,))
         return _d(run, at, leaf[0], "ul", m, out)
     if cls is TagLit:
         return _d(run, at, "Tag ul", "ul", m, m)
+    if tally is not None and (cls in _UNRETURNED or m.binds
+                              and m.annot is not None):
+        tally[2] = False
+        tally = None  # nor are its children's units counted
     if cls is UpML:
         return _d(run, at, "UpML ul", "ul", m, _ul(_ul(m.body, run), run))
     if cls is DownML:
@@ -335,13 +381,16 @@ def _ul(m: Term, run: _Run):
     if cls is LetDown:
         _stuck("ul", m,
                "letdown has no AST representation and cannot be quoted")
-    outs = [_ul(k, run) for k in m.children()]
+    outs = [_ul(k, run, tally) for k in m.children()]
     if cls is AstCtor:  # a promote of its tag and its arguments' ASTs
         out = AstCtor(TAGS["promote"].tag, (TagLit(m.tag), *outs))
         return _d(run, at, "Ast ul", "ul", m, out)
     # Every other constructor becomes its AST: bound names as strings,
     # then the children's ASTs.
     names = [mk_ast("string", StrLit(s)) for s in m.bound_names()]
+    if names and tally is not None:  # each name's atom: two nodes, one dl
+        tally[0] += 2 * len(names)
+        tally[1] += len(names)
     return _d(run, at, None, "ul", m, AstCtor(m.ast_tag(), (*names, *outs)))
 
 
@@ -510,7 +559,8 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
     arguments, and its atoms (an AST of one literal or tag: two units).
     A fused operand spends the units its own call would, and is taken
     only when the fuel left covers them all; else it gets its call,
-    which runs out on the term _rt names. The code eval produces
+    which runs out on the term _rt names. An AST ct recorded for a quote
+    (see _Run) is taken whole, by the same rule. The code eval produces
     runs in the empty environment, closed or not.
 
     An application of a closure to a host value first looks the argument
@@ -637,10 +687,16 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
             out = m
             break
         elif cls is AstCtor:
-            # A leaf argument (a literal or tag) and an AST of one leaf
-            # (an atom such as astInt(3)) run to themselves, their nodes
-            # kept, in this step when the fuel left covers their units.
-            # A node whose arguments all come back as they were is kept.
+            # A quote's AST that ct recorded runs to itself, here in one
+            # step when the fuel left covers the units of its other nodes.
+            # So do a leaf argument (a literal or tag) and an AST of one
+            # leaf (an atom such as astInt(3)), their nodes kept. A node
+            # whose arguments all come back as they were is kept.
+            quoted = run.bodies.get(id(m)) if run.bodies else None
+            if quoted is not None and quoted[2] <= run.remaining:
+                run.remaining -= quoted[2]
+                out = m
+                break
             outs = []
             for a in m.args:
                 t = type(a)

@@ -229,6 +229,76 @@ def gen_open_eval(rng: random.Random):
     return program
 
 
+def _unreturned(rng: random.Random, body, typed: bool):
+    """body with a piece next to it that its quote's conversion down does
+    not give back as it was: a binder annotation (quoting erases it), a
+    nested quote, a splice or an AST constructor."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        if rng.random() < 0.5:
+            return Lam(rng.choice(NAMES), body, gen_type(rng, 1))
+        return Rec(rng.choice(NAMES), rng.choice(NAMES), body,
+                   Arrow(gen_type(rng, 1), gen_type(rng, 1)))
+    if pick == 1:
+        piece = UpML(gen_ml_free(rng, rng.randint(0, 2), typed=typed))
+    elif pick == 2:
+        piece = DownML(rng.choice((
+            UpML(gen_ml_free(rng, rng.randint(0, 2), typed=typed)),
+            AstCtor(Tag("int"), (IntLit(rng.randint(0, 9)),)))))
+    else:
+        piece = AstCtor(Tag(rng.choice(BINOP_NAMES)),
+                        (AstCtor(Tag("int"), (IntLit(rng.randint(0, 9)),)),
+                         gen_ml_free(rng, rng.randint(0, 1), typed=typed)))
+    shape = rng.randrange(3)
+    if shape == 0:
+        return App(Lam(rng.choice(NAMES), body), piece)
+    if shape == 1:
+        return If(BoolLit(rng.random() < 0.5), body, piece)
+    return BinOp(rng.choice(BINOP_NAMES), piece, body)
+
+
+def gen_quoted_eval(rng: random.Random, typed: bool = False):
+    """Closed programs that run the AST of a quote: through eval, through
+    a splice, and bound to c and run twice,
+
+        let c = [| e |] in eval(c) + eval(c)
+
+    (or letdown c = [| e |] in $(c) + $(c)). Most bodies are ml-free, so
+    their AST converts down to a term equal to the body; some also hold
+    a piece that does not come back as it was (see _unreturned). In
+    typed mode every eval carries a type, most bodies are typed terms
+    made at it, and a function is applied to an argument of its type."""
+    ty = gen_type(rng, 1) if typed else None
+    while isinstance(ty, TagType):  # a tag's quote is the tag, not Code
+        ty = gen_type(rng, 1)
+    if typed and rng.random() < 0.7:
+        body = gen_typed_term(rng, ty, (), rng.randint(1, 4))
+    else:
+        body = gen_ml_free(rng, rng.randint(0, 4), typed=typed)
+    if rng.random() < 0.3:
+        body = _unreturned(rng, body, typed)
+    quote, pick = UpML(body), rng.randrange(4)
+    if pick == 0:
+        program = Eval(quote, ty)
+    elif pick == 1:
+        program = App(Lam("h", DownML(quote)),
+                      gen_ml_free(rng, rng.randint(0, 1)))
+    else:
+        c, d = rng.sample(NAMES, 2)
+        run = (Eval(Var(c), ty), Eval(Var(c), ty)) if pick == 2 else (
+            DownML(Var(c)), DownML(Var(c)))
+        use = (BinOp(rng.choice(BINOP_NAMES), *run)
+               if ty in (None, INT) and rng.random() < 0.5
+               else App(Lam(d, run[0]), run[1]))
+        program = (App(Lam(c, use), quote) if pick == 2
+                   else LetDown(c, quote, use))
+    if isinstance(ty, Arrow):
+        program = App(program, gen_typed_term(rng, ty.src, (), 1))
+    elif not typed and rng.random() < 0.3:
+        program = App(program, gen_ml_free(rng, rng.randint(0, 1)))
+    return program
+
+
 # Names with primes, as substitution renames to, for gen_env_capture.
 PRIMED_NAMES = ("a", "b", "a'", "b'", "b''")
 

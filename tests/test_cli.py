@@ -650,6 +650,25 @@ def test_corpus_unknown_relation_fails_its_case(tmp_path, capsys):
         "FAIL c [untyped]: -- relation: unknown relation 'cx'\n")
 
 
+def test_corpus_unknown_directive_fails_its_case(tmp_path, capsys):
+    # `mode` for `modes` would run the case untyped only. A comment whose
+    # text before its colon is more than one word stays a comment.
+    _corpus_with_a_good_case(
+        tmp_path, "-- Runs in: both modes\n-- mode: typed\n1\n", "1\n")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out, err) == (
+        1, "1/2 corpus cases passed\n",
+        "FAIL c [untyped]: -- mode: unknown directive 'mode'\n")
+
+
+def test_corpus_unknown_compare_fails_its_case(tmp_path, capsys):
+    _corpus_with_a_good_case(tmp_path, "-- compare: residul\n1\n", "1\n")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out, err) == (
+        1, "1/2 corpus cases passed\n",
+        "FAIL c [untyped]: -- compare: unknown comparison 'residul'\n")
+
+
 def test_corpus_empty_modes_fails_its_case(tmp_path, capsys):
     _corpus_with_a_good_case(tmp_path, "-- modes:\n1\n", "1\n")
     code, out, err = run_cli(capsys, "corpus", str(tmp_path))

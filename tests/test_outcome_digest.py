@@ -49,7 +49,8 @@ from hgmp.typecheck import EMPTY_ENV, TypeErrorDetail, check, infer
 
 from gen_terms import (
     NAMES, PRIMED_NAMES, gen_compile_candidate, gen_ml_free,
-    gen_numeric_rec, gen_open_eval, gen_term, gen_type, gen_typed_term,
+    gen_numeric_rec, gen_open_eval, gen_quoted_eval, gen_term, gen_type,
+    gen_typed_term,
 )
 from test_parser import LEX_ERRORS, LEX_GAPS, LEX_PIECES
 
@@ -67,6 +68,9 @@ GENERATORS = {
     "gen_compile_candidate": (gen_compile_candidate, "untyped", 600),
     "gen_open_eval": (gen_open_eval, "untyped", 600),
     "gen_numeric_rec": (gen_numeric_rec, "untyped", 200),
+    "gen_quoted_eval": (gen_quoted_eval, "untyped", 600),
+    "gen_quoted_eval_typed": (lambda rng: gen_quoted_eval(rng, typed=True),
+                              "typed", 600),
 }
 
 

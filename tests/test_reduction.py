@@ -26,7 +26,7 @@ from hgmp.typecheck import EMPTY_ENV, infer
 
 from gen_terms import (
     gen_compile_candidate, gen_constant, gen_env_capture, gen_ml_free,
-    gen_numeric_rec, gen_open_eval, gen_term,
+    gen_numeric_rec, gen_open_eval, gen_quoted_eval, gen_term,
 )
 
 
@@ -478,6 +478,9 @@ def test_fuel_needed_is_the_rule_count():
         typed = mode == "typed"
         jobs += [(pipeline, gen_term(rng, rng.randint(0, 5), typed=typed),
                   mode) for _ in range(250)]
+    rng = random.Random(107)
+    jobs += [(pipeline, gen_quoted_eval(rng, mode == "typed"), mode)
+             for _ in range(100) for mode in ("untyped", "typed")]
     untraced = {compile_only: lambda m, mode, fuel: eval_ct(m, fuel=fuel),
                 pipeline: lambda m, mode, fuel: run_pipeline(m, mode,
                                                              fuel).value}
@@ -539,6 +542,11 @@ def _fuel_oracle_jobs():
         for mode in ("untyped", "typed"):
             m = gen_term(rng, rng.randint(0, 4), typed=mode == "typed")
             jobs.append((mode, pipeline(m, mode)))
+    rng = random.Random(2918)
+    for _ in range(50):
+        for mode in ("untyped", "typed"):
+            m = gen_quoted_eval(rng, mode == "typed")
+            jobs.append(("quoted eval " + mode, pipeline(m, mode)))
     quoted = Eval(UpML(gen_numeric_rec(random.Random(0))))
     jobs.append(("quoted", pipeline(quoted, "untyped")))
     power = (CORPUS / "power_eval_cube_typed.hgmp").read_text()
@@ -1782,6 +1790,59 @@ def test_ul_dl_round_trip():
     for _ in range(200):
         m = gen_ml_free(rng, depth=rng.randint(0, 4))
         assert alpha_eq(eval_dl(eval_ul(m)), m), pretty(m)
+
+
+def _converts_back(m) -> bool:
+    """Whether m holds no quote, splice, letdown or AST constructor and no
+    binder annotation."""
+    if type(m) in (UpML, DownML, LetDown, AstCtor):
+        return False
+    if type(m) in (Lam, Rec) and m.annot is not None:
+        return False
+    return all(map(_converts_back, m.children()))
+
+
+def test_ul_dl_round_trip_is_equality_on_what_converts_back():
+    # A recorded quote's dl returns the quoted term itself, so dl of ul
+    # must give an equal term, eval annotations and lifts included, not
+    # one equal up to renaming.
+    rng = random.Random(108)
+    checked = 0
+    for _ in range(600):
+        m = gen_ml_free(rng, rng.randint(0, 4), with_eval=True,
+                        typed=rng.random() < 0.5)
+        if _converts_back(m):
+            assert eval_dl(eval_ul(m)) == m, pretty(m)
+            checked += 1
+    assert checked >= 300
+
+
+def test_an_unchanged_quote_converts_down_in_one_step(monkeypatch):
+    # Untraced, ct records the AST of a quote that converts back, and dl
+    # returns the quoted term itself in one call, for each eval of the
+    # AST. Traced, and for a quote whose binder annotation quoting
+    # erases, dl converts the AST node by node.
+    calls, real = [], reduction._dl
+
+    def dl(m, run):
+        calls.append(real(m, run))
+        return calls[-1]
+
+    monkeypatch.setattr(reduction, "_dl", dl)
+    twice = t(r"let c = [| (\x. x + 1) 2 |] in eval{Int}(c) + eval{Int}(c)",
+              "typed")
+    assert run_pipeline(twice, "typed").value == IntLit(6)
+    body = twice.arg.body  # the quoted term
+    assert calls == [body, body] and calls[0] is calls[1] is body
+    annot = t(r"eval{Int -> Int}([| \x:Int. x + 1 |]) 2", "typed")
+    # astApp, astLam and astAdd for each eval; astLam and astAdd
+    for program, want, trace, count in ((twice, 6, True, 6),
+                                        (annot, 3, False, 2),
+                                        (annot, 3, True, 2)):
+        calls.clear()
+        assert run_pipeline(program, "typed",
+                            trace=trace).value == IntLit(want)
+        assert len(calls) == count
 
 
 def test_lift_dl_round_trip():
