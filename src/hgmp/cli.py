@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 semantic/type/parse error, 2 usage error.
 Results go to stdout; every diagnostic goes to stderr. With --trace json
 stdout carries a single JSON document instead, or nothing if it fails.
+The CLI runs at a recursion limit of _RECURSION_LIMIT; a term or run
+nested deeper than that allows is `error[<stage>]: DepthExhausted` (the
+stage, or step's relation, that overflowed), and under typecheck a
+TypeErrorDetail of kind depth, each exit 1, never a traceback.
 """
 
 from __future__ import annotations
@@ -179,7 +183,7 @@ def repl(args) -> int:
 ### corpus runner
 
 _DIRECTIVES = ("modes", "relation", "compare", "golden")
-_COMPARISONS = ("value", "residual")
+_COMPARISONS = ("value", "residual", "exact")
 
 
 def _corpus_directives(text: str) -> dict:
@@ -243,8 +247,8 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
             stages = ((relation, deriv),)
         else:
             result = run_pipeline(term, mode, fuel, trace=traced)
-            outcome_term = (result.residual if compare == "residual"
-                            else result.value)
+            outcome_term = (result.value if compare == "value"
+                            else result.residual)
             stages = result.stages
     except ParseError as exc:
         outcome_error = ("parse", str(exc))
@@ -270,7 +274,9 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
             want = parse_term(expected, mode)
         except ParseError as exc:
             return [f"{name} [{mode}]: .expected does not parse: {exc}"]
-        if not alpha_eq(want, outcome_term):
+        # exact compares the printed text, binder annotations included
+        if (pretty(want) != pretty(outcome_term) if compare == "exact"
+                else not alpha_eq(want, outcome_term)):
             failures.append(
                 f"{name} [{mode}]: expected {pretty(want)}, got "
                 f"{pretty(outcome_term)}")

@@ -18,10 +18,12 @@ Unicode decimal digits, of any length; a - right before it makes it
 negative unless the token before the - ends a value. A string is
 double-quoted, with the four escapes \\\\ \\" \\n and \\t. A tag is # and
 the name characters after it. Any other character is an error. Tokens
-are two parallel lists, of kinds and of values, one regex match each
-(a negative literal split after a value is two). No token keeps its
-offsets: a ParseError finds its token's byte span again by matching the
-text once more.
+are two parallel lists, of kinds and of values, read off one findall of
+one regex that gives each token's text (a negative literal split after a
+value is two tokens): a symbol's or keyword's text is its own kind, one
+table lookup, and any other text is classified by its first character.
+No token keeps its offsets: a ParseError, the lexer's own too, finds its
+token's byte span again by matching the text once more.
 
 In typed mode eval, astEval and #eval require a {Type} annotation; in
 untyped mode the annotation is rejected. Surface arity of every AST
@@ -79,90 +81,104 @@ class ParseError(Exception):
 
 ### lexer
 
-# keywords: each its own kind, and one string that all its tokens share
-_KEYWORDS = {w: w for w in ("let", "letdown", "in", "if", "then", "else",
-                            "rec", "true", "false", "eval", "lift")}
-
 # Tokens a value can end with: a '-' directly after one of these is the
 # binary operator, otherwise '-' right before digits starts a negative
 # integer literal (there is no general unary minus).
 _OPERAND_ENDERS = frozenset(
     {"int", "string", "ident", "true", "false", "tag", ")", "|]", "}"})
 
-# One match per token: spaces and comments (each runs to a newline), then
-# one alternative per token class, tried in order, the commonest first;
-# "other" takes any one character and "eof" the end of the text, so every
-# match succeeds. A '-' right before digits is left to "int".
+# The token texts that are their own kind and value: the symbols, the
+# keywords, and "", the end of the text.
+_SYMBOLS = ("[|", "|]", "->", "==", "-", *"(){},.:\\$+*=")
+_KIND_OF_TEXT = {"": "eof"} | {s: s for s in (*_SYMBOLS, *(
+    "let letdown in if then else rec true false eval lift").split())}
+
+# One match per token: spaces and comments, then the one group: a symbol
+# (longest first), int, word, string, #tag, other character or the end of
+# text, in turn, so every match succeeds. A '-' before digits is left to
+# the int; a string stops at '"', a bad escape or the end.
 _TOKEN = re.compile(r"""
     [ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*
-    (?:(?P<symbol>\[\||\|]|->|==|-(?!\d)|[(){},.:\\$+*=])
-     | (?P<int>-?\d+)
-     | (?P<word>[^\W\d][\w']*)
-     | (?P<string>"[^"\\]*(?:\\[\\"nt][^"\\]*)*(?P<close>"|\\.|\\?\Z))
-     | (?P<tag>\#[\w']*)
-     | (?P<other>.)
-     | (?P<eof>\Z))
-""", re.VERBOSE | re.DOTALL)
+    ( %s
+    | -?\d+
+    | [^\W\d][\w']*
+    | "[^"\\]*(?:\\[\\"nt][^"\\]*)*(?:"|\\.|\\?\Z)
+    | \#[\w']*
+    | .
+    | \Z )
+""" % "|".join(re.escape(s) + r"(?!\d)" * (s == "-")
+               for s in sorted(_SYMBOLS, key=len, reverse=True)),
+    re.VERBOSE | re.DOTALL)
 
 
-def _byte_span(text: str, j: int, i: int) -> SourceSpan:
-    """The UTF-8 byte span of text[j:i]; a lone surrogate counts the 3
-    bytes surrogatepass gives it, not a crash."""
-    return SourceSpan(*(len(text[:k].encode("utf-8", "surrogatepass"))
-                        for k in (j, i)))
+def _token_span(text: str, kinds: list, tok: int,
+                first_char: bool = False) -> SourceSpan:
+    """The UTF-8 byte span of token tok, or of its first character, found
+    by matching the text again: each match is one token, but one longer
+    than the "-" its kind says is two, a negative literal split after a
+    value. A lone surrogate counts the 3 bytes surrogatepass gives it."""
+    n = 0
+    for m in _TOKEN.finditer(text):
+        j, i = m.span(1)
+        if n < len(kinds) and kinds[n] == "-" and i - j > 1:
+            if n == tok:
+                first_char = True
+            else:
+                n, j = n + 1, j + 1
+        if n == tok:
+            return SourceSpan(*(len(text[:k].encode("utf-8", "surrogatepass"))
+                                for k in (j, j + 1 if first_char else i)))
+        n += 1
 
 
 def _tokens(text: str) -> tuple[list, list]:
-    """The tokens of text, ending with "eof": their kinds and their
-    values, as parallel lists."""
+    """The tokens of text, ending with "eof": kinds and values, in parallel."""
+    texts = _TOKEN.findall(text)
+    if len(texts) > 1 and not texts[-2]:  # after trailing spaces, eof twice
+        texts.pop()
     kinds, values = [], []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        s = m[kind]
-        if kind == "symbol":
-            kind = value = s
-        elif keyword := _KEYWORDS.get(s):
-            kind = value = keyword
-        elif kind == "word" and s in TAG_OF_SPELLING:
-            kind, value = "astctor", TAG_OF_SPELLING[s]
-        elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
+    for s in texts:
+        kind = _KIND_OF_TEXT.get(s)
+        if kind is not None:
+            value = kind
+        elif (value := TAG_OF_SPELLING.get(s)) is not None:
+            kind = "tag" if s[0] == "#" else "astctor"
+        elif (c := s[0]).isalpha() or c == "_":
             kind, value = "ident", s
-        elif kind == "int":
-            if s[0] == "-" and kinds and kinds[-1] in _OPERAND_ENDERS:
+        elif c == "-" or c.isdecimal():  # \d is a Unicode decimal digit
+            if c == "-" and kinds and kinds[-1] in _OPERAND_ENDERS:
                 kinds.append("-")
-                values.append("-")
+                values.append("-")  # and the int after it
                 s = s[1:]
-            value = int_of_text(s)
-        elif kind == "string" and m["close"] == '"':
-            value = json.loads(s, strict=False)  # the four escapes are JSON's
-        elif kind == "string":  # stopped at a bad escape or the end of text
-            raise ParseError(_byte_span(text, *m.span(kind)),
-                             f"bad escape {m['close']}" if len(m["close"]) == 2
-                             else "unterminated string literal")
-        elif kind == "tag" and s in TAG_OF_SPELLING:
-            value = TAG_OF_SPELLING[s]
-        elif kind == "tag":
-            raise ParseError(_byte_span(text, *m.span(kind)),
+            kind, value = "int", int_of_text(s)
+        elif c == '"':
+            try:  # the four escapes are JSON's; it refuses an unclosed text
+                kind, value = "string", json.loads(s, strict=False)
+            except ValueError:  # a bad escape: s[-1] after an odd run of \
+                run = len(s) - 1 - len(s[:-1].rstrip("\\"))
+                raise ParseError(_token_span(text, kinds, len(kinds)),
+                                 f"bad escape {s[-2:]}"
+                                 if run % 2 and s[-1] not in '\\"nt'
+                                 else "unterminated string literal") from None
+        elif c == "#":
+            raise ParseError(_token_span(text, kinds, len(kinds)),
                              f"unknown tag {s}")
-        elif kind == "eof":
-            kinds.append(kind)
-            values.append(None)
-            return kinds, values
         else:  # any other character; \w also takes ² and Ⅻ, which start no name
-            j = m.start(kind)
-            raise ParseError(_byte_span(text, j, j + 1),
-                             f"unexpected character {s[0]!r}")
+            raise ParseError(_token_span(text, kinds, len(kinds), True),
+                             f"unexpected character {c!r}")
         kinds.append(kind)
         values.append(value)
+    values[-1] = None
+    return kinds, values
 
 
 ### parser
 
-_ATOM_STARTERS = frozenset({"ident", "int", "string", "true", "false", "tag",
-                            "astctor", "eval", "lift", "$", "[|", "("})
-
-# binary operators by symbol: binding level and name
-_BINOPS = {symbol: (level, op) for op, (symbol, level) in BINOPS.items()}
+# (level, operator) an operand's next token continues it with: app or a binop
+_AFTER_OPERAND = {k: (_APP, "app") for k in (
+    "ident", "int", "string", "true", "false", "tag", "astctor", "eval",
+    "lift", "$", "[|", "(")} | {
+        symbol: (level, op) for op, (symbol, level) in BINOPS.items()}
 
 # the most bytes of an integer literal that an error message spells out
 _SPELLED_INT = 40
@@ -186,20 +202,7 @@ class _Parser:
         return self.values[pos], pos + 1
 
     def span(self, tok: int) -> SourceSpan:
-        """Token tok's UTF-8 byte span, found again by matching the text
-        once more: each match is one token, but an int match whose token
-        is "-" is two, a negative literal split after a value."""
-        n = 0
-        for m in _TOKEN.finditer(self.text):
-            kind = m.lastgroup
-            j, i = m.span(kind)
-            if kind == "int" and self.kinds[n] == "-":
-                if n == tok:
-                    return _byte_span(self.text, j, j + 1)
-                n, j = n + 1, j + 1
-            if n == tok:
-                return _byte_span(self.text, j, i)
-            n += 1
+        return _token_span(self.text, self.kinds, tok)
 
     def fail(self, tok: int, *expected: str):
         kind, span = self.kinds[tok], self.span(tok)
@@ -226,10 +229,10 @@ class _Parser:
 
         Each frame on the stack waits for a subterm. An operator frame
         (level, name, lhs) waits for its right operand; application is
-        the operator "app". A construct frame (-1, kind, ...) is a
-        binder, let, letdown or if waiting for its next part, or an open
-        bracket waiting for its term and closer; no operator reduces it,
-        so an operator chain inside a construct ends at the construct.
+        the operator "app". A construct frame (-1, name, ...) is a
+        binder, an open bracket, or one stage of let, letdown or if,
+        waiting for its next part; no operator reduces it, so an
+        operator chain inside a construct ends at the construct.
         """
         kinds, values = self.kinds, self.values
         stack: list[tuple] = [(-1, "top")]  # "top" takes the whole term
@@ -242,6 +245,19 @@ class _Parser:
                 m = Var(values[tok])
             elif kind == "int":
                 m = IntLit(values[tok])
+            elif kind == "(" or kind == "if" or kind == "[|":
+                stack.append((-1, kind))
+                continue
+            elif kind == "\\":
+                param, pos = self.want(pos, "ident", "a parameter name")
+                annot, pos = self._binder_annot(tok, pos)
+                stack.append((-1, kind, param, annot))
+                continue
+            elif kind == "let" or kind == "letdown":
+                name, pos = self.want(pos, "ident", "a name")
+                _, pos = self.want(pos, "=", "'='")
+                stack.append((-1, kind, name))
+                continue
             elif kind == "string":
                 m = StrLit(values[tok])
             elif kind == "true" or kind == "false":
@@ -249,24 +265,11 @@ class _Parser:
             elif kind == "tag":
                 annot, pos = self._eval_annot(tok, pos)
                 m = TagLit(tag_of(values[tok], annot))
-            elif kind == "\\":
-                param, pos = self.want(pos, "ident", "a parameter name")
-                annot, pos = self._binder_annot(tok, pos)
-                stack.append((-1, kind, param, annot))
-                continue
             elif kind == "rec":
                 name, pos = self.want(pos, "ident", "the function name")
                 param, pos = self.want(pos, "ident", "a parameter name")
                 annot, pos = self._binder_annot(tok, pos)
                 stack.append((-1, kind, name, param, annot))
-                continue
-            elif kind == "let" or kind == "letdown":
-                name, pos = self.want(pos, "ident", "a name")
-                _, pos = self.want(pos, "=", "'='")
-                stack.append((-1, kind, name))
-                continue
-            elif kind == "if" or kind == "(" or kind == "[|":
-                stack.append((-1, kind))
                 continue
             elif kind == "eval" or kind == "lift" or kind == "$":
                 annot, pos = (self._eval_annot(tok, pos) if kind == "eval"
@@ -286,11 +289,7 @@ class _Parser:
             while True:
                 # m is an operand: the operators before it that bind at
                 # least as tightly as the token after it take it
-                kind = kinds[pos]
-                if kind in _ATOM_STARTERS:
-                    level, op = _APP, "app"
-                else:
-                    level, op = _BINOPS.get(kind, (0, None))
+                level, op = _AFTER_OPERAND.get(kinds[pos], (0, None))
                 while stack[-1][0] >= level:
                     _, name, lhs = stack.pop()
                     m = App(lhs, m) if name == "app" else BinOp(name, lhs, m)
@@ -300,47 +299,48 @@ class _Parser:
                     stack.append((level, op, m))
                     break
                 # m is a whole term: the construct waiting for it takes it
-                match stack.pop():
-                    case (_, "top"):
-                        return m, pos
-                    case (_, "\\", param, annot):
-                        m = Lam(param, m, annot)
-                    case (_, "rec", name, param, annot):
-                        m = Rec(name, param, m, annot)
-                    case (_, "let" | "letdown" as construct, name):
-                        _, pos = self.want(pos, "in", "'in'")
-                        stack.append((-1, construct, name, m))
+                frame = stack.pop()
+                name = frame[1]
+                if name == "(":
+                    _, pos = self.want(pos, ")", "')'")
+                elif name == "\\":
+                    m = Lam(frame[2], m, frame[3])
+                elif name == "let" or name == "letdown":
+                    _, pos = self.want(pos, "in", "'in'")
+                    stack.append((-1, name + " in", frame[2], m))
+                    break
+                elif name == "let in":
+                    m = App(Lam(frame[2], m), frame[3])
+                elif name == "if":
+                    _, pos = self.want(pos, "then", "'then'")
+                    stack.append((-1, "then", m))
+                    break
+                elif name == "then":
+                    _, pos = self.want(pos, "else", "'else'")
+                    stack.append((-1, "else", frame[2], m))
+                    break
+                elif name == "else":
+                    m = If(frame[2], frame[3], m)
+                elif name == "[|":
+                    _, pos = self.want(pos, "|]", "'|]'")
+                    m = UpML(m)
+                elif name == "$" or name == "lift" or name == "eval":
+                    _, pos = self.want(pos, ")", "')'")
+                    m = (DownML(m) if name == "$" else Lift(m)
+                         if name == "lift" else Eval(m, frame[2]))
+                elif name == "astctor":
+                    frame[4].append(m)
+                    if kinds[pos] == ",":
+                        stack.append(frame)
+                        pos += 1
                         break
-                    case (_, "let", name, bound):
-                        m = App(Lam(name, m), bound)
-                    case (_, "letdown", name, bound):
-                        m = LetDown(name, bound, m)
-                    case (_, "if"):
-                        _, pos = self.want(pos, "then", "'then'")
-                        stack.append((-1, "if", m))
-                        break
-                    case (_, "if", cond):
-                        _, pos = self.want(pos, "else", "'else'")
-                        stack.append((-1, "if", cond, m))
-                        break
-                    case (_, "if", cond, then):
-                        m = If(cond, then, m)
-                    case (_, "("):
-                        _, pos = self.want(pos, ")", "')'")
-                    case (_, "[|"):
-                        _, pos = self.want(pos, "|]", "'|]'")
-                        m = UpML(m)
-                    case (_, "$" | "lift" | "eval" as construct, annot):
-                        _, pos = self.want(pos, ")", "')'")
-                        m = (DownML(m) if construct == "$" else Lift(m)
-                             if construct == "lift" else Eval(m, annot))
-                    case (_, "astctor", tok, annot, args) as frame:
-                        args.append(m)
-                        if kind == ",":  # the token after m
-                            stack.append(frame)
-                            pos += 1
-                            break
-                        m, pos = self._ast_ctor(tok, annot, args, pos)
+                    m, pos = self._ast_ctor(frame[2], frame[3], frame[4], pos)
+                elif name == "letdown in":
+                    m = LetDown(frame[2], frame[3], m)
+                elif name == "rec":
+                    m = Rec(frame[2], frame[3], m, frame[4])
+                else:  # "top"
+                    return m, pos
 
     def _binder_annot(self, tok: int, pos: int) -> tuple[TypeExpr | None, int]:
         """The optional `: T` and the `.` after a binder's names."""

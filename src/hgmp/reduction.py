@@ -8,10 +8,14 @@ execution extended with AST values, eval, lift and promoted ASTs.
 
 Every rule application burns one unit from a shared fuel budget, so
 divergence surfaces as a distinct FuelExhausted outcome rather than a
-hang. A relation returns only its output. A traced run also records
-derivations, whose rule names follow the conventional bracketed names
-for these relations: a rule's premises are the derivations of the
-sub-evaluations it ran, in the order they ran, collected on one trail.
+hang. The relations recurse along the term and the run, so a term or a
+run nested deeper than Python's recursion limit allows ends in a
+DepthExhausted outcome, named after the stage that overflowed, rather
+than a RecursionError. A relation returns only its output. A traced run
+also records derivations, whose rule names follow the conventional
+bracketed names for these relations: a rule's premises are the
+derivations of the sub-evaluations it ran, in the order they ran,
+collected on one trail.
 
 rt has two evaluators with the same values, errors and fuel. `_rt` is the
 reference: call-by-value with capture-avoiding substitution, dispatched
@@ -111,6 +115,7 @@ class EvalError(Exception):
     STUCK = "Stuck"
     FUEL = "FuelExhausted"
     TYPE = "TypeError"
+    DEPTH = "DepthExhausted"
 
     def __init__(self, kind: str, phase: str, offending: Term | None,
                  message: str, detail: TypeErrorDetail | None = None):
@@ -162,6 +167,14 @@ class _Run:
 
 def _stuck(phase: str, term: Term, message: str):
     raise EvalError(EvalError.STUCK, phase, term, message)
+
+
+def _too_deep(phase: str) -> EvalError:
+    """The outcome of a RecursionError in stage phase; it names no term,
+    since printing one that deep could overflow too."""
+    return EvalError(EvalError.DEPTH, phase, None,
+                     "term or run nested deeper than the recursion limit "
+                     f"({sys.getrecursionlimit()}) allows")
 
 
 def _d(run: _Run, at: int, rule: str | None, relation: str, m: Term, out):
@@ -238,6 +251,8 @@ def _checked(run: _Run, m: Term, phase: str,
         else:
             typecheck.check(EMPTY_ENV, m, expected, phase=phase)
     except TypeErrorDetail as err:
+        if err.kind == "depth":
+            raise _too_deep("type") from err
         raise EvalError(EvalError.TYPE, "type", m, err.describe(),
                         detail=err)
     return _d(run, len(run.trail), "Type", "type", m, expected)
@@ -797,27 +812,31 @@ def _start(m: Term, mode: str, fuel: int | None,
     return _Run(fuel, typed, trace), fv
 
 
-def _evaluate(relation, m: Term, mode: str, fuel: int | None, trace: bool):
+def _evaluate(phase: str, relation, m: Term, mode: str, fuel: int | None,
+              trace: bool):
     run, _ = _start(m, mode, fuel, trace)
-    out = relation(m, run)
+    try:
+        out = relation(m, run)
+    except RecursionError:
+        raise _too_deep(phase) from None
     return (out, run.trail[-1]) if trace else out
 
 
 def eval_ct(m: Term, mode: str = "untyped", fuel: int | None = None,
             trace: bool = False):
     """Compile m: the result contains no splice, quote or compile-time let."""
-    return _evaluate(_ct, m, mode, fuel, trace)
+    return _evaluate("ct", _ct, m, mode, fuel, trace)
 
 
 def eval_dl(m: Term, fuel: int | None = None, trace: bool = False):
     """Convert an AST value one meta-level down to the program it denotes."""
-    return _evaluate(_dl, m, "untyped", fuel, trace)
+    return _evaluate("dl", _dl, m, "untyped", fuel, trace)
 
 
 def eval_ul(m: Term, mode: str = "untyped", fuel: int | None = None,
             trace: bool = False):
     """Convert a term one meta-level up to its AST representation."""
-    return _evaluate(_ul, m, mode, fuel, trace)
+    return _evaluate("ul", _ul, m, mode, fuel, trace)
 
 
 def eval_rt(m: Term, mode: str = "untyped", fuel: int | None = None,
@@ -827,7 +846,7 @@ def eval_rt(m: Term, mode: str = "untyped", fuel: int | None = None,
     Untraced, it runs on the environment machine, open or closed;
     traced, on substitution. Both give the same value, primes included,
     error and fuel use."""
-    return _evaluate(_rt_entry, m, mode, fuel, trace)
+    return _evaluate("rt", _rt_entry, m, mode, fuel, trace)
 
 
 @dataclass(frozen=True)
@@ -842,14 +861,22 @@ def run_pipeline(m: Term, mode: str = "untyped", fuel: int | None = None,
                  trace: bool = False) -> PipelineResult:
     """Compile once, then run: ct, an optional whole-residual type check,
     then rt. The residual is returned so it can be re-run without
-    recompiling. A traced run's trail ends as the stages' derivations."""
+    recompiling. A traced run's trail ends as the stages' derivations.
+    A stage that overflows the recursion limit is EvalError DepthExhausted
+    with the stage (ct, type or rt) as its phase."""
     run, fv = _start(m, mode, fuel, trace)
     if fv:
         raise EvalError(EvalError.STUCK, "ct", m,
                         "term is not closed: free " + ", ".join(sorted(fv)))
-    residual = _ct(m, run)
-    residual_type = _checked(run, residual, "residual check")
-    value = _rt_entry(residual, run)
+    stage = "ct"
+    try:
+        residual = _ct(m, run)
+        stage = "type"
+        residual_type = _checked(run, residual, "residual check")
+        stage = "rt"
+        value = _rt_entry(residual, run)
+    except RecursionError:
+        raise _too_deep(stage) from None
     names = ("ct", "type", "rt") if run.typed else ("ct", "rt")
     return PipelineResult(residual, residual_type, value,
                           tuple(zip(names, run.trail)) if trace else None)

@@ -441,32 +441,45 @@ def mk_ast(tag_name: str, *args: Term, annot: TypeExpr | None = None) -> AstCtor
 
 ### free variables
 
-_UNBIND = object()  # on free_vars' stack: the binder's names lie under it
+_UNBIND = object()  # on free_vars' stack: over a binder's new names
 
 
 def free_vars(m: Term) -> set[str]:
     """Variables occurring outside any binder for them; strings inside AST
     constructors are data. A binder binds its names in all its children (a
     LetDown's bound term too, as subst does). The walk is top-down on one
-    stack: `bound` counts the binders of each name around the node at hand,
-    and a binder's names, pushed under its children with a private marker
-    on top, unbind them after. A child that is no Term is a TypeError."""
-    out, bound, stack = set(), {}, [m]
+    stack: `bound` holds the names bound around the node at hand, and the
+    names a binder adds to it, pushed under its children with a private
+    marker on top, leave it after.
+
+    It takes each object once per binder context: `seen` holds the ids
+    (valid while m holds the objects) met since the innermost binder that
+    added a name, and each such binder starts its own; a binder whose
+    names are all bound already keeps the one around it. So a value that
+    shares its subterms costs its distinct nodes, not its tree, times the
+    binders adding names that its copies sit under. A child that is no
+    Term is a TypeError."""
+    out, bound, stack, seen = set(), set(), [m], set()
     try:
         while stack:
             m = stack.pop()
             if type(m) is Var:
-                if not bound.get(m.name):
+                if m.name not in bound:
                     out.add(m.name)
             elif m is _UNBIND:  # a binder's children are done
-                for x in stack.pop():
-                    bound[x] -= 1
-            else:
+                names, seen = stack.pop()
+                bound.difference_update(names)
+            elif type(m) not in LEAVES and id(m) not in seen:
+                seen.add(id(m))
                 if m.binds:
-                    stack.append(names := m.bound_names())
-                    stack.append(_UNBIND)
-                    for x in names:
-                        bound[x] = bound.get(x, 0) + 1
+                    names = m.bound_names()
+                    if not bound.isdisjoint(names):
+                        names = tuple([x for x in names if x not in bound])
+                    if names:
+                        stack.append((names, seen))
+                        stack.append(_UNBIND)
+                        bound.update(names)
+                        seen = set()
                 stack.extend(m.children())
     except AttributeError:  # no binds, or no children
         raise TypeError(f"not a Term: {m!r}") from None
@@ -483,28 +496,38 @@ def subst(m: Term, n: Term, x: str) -> Term:
     all the node's children (a LetDown's bound term too). Where x is free
     in its children, a bound name free in n is first renamed to its first
     primed variant outside the free variables of n and of the children,
-    and its names."""
+    and its names. Those free variables are found once per object in the
+    call, on a walk that takes each shared object once per binder
+    context (see free_vars), so a value that shares its subterms costs
+    its distinct nodes, not its tree."""
+    return _subst(m, n, x, {})
+
+
+def _subst(m: Term, n: Term, x: str, memo: dict) -> Term:
     if m.binds:
-        return _subst_binder(m, n, x)
+        return _subst_binder(m, n, x, memo)
     if type(m) is Var:
         return n if m.name == x else m
     kids = m.children()
     if not kids:
         return m
-    # A variable or leaf child is substituted here, without a call.
-    return m.rebuild([(n if k.name == x else k) if type(k) is Var
-                      else k if type(k) in LEAVES else subst(k, n, x)
-                      for k in kids])
+    # A variable or leaf child is substituted here, without a call; a
+    # loop, not a comprehension, makes no closure over n, x and memo.
+    out = []
+    for k in kids:
+        out.append((n if k.name == x else k) if type(k) is Var
+                   else k if type(k) in LEAVES else _subst(k, n, x, memo))
+    return m.rebuild(out)
 
 
-def _subst_binder(m: Term, n: Term, x: str) -> Term:
+def _subst_binder(m: Term, n: Term, x: str, memo: dict) -> Term:
     names = m.bound_names()
     if x in names:
         return m
     kids = m.children()
-    fv_n = free_vars(n)
+    fv_n = _free_vars_in(n, memo)
     if not fv_n.isdisjoint(names):
-        fv_kids = set().union(*map(free_vars, kids))
+        fv_kids = set().union(*(_free_vars_in(k, memo) for k in kids))
         if x not in fv_kids:
             return m
         avoid = fv_n | fv_kids | set(names)  # fv_kids holds x
@@ -517,9 +540,19 @@ def _subst_binder(m: Term, n: Term, x: str) -> Term:
                 while renamed in avoid:
                     renamed += "'"
                 avoid.add(renamed)
-                kids = [subst(k, Var(renamed), names[i]) for k in kids]
+                kids = [_subst(k, Var(renamed), names[i], memo)
+                        for k in kids]
                 names[i] = renamed
-    return m.rebind(names, [subst(k, n, x) for k in kids])
+    return m.rebind(names, [_subst(k, n, x, memo) for k in kids])
+
+
+def _free_vars_in(m: Term, memo: dict) -> set[str]:
+    """m's free variables, found once per object in a subst call: memo
+    maps id(m) to m, which keeps the id valid, and the set."""
+    got = memo.get(id(m))
+    if got is None:
+        got = memo[id(m)] = m, free_vars(m)
+    return got[1]
 
 
 ### alpha equivalence

@@ -18,6 +18,7 @@ hides an outer one of the same name.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -39,7 +40,8 @@ class TypeErrorDetail(Exception):
                  phase: str = "residual check"):
         super().__init__(message)
         self.message = message
-        self.kind = kind  # mismatch | unbound | arity | ambiguous | malformed
+        # mismatch | unbound | arity | ambiguous | malformed | depth
+        self.kind = kind
         self.expected = expected
         self.found = found
         self.at = at
@@ -289,12 +291,20 @@ def _solve(env: Mapping[str, TypeExpr] | None, m: Term, phase: str,
            expected: TypeExpr | None = None) -> TypeExpr:
     """m's type, unified with expected when one is given. A type that
     still contains meta-variables after solving is reported as ambiguous
-    rather than silently defaulted."""
+    rather than silently defaulted. A term nested deeper than the
+    recursion limit lets the checker go is a TypeErrorDetail of kind
+    depth, which names no term: printing one that deep could overflow."""
     eng = _Engine(phase)
-    ty = eng.infer(env or EMPTY_ENV, m)
-    if expected is not None:
-        eng.unify(ty, expected, at=m)
-    ty = eng.resolve(ty)
+    try:
+        ty = eng.infer(env or EMPTY_ENV, m)
+        if expected is not None:
+            eng.unify(ty, expected, at=m)
+        ty = eng.resolve(ty)
+    except RecursionError:
+        raise TypeErrorDetail(
+            "term nested deeper than the recursion limit "
+            f"({sys.getrecursionlimit()}) allows", kind="depth",
+            phase=phase) from None
     if eng._occurs(None, ty):
         raise TypeErrorDetail(
             f"ambiguous type {pretty_type(ty, holes={})}",

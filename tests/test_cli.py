@@ -547,6 +547,30 @@ def test_python_dash_m_hgmp(tmp_path):
                                                            "")
 
 
+@pytest.mark.parametrize("command, source, mode, stage", [
+    ("run", " + ".join(["1"] * 30_000), "untyped", "ct"),
+    ("run", " + ".join(["1"] * 30_000), "typed", "ct"),
+    ("run", r"\x. " * 30_000 + "1", "untyped", "ct"),
+    ("run", "(rec f n. if n == 0 then 0 else 1 + f (n - 1)) 25000",
+     "untyped", "rt"),
+    ("typecheck", " + ".join(["1"] * 30_000), "typed", "type"),
+], ids=["chain", "typed chain", "lambdas", "count 25000", "typecheck chain"])
+def test_deep_inputs_exit_1_without_a_traceback(tmp_path, command, source,
+                                                mode, stage):
+    # nested deeper than the CLI's recursion limit allows (count 1000
+    # fits it, count 25000 does not); in a fresh process, as a user
+    # meets it
+    path = write(tmp_path, source)
+    fuel = ("--fuel", "100000000") if command == "run" else ()
+    proc = run_module("hgmp", command, "--mode", mode, *fuel, path)
+    limit = f"the recursion limit ({cli._RECURSION_LIMIT}) allows"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error[type]: term nested deeper than {limit} "
+        "(residual check)\n" if stage == "type" else
+        f"error[{stage}]: DepthExhausted: term or run nested deeper than "
+        f"{limit}\n")
+
+
 def test_python_dash_m_hgmp_repl():
     # Off a terminal, input() writes each prompt to stdout.
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
@@ -674,6 +698,24 @@ def test_corpus_empty_modes_fails_its_case(tmp_path, capsys):
     code, out, err = run_cli(capsys, "corpus", str(tmp_path))
     assert (code, out, err) == (1, "1/2 corpus cases passed\n",
                                 "FAIL c: -- modes: names no mode\n")
+
+
+def test_corpus_exact_compares_binder_annotations(tmp_path, capsys):
+    # residual compares up to renaming, ignoring annotations; exact
+    # compares the printed text, so an expectation that keeps \x:Int.
+    # fails where quoting erased it
+    source = "$([| \\x:Int. x |]) 3\n"
+    for compare, want in [("residual", (0, "2/2 corpus cases passed\n", "")),
+                          ("exact", (1, "1/2 corpus cases passed\n",
+                                     "FAIL c [untyped]: expected "
+                                     "(\\x:Int. x) 3, got (\\x. x) 3\n"))]:
+        _corpus_with_a_good_case(tmp_path, f"-- compare: {compare}\n"
+                                 + source, "(\\x:Int. x) 3\n")
+        assert run_cli(capsys, "corpus", str(tmp_path)) == want, compare
+    _corpus_with_a_good_case(tmp_path, "-- compare: exact\n" + source,
+                             "(\\x. x) 3\n")
+    assert run_cli(capsys, "corpus", str(tmp_path)) == (
+        0, "2/2 corpus cases passed\n", "")
 
 
 def test_corpus_expected_that_does_not_parse_fails_its_case(tmp_path, capsys):

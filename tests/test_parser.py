@@ -315,6 +315,81 @@ def test_lexer_matches_the_reference_lexer():
     assert 2_000 < errors < 18_000  # both outcomes are well sampled
 
 
+def _or_error(read, src):
+    """read(src), or its ParseError as ("error", start, end, message,
+    expected)."""
+    try:
+        return read(src)
+    except ParseError as exc:
+        return "error", exc.span.start, exc.span.end, exc.message, exc.expected
+
+
+def _ref_lex(src):
+    return [(t.kind, t.value, t.span.start, t.span.end)
+            for t in ref_tokens(src)]
+
+
+def _eof(at):
+    return ("eof", None, at, at)
+
+
+X = ("ident", "x", 0, 1)
+AT_END = ("unexpected end of input", ("a term",))
+
+# Edge cases of one findall over the text: each source, its tokens or
+# lexer error, and what parse_term makes of it.
+LEX_EDGES = [
+    # spaces, CR/LF or a comment before the end: exactly one eof
+    ("x  ", [X, _eof(3)], Var("x")),
+    ("x\r\n", [X, _eof(3)], Var("x")),
+    ("x -- c", [X, _eof(6)], Var("x")),
+    ("x -- c\n", [X, _eof(7)], Var("x")),
+    ("x\n-- c\n  ", [X, _eof(9)], Var("x")),
+    ("  ", [_eof(2)], ("error", 2, 2, *AT_END)),
+    # an escaped quote, then the end; a bad escape, closed or not
+    ('"a\\"', ("error", 0, 4, "unterminated string literal", ()), None),
+    ('"a\\q', ("error", 0, 4, "bad escape \\q", ()), None),
+    ('"a\\q"', ("error", 0, 4, "bad escape \\q", ()), None),
+    # '-' before digits: split after a value, a literal after '('
+    ("1 -2", [("int", 1, 0, 1), ("-", "-", 2, 3), ("int", 2, 3, 4), _eof(4)],
+     BinOp("sub", IntLit(1), IntLit(2))),
+    ("x -2", [X, ("-", "-", 2, 3), ("int", 2, 3, 4), _eof(4)],
+     BinOp("sub", Var("x"), IntLit(2))),
+    ("(-2)", [("(", "(", 0, 1), ("int", -2, 1, 3), (")", ")", 3, 4), _eof(4)],
+     IntLit(-2)),
+    # first characters: a name goes on with ², Arabic-Indic digits are
+    # decimal, Ⅻ starts nothing, and a lone '-' is the operator
+    ("x²", [("ident", "x²", 0, 3), _eof(3)], Var("x²")),
+    ("٣٤", [("int", 34, 0, 4), _eof(4)], IntLit(34)),
+    ("Ⅻ", ("error", 0, 3, "unexpected character 'Ⅻ'", ()), None),
+    ("#nosuch", ("error", 0, 7, "unknown tag #nosuch", ()), None),
+    ("-", [("-", "-", 0, 1), _eof(1)],
+     ("error", 0, 1, "unexpected '-'", ("a term",))),
+    ("x -", [X, ("-", "-", 2, 3), _eof(3)], ("error", 3, 3, *AT_END)),
+]
+
+
+@pytest.mark.parametrize("src, tokens, term", LEX_EDGES,
+                         ids=[repr(src) for src, _, _ in LEX_EDGES])
+def test_lexer_edge_cases(src, tokens, term):
+    assert _or_error(lex, src) == _or_error(_ref_lex, src) == tokens
+    # a lexer error is parse_term's error too
+    assert _or_error(parse_term, src) == (tokens if term is None else term)
+
+
+def test_a_tag_row_registered_after_import_lexes(pair, monkeypatch):
+    # the lexer reads syntax.TAG_OF_SPELLING as it goes; the reference
+    # lexer's maps, read off syntax.TAGS at import, learn the row here
+    monkeypatch.setitem(_REF_AST_CTORS, "astPair", "pair")
+    monkeypatch.setitem(_REF_TAGS, "#pair", "pair")
+    src = "astPair(#pair, 1) #pair-1"
+    assert lex(src) == _ref_lex(src) == [
+        ("astctor", "pair", 0, 7), ("(", "(", 7, 8), ("tag", "pair", 8, 13),
+        (",", ",", 13, 14), ("int", 1, 15, 16), (")", ")", 16, 17),
+        ("tag", "pair", 18, 23), ("-", "-", 23, 24), ("int", 1, 24, 25),
+        _eof(25)]
+
+
 ### terms
 
 def test_parse_quote():

@@ -815,6 +815,131 @@ def test_fused_operands_match_traced_on_every_fuel_budget(m):
         pytest.fail("out of fuel at every budget")
 
 
+def doubling(n, body=r"k x x"):
+    r"""(\d. d (d (.. (\z. z))))(\x. \k. k x x), d applied n deep: each
+    application doubles the value's tree, whose copies substitution
+    shares, so the value has about 2^n leaves in about n objects. Another
+    body for d's \k puts the copies elsewhere."""
+    return t(r"(\d. " + "d (" * n + r"\z. z" + ")" * n + r")(\x. \k. " + body + ")")
+
+
+def _same_dag(a, b):
+    """a == b, comparing each pair of objects once: == reads a shared
+    value as its tree."""
+    seen, stack = set(), [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if not isinstance(x, Term) or not isinstance(y, Term):
+            if x != y:
+                return False
+            continue
+        kx, ky = x.children(), y.children()
+        # equal once the children are blanked out: class, names, data
+        if len(kx) != len(ky) or (x.rebuild([None] * len(kx))
+                                  != y.rebuild([None] * len(ky))):
+            return False
+        stack += zip(kx, ky)
+    return True
+
+
+# n = 16..40, both ends and three drawn between them
+DOUBLING = [16, *sorted(random.Random(1602).sample(range(17, 40), 3)), 40]
+
+
+@pytest.mark.parametrize("n", DOUBLING)
+def test_doubling_matches_traced_on_every_fuel_budget(n):
+    # as FUSED_OPERANDS: every budget up to the first that does not run
+    # out gives the same value, or error kind, phase, message and term
+    m = doubling(n)
+    for fuel in range(1, 1_000):
+        untraced = _outcome(m, fuel=fuel)
+        traced = _outcome(m, fuel=fuel, trace=True)
+        assert len(untraced) == len(traced), fuel
+        assert all(map(_same_dag, untraced, traced)), fuel
+        if untraced[0] != EvalError.FUEL:
+            break
+    else:
+        pytest.fail("out of fuel at every budget")
+    assert type(untraced[0]) is Lam and fuel == 5 * n + 15
+
+
+def _free_vars_visits(m, trace):
+    """The run's free-variable work: the Python calls free_vars makes,
+    one to read the children of each non-leaf node it takes and one more
+    for a binder's names."""
+    visits = 0
+
+    def count(frame, event, arg):
+        nonlocal visits
+        if event == "call" and frame.f_back.f_code is free_vars.__code__:
+            visits += 1
+    sys.setprofile(count)
+    try:
+        run_pipeline(m, trace=trace)
+    finally:
+        sys.setprofile(None)
+    return visits
+
+
+@pytest.mark.parametrize("body, cap", [
+    (r"k x x", lambda n: 4 * n ** 2),
+    (r"k x (\y. x)", lambda n: 2 * n ** 3),
+], ids=["both-copies-under-k", "one-copy-under-y"])
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_doubling_costs_its_distinct_nodes(trace, body, cap):
+    # substitution finds a shared value's free variables once per
+    # distinct object, on a walk that takes each object once per binder
+    # context: the work grows with a power of n, not with the value's
+    # 2^n-leaf tree. Under \y, a binder adding a name, each copy is met
+    # in a context of its own, one power more. Small n first, so that a
+    # tree walk fails here rather than running for ever.
+    for n in (8, 16, 40):
+        assert _free_vars_visits(doubling(n, body), trace) <= cap(n), n
+
+
+COUNT = "(rec f n. if n == 0 then 0 else 1 + f (n - 1)) {}"
+
+# Inputs nested deeper than the interpreter's default limit of 1,000
+# allows, and the stage that overflows on each.
+DEEP = {
+    "count 1000": (COUNT.format(1000), "rt"),
+    "30,000-term chain": (" + ".join(["1"] * 30_000), "ct"),
+    "30,000 nested lambdas": (r"\x. " * 30_000 + "1", "ct"),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+@pytest.mark.parametrize("mode", ["untyped", "typed"])
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_deep_inputs_end_in_depth_exhausted(name, mode, trace,
+                                            default_recursion_limit):
+    src, stage = DEEP[name]
+    m = parse_term(src, mode)
+    with pytest.raises(EvalError) as exc:
+        run_pipeline(m, mode, 10 ** 8, trace=trace)
+    err = exc.value
+    assert (err.kind, err.phase, err.offending) == (EvalError.DEPTH, stage,
+                                                    None)
+    assert str(err) == (f"error[{stage}]: DepthExhausted: term or run nested "
+                        "deeper than the recursion limit (1000) allows")
+
+
+@pytest.mark.parametrize("relation, src", [
+    (eval_ct, DEEP["30,000-term chain"][0]),
+    (eval_ul, DEEP["30,000 nested lambdas"][0]),
+    (eval_rt, DEEP["count 1000"][0]),
+], ids=["ct", "ul", "rt"])
+def test_deep_relations_end_in_depth_exhausted(relation, src,
+                                               default_recursion_limit):
+    with pytest.raises(EvalError) as exc:
+        relation(t(src), fuel=10 ** 8)
+    assert (exc.value.kind, exc.value.phase) == (
+        EvalError.DEPTH, relation.__name__[len("eval_"):])
+
+
 def test_untraced_matches_traced_on_generated_numeric_programs():
     # Numeric recursion and higher-order lets, mostly on budgets small
     # enough to run out inside a fused step.

@@ -1,8 +1,6 @@
-from dataclasses import dataclass
-
 import pytest
 
-from hgmp import signature, syntax, typecheck
+from hgmp import signature, typecheck
 from hgmp.parser import parse_term, parse_type
 from hgmp.reduction import eval_ct, eval_dl, eval_ul, to_json
 from hgmp.signature import check_arity, lookup, registry
@@ -141,26 +139,6 @@ def test_typing_covers_every_tagged_constructor():
 
 
 ### the signature recipe: a constructor added in one row
-
-@pytest.fixture
-def pair(monkeypatch):
-    """A 2-ary `pair` row and its class, registered for one test only:
-    _shape enters its tag and its spellings #pair and astPair."""
-    monkeypatch.setitem(signature._BY_NAME, "pair",
-                        signature.CtorSpec("pair", "pair", 2))
-    for table, key in ((syntax.TAGS, "pair"),
-                       (syntax.TAG_OF_SPELLING, "#pair"),
-                       (syntax.TAG_OF_SPELLING, "astPair")):
-        monkeypatch.setitem(table, key, None)  # undone: deleted
-
-    @syntax._shape("pair", "fst", "snd")
-    @dataclass(frozen=True)
-    class Pair(Term):
-        fst: Term
-        snd: Term
-
-    return Pair
-
 
 def test_a_signature_row_drives_the_generic_layers(pair):
     one, two = IntLit(1), IntLit(2)

@@ -405,6 +405,27 @@ def test_subst_capture_avoiding_on_open_terms():
         assert alpha_eq(subst(m, Var(x), x), m), (pretty(m), x)
 
 
+def test_subst_sees_a_shared_subterm_under_each_binder():
+    # one object free in y, met under \y first and outside it after: a
+    # walk that took it once would miss y, and \y would capture it
+    w = App(Var("y"), Var("z"))
+    n = App(w, Lam("y", w))
+    assert subst(Lam("y", Var("x")), n, "x") == Lam("y'", n)
+
+
+def test_free_vars_of_shared_values_match_the_reference():
+    # values sharing one open object under binders of its names and
+    # outside them, in either order
+    rng = random.Random(5)
+    names = ("y", "z", "w")
+    for _ in range(500):
+        s = gen_ml_free(rng, 3, names, names=names)
+        x, y = rng.choice(names), rng.choice(names)
+        for n in (App(s, Lam(x, s)), App(Lam(x, s), s),
+                  Lam(x, App(s, Lam(y, s))), LetDown(x, s, App(s, s))):
+            assert free_vars(n) == ref_free_vars(n), pretty(n)
+
+
 def test_subst_rec_primed_pair_renames_innermost_first():
     # Both binders capture. The parameter is renamed first, so g' takes
     # g'' and g takes g'''; renaming g first gives an alpha-equal term.

@@ -404,3 +404,30 @@ def test_a_term_checked_against_the_empty_environment_is_closed():
                     continue
                 open_typed += 1
     assert accepted > 1_000 and open_typed > 500
+
+
+DEPTH_MESSAGE = ("error[type]: term nested deeper than the recursion limit "
+                 "(1000) allows (residual check)")
+
+
+@pytest.mark.parametrize("src", [
+    " + ".join(["1"] * 30_000), r"\x. " * 30_000 + "1",
+], ids=["30,000-term chain", "30,000 nested lambdas"])
+def test_a_term_nested_too_deep_is_a_depth_error(src, default_recursion_limit):
+    # it names no term: printing one that deep could overflow too
+    m = t(src)
+    for checker in (lambda: infer(None, m), lambda: check(None, m, INT)):
+        with pytest.raises(TypeErrorDetail) as exc:
+            checker()
+        assert (exc.value.kind, exc.value.at, str(exc.value)) == (
+            "depth", None, DEPTH_MESSAGE)
+
+
+def test_a_residual_too_deep_to_check_is_depth_exhausted(
+        default_recursion_limit):
+    # ct takes a frame a level, and the checker two: 750 levels compile
+    with pytest.raises(EvalError) as exc:
+        run_pipeline(t(" + ".join(["1"] * 750)), "typed")
+    err = exc.value
+    assert (err.kind, err.phase, err.offending, err.__cause__.kind) == (
+        EvalError.DEPTH, "type", None, "depth")
