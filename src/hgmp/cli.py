@@ -1,12 +1,21 @@
 """Command-line front door: compile, run, step, typecheck, repl, corpus.
 
-Exit codes: 0 success, 1 semantic/type/parse error, 2 usage error.
+Exit codes: 0 success, 1 semantic/type/parse/print error, 2 usage error.
 Results go to stdout; every diagnostic goes to stderr. With --trace json
 stdout carries a single JSON document instead, or nothing if it fails.
 The CLI runs at a recursion limit of _RECURSION_LIMIT; a term or run
 nested deeper than that allows is `error[<stage>]: DepthExhausted` (the
 stage, or step's relation, that overflowed), and under typecheck a
 TypeErrorDetail of kind depth, each exit 1, never a traceback.
+
+Printing takes one frame a level of the term, so a term that ct or rt
+returned prints; a print that still overflows is `error[print]:
+DepthExhausted`. A value, residual or offending term is first sized as
+a tree on its DAG, since a value that shares its subterms can denote a
+tree far larger than its objects: over _PRINT_CAP nodes, a value or
+residual is `error[print]: TooLarge: term of N nodes, more than the
+10000000 that print`, and an error prints that message, in parentheses,
+as its `at:` term. Traces keep their tree formats, uncapped.
 """
 
 from __future__ import annotations
@@ -20,15 +29,18 @@ import sys
 from . import typecheck
 from .parser import MODES, ParseError, is_typed, parse_term
 from .reduction import (
-    DEFAULT_FUEL, Derivation, EvalError, _fuel, eval_ct, eval_dl, eval_rt,
-    eval_ul, render_derivation, render_trace, run_pipeline, to_json,
+    DEFAULT_FUEL, Derivation, EvalError, _fuel, _too_deep, eval_ct, eval_dl,
+    eval_rt, eval_ul, render_derivation, render_trace, run_pipeline, to_json,
 )
-from .syntax import Term, alpha_eq, pretty, pretty_type
+from .syntax import Term, alpha_eq, pretty, pretty_type, tree_size
 from .typecheck import EMPTY_ENV, TypeErrorDetail
 
 # Big-step recursion tracks term depth; fuel is the real budget, this just
 # keeps CPython out of the way at desk scale.
 _RECURSION_LIMIT = 20_000
+# The most nodes, read as a tree, that a printed value, residual or
+# offending term may have.
+_PRINT_CAP = 10 ** 7
 
 _STEPPERS = {  # dl alone takes no mode
     "ct": eval_ct,
@@ -45,19 +57,53 @@ def _step(relation: str, m: Term, mode: str, fuel: int, trace: bool):
     return out if trace else (out, None)
 
 
+def _printed(write, *args) -> str:
+    """write(*args), the text of a term or trace to print; one nested
+    deeper than printing allows is EvalError DepthExhausted instead."""
+    try:
+        return write(*args)
+    except RecursionError:
+        raise _too_deep("print") from None
+
+
+def _text(m: Term) -> str:
+    """pretty(m) as _printed writes it; a term of more than _PRINT_CAP
+    nodes, counted on its DAG, is EvalError TooLarge instead."""
+    size = tree_size(m)
+    if size > _PRINT_CAP:
+        raise EvalError(EvalError.SIZE, "print", None,
+                        f"term of {size} nodes, more than the {_PRINT_CAP} "
+                        "that print")
+    return _printed(pretty, m)
+
+
+def _report(exc: Exception) -> str:
+    """The text of an error: an EvalError's offending term as _text
+    writes it, or why it cannot be, in parentheses."""
+    if type(exc) is not EvalError:
+        return str(exc)
+
+    def show(m):
+        try:
+            return _text(m)
+        except EvalError as why:
+            return f"({why.message})"
+    return exc.describe(show)
+
+
 def _emit_trace(args, stages: list[tuple[str, Derivation]], residual: Term,
                 residual_type, **value) -> bool:
     """Text traces go to stderr; json replaces stdout entirely, and is the
     only path that encodes the residual and the value. True when stdout
     has been written."""
     if args.trace == "text":
-        print(render_trace(stages), file=sys.stderr)
+        print(_printed(render_trace, stages), file=sys.stderr)
     elif args.trace == "json":
         payload = {"residual": residual, **value, "stages": [
             {"stage": name, "derivation": d} for name, d in stages]}
         if residual_type is not None:
             payload["residualType"] = pretty_type(residual_type)
-        print(to_json(payload))
+        print(_printed(to_json, payload))
         return True
     return False
 
@@ -80,7 +126,7 @@ def cmd_compile(args, term: Term) -> int:
                                         phase="residual check")
     if _emit_trace(args, [("ct", deriv)], residual, residual_type):
         return 0
-    print(pretty(residual))
+    print(_text(residual))
     if residual_type is not None:
         print(f"-- : {pretty_type(residual_type)}")
     return 0
@@ -92,7 +138,7 @@ def cmd_run(args, term: Term) -> int:
     if _emit_trace(args, result.stages, result.residual,
                    result.residual_type, value=result.value):
         return 0
-    print(pretty(result.value))
+    print(_text(result.value))
     return 0
 
 
@@ -100,11 +146,11 @@ def cmd_step(args, term: Term) -> int:
     out, deriv = _step(args.relation, term, args.mode, args.fuel,
                        args.trace != "none")
     if args.trace == "json":
-        print(to_json({"out": out, "derivation": deriv}))
+        print(_printed(to_json, {"out": out, "derivation": deriv}))
         return 0
     if args.trace == "text":
-        print(render_derivation(deriv), file=sys.stderr)
-    print(pretty(out))
+        print(_printed(render_derivation, deriv), file=sys.stderr)
+    print(_text(out))
     return 0
 
 
@@ -177,7 +223,7 @@ def repl(args) -> int:
                 cmd_run(args, parse_term(line, args.mode))
         except (ParseError, EvalError, TypeErrorDetail, ValueError,
                 OSError) as exc:
-            print(exc, file=sys.stderr)
+            print(_report(exc), file=sys.stderr)
 
 
 ### corpus runner
@@ -393,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         term = parse_term(_read_text(args.file), args.mode)
         return _TERM_COMMANDS[args.command](args, term)
     except (ParseError, TypeErrorDetail, EvalError, OSError) as exc:
-        print(exc, file=sys.stderr)
+        print(_report(exc), file=sys.stderr)
         return 1
 
 

@@ -51,23 +51,24 @@ leaving the derivation its own call would.
 
 ul and dl are inverse on a term with no quote, splice, letdown or AST
 constructor in it and no binder annotation (which quoting erases). An
-untraced run's ct records the AST of each quote of such a term (unless
-it is an atom) with the term and the fuel running the AST and
-converting it down spend, which ul counts as it walks the term. The
-machine then takes a recorded AST in one step, returning it, and dl
-returns the quoted term itself in one step. Each spends the units the
-node-by-node run would, and only when the fuel left covers them all;
-otherwise the node-by-node run runs out on the node it names.
+untraced run's ct records the AST of each quote of such a term, a leaf's
+atom too, with the term and the fuel running the AST and converting it
+down spend, which ul counts as it walks the term. The machine then takes
+a recorded AST in one step, returning it, and dl returns the quoted term
+itself in one step. Each spends the units the node-by-node run would,
+and only when the fuel left covers them all; otherwise the node-by-node
+run runs out on the node it names.
 
 rt is deterministic, so the machine shares repeats too, as memo
-functions: a closure keeps the value of its application to an integer,
-boolean or string that returns one of these, with the fuel the body
-spent. A repeat with that fuel left spends it and returns the value;
-with less, the body runs again and runs out on the term a fresh run
-names. A closure's table is made at its first application that returns
-such a value, and stores only applications that begin once it is made,
-so a chain of distinct calls stores nothing while fib stores each value
-it meets again, and the table is emptied when it is full (see _machine).
+functions: a closure keeps the integer its application to an integer
+returned, with the fuel the body spent. A repeat with that fuel left
+spends it and returns the value; with less, the body runs again and runs
+out on the term a fresh run names. No operator builds a string, and only
+== a boolean, so no recursion descends on either. A closure's table is
+made at its first application to an integer that returns one, and
+stores only applications that begin once it is made, so a chain of
+distinct calls stores nothing while fib stores each value it meets
+again, and the table is emptied when it is full (see _machine).
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ class EvalError(Exception):
     FUEL = "FuelExhausted"
     TYPE = "TypeError"
     DEPTH = "DepthExhausted"
+    SIZE = "TooLarge"  # the CLI's: a term too large to print
 
     def __init__(self, kind: str, phase: str, offending: Term | None,
                  message: str, detail: TypeErrorDetail | None = None):
@@ -127,9 +129,13 @@ class EvalError(Exception):
         self.detail = detail
 
     def __str__(self):
+        return self.describe(pretty)
+
+    def describe(self, show) -> str:
+        """The error's text, its offending term written by show."""
         s = f"error[{self.phase}]: {self.kind}: {self.message}"
         if self.offending is not None:
-            s += f"\n  at: {pretty(self.offending)}"
+            s += f"\n  at: {show(self.offending)}"
         return s
 
 
@@ -265,9 +271,7 @@ def _ct(m: Term, run: _Run):
     cls = type(m)
     if cls is UpML:
         body = m.body
-        # A leaf's AST is an atom, already cheap; an AST's never converts
-        # back to it.
-        if run.trace or not body.kids:
+        if run.trace:
             return _d(run, at, "UpML ct", "ct", m, _ul(body, run))
         # An untraced run records an AST that converts down to body,
         # with the units running it and converting it down spend.
@@ -492,9 +496,8 @@ class _Closure:
     (see _close). An integer, boolean or string is the host value itself,
     boxed into its literal by _read_back; every other value is the term
     the reference semantics holds. memo is None until an application of
-    the closure to a host value first returns one; then it maps an
-    argument that is a host value (a bool by its own key, so True is not
-    1) to the host value the closure's application to it returned and
+    the closure to an integer first returns one; then it maps an integer
+    argument to the integer the closure's application to it returned and
     the fuel its body spent."""
 
     __slots__ = ("code", "env", "origin", "term", "memo")
@@ -504,11 +507,10 @@ class _Closure:
         self.env = env
         self.origin = origin
         self.term = None  # the read-back, once it is asked for
-        self.memo = None  # made at the first host-valued return
+        self.memo = None  # made at the first integer return
 
 
 _CONSTS = frozenset(HOST_LITERAL.values())  # the literals rt's Const takes
-_BOOL_KEYS = (object(), object())  # False's and True's memo keys, not 0 or 1
 _MEMO_SIZE = 1024  # the most values a closure's memo holds
 _INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
             "eq": operator.eq}
@@ -578,10 +580,10 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
     (see _Run) is taken whole, by the same rule. The code eval produces
     runs in the empty environment, closed or not.
 
-    An application of a closure to a host value first looks the argument
+    An application of a closure to an integer first looks the argument
     up in the closure's memo: with the stored fuel left, it spends that
     fuel and takes the stored value; else it runs the body. Every return
-    goes through one exit, which stores a host value under the first such
+    goes through one exit, which stores an integer under the first such
     application this call ran: every later one is its tail call, with
     the same value. The fuel stored is the fuel left when that
     application began less the fuel left now. It stores only when the
@@ -592,7 +594,7 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
     full memo (_MEMO_SIZE values) is emptied before the next store, so
     arguments that never come again fill a bounded table. A call that
     raises stores nothing."""
-    first = None  # the closure this call first applied to a host value
+    first = None  # the closure this call first applied to an integer
     while True:
         run.remaining -= 1
         if run.remaining < 0:
@@ -649,27 +651,23 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                            "if condition is not a boolean")
                 m = m.then if v else m.orelse
                 continue
-            t = type(v)
-            if t is int or t is str or t is bool:
-                key = _BOOL_KEYS[v] if t is bool else v
+            if type(v) is int:
                 memo = f.memo
                 if memo is not None:
-                    done = memo.get(key)
+                    done = memo.get(v)
                     if done is not None and done[1] <= run.remaining:
                         run.remaining -= done[1]
                         out = done[0]
                         break
-            else:
-                key = None
+                if first is None:
+                    first, first_arg = f, v
+                    start = run.remaining if memo is not None else None
             code = f.code
             if type(code) is Lam:
                 env = {**f.env, code.param: v}
             else:  # the parameter wins when it is also the self name
                 env = {**f.env, code.self_name: f, code.param: v}
             m, origin = code.body, f
-            if key is not None and first is None:
-                first, first_key = f, key
-                start = run.remaining if memo is not None else None
         elif cls is BinOp:
             x = m.lhs
             if run.remaining and (
@@ -738,14 +736,14 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
                    "compile-time construct reached run time")
         else:
             raise TypeError(f"not a Term: {m!r}")
-    if first is not None and type(out) in HOST_LITERAL:
+    if first is not None and type(out) is int:
         memo = first.memo
         if memo is None:
             first.memo = {}
         elif start is not None:
             if len(memo) == _MEMO_SIZE:
                 memo.clear()
-            memo[first_key] = out, start - run.remaining
+            memo[first_arg] = out, start - run.remaining
     return out
 
 
@@ -986,37 +984,40 @@ def _term_json(m: Term, memo: dict) -> str:
     if text is not None:
         return text
     cls = type(m)
+    atom = annot = None
     if cls is App or cls is BinOp or cls is If:  # the commonest: children only
-        memo[key] = text = ('{"children":['
-                            + ",".join([_term_json(k, memo)
-                                        for k in m.children()])
-                            + '],"ctor":' + _json_str(m.ctor) + "}")
-        return text
-    annot = None
-    match m:
-        case Var(name):
-            ctor, atom = "var", _json_str(name)
-        case IntLit(value):
-            ctor, atom = "int", int_text(value)  # as json writes it, at any size
-        case StrLit(value):
-            ctor, atom = "str", _json_str(value)
-        case BoolLit(value):
-            ctor, atom = "bool", "true" if value else "false"
-        case AstCtor(tag) | TagLit(tag):
-            ctor = "ast" if cls is AstCtor else "tag"
-            atom, annot = _json_str(tag.name), tag.eval_annot
-        case _:
-            # Every other constructor: its bound names as the atom (one
-            # bare, several as a list) and its annotation, if it has one.
-            names = m.bound_names()
-            atom = ((_json_str(names[0]) if len(names) == 1
-                     else "[" + ",".join(map(_json_str, names)) + "]")
-                    if names else None)
-            annot = getattr(m, "annot", None)
-            ctor = m.ctor.lower()
-    text = ('"children":[' + ",".join([_term_json(k, memo)
-                                       for k in m.children()])
-            + '],"ctor":' + _json_str(ctor) + "}")
+        ctor = m.ctor
+    else:
+        match m:
+            case Var(name):
+                ctor, atom = "var", _json_str(name)
+            case IntLit(value):
+                # as json writes it, at any size
+                ctor, atom = "int", int_text(value)
+            case StrLit(value):
+                ctor, atom = "str", _json_str(value)
+            case BoolLit(value):
+                ctor, atom = "bool", "true" if value else "false"
+            case AstCtor(tag) | TagLit(tag):
+                ctor = "ast" if cls is AstCtor else "tag"
+                atom, annot = _json_str(tag.name), tag.eval_annot
+            case _:
+                # Every other constructor: its bound names as the atom
+                # (one bare, several as a list) and its annotation, if it
+                # has one.
+                names = m.bound_names()
+                atom = ((_json_str(names[0]) if len(names) == 1
+                         else "[" + ",".join(map(_json_str, names)) + "]")
+                        if names else None)
+                annot = getattr(m, "annot", None)
+                ctor = m.ctor.lower()
+    # A loop, not a comprehension: one frame per level, so any term that
+    # ct or rt returned is written.
+    texts = []
+    for k in m.children():
+        texts.append(_term_json(k, memo))
+    text = ('"children":[' + ",".join(texts) + '],"ctor":'
+            + _json_str(ctor) + "}")
     if atom is not None:
         text = '"atom":' + atom + "," + text
     if annot is not None:

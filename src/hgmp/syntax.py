@@ -439,9 +439,10 @@ def mk_ast(tag_name: str, *args: Term, annot: TypeExpr | None = None) -> AstCtor
     return AstCtor(tag_of(tag_name, annot), tuple(args))
 
 
-### free variables
+### free variables and tree size
 
 _UNBIND = object()  # on free_vars' stack: over a binder's new names
+_SUM = object()  # on tree_size's stack: over a node whose children are sized
 
 
 def free_vars(m: Term) -> set[str]:
@@ -484,6 +485,25 @@ def free_vars(m: Term) -> set[str]:
     except AttributeError:  # no binds, or no children
         raise TypeError(f"not a Term: {m!r}") from None
     return out
+
+
+def tree_size(m: Term) -> int:
+    """The number of nodes m has read as a tree, counted on its DAG: each
+    distinct object once, on one stack, its size memoised by id for this
+    call only (m holds the objects, so the ids stay valid). A value that
+    shares its subterms can denote a tree far larger than its objects."""
+    sizes, stack = {}, [m]
+    while stack:
+        x = stack.pop()
+        if x is _SUM:
+            x = stack.pop()
+            sizes[id(x)] = 1 + sum([sizes[id(k)] for k in x.children()])
+        elif id(x) not in sizes:
+            # Taken once: its children, none of which is an ancestor,
+            # are all sized before its _SUM comes off the stack.
+            sizes[id(x)] = None
+            stack += (x, _SUM, *x.children())
+    return sizes[id(m)]
 
 
 ### substitution
@@ -651,9 +671,24 @@ def _eval_annot(annot: TypeExpr | None) -> str:
 def pretty(m: Term) -> str:
     """Concrete syntax for m; parsing it back yields m structurally.
 
-    Each distinct term object in m is laid out once per call; every other
-    occurrence of it reuses that text."""
-    return _pp(m, _TERM, {})
+    Each distinct term object in m is laid out at most twice per call:
+    its text is kept from its second occurrence on, and every later one
+    reuses it (see _Twice)."""
+    return _pp(m, _TERM, _Twice())
+
+
+_ONCE = object()  # in pretty's memo: a term met once, whose text is not kept
+
+
+class _Twice(dict):
+    """pretty's memo: the first layout of a term leaves _ONCE, the second
+    the layout. A tree, whose terms each occur once, keeps no text, so a
+    deep term prints in memory linear in its size (a kept text holds its
+    subterms' texts), while a value that shares its subterms costs its
+    distinct nodes."""
+
+    def __setitem__(self, key, laid):
+        dict.__setitem__(self, key, laid if key in self else _ONCE)
 
 
 def printer():
@@ -669,10 +704,10 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
     """m's text where the context binds at prec: its layout, in
     parentheses when prec is above the level m binds at. memo maps
     id(term) to the term's (layout, level), so that a term is laid out
-    once however often it occurs."""
+    once however often it occurs (twice, for pretty's _Twice)."""
     key = id(m)
     laid = memo.get(key)
-    if laid is None:
+    if laid is None or laid is _ONCE:
         match m:  # the commonest classes first
             case App(fn, arg):
                 laid = (f"{_pp(fn, _APP, memo)} {_pp(arg, _ATOM, memo)}",
@@ -699,9 +734,13 @@ def _pp(m: Term, prec: int, memo: dict) -> str:
                 laid = (TAGS[tag.name].sharp + _eval_annot(tag.eval_annot),
                         _ATOM)
             case AstCtor(tag, args):
-                head = TAGS[tag.name].ast + _eval_annot(tag.eval_annot)
-                laid = (head + "(" + ", ".join([_pp(a, _TERM, memo)
-                                                for a in args]) + ")", _ATOM)
+                # A loop, not a comprehension: one frame per level, so
+                # any AST that ct or rt returned prints.
+                texts = []
+                for a in args:
+                    texts.append(_pp(a, _TERM, memo))
+                laid = (TAGS[tag.name].ast + _eval_annot(tag.eval_annot)
+                        + "(" + ", ".join(texts) + ")", _ATOM)
             case DownML(body):
                 laid = "$(" + _pp(body, _TERM, memo) + ")", _ATOM
             case UpML(body):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -569,6 +570,114 @@ def test_deep_inputs_exit_1_without_a_traceback(tmp_path, command, source,
         "(residual check)\n" if stage == "type" else
         f"error[{stage}]: DepthExhausted: term or run nested deeper than "
         f"{limit}\n")
+
+
+### printing: one frame a level, and a cap on the size of a printed term
+
+DEEP_AST = "astAdd(astInt(1), " * 11_999 + "astInt(1)" + ")" * 11_999
+
+
+@pytest.mark.parametrize("command", [
+    ("compile",), ("run",), ("step", "--relation", "rt")],
+    ids=["compile", "run", "step rt"])
+def test_a_deep_ast_that_ct_and_rt_return_prints(tmp_path, capsys,
+                                                 command):
+    # 12,000 levels at the CLI's limit: ct, rt and printing each take one
+    # frame a level
+    path = write(tmp_path, DEEP_AST)
+    assert run_cli(capsys, *command, path) == (0, DEEP_AST + "\n", "")
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_a_json_trace_takes_one_frame_a_level(tmp_path, capsys, monkeypatch,
+                                              command):
+    # A 200-term chain, at a recursion limit 300 frames above this test:
+    # ct, traced rt and the JSON writer each take one frame a level, where
+    # two a level would need 400. (At the CLI's own limit a 12,000-term
+    # chain would fit too, but its tree-format trace grows as the square
+    # of its length: about 9.5 GB.)
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(cli, "_RECURSION_LIMIT", _stack_depth() + 300)
+    path = write(tmp_path, " + ".join(["1"] * 200))
+    try:
+        code, out, err = run_cli(capsys, command, "--trace", "json", path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    trace = json.loads(out)
+    assert trace["residual"]["ctor"] == "add"
+    if command == "run":
+        assert trace["value"] == {"atom": 200, "children": [], "ctor": "int"}
+
+
+DEPTH = ("term or run nested deeper than the recursion limit "
+         f"({cli._RECURSION_LIMIT}) allows")
+
+
+def test_a_print_that_overflows_is_depth_exhausted(tmp_path, capsys,
+                                                   monkeypatch):
+    # a value, and an error's offending term, as if either were nested
+    # too deep to print
+    def overflow(m):
+        raise RecursionError
+
+    monkeypatch.setattr(cli, "pretty", overflow)
+    path = write(tmp_path, "1 + 1")
+    assert run_cli(capsys, "run", path) == (
+        1, "", f"error[print]: DepthExhausted: {DEPTH}\n")
+    assert run_cli(capsys, "run", "--fuel", "1", path) == (
+        1, "", "error[ct]: FuelExhausted: rule application budget "
+        f"exhausted\n  at: ({DEPTH})\n")
+
+
+def doubling(n):
+    r"""(\d. d (d (.. (\z. z))))(\x. \k. k x x), d applied n deep: a value
+    whose tree doubles with each application, in about n objects."""
+    return (r"(\d. " + "d (" * n + r"\z. z" + ")" * n
+            + r")(\x. \k. k x x)")
+
+
+TOO_LARGE = f"more than the {cli._PRINT_CAP} that print"
+
+
+def test_a_value_too_large_to_print_is_a_documented_outcome(tmp_path,
+                                                            capsys):
+    # 6,597,069,766,652 nodes as a tree, counted on the DAG, not printed.
+    # (A residual is no such DAG: ct spends a unit on each node of what
+    # it returns, read as a tree.)
+    path = write(tmp_path, doubling(40))
+    start = time.perf_counter()
+    outcome = run_cli(capsys, "run", path)
+    assert time.perf_counter() - start < 1
+    assert outcome == (1, "", "error[print]: TooLarge: term of "
+                       f"6597069766652 nodes, {TOO_LARGE}\n")
+
+
+def test_an_offending_term_too_large_to_print_is_counted(tmp_path, capsys):
+    # At fuel 110 the run stops on a term of 258 nodes, which prints; at
+    # 200, on one of 402,653,180, whose count stands in its place.
+    path = write(tmp_path, doubling(40))
+    code, out, err = run_cli(capsys, "run", "--fuel", "110", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[rt]: FuelExhausted: ") and len(err) < 1024
+    assert run_cli(capsys, "run", "--fuel", "200", path) == (
+        1, "", "error[rt]: FuelExhausted: rule application budget "
+        f"exhausted\n  at: (term of 402653180 nodes, {TOO_LARGE})\n")
+
+
+def test_repl_reports_a_value_too_large_to_print(monkeypatch, capsys):
+    code, out, err = repl_session(monkeypatch, capsys,
+                                  [doubling(40), "1 + 1", ":quit"])
+    assert (code, out) == (0, "2\n")
+    assert err == (f"error[print]: TooLarge: term of 6597069766652 nodes, "
+                   f"{TOO_LARGE}\n")
 
 
 def test_python_dash_m_hgmp_repl():

@@ -437,6 +437,22 @@ ARGUMENT_ERRORS = [
       for entry in (eval_ct, eval_ul, eval_dl, eval_rt)],
     ("run_pipeline-argument", run_pipeline, (App(Lam("x", Var("x")), 5),),
      TypeError, "not a Term: 5"),
+    # Terms that reach a documented outcome no other test names.
+    ("eval_dl-promote-head", eval_dl,
+     (mk_ast("promote", mk_ast("int", IntLit(1)), mk_ast("int", IntLit(2))),),
+     EvalError, "error[dl]: Stuck: astPromote head did not reduce to a tag\n"
+     "  at: astPromote(astInt(1), astInt(2))"),
+    ("run_pipeline-promoted-promote", run_pipeline,
+     (mk_ast("promote", TagLit(Tag("promote")), mk_ast("int", IntLit(1))),
+      "typed"), EvalError,
+     "error[type]: TypeError: second argument of a promoted astPromote must "
+     "be a tag, found Code at `astInt(1)` (residual check)\n"
+     "  at: astPromote(#promote, astInt(1))"),
+    ("run_pipeline-unannotated-eval", run_pipeline,
+     (Eval(mk_ast("int", IntLit(1))), "typed"), EvalError,
+     "error[type]: TypeError: eval without a type annotation cannot be "
+     "checked at `eval(astInt(1))` (residual check)\n"
+     "  at: eval(astInt(1))"),
     ("run_pipeline-tuple-argument", run_pipeline,
      (App(Lam("x", Var("x")), (5,)),), TypeError, "not a Term: (5,)"),
     # A tuple of names bound around it is no binder's names either.
@@ -1275,25 +1291,36 @@ def test_diverging_runs_match_on_every_fuel_budget(m):
 
 
 def test_machine_stores_a_value_per_level_only_where_it_reuses_one():
-    # A closure stores only applications that begin once its memo is
-    # made, at its first host-valued return. count 300's calls all begin
-    # before count 0 returns, so count stores nothing; fib 12 stores what
-    # it meets after its first descent, some of 0 to 12. A closure whose
-    # applications return closures never gets a memo.
+    # A closure stores only applications to an integer that begin once
+    # its memo is made, at its first application to an integer that
+    # returns one. count 300's calls all begin before count 0 returns, so
+    # count stores nothing; fib 12 stores what it meets after its first
+    # descent, some of 0 to 12. A closure whose applications return
+    # closures, or that is applied to booleans or strings, or that
+    # returns a boolean, never gets a memo, though each meets an argument
+    # again.
     count = reduction._Closure(
         t("rec count n. if n == 0 then 0 else 1 + count (n - 1)"), {}, None)
     fib = reduction._Closure(
         t("rec fib n. if n == 0 then 0 else if n == 1 then 1 "
           "else fib (n - 1) + fib (n - 2)"), {}, None)
     const = reduction._Closure(t(r"\x. \y. x"), {}, None)
-    env = {"count": count, "fib": fib, "const": const}
+    pick = reduction._Closure(t(r"\b. if b then 1 else 2"), {}, None)
+    same = reduction._Closure(t(r'\s. if s == "a" then 1 else 2'), {}, None)
+    zero = reduction._Closure(t(r"\n. n == 0"), {}, None)
+    env = {"count": count, "fib": fib, "const": const, "pick": pick,
+           "same": same, "zero": zero}
     run = reduction._Run(10**6, False, False)
-    assert reduction._machine(t("count 300"), env, None, run) == 300
-    assert reduction._machine(t("fib 12"), env, None, run) == 144
-    assert reduction._machine(t("const 1 2 + const 1 3"), env, None, run) == 2
+    for src, value in [
+            ("count 300", 300), ("fib 12", 144),
+            ("const 1 2 + const 1 3", 2),
+            ("pick true + pick false + pick true + pick false", 6),
+            ('same "a" + same "b" + same "a" + same "b"', 6),
+            ("if zero 1 then 0 else if zero 1 then 0 else zero 0", True)]:
+        assert reduction._machine(t(src), env, None, run) == value, src
     assert count.memo == {}
     assert 0 < len(fib.memo) <= 13
-    assert const.memo is None
+    assert const.memo is pick.memo is same.memo is zero.memo is None
 
 
 def test_machine_memo_is_bounded():
@@ -1945,7 +1972,8 @@ def test_ul_dl_round_trip_is_equality_on_what_converts_back():
 def test_an_unchanged_quote_converts_down_in_one_step(monkeypatch):
     # Untraced, ct records the AST of a quote that converts back, and dl
     # returns the quoted term itself in one call, for each eval of the
-    # AST. Traced, and for a quote whose binder annotation quoting
+    # AST, and for a splice of a leaf's quote, whose atom dl would
+    # rebuild. Traced, and for a quote whose binder annotation quoting
     # erases, dl converts the AST node by node.
     calls, real = [], reduction._dl
 
@@ -1959,6 +1987,11 @@ def test_an_unchanged_quote_converts_down_in_one_step(monkeypatch):
     assert run_pipeline(twice, "typed").value == IntLit(6)
     body = twice.arg.body  # the quoted term
     assert calls == [body, body] and calls[0] is calls[1] is body
+    leaf = t(r"(\x. $([| x |])) 4", "typed")
+    calls.clear()
+    assert run_pipeline(leaf, "typed").value == IntLit(4)
+    body = leaf.fn.body.body.body  # the quoted variable
+    assert calls == [body] and calls[0] is body
     annot = t(r"eval{Int -> Int}([| \x:Int. x + 1 |]) 2", "typed")
     # astApp, astLam and astAdd for each eval; astLam and astAdd
     for program, want, trace, count in ((twice, 6, True, 6),

@@ -19,7 +19,7 @@ from hgmp.syntax import (
     LetDown, Lift, MetaVar, Rec, StrLit, Tag, TagLit, TagType, Term,
     TypeExpr, UpML, Var,
     alpha_eq, free_vars, int_of_text, int_text, is_ml_free, mk_ast, pretty,
-    pretty_type, subst,
+    pretty_type, subst, tree_size,
 )
 
 from gen_terms import gen_ml_free, gen_term
@@ -101,6 +101,29 @@ def test_free_vars_of_deep_terms_needs_no_recursion():
                           text=True, env=env)
     want = "1000 [] ['f', 'x0', 'x1', 'x2'] ['w']\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
+def _ref_tree_size(m):
+    return 1 + sum(map(_ref_tree_size, m.children()))
+
+
+def test_tree_size_counts_a_shared_term_at_each_place(
+        default_recursion_limit):
+    # as a tree walk counts seeded terms; a value that doubles its tree
+    # 100 times in 102 objects; and a 100,000-term chain at CPython's
+    # default limit, on no recursion
+    rng = random.Random(132)
+    for _ in range(500):
+        m = gen_term(rng, depth=rng.randint(0, 6))
+        assert tree_size(m) == _ref_tree_size(m), pretty(m)
+    m = App(Var("f"), IntLit(1))
+    for _ in range(100):
+        m = App(m, m)
+    assert tree_size(m) == 4 * 2 ** 100 - 1
+    chain = IntLit(1)
+    for _ in range(99_999):
+        chain = BinOp("add", chain, IntLit(1))
+    assert tree_size(chain) == 199_999
 
 
 ### substitution
