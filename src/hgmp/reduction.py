@@ -24,6 +24,9 @@ derivations show substituted terms. A traced run runs each
 application's body once per function and argument (an equal literal,
 or the same other value), recorded once it has run: a repeat spends
 the fuel that run spent and returns its value and Derivation object.
+Applying `rec f x. e` substitutes it for f in e and then the argument
+for x; the first substitution depends on the function alone, so _rt
+makes it once per Rec object in a run.
 A leaf, a rule with no premises (a type check too), is one Derivation
 per rule, term and output object in a traced run of any relation,
 though each occurrence still spends its unit. So a trace is a DAG read
@@ -45,9 +48,10 @@ an AST, or an integer literal) and an operator on two integer leaves are
 evaluated inside the step that consumes them, with no call of their own
 (fused operands, in the manner of Proebsting's superoperators), and so
 is an AST constructor's argument that is a literal, a tag or an atom (an
-AST of one such leaf, as astInt(3)). ct and dl likewise take a leaf child
-(for ct a variable, literal or tag, for dl an atom) in the parent's step,
-leaving the derivation its own call would.
+AST of one such leaf, as astInt(3)). ct, dl and _rt likewise take a leaf
+child in the parent's step (for ct a variable, literal or tag, for dl an
+atom, for _rt an operand that is a literal, tag or function), leaving
+the derivation its own call would.
 
 ul and dl are inverse on a term with no quote, splice, letdown or AST
 constructor in it and no binder annotation (which quoting erases). An
@@ -143,7 +147,10 @@ class _Run:
     """Per-run state: fuel budget, pipeline mode, trace switch, trail and,
     in bodies, what a traced run shares: its applications (keyed by the
     function and argument, stored once its body has run, see _rt's App)
-    and its leaves (keyed by rule, term and output, see _d). An untraced
+    and its leaves (keyed by rule, term and output, see _d). Every _rt
+    run also keeps each applied Rec's body with the Rec substituted for
+    its self name, keyed by (Rec, the Rec's id) and held with the Rec
+    (see _rt's App and _unfold). An untraced
     run keeps ct's quote records there instead, keyed by the id of the
     AST (see _ct's UpML): the AST, the term it converts down to, and the
     units beyond the AST's own step that running it and converting it
@@ -230,13 +237,18 @@ class _RuleNames(dict):
 _RULE_NAMES = _RuleNames()
 # Leaf rules, which each relation's dispatch reads: ct's by class; ul's
 # by class, with the plain tag of the atom it makes; dl's atoms by tag,
-# with their one argument's class. ct's and dl's loops over a node's
-# children also take such a child in the node's step, when the fuel left
-# covers its unit, and leave the Derivation its own call would.
+# with their one argument's class; rt's by class, the values that run to
+# themselves. ct's and dl's loops over a node's children, and rt's over
+# an application's, an operator's and an AST constructor's operands, also
+# take such a child in the node's step, when the fuel left covers its
+# unit, and leave the Derivation its own call would.
 _CT_LEAVES = {Var: "Var ct", IntLit: "Const ct", StrLit: "Const ct",
               BoolLit: "Const ct", TagLit: "Tag ct"}
 _UL_LEAVES = {cls: (_RULE_NAMES[cls.ctor, "ul"], TAGS[cls.ctor].tag)
               for cls in (Var, IntLit, StrLit, BoolLit)}
+_RT_LEAVES = {IntLit: "Const", StrLit: "Const", BoolLit: "Const",
+              TagLit: "Tag", Lam: _RULE_NAMES[Lam.ctor, "rt"],
+              Rec: _RULE_NAMES[Rec.ctor, "rt"]}
 _DL_ATOMS = {"var": (StrLit, "Var dl"), "int": (IntLit, "Int dl"),
              "string": (StrLit, "String dl"), "bool": (BoolLit, "Bool dl")}
 # What a quoted term may not hold for its AST to convert down to it.
@@ -419,10 +431,23 @@ def _rt(m: Term, run: _Run):
     at = run.spend("rt", m)
     cls = type(m)  # the commonest classes first
     if cls is App:
-        f = _rt(m.fn, run)
+        # A leaf operand is taken in this step when a unit is left.
+        f = m.fn
+        leaf = _RT_LEAVES.get(type(f))
+        if leaf is None or not run.remaining:
+            f = _rt(f, run)
+        else:
+            run.remaining -= 1
+            _d(run, len(run.trail), leaf, "rt", f, f)
         if not isinstance(f, (Lam, Rec)):
             _stuck("rt", m, "application of a non-function value")
-        v = _rt(m.arg, run)
+        v = m.arg
+        leaf = _RT_LEAVES.get(type(v))
+        if leaf is None or not run.remaining:
+            v = _rt(v, run)
+        else:
+            run.remaining -= 1
+            _d(run, len(run.trail), leaf, "rt", v, v)
         # A traced run keeps one entry per f and argument (a literal
         # by its class and value, so BoolLit(True) is not IntLit(1),
         # any other by identity), stored once the body has run: f and v,
@@ -440,19 +465,42 @@ def _rt(m: Term, run: _Run):
                 run.remaining -= cost
                 run.trail.append(derivation)
                 return _d(run, at, "App", "rt", m, res)
+        body = f.body
+        if type(f) is Rec:
+            # The body with f for its self name: one walk per Rec object
+            # in a run, kept under (Rec, id(f)) with f, so the id stays
+            # valid. Each application then substitutes only v.
+            unfolded = run.bodies.get((Rec, id(f)))
+            if unfolded is None:
+                unfolded = run.bodies[Rec, id(f)] = f, _unfold(f, body)
+            body = unfolded[1]
         remaining = run.remaining
-        res = _rt(_beta(f, f.body, v), run)
+        res = _rt(subst(body, v, f.param), run)
         if run.trace:
             run.bodies[key] = (f, v, remaining - run.remaining, res,
                                run.trail[-1])
         return _d(run, at, "App", "rt", m, res)
     if cls is BinOp:
-        a, b = _rt(m.lhs, run), _rt(m.rhs, run)
+        a = m.lhs
+        leaf = _RT_LEAVES.get(type(a))
+        if leaf is None or not run.remaining:
+            a = _rt(a, run)
+        else:
+            run.remaining -= 1
+            _d(run, len(run.trail), leaf, "rt", a, a)
+        b = m.rhs
+        leaf = _RT_LEAVES.get(type(b))
+        if leaf is None or not run.remaining:
+            b = _rt(b, run)
+        else:
+            run.remaining -= 1
+            _d(run, len(run.trail), leaf, "rt", b, b)
         out = _arith(m.op, a.value if type(a) in _CONSTS else a,
                      b.value if type(b) in _CONSTS else b, m)
         return _d(run, at, None, "rt", m, HOST_LITERAL[type(out)](out))
-    if cls in _CONSTS:
-        return _d(run, at, "Const", "rt", m, m)
+    leaf = _RT_LEAVES.get(cls)
+    if leaf is not None:
+        return _d(run, at, leaf, "rt", m, m)
     if cls is If:
         c = _rt(m.cond, run)
         if not isinstance(c, BoolLit):
@@ -461,12 +509,16 @@ def _rt(m: Term, run: _Run):
         return _d(run, at, "If", "rt", m, v)
     if cls is AstCtor:
         # A node whose arguments all run to themselves is kept.
-        out = m.rebuild([_rt(a, run) for a in m.args])
-        return _d(run, at, None, "rt", m, out)
-    if cls is Lam or cls is Rec:
-        return _d(run, at, None, "rt", m, m)
-    if cls is TagLit:
-        return _d(run, at, "Tag", "rt", m, m)
+        outs = []
+        for x in m.args:
+            leaf = _RT_LEAVES.get(type(x))
+            if leaf is None or not run.remaining:
+                x = _rt(x, run)
+            else:
+                run.remaining -= 1
+                _d(run, len(run.trail), leaf, "rt", x, x)
+            outs.append(x)
+        return _d(run, at, None, "rt", m, m.rebuild(outs))
     if cls is Var:
         _stuck("rt", m, f"unbound variable {m.name}")
     if cls is Eval:
@@ -479,13 +531,13 @@ def _rt(m: Term, run: _Run):
     raise TypeError(f"not a Term: {m!r}")
 
 
-def _beta(f: Lam | Rec, part: Term, v: Term) -> Term:
-    """part of f's body with the substitutions applying f to v makes: f
-    for a Rec's self name, unless its parameter hides it, then v for the
-    parameter."""
+def _unfold(f: Lam | Rec, part: Term) -> Term:
+    """part of f's body with the first of the two substitutions applying
+    f makes: f for a Rec's self name, unless its parameter hides it. The
+    second is the argument for the parameter."""
     if type(f) is Rec and f.self_name != f.param:
-        part = subst(part, f, f.self_name)
-    return subst(part, v, f.param)
+        return subst(part, f, f.self_name)
+    return part
 
 
 ### run time on an environment machine
@@ -535,9 +587,9 @@ def _close(m: Term, env: dict | None = None,
     """The term the reference holds where the machine holds m in env.
     Every env but the empty one is made by applying a closure, origin,
     and m lies in its body under no binder: the reference holds m's
-    place in origin's read-back with the substitutions _beta makes,
-    one value at a time, so a binder renamed to avoid capture gets the
-    same primes."""
+    place in origin's read-back with the substitutions applying it makes
+    (_unfold's, then the argument's), one value at a time, so a binder
+    renamed to avoid capture gets the same primes."""
     if origin is None:
         return m
     code, ref = origin.code, _read_back(origin)
@@ -548,7 +600,8 @@ def _close(m: Term, env: dict | None = None,
         part, body = pairs.pop()
         if not part.binds:
             pairs.extend(zip(part.children(), body.children()))
-    return _beta(ref, pairs[-1][1], _read_back(env[code.param]))
+    return subst(_unfold(ref, pairs[-1][1]), _read_back(env[code.param]),
+                 ref.param)
 
 
 def _rt_entry(m: Term, run: _Run) -> Term:

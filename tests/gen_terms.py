@@ -21,6 +21,10 @@ NAMES = ("a", "b", "c", "f", "g", "p", "q", "x", "y", "z")
 STRINGS = ("", "x", "hi", "a b", 'quo"te', "new\nline", "päron")
 TAGS = tuple(spec.name for spec in registry() if spec.tag is not None)
 BINOP_NAMES = ("add", "sub", "mul", "eq")
+# Tokens of the surface syntax, for token soup: most joins do not parse.
+SOUP = ("x f 1 -2 \"s\" #lam #eval astInt astLam astEval astPromote "
+        "\\ rec let letdown in if then else true false eval lift $ "
+        "( ) [| |] { } , . : = == + - * -> Int Bool Tag Code").split()
 
 
 def gen_constant(rng: random.Random):

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,11 +10,18 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgmp import cli
 from hgmp.cli import main
 from hgmp.parser import parse_term
-from hgmp.syntax import int_of_text, pretty
+from hgmp.syntax import INT, int_of_text, pretty
+
+from gen_terms import (
+    SOUP, gen_compile_candidate, gen_numeric_rec, gen_quoted_eval, gen_term,
+    gen_typed_term,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -570,6 +580,57 @@ def test_deep_inputs_exit_1_without_a_traceback(tmp_path, command, source,
         "(residual check)\n" if stage == "type" else
         f"error[{stage}]: DepthExhausted: term or run nested deeper than "
         f"{limit}\n")
+
+
+# Programs for the CLI property: a seeded generator's term, printed.
+_PRINTED_TERMS = {
+    "term": lambda rng, typed: gen_term(rng, rng.randint(0, 5), typed=typed),
+    "compile candidate": lambda rng, typed: gen_compile_candidate(rng),
+    "numeric rec": lambda rng, typed: gen_numeric_rec(rng),
+    "quoted eval": gen_quoted_eval,
+    "typed term": lambda rng, typed: gen_typed_term(rng, INT),
+}
+# Each command the property runs, with each trace format it takes, at
+# fuel 200; typecheck takes neither option.
+_COMMANDS = [(*command, "--trace", trace, "--fuel", "200")
+             for command in [("run",), ("compile",),
+                             *[("step", "--relation", relation)
+                               for relation in cli._STEPPERS]]
+             for trace in ("none", "text", "json")] + [("typecheck",)]
+
+
+def _source():
+    soup = st.lists(st.sampled_from(SOUP), max_size=30).map(" ".join)
+    printed = st.builds(
+        lambda kind, seed, typed: pretty(_PRINTED_TERMS[kind](
+            random.Random(seed), typed)),
+        st.sampled_from(sorted(_PRINTED_TERMS)), st.integers(0, 2 ** 32),
+        st.booleans())
+    return st.one_of(soup, printed)
+
+
+@pytest.fixture(scope="module")
+def program_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "prog.hgmp"
+
+
+@settings(max_examples=500, deadline=None)
+@given(source=_source(), mode=st.sampled_from(("untyped", "typed")),
+       command=st.sampled_from(_COMMANDS))
+def test_any_source_ends_in_an_exit_code_without_a_traceback(
+        program_file, source, mode, command):
+    # Token soup and printed generated terms, through every command in
+    # both modes and each trace format, at fuel 200: a value or a
+    # documented outcome, never a traceback.
+    program_file.write_text(source, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*command, "--mode", mode, str(program_file)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (source, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 ### printing: one frame a level, and a cap on the size of a printed term

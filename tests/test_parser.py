@@ -19,7 +19,7 @@ from hgmp.syntax import (
     TAGS, int_of_text, mk_ast, pretty,
 )
 
-from gen_terms import gen_term
+from gen_terms import SOUP, gen_term
 
 
 ### lexer: exact tokens and errors
@@ -639,11 +639,6 @@ def test_long_integer_literal_errors_give_the_literal_length(literal, found):
     size = len(literal.encode("utf-8"))
     assert ((err.span.start, err.span.end), err.message, err.expected) == (
         (1, 1 + size), f"unexpected {found}", ("a parameter name",))
-
-
-SOUP = ("x f 1 -2 \"s\" #lam #eval astInt astLam astEval astPromote "
-        "\\ rec let letdown in if then else true false eval lift $ "
-        "( ) [| |] { } , . : = == + - * -> Int Bool Tag Code").split()
 
 
 @settings(max_examples=400, deadline=None)

@@ -20,7 +20,7 @@ from hgmp.syntax import (
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, Tag, TagLit, Term, UpML, Var,
     _escape, alpha_eq, free_vars, is_ml_free, mk_ast, pretty,
-    pretty_type,
+    pretty_type, subst,
 )
 from hgmp.typecheck import EMPTY_ENV, infer
 
@@ -831,6 +831,55 @@ def test_fused_operands_match_traced_on_every_fuel_budget(m):
         pytest.fail("out of fuel at every budget")
 
 
+TRACED_LEAF_OPERANDS = [
+    # Traced rt takes these leaf operands in the step that uses them.
+    ("lambda function", r"(\x. x + 1) 2"),
+    ("rec function", "(rec f n. if n == 0 then 0 else f (n - 1)) 2"),
+    ("lambda argument", r"(\g. g 3) (\y. y * 2)"),
+    ("rec argument", r"(\g. g 2) (rec f n. if n == 0 then 7 else f (n - 1))"),
+    ("bool operands", "(1 == 1) == (2 == 2)"),
+    ("stuck bool operands", "true == true"),
+    ("bool argument", r"(\b. if b then 1 else 2) true"),
+    ("string operands", r'(\s. s == "a") "a"'),
+    ("stuck string operand", '"a" + 1'),
+    ("tag argument", r"(\k. k) #int"),
+    ("tag operand", "#int == 1"),
+    ("ast int argument", "astInt(1)"),
+    ("ast tag argument", "astPromote(#int, astInt(1))"),
+    ("ast lambda argument", r"astApp(\y. y, astInt(2))"),
+    ("applying a literal", "1 2"),
+    ("applying a string", r'(\x. "s" x) 1'),
+    ("applying a tag", "#int 1"),
+]
+
+
+@pytest.mark.parametrize("src", [src for _, src in TRACED_LEAF_OPERANDS],
+                         ids=[name for name, _ in TRACED_LEAF_OPERANDS])
+def test_traced_leaf_operands_on_every_fuel_budget(src):
+    # Every budget from 1 to the first that does not run out: traced rt,
+    # which takes a leaf operand in its parent's step when a unit is left,
+    # has the outcome of the untraced machine, down to Python types. With
+    # a value, the need is the derivation's node count, and every smaller
+    # budget runs out on the node the derivation spends next.
+    m = t(src)
+    for fuel in range(1, 1_000):
+        untraced = _rt_outcome(m, fuel=fuel)
+        traced = _rt_outcome(m, fuel=fuel, trace=True)
+        assert (untraced, repr(untraced)) == (traced, repr(traced)), fuel
+        if not isinstance(untraced, tuple) or untraced[0] != EvalError.FUEL:
+            break
+    else:
+        pytest.fail("out of fuel at every budget")
+    if isinstance(untraced, tuple):
+        assert untraced[0] == EvalError.STUCK
+        return
+    order = _spend_order((eval_rt(m, trace=True)[1],))
+    assert len(order) == fuel
+    for budget in range(1, fuel):
+        offending = _rt_outcome(m, fuel=budget, trace=True)[3]
+        assert repr(offending) == repr(order[budget].term_in), budget
+
+
 def doubling(n, body=r"k x x"):
     r"""(\d. d (d (.. (\z. z))))(\x. \k. k x x), d applied n deep: each
     application doubles the value's tree, whose copies substitution
@@ -1375,6 +1424,125 @@ def test_traced_fib_shares_repeated_derivations():
     with pytest.raises(EvalError) as exc:
         run_pipeline(t(FIB_10), fuel=need - 1, trace=True)
     assert exc.value.kind == EvalError.FUEL
+
+
+def _applications(d: Derivation) -> list[tuple[Term, Term, Derivation]]:
+    """The function, argument and body premise of every distinct rt App
+    object in d: its premises are the runs of its function, its argument
+    and its body, in that order."""
+    found, seen, todo = [], set(), [d]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        todo.extend(node.premises)
+        if node.relation == "rt" and node.rule == "App":
+            fn, arg, body = node.premises
+            found.append((fn.term_out, arg.term_out, body))
+    return found
+
+
+def _two_walks(f, v):
+    """The body applying f to v runs, by two subst walks: f for a Rec's
+    self name, unless its parameter hides it (so `rec f f.` takes v
+    alone), then v for the parameter."""
+    body = f.body
+    if type(f) is Rec and f.self_name != f.param:
+        body = subst(body, f, f.self_name)
+    return subst(body, v, f.param)
+
+
+REC_SHAPES = [
+    # The parameter hides the self name: the body takes the argument.
+    ("param hides self", "untyped", "(rec f f. f + 1) 41"),
+    ("param hides self, stuck", "untyped", "(rec f f. f 1) 3"),
+    ("typed param hides self", "typed", "(rec f f. f + 1) 41"),
+    # One rec in the source, two Rec objects with different captured values.
+    ("two recs of one body", "untyped",
+     r"let g = \k. (rec f n. if n == 0 then k else f (n - 1)) 2 in g 1 + g 5"),
+    # One Rec object applied in a splice at ct and in the residual at rt.
+    ("splice then residual", "untyped",
+     "letdown r = rec f n. if n == 0 then 0 else 1 + f (n - 1) in "
+     "r $(lift(r 2))"),
+    ("typed splice then residual", "typed",
+     "letdown r = rec f n. if n == 0 then 0 else 1 + f (n - 1) in "
+     "r $(lift(r 2))"),
+]
+
+
+@pytest.mark.parametrize("mode, src", [(mode, src) for _, mode, src in REC_SHAPES],
+                         ids=[name for name, _, _ in REC_SHAPES])
+def test_rec_shapes_match_on_every_fuel_budget(mode, src):
+    # Every budget from 1 to the first that does not run out: the traced
+    # outcome is the untraced machine's, down to Python types; and every
+    # application the traced run makes runs the body two subst walks give.
+    m = t(src, mode)
+    for fuel in range(1, 1_000):
+        untraced = _outcome(m, mode, fuel)
+        traced = _outcome(m, mode, fuel, trace=True)
+        assert (untraced, repr(untraced)) == (traced, repr(traced)), fuel
+        if untraced[0] != EvalError.FUEL:
+            break
+    else:
+        pytest.fail("out of fuel at every budget")
+    if untraced[0] == EvalError.STUCK:
+        return  # no derivation to read
+    apps = [app for _, d in run_pipeline(m, mode, fuel, trace=True).stages
+            for app in _applications(d)]
+    assert any(type(f) is Rec for f, _, _ in apps)
+    for f, v, body in apps:
+        assert repr(body.term_in) == repr(_two_walks(f, v))
+
+
+def test_an_open_rec_renames_a_binder_as_two_walks_do():
+    # f's self value holds c free, so substituting it under \c renames
+    # that binder to \c'. eval_rt runs open code: traced on substitution,
+    # untraced on the machine, with the same outcome at every budget.
+    m = t(r"(rec f n. if n == 0 then (\q. c) else (\c. f (n - 1)) 0) 2")
+    for fuel in range(1, 1_000):
+        untraced = _rt_outcome(m, fuel=fuel)
+        traced = _rt_outcome(m, fuel=fuel, trace=True)
+        assert repr(untraced) == repr(traced), fuel
+        if not isinstance(untraced, tuple):
+            break
+    else:
+        pytest.fail("out of fuel at every budget")
+    assert untraced == t(r"\q. c")
+    apps = _applications(eval_rt(m, trace=True)[1])
+    assert len(apps) == 5  # f 2, f 1, f 0 and two (\c'. ..) 0
+    for f, v, body in apps:
+        assert repr(body.term_in) == repr(_two_walks(f, v))
+    assert any(type(f) is Rec and r"\c'." in pretty(body.term_in)
+               for f, _, body in apps)
+
+
+POWER_5 = (r"letdown power = (\n. [| \x. $((rec p q. if q == 1 then [| x |] "
+           r"else [| x * $(p (q - 1)) |]) n) |]) in "
+           r"letdown p5 = $(power 5) in p5 2")
+
+
+@pytest.mark.parametrize("src, value", [(FIB_10, 55), (POWER_5, 32)],
+                         ids=["fib 10", "staged power 5"])
+def test_a_traced_run_unfolds_each_rec_once(src, value, monkeypatch):
+    # A Rec's self name is substituted into its body once per Rec object
+    # in a traced run, however often it is applied; each application then
+    # substitutes only its argument.
+    unfolds = {}  # id(f): [f, the calls that substitute f into its body]
+
+    def counting(m, n, x):
+        if type(n) is Rec and x == n.self_name and m is n.body:
+            unfolds.setdefault(id(n), [n, 0])[1] += 1
+        return subst(m, n, x)
+
+    monkeypatch.setattr(reduction, "subst", counting)
+    result = run_pipeline(t(src), trace=True)
+    assert result.value == IntLit(value)
+    apps = [f for _, d in result.stages for f, _, _ in _applications(d)
+            if type(f) is Rec]
+    assert len(apps) > len(unfolds) >= 1
+    assert {id(f) for f in apps} == set(unfolds)
+    assert all(calls == 1 for _, calls in unfolds.values())
 
 
 def _rules_by_op(d: Derivation, relation: str) -> dict[str, set[str]]:
