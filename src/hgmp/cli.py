@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 semantic/type/parse/print error, 2 usage error.
 Results go to stdout; every diagnostic goes to stderr. With --trace json
 stdout carries a single JSON document instead, or nothing if it fails.
+A run's budget is --fuel (or the REPL's :fuel), else DEFAULT_FUEL; one
+below 1 is a usage error, and no environment variable sets it.
 The CLI runs at a recursion limit of _RECURSION_LIMIT; a term or run
 nested deeper than that allows is `error[<stage>]: DepthExhausted` (the
 stage, or step's relation, that overflowed), and under typecheck a
@@ -330,18 +332,22 @@ def _run_case(base: str, text: str, directives: dict, mode: str,
     if traced and not failures:
         golden_path = os.path.join(golden_dir, name + ".json")
         if not os.path.exists(golden_path):
-            failures.append(f"{name} [{mode}]: missing golden {golden_path}")
-        else:
+            return [f"{name} [{mode}]: missing golden {golden_path}"]
+        try:
             with open(golden_path, encoding="utf-8") as handle:
                 want_text = json.dumps(json.load(handle)["derivation"],
                                        sort_keys=True, separators=(",", ":"))
-            got = {stage: deriv for stage, deriv in stages}.get(golden)
-            if got is None:
-                failures.append(
-                    f"{name} [{mode}]: no {golden} derivation recorded")
-            elif to_json(got) != want_text:
-                failures.append(f"{name} [{mode}]: derivation differs "
-                                f"from golden {golden_path}")
+        except (ValueError, KeyError, TypeError) as exc:
+            # not JSON (or not UTF-8), not an object, or no derivation
+            return [f"{name} [{mode}]: golden {golden_path} holds no "
+                    f"derivation ({type(exc).__name__}: {exc})"]
+        got = {stage: deriv for stage, deriv in stages}.get(golden)
+        if got is None:
+            failures.append(
+                f"{name} [{mode}]: no {golden} derivation recorded")
+        elif to_json(got) != want_text:
+            failures.append(f"{name} [{mode}]: derivation differs "
+                            f"from golden {golden_path}")
     return failures
 
 
@@ -388,8 +394,7 @@ def _build_argparser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=MODES, default="untyped")
         if "fuel" in options:
             p.add_argument("--fuel", type=int, default=None,
-                           help=f"rule budget (default {DEFAULT_FUEL}, "
-                                "or HGMP_FUEL)")
+                           help=f"rule budget (default {DEFAULT_FUEL})")
         if "trace" in options:
             p.add_argument("--trace", choices=("none", "text", "json"),
                            default="none")

@@ -79,13 +79,12 @@ from __future__ import annotations
 
 import json
 import operator
-import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .syntax import (
-    HOST_LITERAL, LEAVES, TAGS,
+    COMPILE_TIME, HOST_LITERAL, LEAVES, TAGS,
     App, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam, LetDown,
     Lift, Rec, StrLit, TagLit, Term, TypeExpr, UpML, Var,
     free_vars, int_of_text, int_text, mk_ast, node, pretty, pretty_type,
@@ -252,7 +251,7 @@ _RT_LEAVES = {IntLit: "Const", StrLit: "Const", BoolLit: "Const",
 _DL_ATOMS = {"var": (StrLit, "Var dl"), "int": (IntLit, "Int dl"),
              "string": (StrLit, "String dl"), "bool": (BoolLit, "Bool dl")}
 # What a quoted term may not hold for its AST to convert down to it.
-_UNRETURNED = frozenset({UpML, DownML, LetDown, AstCtor})
+_UNRETURNED = COMPILE_TIME | {AstCtor}
 
 
 def _checked(run: _Run, m: Term, phase: str,
@@ -412,7 +411,9 @@ def _ul(m: Term, run: _Run, tally: list | None = None):
     if cls is LetDown:
         _stuck("ul", m,
                "letdown has no AST representation and cannot be quoted")
-    outs = [_ul(k, run, tally) for k in m.children()]
+    outs = []
+    for k in m.children():  # a loop, not a comprehension: one frame a level
+        outs.append(_ul(k, run, tally))
     if cls is AstCtor:  # a promote of its tag and its arguments' ASTs
         out = AstCtor(TAGS["promote"].tag, (TagLit(m.tag), *outs))
         return _d(run, at, "Ast ul", "ul", m, out)
@@ -526,7 +527,7 @@ def _rt(m: Term, run: _Run):
         return _d(run, at, "Eval rt", "rt", m, _rt(n, run))
     if cls is Lift:
         return _d(run, at, "Lift", "rt", m, _lift(_rt(m.body, run), m))
-    if cls is DownML or cls is UpML or cls is LetDown:
+    if cls in COMPILE_TIME:
         _stuck("rt", m, "compile-time construct reached run time")
     raise TypeError(f"not a Term: {m!r}")
 
@@ -784,7 +785,7 @@ def _machine(m: Term, env: dict, origin: _Closure | None, run: _Run):
             v = _read_back(_machine(m.body, env, origin, run))
             out = _lift(v, m, env, origin)
             break
-        elif cls is DownML or cls is UpML or cls is LetDown:
+        elif cls in COMPILE_TIME:
             _stuck("rt", _close(m, env, origin),
                    "compile-time construct reached run time")
         else:
@@ -838,15 +839,9 @@ def _arith(op: str, a, b, m: BinOp, *where):
 ### public entry points
 
 def _fuel(fuel: int | None) -> int:
-    """The given budget, else HGMP_FUEL, else the default; at least 1."""
+    """The given budget, else the default; at least 1."""
     if fuel is None:
-        env = os.environ.get("HGMP_FUEL")
-        if not env:
-            return DEFAULT_FUEL
-        try:
-            fuel = int(env)
-        except ValueError:
-            raise ValueError(f"HGMP_FUEL is not an integer: {env!r}") from None
+        return DEFAULT_FUEL
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     return fuel

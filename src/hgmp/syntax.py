@@ -427,6 +427,9 @@ HOST_LITERAL = {int: IntLit, bool: BoolLit, str: StrLit}  # by the value's type
 for _host, _lit in HOST_LITERAL.items():
     _lit.host = _host
 LEAVES = frozenset({*HOST_LITERAL.values(), TagLit})  # no children
+# The compile-time constructs: ct leaves none, and rt and the checker
+# reject each.
+COMPILE_TIME = frozenset({DownML, UpML, LetDown})
 
 
 def tag_of(name: str, annot: TypeExpr | None = None) -> Tag:
@@ -606,8 +609,11 @@ def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
         # Any other constructor holds equal data once the children are
         # blanked out (operator, tag, literal, eval annotation, arity).
         return False
-    return all(_alpha(u, v, env_a, env_b, depth)
-               for u, v in zip(kids_a, kids_b))
+    # A loop, not all() over a generator: one frame a level.
+    for u, v in zip(kids_a, kids_b):
+        if not _alpha(u, v, env_a, env_b, depth):
+            return False
+    return True
 
 
 ### meta-level-free check
@@ -617,9 +623,12 @@ def is_ml_free(m: Term) -> bool:
 
     Evals survive compilation on purpose, so they do not count.
     """
-    if isinstance(m, (DownML, UpML, LetDown)):
+    if type(m) in COMPILE_TIME:
         return False
-    return all(is_ml_free(k) for k in m.children())
+    for k in m.children():  # a loop: one frame a level
+        if not is_ml_free(k):
+            return False
+    return True
 
 
 ### pretty-printing

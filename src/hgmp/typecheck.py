@@ -24,10 +24,10 @@ from types import MappingProxyType
 
 from . import signature
 from .syntax import (
-    BOOL, CODE, INT, STRING,
-    App, Arrow, AstCtor, BinOp, BoolLit, DownML, Eval, If, IntLit, Lam,
-    LetDown, Lift, MetaVar, Rec, StrLit, TAGS, TagLit, TagType, Term,
-    TypeExpr, UpML, Var, pretty, pretty_type,
+    BOOL, CODE, COMPILE_TIME, INT, STRING,
+    App, Arrow, AstCtor, BinOp, BoolLit, Eval, If, IntLit, Lam, Lift,
+    MetaVar, Rec, StrLit, TAGS, TagLit, TagType, Term, TypeExpr, Var,
+    pretty, pretty_type,
 )
 
 class TypeErrorDetail(Exception):
@@ -193,10 +193,10 @@ class _Engine:
                     found=ty, at=m, phase=self.phase)
             case AstCtor(tag, args):
                 return self._infer_ast(env, m, tag.name, args)
-            case DownML() | UpML() | LetDown():
-                raise TypeErrorDetail(
-                    "compile-time constructs cannot be typed",
-                    kind="malformed", at=m, phase=self.phase)
+        if type(m) in COMPILE_TIME:
+            raise TypeErrorDetail(
+                "compile-time constructs cannot be typed",
+                kind="malformed", at=m, phase=self.phase)
         raise TypeError(f"not a Term: {m!r}")
 
     def _expect(self, env: Mapping[str, TypeExpr], m: Term, ty: TypeExpr,

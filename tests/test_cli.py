@@ -231,18 +231,13 @@ def test_fuel_flag(tmp_path, capsys):
     assert "FuelExhausted" in err
 
 
-def test_fuel_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HGMP_FUEL", "2")
+def test_run_ignores_fuel_env(tmp_path, capsys, monkeypatch):
+    # The budget is --fuel's or the default: HGMP_FUEL, which once set
+    # it, changes nothing at a budget too small, below 1 or not a number.
     path = write(tmp_path, "1 + 2 + 3")
-    code, out, err = run_cli(capsys, "run", path)
-    assert code == 1
-    assert "FuelExhausted" in err
-    monkeypatch.setenv("HGMP_FUEL", "50")
-    code, out, err = run_cli(capsys, "run", path)
-    assert (code, out.strip()) == (0, "6")
-    monkeypatch.setenv("HGMP_FUEL", "abc")
-    code, out, err = run_cli(capsys, "run", path)
-    assert (code, err.strip()) == (2, "HGMP_FUEL is not an integer: 'abc'")
+    for env in ("3", "0", "abc"):
+        monkeypatch.setenv("HGMP_FUEL", env)
+        assert run_cli(capsys, "run", path) == (0, "6\n", "")
 
 
 def test_bad_fuel_is_usage_error(tmp_path, capsys):
@@ -251,11 +246,12 @@ def test_bad_fuel_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_fuel_env_below_one_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HGMP_FUEL", "0")
+def test_fuel_flag_below_one_is_usage_error_whatever_the_env(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HGMP_FUEL", "50")
     path = write(tmp_path, "1")
-    code, out, err = run_cli(capsys, "run", path)
-    assert (code, out, err) == (2, "", "fuel must be at least 1\n")
+    assert (run_cli(capsys, "run", "--fuel", "0", path)
+            == (2, "", "fuel must be at least 1\n"))
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -408,7 +404,6 @@ def test_repl_transcript_matches_each_command(monkeypatch, capsys,
     # Every directive, with exact stdout and stderr: a directive that
     # runs a term prints what the command it names prints on that source,
     # and `:trace on` is `--trace text`.
-    monkeypatch.delenv("HGMP_FUEL", raising=False)
 
     def command(*argv, src=None):
         if src is not None:
@@ -649,6 +644,24 @@ def test_a_deep_ast_that_ct_and_rt_return_prints(tmp_path, capsys,
     assert run_cli(capsys, *command, path) == (0, DEEP_AST + "\n", "")
 
 
+CHAIN_AST = "astAdd(" * 11_999 + "astInt(1)" + ", astInt(1))" * 11_999
+
+
+@pytest.mark.parametrize("command, source, printed", [
+    ("compile", "[| {} |]", CHAIN_AST),
+    ("run", "[| {} |]", CHAIN_AST),
+    ("compile", "eval([| {} |])", f"eval({CHAIN_AST})"),
+    ("run", "eval([| {} |])", "12000"),
+], ids=["compile quote", "run quote", "compile eval", "run eval"])
+def test_a_deep_quote_runs_at_one_frame_a_level(tmp_path, capsys, command,
+                                                source, printed):
+    # a 12,000-term chain, quoted, at the CLI's limit: ul, like ct, rt,
+    # dl and printing, takes one frame a level
+    path = write(tmp_path, source.format(" + ".join(["1"] * 12_000)))
+    assert (run_cli(capsys, command, "--fuel", "10000000", path)
+            == (0, printed + "\n", ""))
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -803,6 +816,42 @@ def test_corpus_reports_each_kind_of_mismatch(tmp_path, capsys):
         f"FAIL error_for_value [untyped]: expected a value, got {stuck}"
         f"FAIL other_error [untyped]: expected error:ct, got {stuck}"
         "FAIL value_for_error [untyped]: expected error:rt, got 2\n")
+
+
+def test_corpus_golden_that_holds_no_derivation_fails_its_case(tmp_path,
+                                                              capsys):
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    for name, text in (("not_json", "{"), ("no_derivation", "{}"),
+                       ("not_an_object", "[]")):
+        (tmp_path / f"{name}.hgmp").write_text("-- golden: ct\n1 + 1\n")
+        (tmp_path / f"{name}.expected").write_text("2\n")
+        (golden / f"{name}.json").write_text(text)
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert (code, out) == (1, "0/3 corpus cases passed\n")
+    assert [line.partition(" (")[0] for line in err.splitlines()] == [
+        f"FAIL {name} [untyped]: golden {golden / name}.json holds no "
+        "derivation" for name in ("no_derivation", "not_an_object",
+                                  "not_json")]
+
+
+@pytest.mark.parametrize("compare", ["value", "residual"])
+def test_corpus_compares_a_deep_ast_at_one_frame_a_level(tmp_path, capsys,
+                                                         monkeypatch,
+                                                         compare):
+    # A 200-deep AST at a recursion limit 300 frames above this test: the
+    # pipeline, printing and the comparison with the expectation each
+    # take one frame a level, where two a level would need 400.
+    ast = "astAdd(astInt(1), " * 200 + "astInt(1)" + ")" * 200
+    (tmp_path / "deep.hgmp").write_text(f"-- compare: {compare}\n{ast}\n")
+    (tmp_path / "deep.expected").write_text(ast + "\n")
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(cli, "_RECURSION_LIMIT", _stack_depth() + 300)
+    try:
+        result = run_cli(capsys, "corpus", str(tmp_path))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == (0, "1/1 corpus cases passed\n", "")
 
 
 def test_corpus_golden_of_a_stage_the_case_does_not_run(tmp_path, capsys):

@@ -411,15 +411,16 @@ def test_fuel_must_be_positive():
         eval_rt(IntLit(1), fuel=0)
 
 
-def test_fuel_env_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("HGMP_FUEL", "abc")
-    with pytest.raises(ValueError) as exc:
-        eval_rt(IntLit(1))
-    assert str(exc.value) == "HGMP_FUEL is not an integer: 'abc'"
-    monkeypatch.setenv("HGMP_FUEL", "3")
-    assert eval_rt(t("1 + 2")) == IntLit(3)
+def test_entry_points_ignore_fuel_env(monkeypatch):
+    # Only fuel= sets a budget: HGMP_FUEL, which once did, changes
+    # nothing at a budget too small, below 1 or not a number.
+    m = t("1 + 2 + 3")
+    for env in ("3", "0", "abc"):
+        monkeypatch.setenv("HGMP_FUEL", env)
+        assert eval_rt(m) == IntLit(6)
+        assert run_pipeline(m).value == IntLit(6)
     with pytest.raises(EvalError) as exc:
-        eval_rt(t("1 + 2 + 3"))
+        eval_rt(m, fuel=3)
     assert exc.value.kind == EvalError.FUEL
 
 

@@ -224,6 +224,33 @@ def test_is_ml_free():
     assert is_ml_free(t(r"lift(3)"))
 
 
+def _nest(leaf, levels):
+    """leaf under levels of `1 + \\x. ...`, an operator and a binder
+    in turn."""
+    m = leaf
+    for _ in range(levels // 2):
+        m = BinOp("add", IntLit(1), Lam("x", m))
+    return m
+
+
+def test_alpha_eq_and_is_ml_free_take_one_frame_a_level():
+    # 200 levels at a recursion limit 300 frames above this test, where
+    # two frames a level would need 400
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    deep, quoted = _nest(Var("x"), 200), _nest(UpML(IntLit(1)), 200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 300)
+    try:
+        answers = (alpha_eq(deep, _nest(Var("x"), 200)),
+                   alpha_eq(deep, _nest(Var("y"), 200)),
+                   is_ml_free(deep), is_ml_free(quoted))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert answers == (True, False, True, False)
+
+
 ### pretty-printing
 
 def test_pretty_examples():
