@@ -362,18 +362,18 @@ def _dl(m: Term, run: _Run):
         head = _dl(args[0], run)
         if not isinstance(head, TagLit):
             _stuck("dl", m, "astPromote head did not reduce to a tag")
-        if head.tag.name != "promote":
-            # Children move down with it; the rebuilt constructor is not
-            # arity-checked here -- a later stage (dl again, or a type
-            # check) owns rejecting a malformed result.
-            out = AstCtor(head.tag, tuple([_dl(a, run) for a in args[1:]]))
-            return _d(run, at, "Promote dl 1", "dl", m, out)
-        if count >= 2:
-            inner = _dl(args[1], run)
-            if isinstance(inner, TagLit):
-                out = AstCtor(tag, (inner, *[_dl(a, run) for a in args[2:]]))
-                return _d(run, at, "Promote dl 2", "dl", m, out)
-        _stuck("dl", m, "promoted astPromote needs a tag in second position")
+        # Under the head's tag, or a promoted promote's own with the tag it
+        # rebuilds second; a later stage owns rejecting a bad arity.
+        rule, tag, outs = "Promote dl 1", head.tag, []
+        if tag.name == "promote":
+            inner = _dl(args[1], run) if count >= 2 else None
+            if not isinstance(inner, TagLit):
+                _stuck("dl", m,
+                       "promoted astPromote needs a tag in second position")
+            rule, tag, outs = "Promote dl 2", m.tag, [inner]
+        for a in args[1 + len(outs):]:  # after the tags; one frame a level
+            outs.append(_dl(a, run))
+        return _d(run, at, rule, "dl", m, AstCtor(tag, tuple(outs)))
     _stuck("dl", m,
            f"no down-level rule for ast constructor {name} "
            f"with {count} argument(s)")

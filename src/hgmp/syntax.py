@@ -522,51 +522,54 @@ def subst(m: Term, n: Term, x: str) -> Term:
     and its names. Those free variables are found once per object in the
     call, on a walk that takes each shared object once per binder
     context (see free_vars), so a value that shares its subterms costs
-    its distinct nodes, not its tree."""
+    its distinct nodes, not its tree. Each level of m takes one frame."""
     return _subst(m, n, x, {})
 
 
 def _subst(m: Term, n: Term, x: str, memo: dict) -> Term:
-    if m.binds:
-        return _subst_binder(m, n, x, memo)
     if type(m) is Var:
         return n if m.name == x else m
+    binds = m.binds
+    if binds and x in (names := m.bound_names()):
+        return m
     kids = m.children()
     if not kids:
         return m
+    if binds and not _free_vars_in(n, memo).isdisjoint(names):
+        renamed = _rename_apart(names, kids, n, x, memo)
+        if renamed is None:  # x is not free below it
+            return m
+        names, kids = renamed
     # A variable or leaf child is substituted here, without a call; a
     # loop, not a comprehension, makes no closure over n, x and memo.
     out = []
     for k in kids:
         out.append((n if k.name == x else k) if type(k) is Var
                    else k if type(k) in LEAVES else _subst(k, n, x, memo))
-    return m.rebuild(out)
+    return m.rebind(names, out) if binds else m.rebuild(out)
 
 
-def _subst_binder(m: Term, n: Term, x: str, memo: dict) -> Term:
-    names = m.bound_names()
-    if x in names:
-        return m
-    kids = m.children()
+def _rename_apart(names: tuple[str, ...], kids: tuple[Term, ...], n: Term,
+                  x: str, memo: dict):
+    """A binder's names and children, each name free in n renamed (the
+    rare case), or None when x is not free in the children."""
+    fv_kids = set().union(*(_free_vars_in(k, memo) for k in kids))
+    if x not in fv_kids:
+        return None
     fv_n = _free_vars_in(n, memo)
-    if not fv_n.isdisjoint(names):
-        fv_kids = set().union(*(_free_vars_in(k, memo) for k in kids))
-        if x not in fv_kids:
-            return m
-        avoid = fv_n | fv_kids | set(names)  # fv_kids holds x
-        names = list(names)
-        # Each to its first free primed variant, innermost binder
-        # first: of a repeated name (rec f f.) the last one owns the uses.
-        for i in reversed(range(len(names))):
-            if names[i] in fv_n:
-                renamed = names[i] + "'"
-                while renamed in avoid:
-                    renamed += "'"
-                avoid.add(renamed)
-                kids = [_subst(k, Var(renamed), names[i], memo)
-                        for k in kids]
-                names[i] = renamed
-    return m.rebind(names, [_subst(k, n, x, memo) for k in kids])
+    names = list(names)
+    avoid = fv_n | fv_kids | set(names)  # fv_kids holds x
+    # Each to its first free primed variant, innermost binder first: of
+    # a repeated name (rec f f.) the last one owns the uses.
+    for i in reversed(range(len(names))):
+        if names[i] in fv_n:
+            renamed = names[i] + "'"
+            while renamed in avoid:
+                renamed += "'"
+            avoid.add(renamed)
+            kids = [_subst(k, Var(renamed), names[i], memo) for k in kids]
+            names[i] = renamed
+    return names, kids
 
 
 def _free_vars_in(m: Term, memo: dict) -> set[str]:

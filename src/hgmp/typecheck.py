@@ -9,6 +9,8 @@ because compiled-in lambdas built from astLam carry no annotations.
 Inference unifies in one fixed order, and each unification names a term
 and which side is found: the order decides which mismatch is reported
 and how it reads, so inference skips only unifications that cannot fail.
+Each rule unifies a child's type in its own frame: the checker takes a
+Python frame a level (two where an AST constructor starts), as ct does.
 
 An environment maps variable names to types: any mapping, or None for
 the empty one. A binder extends it into a new dict, so an inner binder
@@ -130,8 +132,8 @@ class _Engine:
         # The commonest classes first, each tested by identity.
         cls = type(m)
         if cls is BinOp:
-            self._expect(env, m.lhs, INT, m.lhs)
-            self._expect(env, m.rhs, INT, m.rhs)
+            self.unify(self.infer(env, m.lhs), INT, m.lhs)
+            self.unify(self.infer(env, m.rhs), INT, m.rhs)
             return BOOL if m.op == "eq" else INT
         if cls is Var:
             ty = env.get(m.name)
@@ -157,9 +159,9 @@ class _Engine:
             arg_ty = m.annot if m.annot is not None else self.fresh()
             return Arrow(arg_ty, self.infer({**env, m.param: arg_ty}, m.body))
         if cls is If:
-            self._expect(env, m.cond, BOOL, m.cond)
+            self.unify(self.infer(env, m.cond), BOOL, m.cond)
             then_ty = self.infer(env, m.then)
-            self._expect(env, m.orelse, then_ty, m)
+            self.unify(self.infer(env, m.orelse), then_ty, m)
             return then_ty
         match m:
             case TagLit(tag):
@@ -169,14 +171,14 @@ class _Engine:
                          else Arrow(self.fresh(), self.fresh()))
                 # Of a repeated name (rec f f.) the parameter wins.
                 env = {**env, self_name: fn_ty, param: fn_ty.src}
-                self._expect(env, body, fn_ty.dst, m)
+                self.unify(self.infer(env, body), fn_ty.dst, m)
                 return fn_ty
             case Eval(body, annot):
                 if annot is None:
                     raise TypeErrorDetail(
                         "eval without a type annotation cannot be checked",
                         kind="malformed", at=m, phase=self.phase)
-                self._expect(env, body, CODE, body)
+                self.unify(self.infer(env, body), CODE, body)
                 return annot
             case Lift(body):
                 ty = self.resolve(self.infer(env, body))
@@ -199,13 +201,6 @@ class _Engine:
                 kind="malformed", at=m, phase=self.phase)
         raise TypeError(f"not a Term: {m!r}")
 
-    def _expect(self, env: Mapping[str, TypeExpr], m: Term, ty: TypeExpr,
-                at: Term):
-        """Unify m's inferred type, as the found side, with ty at at."""
-        found = self.infer(env, m)
-        if found is not ty:
-            self.unify(found, ty, at=at)
-
     def _infer_ast(self, env: Mapping[str, TypeExpr], m: Term, name: str,
                    args: tuple[Term, ...]) -> TypeExpr:
         row, count = TAGS[name], len(args)
@@ -218,7 +213,7 @@ class _Engine:
         atom_ty = _ATOM_TYPE.get(name)
         if atom_ty is not None:  # a literal of that type needs no inference
             if _LIT_TYPE.get(type(args[0])) is not atom_ty:
-                self._expect(env, args[0], atom_ty, args[0])
+                self.unify(self.infer(env, args[0]), atom_ty, args[0])
             return CODE
         if name == "promote":
             head = self.resolve(self.infer(env, args[0]))
@@ -264,7 +259,7 @@ class _Engine:
             # binder could not be named statically.
             match binder:
                 case AstCtor(tag, (inner,)) if tag.name == "string":
-                    self._expect(env, inner, STRING, inner)
+                    self.unify(self.infer(env, inner), STRING, inner)
                 case _:
                     raise TypeErrorDetail(
                         f"binder argument of ast constructor for {name} "
@@ -275,7 +270,7 @@ class _Engine:
             if type(a) is AstCtor:
                 self._infer_ast(env, a, a.tag.name, a.args)
             else:
-                self._expect(env, a, CODE, a)
+                self.unify(self.infer(env, a), CODE, a)
         return CODE
 
 

@@ -644,21 +644,37 @@ def test_a_deep_ast_that_ct_and_rt_return_prints(tmp_path, capsys,
     assert run_cli(capsys, *command, path) == (0, DEEP_AST + "\n", "")
 
 
+CHAIN = " + ".join(["1"] * 12_000)
 CHAIN_AST = "astAdd(" * 11_999 + "astInt(1)" + ", astInt(1))" * 11_999
+LAMBDAS = "".join(f"\\x{i}. " for i in range(12_000))
 
 
-@pytest.mark.parametrize("command, source, printed", [
-    ("compile", "[| {} |]", CHAIN_AST),
-    ("run", "[| {} |]", CHAIN_AST),
-    ("compile", "eval([| {} |])", f"eval({CHAIN_AST})"),
-    ("run", "eval([| {} |])", "12000"),
-], ids=["compile quote", "run quote", "compile eval", "run eval"])
+@pytest.mark.parametrize("command, mode, source, printed", [
+    ("compile", "untyped", f"[| {CHAIN} |]", CHAIN_AST),
+    ("run", "untyped", f"[| {CHAIN} |]", CHAIN_AST),
+    ("compile", "untyped", f"eval([| {CHAIN} |])", f"eval({CHAIN_AST})"),
+    ("run", "untyped", f"eval([| {CHAIN} |])", "12000"),
+    ("run", "typed", CHAIN, "12000"),
+    ("compile", "typed", CHAIN, f"{CHAIN}\n-- : Int"),
+    ("typecheck", "typed", CHAIN, "Int"),
+    ("run", "typed", f"eval{{Int}}([| {CHAIN} |])", "12000"),
+    ("run", "typed", f"eval{{Int}}(lift({CHAIN}))", "12000"),
+    ("run", "untyped", f"(\\y. {LAMBDAS}y) 1", f"{LAMBDAS}1"),
+    ("run", "untyped", f"letdown y = 1 in ({LAMBDAS}y)", f"{LAMBDAS}1"),
+    ("run", "untyped", f"eval([| {DEEP_AST} |])", DEEP_AST),
+    ("run", "typed", f"eval{{Code}}([| {DEEP_AST} |])", DEEP_AST),
+], ids=["compile quote", "run quote", "compile eval", "run eval",
+        "run typed chain", "compile typed chain", "typecheck chain",
+        "run typed eval quote", "run typed eval lift",
+        "run lambdas applied", "run lambdas under letdown",
+        "run eval deep ast", "run typed eval deep ast"])
 def test_a_deep_quote_runs_at_one_frame_a_level(tmp_path, capsys, command,
-                                                source, printed):
-    # a 12,000-term chain, quoted, at the CLI's limit: ul, like ct, rt,
-    # dl and printing, takes one frame a level
-    path = write(tmp_path, source.format(" + ".join(["1"] * 12_000)))
-    assert (run_cli(capsys, command, "--fuel", "10000000", path)
+                                                mode, source, printed):
+    # 12,000 levels at the CLI's limit: ul, like ct, rt, dl, subst, the
+    # checker and printing, takes one frame a level
+    path = write(tmp_path, source)
+    fuel = () if command == "typecheck" else ("--fuel", "10000000")
+    assert (run_cli(capsys, command, "--mode", mode, *fuel, path)
             == (0, printed + "\n", ""))
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -1004,6 +1005,77 @@ def test_deep_relations_end_in_depth_exhausted(relation, src,
         relation(t(src), fuel=10 ** 8)
     assert (exc.value.kind, exc.value.phase) == (
         EvalError.DEPTH, relation.__name__[len("eval_"):])
+
+
+def test_a_traced_run_substitutes_at_one_frame_a_level():
+    # 12,000 lambdas under the binder of y, at the CLI's limit: subst
+    # takes a binder's children in its own frame
+    lambdas = "".join(f"\\x{i}. " for i in range(12_000))
+    result = run_pipeline(t(f"(\\y. {lambdas}y) 1"), fuel=10 ** 7,
+                          trace=True)
+    assert pretty(result.value) == f"{lambdas}1"
+
+
+# One-node wrappers, each with the nodes it adds on the path to its hole
+# {0} (`(\y. _) 1` adds two, App and Lam), by mode and by the sort of
+# term they keep, with the term at the bottom; a lambda's sort is a
+# function's. Each binder has a new name ({1}), so that a substitution
+# goes all the way down. No program recurses: traced rt takes more
+# frames a call level.
+ONE_NODE_WRAPPERS = {
+    ("untyped", "int"): ("1", [
+        ("({0}) + 1", 1), ("if true then {0} else 0", 1),
+        ("eval([| {0} |])", 2), (r"(\y{1}. {0}) 1", 2)]),
+    ("untyped", "code"): ("astInt(1)", [
+        ("astAdd(astInt(1), {0})", 1), ("if true then {0} else 0", 1),
+        ("eval([| {0} |])", 2), (r"(\y{1}. {0}) 1", 2)]),
+    ("untyped", "function"): ("1", [
+        (r"\x{1}. {0}", 1), ("if true then {0} else 0", 1),
+        ("eval([| {0} |])", 2), (r"(\y{1}. {0}) 1", 2)]),
+    ("typed", "int"): ("1", [
+        ("({0}) + 1", 1), ("if true then {0} else 0", 1),
+        ("eval{{Int}}([| {0} |])", 2), (r"(\y{1}. {0}) 1", 2)]),
+    ("typed", "code"): ("astInt(1)", [
+        ("astAdd(astInt(1), {0})", 1), ("eval{{Code}}([| {0} |])", 2),
+        (r"(\y{1}. {0}) 1", 2)]),
+    ("typed", "function"): ("1", [
+        (r"\x{1}:Int. {0}", 1), (r"(\y{1}. {0}) 1", 2)]),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode, sort", ONE_NODE_WRAPPERS)
+def test_every_stage_takes_one_frame_a_level(mode, sort, seed):
+    # d nodes of wrappers of one sort, run traced and untraced and
+    # printed at a recursion limit d + 150 frames above this test: ct,
+    # ul, dl, subst, the checker, rt and pretty each take one frame a
+    # level. Each seed's wrapper in turn makes three in four of the
+    # picks, so a walk that takes two frames at its nodes overflows.
+    d, slack = 400, 150
+    rng = random.Random(f"{mode} {sort} {seed}")
+    source, wrappers = ONE_NODE_WRAPPERS[mode, sort]
+    main = wrappers[seed % len(wrappers)]
+    nodes = quotes = 0
+    while nodes < d:
+        wrapper, added = main if rng.random() < 0.75 else rng.choice(wrappers)
+        # At most one quote a quarter of the way up: each quotes all
+        # below it again, so n nested quotes cost about n^3 steps.
+        if "[|" in wrapper:
+            if 4 * nodes < quotes * d:
+                continue
+            quotes += 1
+        source, nodes = wrapper.format(source, nodes), nodes + added
+    m = parse_term(source, mode)
+    limit = sys.getrecursionlimit()
+    values = []
+    sys.setrecursionlimit(len(inspect.stack(0)) + d + slack)
+    try:
+        for trace in (False, True):
+            value = run_pipeline(m, mode, 10 ** 7, trace=trace).value
+            values.append(pretty(value))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert values[0] == values[1]
 
 
 def test_untraced_matches_traced_on_generated_numeric_programs():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hgmp import typecheck
 from hgmp.parser import parse_term
 from hgmp.reduction import EvalError, eval_ct, run_pipeline
 from hgmp.syntax import (
@@ -423,11 +424,14 @@ def test_a_term_nested_too_deep_is_a_depth_error(src, default_recursion_limit):
             "depth", None, DEPTH_MESSAGE)
 
 
-def test_a_residual_too_deep_to_check_is_depth_exhausted(
-        default_recursion_limit):
-    # ct takes a frame a level, and the checker two: 750 levels compile
+def test_a_residual_too_deep_to_check_is_depth_exhausted(monkeypatch):
+    # the residual as if it were nested too deep for the checker alone
+    def overflow(self, env, m):
+        raise RecursionError
+
+    monkeypatch.setattr(typecheck._Engine, "infer", overflow)
     with pytest.raises(EvalError) as exc:
-        run_pipeline(t(" + ".join(["1"] * 750)), "typed")
+        run_pipeline(t("1 + 1"), "typed")
     err = exc.value
     assert (err.kind, err.phase, err.offending, err.__cause__.kind) == (
         EvalError.DEPTH, "type", None, "depth")
